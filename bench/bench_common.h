@@ -7,7 +7,8 @@
 // each bench validates. See EXPERIMENTS.md for the recorded comparison.
 //
 // Every bench also appends a machine-readable perf record (wall time,
-// samples collected, cache counters, worker count) to
+// samples collected, cache counters, worker count, and the host + commit
+// that produced it: nproc, CPU model, build type, SIMD level, git sha) to
 // $HEADTALK_BENCH_OUT/BENCH_<id>.json — one JSON object per line, one
 // file per bench id — so CI can track bench cost without scraping the
 // human output. Both views come from the same obs timers; there is no
@@ -21,10 +22,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "dsp/simd/dispatch.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "sim/collector.h"
@@ -32,6 +35,15 @@
 #include "sim/experiment.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
+
+// Configure-time stamps (bench/CMakeLists.txt); the fallbacks keep the
+// header usable from a target that does not define them.
+#ifndef HEADTALK_GIT_SHA
+#define HEADTALK_GIT_SHA "unknown"
+#endif
+#ifndef HEADTALK_BUILD_TYPE
+#define HEADTALK_BUILD_TYPE ""
+#endif
 
 namespace headtalk::bench {
 
@@ -103,6 +115,16 @@ class PerfRecorder {
                   static_cast<unsigned long long>(cache_stores_->value()),
                   util::default_jobs());
     std::string record(line);
+    record += ",\"nproc\":" + std::to_string(::sysconf(_SC_NPROCESSORS_ONLN));
+    const std::string build_type = HEADTALK_BUILD_TYPE;
+    const std::pair<const char*, std::string> stamps[] = {
+        {"cpu_model", cpu_model()},
+        {"build_type", build_type.empty() ? "unknown" : build_type},
+        {"simd_level_name", dsp::simd::level_name(dsp::simd::active_level())},
+        {"git_sha", HEADTALK_GIT_SHA}};
+    for (const auto& [key, value] : stamps) {
+      record += ",\"" + std::string(key) + "\":\"" + util::json_escape(value) + "\"";
+    }
     for (const auto& [key, value] : metrics_) {
       std::snprintf(line, sizeof line, ",\"%s\":%.6f", util::json_escape(key).c_str(),
                     value);
@@ -139,6 +161,20 @@ class PerfRecorder {
       : cache_hits_(&obs::Registry::global().counter("sim.cache.hit")),
         cache_misses_(&obs::Registry::global().counter("sim.cache.miss")),
         cache_stores_(&obs::Registry::global().counter("sim.cache.store")) {}
+
+  /// The first "model name" of /proc/cpuinfo; "unknown" when unreadable.
+  static std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const auto colon = line.find(':');
+      if (colon == std::string::npos) continue;
+      const auto start = line.find_first_not_of(' ', colon + 1);
+      if (start != std::string::npos) return line.substr(start);
+    }
+    return "unknown";
+  }
 
   /// "Fig. 5" -> "fig5", "serve_throughput" -> "serve_throughput".
   /// Underscores survive so multi-word bench ids stay readable in their

@@ -181,22 +181,25 @@ int main() {
 
   const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
 
-  // Local score_batch baseline: the same utterances scored in-process with a
-  // warm workspace, no socket. The gap to the daemon's per-decision wall time
-  // is the serving overhead (framing + queueing), not scoring cost.
+  // Local baseline: the same utterances scored in-process, back to back over
+  // one warm workspace, no socket. The gap to the daemon's per-decision wall
+  // time is the serving overhead (framing + queueing), not scoring cost.
   {
-    const std::vector<audio::MultiBuffer> batch(utterances, capture);
     core::ScoringWorkspace workspace;
-    (void)pipeline.score_batch(batch, core::VaMode::kHeadTalk, &workspace);  // warm-up
-    const auto batch_start = std::chrono::steady_clock::now();
-    const auto results = pipeline.score_batch(batch, core::VaMode::kHeadTalk, &workspace);
-    const double batch_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - batch_start)
+    (void)pipeline.score_capture(capture, core::VaMode::kHeadTalk, false, false,
+                                 &workspace);  // warm-up
+    const auto local_start = std::chrono::steady_clock::now();
+    for (unsigned u = 0; u < utterances; ++u) {
+      (void)pipeline.score_capture(capture, core::VaMode::kHeadTalk, false, false,
+                                   &workspace);
+    }
+    const double local_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - local_start)
             .count();
-    const double per_utt = batch_seconds / static_cast<double>(results.size());
-    std::printf("local score_batch baseline: %.1f ms/utterance (batch of %zu, warm)\n",
-                1000.0 * per_utt, results.size());
-    bench::PerfRecorder::instance().set_metric("local_batch_seconds_per_utt", per_utt);
+    const double per_utt = local_seconds / static_cast<double>(utterances);
+    std::printf("local baseline: %.1f ms/utterance (%u utterances, warm)\n",
+                1000.0 * per_utt, utterances);
+    bench::PerfRecorder::instance().set_metric("local_seconds_per_utt", per_utt);
   }
 
   serve::ServerConfig config;

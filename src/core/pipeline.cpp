@@ -170,40 +170,6 @@ PipelineResult HeadTalkPipeline::score_capture(const audio::MultiBuffer& capture
   return result;
 }
 
-std::vector<PipelineResult> HeadTalkPipeline::score_batch(
-    std::span<const audio::MultiBuffer> captures, VaMode mode,
-    ScoringWorkspace* workspace) const {
-  // Every capture in a batch is an independent wake word; the shared
-  // workspace (caller's or a batch-local one) is what makes the batch
-  // cheaper than isolated calls, not any cross-capture state.
-  ScoringWorkspace local;
-  ScoringWorkspace* ws = workspace != nullptr ? workspace : &local;
-  std::vector<PipelineResult> results;
-  results.reserve(captures.size());
-  for (const auto& capture : captures) {
-    results.push_back(
-        score_capture(capture, mode, /*followup=*/false, /*session_active=*/false, ws));
-  }
-  return results;
-}
-
-std::vector<HeadTalkPipeline::BatchOutcome> HeadTalkPipeline::score_batch(
-    std::span<const BatchRequest> requests, VaMode mode,
-    ScoringWorkspace* workspace) const {
-  ScoringWorkspace local;
-  ScoringWorkspace* ws = workspace != nullptr ? workspace : &local;
-  std::vector<BatchOutcome> outcomes;
-  outcomes.reserve(requests.size());
-  for (const auto& request : requests) {
-    BatchOutcome outcome;
-    outcome.result =
-        score_capture(*request.capture, mode, request.followup, request.session_active,
-                      ws, request.want_features ? &outcome.features : nullptr);
-    outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
-}
-
 PipelineResult HeadTalkPipeline::evaluate_stages(const audio::MultiBuffer& capture,
                                                  VaMode mode, bool followup,
                                                  bool session_active,

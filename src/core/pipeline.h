@@ -11,7 +11,6 @@
 //              for the remaining session").
 #pragma once
 
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -116,41 +115,6 @@ class HeadTalkPipeline {
                                              bool session_active,
                                              ScoringWorkspace* workspace = nullptr,
                                              FeatureCapture* features_out = nullptr) const;
-
-  /// One entry of a context-carrying batch: the capture plus the
-  /// per-connection flags score_capture would have been called with. The
-  /// capture is borrowed — it must stay alive for the score_batch call.
-  struct BatchRequest {
-    const audio::MultiBuffer* capture = nullptr;
-    bool followup = false;
-    bool session_active = false;
-    /// True to copy the stage feature vectors into BatchOutcome::features
-    /// (tenant identity matching); false costs nothing.
-    bool want_features = false;
-  };
-
-  struct BatchOutcome {
-    PipelineResult result;
-    FeatureCapture features;  ///< filled only when want_features was set
-  };
-
-  /// Scores a batch of independent wake-word captures (no follow-up or
-  /// session context) under `mode`, sharing one workspace across the whole
-  /// batch so every capture after the first reuses warm scratch buffers
-  /// and cached FFT plans. Results are index-aligned with `captures` and
-  /// identical to scoring each capture individually.
-  [[nodiscard]] std::vector<PipelineResult> score_batch(
-      std::span<const audio::MultiBuffer> captures, VaMode mode,
-      ScoringWorkspace* workspace = nullptr) const;
-
-  /// Context-carrying batch entry point used by the event-loop engine's
-  /// micro-batch scheduler: utterances gathered across connections are
-  /// scored back-to-back over one warm workspace, each under its own
-  /// follow-up/session flags. Outcomes are index-aligned with `requests`
-  /// and bit-identical to per-utterance score_capture calls.
-  [[nodiscard]] std::vector<BatchOutcome> score_batch(
-      std::span<const BatchRequest> requests, VaMode mode,
-      ScoringWorkspace* workspace = nullptr) const;
 
   /// Streaming entry point, the counterpart of score_capture for audio
   /// that was already fed through an IncrementalExtractor frame by frame:

@@ -5,7 +5,7 @@
 // allocates its spectra and scratch buffers fresh. A ScoringWorkspace owns
 // all of that mutable state so a worker thread that scores utterance after
 // utterance (a serve worker, a --jobs lane in sim/collector or
-// headtalk_infer, a score_batch() call) touches the allocator only until
+// headtalk_infer) touches the allocator only until
 // the buffers reach steady-state size. FFT twiddle tables live in the
 // process-wide dsp::FftPlanCache, not here — the workspace holds only the
 // per-call mutable buffers.

@@ -16,7 +16,7 @@
 //   - write_snapshot_json()/parse_snapshot_json(): a lossless JSON form
 //                        (per-bucket counts, not quantiles) that round-
 //                        trips through parse — the shipping format for
-//                        per-shard aggregation.
+//                        cross-process aggregation.
 //   - merge_into():      combines snapshots from N processes: counters
 //                        sum, histogram buckets/count/sum add (bounds must
 //                        match exactly — a mismatch throws, it is a config

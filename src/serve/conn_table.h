@@ -1,11 +1,10 @@
-// Live per-connection bookkeeping shared by both serving engines.
+// Live per-connection bookkeeping of the serving core.
 //
-// The threaded Server and the EventLoopServer both feed one of these so
-// the admin plane's /stats.json connection table (and headtalk_client
-// --watch's conns column) report identically whichever engine is running.
-// Each row's hot fields are relaxed atomics written lock-free by the
-// thread that owns the connection (a worker thread or a loop thread); the
-// table mutex guards only insert/erase and the admin snapshot.
+// The Server feeds one of these; the admin plane's /stats.json connection
+// table (and headtalk_client --watch's conns column) reads it. Each row's
+// hot fields are relaxed atomics written lock-free by the worker thread
+// that owns the connection; the table mutex guards only insert/erase and
+// the admin snapshot.
 #pragma once
 
 #include <atomic>
@@ -16,9 +15,16 @@
 #include <mutex>
 #include <vector>
 
-#include "serve/engine.h"
-
 namespace headtalk::serve {
+
+/// One live connection as the admin plane's /stats.json reports it.
+struct ConnectionInfo {
+  std::uint64_t id = 0;        ///< accept-order id, unique per server run
+  bool stream_mode = false;    ///< between STREAM_START and STREAM_END
+  std::uint64_t decisions = 0;
+  double age_seconds = 0.0;    ///< since accept
+  double idle_seconds = 0.0;   ///< since the last bytes from the client
+};
 
 class ConnectionTable {
  public:

@@ -1,8 +1,6 @@
-// Socket plumbing shared by the serving engines and the shard front:
-// listener construction (Unix / loopback-TCP, optionally SO_REUSEPORT),
-// whole-buffer sends, and the one-shot reject path used for BUSY /
-// shutting-down frames. Split out of server.cpp so the threaded engine,
-// the event-loop engine and the shard runner bind sockets identically.
+// Socket plumbing shared by the serving core and the admin plane: listener
+// construction (Unix / loopback-TCP), whole-buffer sends, and the one-shot
+// reject path used for BUSY / shutting-down frames.
 #pragma once
 
 #include <cstddef>
@@ -18,23 +16,18 @@ namespace headtalk::serve {
 
 /// Binds + listens on 127.0.0.1:<port>. Loopback only: the daemon carries
 /// raw room audio; remote exposure is a deliberate deployment decision
-/// (front it with a real proxy), not a flag. With `reuseport` the socket
-/// is bound SO_REUSEPORT so N shard processes can share the port and let
-/// the kernel spread accepts across them. Throws on failure.
-[[nodiscard]] int make_tcp_listener(int port, bool reuseport = false);
+/// (front it with a real proxy), not a flag. Throws on failure.
+[[nodiscard]] int make_tcp_listener(int port);
 
 /// Sends the whole buffer (blocking fd), retrying short writes and EINTR;
 /// false on a dead peer.
 bool send_all(int fd, const std::uint8_t* data, std::size_t size);
 
-/// Best-effort single-shot frame for connections rejected before an engine
+/// Best-effort single-shot frame for connections rejected before a worker
 /// ever owns them (BUSY / shutting-down): one non-blocking send, then
 /// close. Always closes `fd`.
 void send_and_close(int fd, const std::vector<std::uint8_t>& frame);
 
 void close_quietly(int fd) noexcept;
-
-/// Sets O_NONBLOCK; false on fcntl failure.
-bool set_nonblocking(int fd) noexcept;
 
 }  // namespace headtalk::serve

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 namespace headtalk::serve {
@@ -445,6 +446,11 @@ AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels) {
   chunk.interleaved.resize(samples);
   in.read_f32_array(chunk.interleaved.data(), samples);
   in.finish();
+  // One NaN or Inf would poison every feature of the utterance it lands in
+  // (and the classifiers' verdicts only by accident of NaN comparisons).
+  for (const float sample : chunk.interleaved) {
+    if (!std::isfinite(sample)) throw ProtocolError("AUDIO_CHUNK: non-finite sample");
+  }
   return chunk;
 }
 

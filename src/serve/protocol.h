@@ -234,7 +234,8 @@ struct ErrorFrame {
 
 [[nodiscard]] Hello parse_hello(const Frame& frame);
 [[nodiscard]] HelloOk parse_hello_ok(const Frame& frame);
-/// `channels` comes from the session's HELLO; the chunk length must match.
+/// `channels` comes from the session's HELLO; the chunk length must match,
+/// and every sample must be finite (NaN / ±Inf throw).
 [[nodiscard]] AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels);
 [[nodiscard]] EndOfUtterance parse_end_of_utterance(const Frame& frame);
 [[nodiscard]] DecisionFrame parse_decision(const Frame& frame);

@@ -62,7 +62,7 @@ void Server::start() {
     throw std::runtime_error("serve: pipe2() failed");
   }
   unix_fd_ = make_unix_listener(config_.socket_path);
-  if (config_.tcp_port > 0) tcp_fd_ = make_tcp_listener(config_.tcp_port, config_.reuseport);
+  if (config_.tcp_port > 0) tcp_fd_ = make_tcp_listener(config_.tcp_port);
 
   const unsigned workers = util::resolve_jobs(config_.workers);
   workers_.reserve(workers);
@@ -142,26 +142,6 @@ ServerStats Server::stats() const {
   out.deadline_expirations = deadlines_.load(std::memory_order_relaxed);
   out.active_connections = active_.load(std::memory_order_relaxed);
   return out;
-}
-
-void Server::adopt_connection(int fd) {
-  if (fd < 0) return;
-  if (!running() || stopping_.load(std::memory_order_acquire)) {
-    send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
-    return;
-  }
-  // The worker I/O model is blocking-with-timeout; fds handed over from a
-  // nonblocking front must shed O_NONBLOCK.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-  if (try_enqueue(fd)) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    metric_connections().increment();
-  } else {
-    busy_.fetch_add(1, std::memory_order_relaxed);
-    metric_busy().increment();
-    send_and_close(fd, encode_busy());
-  }
 }
 
 void Server::acceptor_loop() {
@@ -246,14 +226,18 @@ void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
   Session session(pipeline_, config_.session);
   session.set_workspace(&workspace);
   const auto deadline_budget = std::chrono::milliseconds(config_.request_deadline_ms);
-  Clock::time_point request_start = Clock::now();
-  Clock::time_point deadline = request_start + deadline_budget;
+  const Clock::time_point accepted_at = Clock::now();
+  Clock::time_point deadline = accepted_at + deadline_budget;
+  // serve.request_seconds runs from the first bytes of a whole utterance
+  // (bytes received while the session was idle) to its DECISION, so client
+  // think time between utterances is not counted as serving latency.
+  Clock::time_point request_start = accepted_at;
 
   // Register this connection's row in the shared admin table. The worker
   // updates the row's atomics lock-free on every read; the table mutex is
   // touched only here and at teardown.
   auto slot = conn_table_.insert();
-  slot->accepted_at = request_start;
+  slot->accepted_at = accepted_at;
   slot->touch();
   struct SlotEraser {
     ConnectionTable* table;
@@ -308,7 +292,9 @@ void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
     }
 
     slot->touch();
+    if (session.idle()) request_start = Clock::now();
 
+    const bool was_streaming = session.stream_mode();
     const std::size_t decisions_before = session.decisions_sent();
     const bool alive = session.on_bytes(buffer, static_cast<std::size_t>(n));
     const auto output = session.take_output();
@@ -321,18 +307,20 @@ void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
       // no "complete request" for the deadline to bound — a quiet room
       // produces no decisions for minutes. Received audio proves the client
       // is alive; the deadline degrades to a max inter-chunk silence.
-      request_start = Clock::now();
-      deadline = request_start + deadline_budget;
+      deadline = Clock::now() + deadline_budget;
     }
 
     const std::size_t new_decisions = session.decisions_sent() - decisions_before;
     if (new_decisions > 0) {
       decisions_.fetch_add(new_decisions, std::memory_order_relaxed);
-      metric_request_seconds().observe(
-          std::chrono::duration<double>(Clock::now() - request_start).count());
-      // A finished utterance resets the per-request clock.
-      request_start = Clock::now();
-      deadline = request_start + deadline_budget;
+      // Stream segments are timed by stream.decision_latency_seconds; their
+      // "request" spans the speech itself, not serving work.
+      if (!was_streaming && !session.stream_mode()) {
+        metric_request_seconds().observe(
+            std::chrono::duration<double>(Clock::now() - request_start).count());
+      }
+      // A finished utterance resets the per-utterance deadline.
+      deadline = Clock::now() + deadline_budget;
       // During a drain, finish the utterance that is in flight but do not
       // wait for the client's next one.
       if (stopping_.load(std::memory_order_acquire)) break;

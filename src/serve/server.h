@@ -1,18 +1,17 @@
-// Thread-per-connection serving core of the inference daemon.
+// Serving core of the inference daemon: thread-per-connection.
 //
 // One acceptor thread listens on a Unix-domain socket (and, optionally, a
 // TCP loopback port) and pushes accepted connections into a *bounded*
 // queue; a fixed pool of worker threads pops connections and drives one
-// Session each over blocking-with-timeout socket I/O. When the queue is
-// full a fresh connection is answered with a BUSY frame and closed
-// immediately — overload degrades to fast rejections, never to unbounded
-// queueing or hangs. request_stop() (async-signal-safe: an atomic store
-// plus one pipe write) triggers a graceful drain: the listeners close, the
-// already-accepted queue is served to completion, in-flight utterances get
-// their DECISIONs, then the workers exit.
-//
-// This is one of two interchangeable ServerEngine implementations (see
-// serve/engine.h); the epoll reactor in serve/eventloop/ is the other.
+// Session each over blocking-with-timeout socket I/O. Concurrency contract:
+// at most `workers` connections are in service at once, the next
+// `max_pending` wait in the queue, and beyond that a fresh connection is
+// answered with a BUSY frame and closed immediately — overload degrades to
+// fast rejections, never to unbounded queueing or hangs. request_stop()
+// (async-signal-safe: an atomic store plus one pipe write) triggers a
+// graceful drain: the listeners close, the already-accepted queue is
+// served to completion, in-flight utterances get their DECISIONs, then the
+// workers exit.
 #pragma once
 
 #include <atomic>
@@ -26,10 +25,19 @@
 
 #include "core/pipeline.h"
 #include "serve/conn_table.h"
-#include "serve/engine.h"
 #include "serve/session.h"
 
 namespace headtalk::serve {
+
+/// Point-in-time counters for tests and the daemon's exit summary.
+struct ServerStats {
+  std::uint64_t connections_accepted = 0;
+  std::uint64_t busy_rejections = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t session_errors = 0;
+  std::uint64_t deadline_expirations = 0;
+  std::size_t active_connections = 0;
+};
 
 struct ServerConfig {
   /// Unix-domain socket path; an existing socket file is replaced.
@@ -44,54 +52,49 @@ struct ServerConfig {
   /// Per-utterance deadline: from the previous response (or accept) to the
   /// DECISION. Expiry sends ERROR deadline-exceeded and closes.
   int request_deadline_ms = 10000;
-  /// Bind the TCP listener SO_REUSEPORT (shard processes sharing a port).
-  bool reuseport = false;
   SessionLimits session{};
 };
 
-class Server final : public ServerEngine {
+class Server {
  public:
   /// The pipeline must stay alive for the server's lifetime; workers only
   /// use its const scoring entry point.
   Server(const core::HeadTalkPipeline& pipeline, ServerConfig config);
-  ~Server() override;
+  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// Binds the listeners and spawns the acceptor + worker threads. Throws
   /// std::runtime_error when a socket cannot be bound.
-  void start() override;
+  void start();
 
   /// Async-signal-safe stop trigger (callable from a SIGINT/SIGTERM
   /// handler): marks the server stopping and wakes the acceptor.
-  void request_stop() noexcept override;
+  void request_stop() noexcept;
 
   /// Blocks until request_stop() has been called (from any thread or a
   /// signal handler), then drains and joins everything. Idempotent.
-  void wait() override;
+  void wait();
 
   /// Graceful shutdown: stop accepting, serve the queued and in-flight
   /// connections to completion, join all threads. Idempotent; implies
   /// request_stop().
-  void stop() override;
+  void stop();
 
-  [[nodiscard]] bool running() const noexcept override {
+  [[nodiscard]] bool running() const noexcept {
     return started_.load(std::memory_order_acquire) &&
            !stopped_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] bool draining() const noexcept override {
+  /// True once a stop/drain has been requested — the admin plane's
+  /// /readyz flips to 503 on this, before in-flight utterances finish.
+  [[nodiscard]] bool draining() const noexcept {
     return stopping_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] ServerStats stats() const override;
-  [[nodiscard]] std::vector<ConnectionInfo> connections() const override;
+  [[nodiscard]] ServerStats stats() const;
+  /// Snapshot of the live per-connection table (never blocks scoring).
+  [[nodiscard]] std::vector<ConnectionInfo> connections() const;
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
-
-  /// Queues an externally-accepted fd (the shard front's SCM_RIGHTS path)
-  /// exactly like a locally-accepted connection: BUSY when the pending
-  /// queue is full, shutting-down when draining. The fd is made blocking
-  /// first — the worker I/O model expects it.
-  void adopt_connection(int fd) override;
 
  private:
   void acceptor_loop();

@@ -67,57 +67,16 @@ bool Session::on_bytes(const void* data, std::size_t size) {
   if (state_ == State::kFailed) return false;
   try {
     reader_.feed(data, size);
-    drain_frames();
+    // Every complete buffered frame, in order, until the session fails.
+    while (state_ != State::kFailed) {
+      const auto frame = reader_.next();
+      if (!frame) break;
+      handle_frame(*frame);
+    }
   } catch (const ProtocolError& error) {
     fail(ErrorCode::kBadRequest, error.what());
   }
   return state_ != State::kFailed;
-}
-
-void Session::drain_frames() {
-  // While a deferred score is out, complete frames stay buffered in the
-  // reader: a pipelining client's next utterance is processed in order
-  // once the pending DECISION has been emitted (complete_score resumes
-  // this drain).
-  while (state_ != State::kFailed && !score_pending_) {
-    const auto frame = reader_.next();
-    if (!frame) break;
-    handle_frame(*frame);
-  }
-}
-
-void Session::complete_score(const core::PipelineResult& result,
-                             const core::FeatureCapture& features,
-                             double elapsed_seconds) {
-  if (!score_pending_) return;
-  score_pending_ = false;
-  if (state_ == State::kFailed) return;  // failed while the score was out
-  session_open_ = result.session_open_after;
-  DecisionFrame decision;
-  decision.decision = static_cast<std::uint8_t>(result.decision);
-  decision.live = result.live;
-  decision.facing = result.facing;
-  decision.via_open_session = result.via_open_session;
-  decision.liveness_score = result.liveness_score;
-  decision.orientation_score = result.orientation_score;
-  apply_policy(decision, result, features);
-  decision.elapsed_seconds = elapsed_seconds;
-  const auto bytes = encode_decision(decision);
-  output_.insert(output_.end(), bytes.begin(), bytes.end());
-  ++decisions_;
-  // Frames the client pipelined behind the END_OF_UTTERANCE resume now.
-  try {
-    drain_frames();
-  } catch (const ProtocolError& error) {
-    fail(ErrorCode::kBadRequest, error.what());
-  }
-}
-
-void Session::fail_score(const std::string& message) {
-  if (!score_pending_) return;
-  score_pending_ = false;
-  if (state_ == State::kFailed) return;
-  fail(ErrorCode::kInternal, "scoring failed: " + message);
 }
 
 std::vector<std::uint8_t> Session::take_output() {
@@ -314,20 +273,6 @@ void Session::handle_end_of_utterance(const Frame& frame) {
     obs::log_warn("serve.session.ring_overflow",
                   {{"dropped_frames", ring_.dropped_frames()},
                    {"kept_frames", ring_.frames()}});
-  }
-
-  if (score_hook_) {
-    // Deferred path: snapshot the utterance and hand it to the engine's
-    // batch scheduler; the DECISION is emitted by complete_score().
-    PendingUtterance pending;
-    pending.capture = ring_.snapshot();
-    pending.followup = end.followup;
-    pending.session_open = session_open_;
-    pending.want_features = !tenant_id_.empty();
-    ring_.clear();
-    score_pending_ = true;
-    score_hook_(std::move(pending));
-    return;
   }
 
   static obs::Histogram& score_seconds =

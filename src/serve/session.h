@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -80,19 +79,6 @@ class SampleRing {
   double sample_rate_ = audio::kDefaultSampleRate;
 };
 
-/// One utterance handed off for out-of-session scoring (see
-/// Session::set_score_hook): the capture snapshot plus the per-connection
-/// context score_capture would have been called with.
-struct PendingUtterance {
-  audio::MultiBuffer capture;
-  bool followup = false;
-  /// HeadTalk open-session flag at submit time.
-  bool session_open = false;
-  /// True when the completion must carry the feature vectors (AUTH'd
-  /// connection — the policy engine needs them for the identity match).
-  bool want_features = false;
-};
-
 class Session {
  public:
   /// The pipeline outlives the session and is shared across sessions; only
@@ -107,34 +93,6 @@ class Session {
     workspace_ = workspace;
     if (detector_) detector_->set_workspace(workspace);
   }
-
-  /// Defers END_OF_UTTERANCE scoring to the caller: instead of scoring
-  /// inline, the session snapshots the utterance, calls `hook`, and stops
-  /// consuming frames until complete_score()/fail_score() delivers the
-  /// verdict (score_pending() is true in between; buffered pipelined
-  /// frames resume automatically on completion). This is how the
-  /// event-loop engine routes utterances through the micro-batch
-  /// scheduler; a null hook (the default) scores inline on the calling
-  /// thread, exactly as the threaded engine always has. Streaming-mode
-  /// (auto-endpoint) segments are always scored inline — after the
-  /// frame-incremental refactor their finalize is O(1), so they never
-  /// need to leave the loop thread.
-  using ScoreHook = std::function<void(PendingUtterance&&)>;
-  void set_score_hook(ScoreHook hook) { score_hook_ = std::move(hook); }
-
-  /// True while an utterance is out with the score hook: the session
-  /// buffers further input and emits nothing until the completion lands.
-  [[nodiscard]] bool score_pending() const noexcept { return score_pending_; }
-
-  /// Delivers a deferred score: applies tenant policy, emits the DECISION,
-  /// and resumes any frames that were buffered while the score was out.
-  /// Only valid while score_pending().
-  void complete_score(const core::PipelineResult& result,
-                      const core::FeatureCapture& features, double elapsed_seconds);
-
-  /// Deferred scoring failed (the pipeline threw): emits a fatal ERROR
-  /// frame; the connection should be closed after flushing the output.
-  void fail_score(const std::string& message);
 
   /// Feeds bytes received from the client; any responses are appended to
   /// the pending output (take_output()). Returns false once the session is
@@ -153,7 +111,6 @@ class Session {
   /// drain may close an idle connection immediately; a non-idle one is
   /// owed its DECISION first.
   [[nodiscard]] bool idle() const noexcept {
-    if (score_pending_) return false;
     if (stream_mode_ && detector_ && detector_->in_utterance()) return false;
     return ring_.frames() == 0 && reader_.buffered_bytes() == 0;
   }
@@ -169,9 +126,6 @@ class Session {
  private:
   enum class State { kAwaitHello, kStreaming, kFailed };
 
-  /// Consumes every complete buffered frame (stops early when a deferred
-  /// score goes out or the session fails).
-  void drain_frames();
   void handle_frame(const Frame& frame);
   void handle_hello(const Frame& frame);
   void handle_auth(const Frame& frame);
@@ -200,8 +154,6 @@ class Session {
   bool stream_mode_ = false;
   bool session_open_ = false;  ///< HeadTalk open-session flag, per connection
   std::size_t decisions_ = 0;
-  ScoreHook score_hook_;        ///< null = score inline (threaded engine)
-  bool score_pending_ = false;  ///< an utterance is out with the hook
   /// AUTH state: the id only — the profile is re-resolved per decision
   /// from the service's live snapshot, so a hot reload takes effect for
   /// this connection's next utterance without dropping it.

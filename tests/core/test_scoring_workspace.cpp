@@ -1,6 +1,7 @@
 // ScoringWorkspace determinism: extraction with reused scratch must be
 // bit-identical to the workspace-free path, across repeated calls and
-// across capture sizes, and score_batch must equal sequential scoring.
+// across capture sizes, and scoring a run of captures through one shared
+// workspace must equal scoring each one without.
 #include "core/scoring_workspace.h"
 
 #include <gtest/gtest.h>
@@ -83,10 +84,11 @@ TEST(ScoringWorkspace, CountsUses) {
   EXPECT_EQ(workspace.uses(), 2u);
 }
 
-TEST(ScoringWorkspace, ScoreBatchMatchesSequentialScoring) {
+TEST(ScoringWorkspace, SharedWorkspaceMatchesIsolatedScoring) {
   // Synthetic-trained detectors (scoring math only cares about dimension),
-  // then a batch through one shared workspace versus one-by-one scoring
-  // without: every result field must agree exactly.
+  // then a run of captures through one shared workspace (what a serve
+  // worker does) versus one-by-one scoring without: every result field
+  // must agree exactly.
   const OrientationFeatureExtractor orientation_extractor;
   const LivenessFeatureExtractor liveness_extractor;
   std::mt19937 rng(4);
@@ -114,29 +116,33 @@ TEST(ScoringWorkspace, ScoreBatchMatchesSequentialScoring) {
   liveness.train(liveness_data);
   const HeadTalkPipeline pipeline(std::move(orientation), std::move(liveness));
 
-  std::vector<audio::MultiBuffer> batch;
-  for (unsigned seed = 10; seed < 13; ++seed) batch.push_back(make_capture(9000, seed));
+  std::vector<audio::MultiBuffer> captures;
+  for (unsigned seed = 10; seed < 13; ++seed) captures.push_back(make_capture(9000, seed));
 
   ScoringWorkspace workspace;
-  const auto batched = pipeline.score_batch(batch, VaMode::kHeadTalk, &workspace);
-  ASSERT_EQ(batched.size(), batch.size());
+  std::vector<PipelineResult> shared;
+  for (const auto& capture : captures) {
+    shared.push_back(pipeline.score_capture(capture, VaMode::kHeadTalk,
+                                            /*followup=*/false,
+                                            /*session_active=*/false, &workspace));
+  }
   // Liveness always runs; orientation only when the liveness gate passes.
-  EXPECT_GE(workspace.uses(), batch.size());
-  EXPECT_LE(workspace.uses(), 2 * batch.size());
+  EXPECT_GE(workspace.uses(), captures.size());
+  EXPECT_LE(workspace.uses(), 2 * captures.size());
 
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto single = pipeline.score_capture(batch[i], VaMode::kHeadTalk,
+  for (std::size_t i = 0; i < captures.size(); ++i) {
+    const auto single = pipeline.score_capture(captures[i], VaMode::kHeadTalk,
                                                /*followup=*/false,
                                                /*session_active=*/false);
-    EXPECT_EQ(batched[i].decision, single.decision) << "capture " << i;
-    EXPECT_EQ(batched[i].liveness_checked, single.liveness_checked);
-    EXPECT_EQ(batched[i].live, single.live);
-    EXPECT_EQ(batched[i].liveness_score, single.liveness_score);
-    EXPECT_EQ(batched[i].orientation_checked, single.orientation_checked);
-    EXPECT_EQ(batched[i].facing, single.facing);
-    EXPECT_EQ(batched[i].orientation_score, single.orientation_score);
-    EXPECT_EQ(batched[i].via_open_session, single.via_open_session);
-    EXPECT_EQ(batched[i].session_open_after, single.session_open_after);
+    EXPECT_EQ(shared[i].decision, single.decision) << "capture " << i;
+    EXPECT_EQ(shared[i].liveness_checked, single.liveness_checked);
+    EXPECT_EQ(shared[i].live, single.live);
+    EXPECT_EQ(shared[i].liveness_score, single.liveness_score);
+    EXPECT_EQ(shared[i].orientation_checked, single.orientation_checked);
+    EXPECT_EQ(shared[i].facing, single.facing);
+    EXPECT_EQ(shared[i].orientation_score, single.orientation_score);
+    EXPECT_EQ(shared[i].via_open_session, single.via_open_session);
+    EXPECT_EQ(shared[i].session_open_after, single.session_open_after);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
 
 using namespace headtalk;
@@ -292,6 +293,23 @@ TEST(ServeProtocol, RejectsBadFieldValues) {
   // count and the length check fires.
   const auto chunk = encode_audio_chunk(std::vector<float>(12, 0.0f), 4);
   EXPECT_THROW((void)parse_audio_chunk(decode_one(chunk), 5), ProtocolError);
+}
+
+TEST(ServeProtocol, RejectsNonFiniteAudioSamples) {
+  // The encoder passes any float through; the parser is the gate. One bad
+  // sample anywhere in the chunk (here the last) rejects the whole chunk.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> interleaved(2 * 8, 0.125f);
+    interleaved.back() = bad;
+    const auto chunk = encode_audio_chunk(interleaved, 2);
+    EXPECT_THROW((void)parse_audio_chunk(decode_one(chunk), 2), ProtocolError) << bad;
+  }
+  // Extreme but finite values are legal audio.
+  std::vector<float> loud(2 * 8, std::numeric_limits<float>::max());
+  loud[0] = std::numeric_limits<float>::denorm_min();
+  EXPECT_NO_THROW((void)parse_audio_chunk(decode_one(encode_audio_chunk(loud, 2)), 2));
 }
 
 TEST(ServeProtocol, StreamFramesRoundTrip) {

@@ -1,7 +1,9 @@
 // End-to-end daemon tests over real Unix sockets: concurrent-client
 // stress (every client gets exactly one well-formed DECISION), BUSY
 // backpressure when the pending queue is full, graceful drain that still
-// answers the in-flight utterance, and per-utterance deadline expiry.
+// answers the in-flight utterance, per-utterance deadline expiry, verdict
+// parity with in-process scoring, pipelined and byte-at-a-time delivery,
+// AUTH'd and streaming connections, and what serve.request_seconds times.
 #include "serve/server.h"
 
 #include <unistd.h>
@@ -10,13 +12,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <numbers>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve_test_util.h"
+#include "tenant/enrollment.h"
+#include "tenant/service.h"
 
 using namespace headtalk;
 using namespace headtalk::serve;
@@ -39,6 +46,23 @@ ServerConfig normal_mode_config(const std::string& tag) {
   config.session.mode = core::VaMode::kNormal;  // skip DSP: machinery tests
   config.request_deadline_ms = 60000;
   return config;
+}
+
+/// One whole utterance as the wire carries it: AUDIO_CHUNK (f32 samples)
+/// followed by END_OF_UTTERANCE.
+std::vector<std::uint8_t> utterance_bytes(const audio::MultiBuffer& capture,
+                                          bool followup = false) {
+  const std::size_t channels = capture.channel_count();
+  std::vector<float> interleaved(capture.frames() * channels);
+  for (std::size_t f = 0; f < capture.frames(); ++f) {
+    for (std::size_t c = 0; c < channels; ++c) {
+      interleaved[f * channels + c] = static_cast<float>(capture.channel(c)[f]);
+    }
+  }
+  auto bytes = encode_audio_chunk(interleaved, static_cast<std::uint16_t>(channels));
+  const auto end = encode_end_of_utterance(followup);
+  bytes.insert(bytes.end(), end.begin(), end.end());
+  return bytes;
 }
 
 /// Polls `predicate` until it holds or ~5 s pass.
@@ -137,20 +161,14 @@ TEST(ServeServer, GracefulStopAnswersInFlightUtterance) {
 
   auto client = BlockingClient::connect_unix(config.socket_path);
   (void)client.hello();
-  const auto capture = serve_test::make_capture(4, 512);
-  std::vector<float> interleaved(capture.frames() * 4);
-  for (std::size_t f = 0; f < capture.frames(); ++f) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      interleaved[f * 4 + c] = static_cast<float>(capture.channel(c)[f]);
-    }
-  }
-  const auto chunk = encode_audio_chunk(interleaved, 4);
-  client.send_bytes(chunk.data(), chunk.size());
+  // Everything but the trailing END_OF_UTTERANCE goes out first.
+  const auto bytes = utterance_bytes(serve_test::make_capture(4, 512));
+  const std::size_t end_size = encode_end_of_utterance(false).size();
+  client.send_bytes(bytes.data(), bytes.size() - end_size);
 
   // Stop lands mid-utterance; the drain must still deliver this DECISION.
   server.request_stop();
-  const auto end = encode_end_of_utterance(false);
-  client.send_bytes(end.data(), end.size());
+  client.send_bytes(bytes.data() + bytes.size() - end_size, end_size);
   const Frame reply = client.read_frame(10000);
   EXPECT_EQ(reply.type, FrameType::kDecision);
   const DecisionFrame decision = parse_decision(reply);
@@ -259,6 +277,174 @@ TEST(ServeServer, StopIsIdempotentAndRestartFails) {
   server.stop();
   server.stop();  // second call is a no-op
   EXPECT_FALSE(server.running());
+  EXPECT_THROW(server.start(), std::runtime_error);
+}
+
+TEST(ServeServer, RequestSecondsStartsAtTheUtterancesFirstBytes) {
+  // serve.request_seconds times serving work, from the first bytes of an
+  // utterance to its DECISION. The client's 300 ms of think time after
+  // HELLO is not part of the request.
+  obs::Histogram& request_seconds =
+      obs::Registry::global().histogram("serve.request_seconds");
+  ServerConfig config = normal_mode_config("request_seconds");
+  Server server(test_pipeline(), config);
+  server.start();
+  const std::uint64_t count_before = request_seconds.count();
+  const double sum_before = request_seconds.sum();
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const DecisionFrame decision = client.score(serve_test::make_capture(4, 512));
+  EXPECT_EQ(decision.decision, static_cast<std::uint8_t>(core::Decision::kAccepted));
+  server.stop();  // joins the worker, so its observation has landed
+
+  EXPECT_EQ(request_seconds.count(), count_before + 1);
+  EXPECT_LT(request_seconds.sum() - sum_before, 0.1);
+}
+
+TEST(ServeServer, VerdictMatchesInProcessScoring) {
+  // Full-DSP scoring over the socket must equal score_capture on the same
+  // samples: the wire carries f32, so the reference is rounded the same way.
+  const auto capture = serve_test::make_capture(4, 24000);
+  audio::MultiBuffer wire(capture.channel_count(), capture.frames(), capture.sample_rate());
+  for (std::size_t c = 0; c < capture.channel_count(); ++c) {
+    for (std::size_t f = 0; f < capture.frames(); ++f) {
+      wire.channel(c)[f] = static_cast<float>(capture.channel(c)[f]);
+    }
+  }
+  const core::PipelineResult expected = test_pipeline().score_capture(
+      wire, core::VaMode::kHeadTalk, /*followup=*/false, /*session_active=*/false);
+
+  ServerConfig config;
+  config.socket_path = test_socket_path("parity");
+  config.request_deadline_ms = 120000;
+  Server server(test_pipeline(), config);
+  server.start();
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  const DecisionFrame actual = client.score(capture);
+  server.stop();
+
+  EXPECT_EQ(actual.decision, static_cast<std::uint8_t>(expected.decision));
+  EXPECT_DOUBLE_EQ(actual.liveness_score, expected.liveness_score);
+  EXPECT_DOUBLE_EQ(actual.orientation_score, expected.orientation_score);
+}
+
+TEST(ServeServer, PipelinedUtterancesAnswerInOrder) {
+  // Three utterances in one write, before any DECISION is read: the worker
+  // answers each in order and sends nothing unsolicited after the last.
+  ServerConfig config = normal_mode_config("pipelined");
+  Server server(test_pipeline(), config);
+  server.start();
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  const auto capture = serve_test::make_capture(4, 256);
+  std::vector<std::uint8_t> bytes;
+  for (int u = 0; u < 3; ++u) {
+    const auto utterance = utterance_bytes(capture, /*followup=*/u > 0);
+    bytes.insert(bytes.end(), utterance.begin(), utterance.end());
+  }
+  client.send_bytes(bytes.data(), bytes.size());
+  for (int u = 0; u < 3; ++u) {
+    const Frame reply = client.read_frame(5000);
+    ASSERT_EQ(reply.type, FrameType::kDecision) << "utterance " << u;
+    EXPECT_EQ(parse_decision(reply).decision,
+              static_cast<std::uint8_t>(core::Decision::kAccepted));
+  }
+  EXPECT_THROW((void)client.read_frame(50), ClientError);
+  server.stop();
+  EXPECT_EQ(server.stats().decisions, 3u);
+}
+
+TEST(ServeServer, OneByteAtATimeDelivery) {
+  // Frames trickle in one byte per send, so every partial-read resume
+  // point of the FrameReader/Session state machine is exercised through
+  // the worker's recv loop.
+  ServerConfig config = normal_mode_config("bytewise");
+  Server server(test_pipeline(), config);
+  server.start();
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  std::vector<std::uint8_t> bytes = encode_hello({});
+  const auto utterance = utterance_bytes(serve_test::make_capture(4, 64));
+  bytes.insert(bytes.end(), utterance.begin(), utterance.end());
+  for (const std::uint8_t byte : bytes) client.send_bytes(&byte, 1);
+
+  EXPECT_EQ(client.read_frame(5000).type, FrameType::kHelloOk);
+  const Frame reply = client.read_frame(5000);
+  ASSERT_EQ(reply.type, FrameType::kDecision);
+  EXPECT_EQ(parse_decision(reply).decision,
+            static_cast<std::uint8_t>(core::Decision::kAccepted));
+  server.stop();
+  EXPECT_EQ(server.stats().decisions, 1u);
+}
+
+TEST(ServeServer, AuthAndPolicyThroughServer) {
+  tenant::TenantService service(std::filesystem::path(::testing::TempDir()) /
+                                ("server_tenants_" + std::to_string(::getpid())));
+  {
+    std::vector<core::FeatureCapture> features(3);
+    for (auto& capture : features) capture.liveness.assign(6, 1.0);
+    tenant::EnrollmentConfig enroll;
+    enroll.rule = tenant::PolicyRule::kAny;
+    service.store().publish(tenant::enroll_from_features(features, "anna", enroll));
+    service.reload();
+  }
+
+  ServerConfig config = normal_mode_config("auth");
+  config.session.tenants = &service;
+  Server server(test_pipeline(), config);
+  server.start();
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  EXPECT_FALSE(client.auth("nobody").accepted);
+  ASSERT_TRUE(client.auth("anna").accepted);
+  const DecisionFrame decision = client.score(serve_test::make_capture(4, 256));
+  EXPECT_TRUE(decision.policy_applied);
+  EXPECT_TRUE(decision.policy_allowed);  // kAny allows everything
+  server.stop();
+}
+
+TEST(ServeServer, StreamingModeEndpointsThroughServer) {
+  ServerConfig config = normal_mode_config("stream");
+  config.session.stream.endpoint.pre_roll_frames = 2;
+  config.session.stream.endpoint.onset_frames = 2;
+  config.session.stream.endpoint.hangover_frames = 4;
+  config.session.stream.endpoint.post_roll_frames = 2;
+  config.session.stream.endpoint.min_utterance_frames = 4;
+  config.session.stream.endpoint.max_utterance_frames = 200;
+  Server server(test_pipeline(), config);
+  server.start();
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  const StreamOk ok = client.start_stream();
+  ASSERT_GT(ok.vad_frame_length, 0u);
+
+  // Tonal burst (the VAD's idea of speech — white noise is gated out)
+  // followed by silence long enough to close the segment.
+  const std::size_t tone_frames = 30 * ok.vad_frame_length;
+  const std::size_t total_frames = tone_frames + 20 * ok.vad_frame_length;
+  audio::MultiBuffer scene(4, total_frames, audio::kDefaultSampleRate);
+  for (std::size_t f = 0; f < tone_frames; ++f) {
+    const double t = static_cast<double>(f) / audio::kDefaultSampleRate;
+    double v = 0.0;
+    for (int h = 1; h <= 4; ++h) {
+      v += 0.05 * std::sin(2.0 * std::numbers::pi * 220.0 * h * t);
+    }
+    for (std::size_t c = 0; c < 4; ++c) scene.channel(c)[f] = v;
+  }
+
+  std::vector<StreamDecisionFrame> decisions;
+  client.stream_audio(scene, decisions, 4 * ok.vad_frame_length);
+  const StreamSummary summary = client.end_stream(decisions);
+  EXPECT_EQ(summary.segments, 1u);
+  EXPECT_EQ(decisions.size(), summary.segments);
+  server.stop();
+  EXPECT_EQ(server.stats().decisions, 1u);
 }
 
 }  // namespace

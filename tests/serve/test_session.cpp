@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "serve/protocol.h"
 #include "serve_test_util.h"
 
@@ -191,6 +193,27 @@ TEST(ServeSession, MalformedBytesFail) {
   const auto frames = drain(session);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(parse_error(frames[0]).code, ErrorCode::kBadRequest);
+}
+
+TEST(ServeSession, NonFiniteSampleIsABadRequest) {
+  // A NaN mid-utterance ends the connection with a typed ERROR instead of
+  // reaching the pipeline: no DECISION, and nothing after it is processed.
+  Session session(test_pipeline(), normal_mode_limits());
+  feed(session, encode_hello(Hello{}), true);
+  (void)drain(session);
+  feed(session, encode_audio_chunk(std::vector<float>(480 * 4, 0.1f), 4), true);
+  std::vector<float> poisoned(480 * 4, 0.1f);
+  poisoned[7] = std::numeric_limits<float>::quiet_NaN();
+  feed(session, encode_audio_chunk(poisoned, 4), false);
+  const auto frames = drain(session);
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].type, FrameType::kError);
+  EXPECT_EQ(parse_error(frames[0]).code, ErrorCode::kBadRequest);
+  EXPECT_TRUE(session.finished());
+
+  feed(session, encode_end_of_utterance(false), false);
+  EXPECT_TRUE(drain(session).empty());
+  EXPECT_EQ(session.decisions_sent(), 0u);
 }
 
 TEST(ServeSession, ScoresUtterancesBackToBack) {

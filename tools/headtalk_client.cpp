@@ -15,25 +15,10 @@
 // --admin-get TARGET prints one response body (nonzero exit unless HTTP
 // 200), and --watch polls /metrics.json + /stats.json every --interval-ms,
 // rendering a refreshing per-stage latency / qps view. --admin-merge
-// "sockA,sockB,..." scrapes /metrics.json from several daemons (e.g. the
-// per-shard admin planes of `headtalk_serve --shards N`) and prints one
-// obs::merge'd snapshot.
-//
-// The load mode holds whole fleets open from a single thread:
-//
-//   headtalk_client --socket /tmp/headtalk.sock --clients 1000
-//       --open-loop --arrival-rps 500 --duration 30
-//
-// --clients N drives N concurrent connections through serve::run_load
-// (nonblocking state machines over one poller — no thread per connection),
-// ramping them in over --ramp-ms and reusing each connection across
-// utterances. With --open-loop, utterances arrive on a fixed global
-// schedule of --arrival-rps regardless of completions, so the printed
-// latency percentiles are free of coordinated omission; without it, every
-// connection fires again as soon as its DECISION lands (closed loop).
+// "sockA,sockB,..." scrapes /metrics.json from several daemons' admin
+// sockets and prints one obs::merge'd snapshot.
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +35,6 @@
 #include "obs/export.h"
 #include "serve/admin.h"
 #include "serve/client.h"
-#include "serve/load_driver.h"
 #include "tenant/policy.h"
 #include "util/json.h"
 
@@ -210,8 +194,7 @@ int run_watch(const cli::ArgParser& args) {
 
 /// --admin-merge "sockA,sockB,...": scrape /metrics.json from each admin
 /// socket and print one merged snapshot — counters sum, histograms add
-/// bucket-wise — as JSON. This is how the per-shard planes of
-/// `headtalk_serve --shards N` fold back into a single fleet view.
+/// bucket-wise — as JSON: one view over several daemons.
 int run_admin_merge(const std::string& spec) {
   std::vector<obs::MetricsSnapshot> snapshots;
   std::stringstream stream(spec);
@@ -229,71 +212,8 @@ int run_admin_merge(const std::string& spec) {
   if (snapshots.empty()) throw cli::ArgsError("--admin-merge: no sockets given");
   const obs::MetricsSnapshot merged = obs::merge(snapshots);
   std::fputs(obs::to_snapshot_json(merged).c_str(), stdout);
-  std::fprintf(stderr, "admin-merge: merged %zu shard snapshots\n", snapshots.size());
+  std::fprintf(stderr, "admin-merge: merged %zu snapshots\n", snapshots.size());
   return 0;
-}
-
-double latency_percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
-
-/// --clients N: the multiplexed load generator (serve/load_driver.h).
-int run_load_mode(const cli::ArgParser& args) {
-  serve::LoadDriverConfig config;
-  if (args.has("--socket")) config.socket_path = args.get("--socket");
-  if (args.has("--tcp-port")) {
-    config.tcp_port = static_cast<int>(args.get_int("--tcp-port"));
-  }
-  if (config.socket_path.empty() && config.tcp_port <= 0) {
-    throw cli::ArgsError("load mode needs --socket or --tcp-port");
-  }
-  config.connections = static_cast<std::size_t>(args.get_int("--clients"));
-  const bool open_loop = args.get_switch("--open-loop");
-  config.arrival_rps = args.get_double("--arrival-rps");
-  if (open_loop && !(config.arrival_rps > 0.0)) {
-    throw cli::ArgsError("--open-loop requires --arrival-rps > 0");
-  }
-  if (!open_loop) config.arrival_rps = 0.0;
-  config.utterances = static_cast<std::uint64_t>(args.get_int("--utterances"));
-  config.duration_seconds = args.get_double("--duration");
-  config.ramp_ms = static_cast<std::uint32_t>(args.get_int("--ramp-ms"));
-  config.utterance_frames =
-      static_cast<std::uint32_t>(args.get_int("--utterance-frames"));
-
-  std::printf("load: %zu connections, %s%s\n", config.connections,
-              open_loop ? "open loop" : "closed loop",
-              open_loop
-                  ? (" at " + std::to_string(config.arrival_rps) + " rps").c_str()
-                  : "");
-  std::fflush(stdout);
-  serve::LoadReport report = serve::run_load(config);
-
-  std::sort(report.latencies_seconds.begin(), report.latencies_seconds.end());
-  auto& lat = report.latencies_seconds;
-  std::printf(
-      "load: %llu decisions in %.2f s (%.1f rps%s), peak %zu open connections\n",
-      static_cast<unsigned long long>(report.decisions), report.elapsed_seconds,
-      report.achieved_rps,
-      report.offered_rps > 0.0
-          ? (", offered " + std::to_string(report.offered_rps)).c_str()
-          : "",
-      report.peak_open_connections);
-  std::printf("load: latency p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  max %.2f ms\n",
-              1e3 * latency_percentile(lat, 0.50), 1e3 * latency_percentile(lat, 0.95),
-              1e3 * latency_percentile(lat, 0.99),
-              lat.empty() ? 0.0 : 1e3 * lat.back());
-  std::printf(
-      "load: %llu busy, %llu errors, %llu abandoned, %llu connect failures, "
-      "%llu protocol violations\n",
-      static_cast<unsigned long long>(report.busy_rejections),
-      static_cast<unsigned long long>(report.errors),
-      static_cast<unsigned long long>(report.abandoned),
-      static_cast<unsigned long long>(report.connect_failures),
-      static_cast<unsigned long long>(report.protocol_violations));
-  if (report.protocol_violations > 0) return 2;
-  return report.decisions > 0 ? 0 : 1;
 }
 
 /// --assert-p95 "name:seconds": scrape /metrics.json once and exit 0 only
@@ -366,20 +286,8 @@ int main(int argc, char** argv) {
   args.add_flag("--watch-count", "--watch frames before exiting (0 = forever)", "0");
   args.add_flag("--admin-merge",
                 "comma-separated admin unix sockets: scrape /metrics.json from "
-                "each and print one obs::merge'd snapshot (per-shard planes)",
+                "each daemon and print one obs::merge'd snapshot",
                 "");
-  args.add_flag("--clients",
-                "load mode: hold this many concurrent connections from one "
-                "thread via the multiplexed load driver (0 = off)",
-                "0");
-  args.add_switch("--open-loop",
-                  "load mode: fire utterances on a fixed global schedule "
-                  "(--arrival-rps) instead of on completion");
-  args.add_flag("--arrival-rps", "load mode: open-loop global arrival rate", "0");
-  args.add_flag("--utterances", "load mode: stop after this many utterances", "0");
-  args.add_flag("--duration", "load mode: stop after this many seconds", "0");
-  args.add_flag("--ramp-ms", "load mode: connection ramp window with jitter", "0");
-  args.add_flag("--utterance-frames", "load mode: synthetic utterance length", "4800");
 
   try {
     args.parse(argc, argv);
@@ -416,7 +324,6 @@ int main(int argc, char** argv) {
     if (!args.get("--admin-merge").empty()) {
       return run_admin_merge(args.get("--admin-merge"));
     }
-    if (args.get_int("--clients") > 0) return run_load_mode(args);
 
     const auto wavs = parse_wavs(args.get("--wav"));
     const long parallel = args.get_int("--parallel");

@@ -9,6 +9,8 @@
 #   - /metrics (Prometheus text) decision counters sum to the decisions
 #     the clients counted, and the per-stage latency histograms are there
 #   - /metrics.json parses and --watch renders a frame from it
+#   - --admin-merge over the admin socket listed twice sums every
+#     pipeline.decision.* counter (obs::merge, exactly doubled)
 #   - /stats.json parses and carries pid/rss/connections
 #   - SIGTERM drains cleanly and the final snapshot is printed
 #
@@ -130,6 +132,27 @@ watch_out=$("$build_dir/tools/headtalk_client" --admin-socket "$admin" \
 printf '%s\n' "$watch_out"
 printf '%s\n' "$watch_out" | grep -q "incremental_accumulate" \
   || { echo "run_obs_smoke.sh: --watch frame lacks the stage table" >&2; exit 1; }
+
+echo "== --admin-merge of the same plane twice doubles the counters =="
+merged=$("$build_dir/tools/headtalk_client" --admin-merge "$admin,$admin")
+# Compact snapshot JSON: pull each "pipeline.decision.<verdict>":N counter.
+decision_counters() {
+  printf '%s\n' "$1" | tr ',{}' '\n\n\n' | grep '"pipeline\.decision\.' | sort
+}
+single_counters=$(decision_counters "$(cat "$work_dir/scrape.json")")
+merged_counters=$(decision_counters "$merged")
+if [ -z "$single_counters" ]; then
+  echo "run_obs_smoke.sh: /metrics.json has no pipeline.decision counters" >&2
+  exit 1
+fi
+doubled=$(printf '%s\n' "$single_counters" \
+  | awk -F: '{ printf "%s:%d\n", $1, 2 * $2 }')
+if [ "$merged_counters" != "$doubled" ]; then
+  echo "run_obs_smoke.sh: --admin-merge did not double the decision counters" >&2
+  echo "single:" >&2; printf '%s\n' "$single_counters" >&2
+  echo "merged:" >&2; printf '%s\n' "$merged_counters" >&2
+  exit 1
+fi
 
 echo "== /stats.json carries process + connection data =="
 stats=$(admin_get /stats.json)

@@ -1,13 +1,12 @@
 #!/usr/bin/env sh
 # End-to-end smoke test of the serving path: simulate a tiny corpus, train
-# models from it, then FOR EACH SERVING ENGINE (threaded and eventloop)
-# start the inference daemon on a temp Unix socket, score two canned
-# utterances through headtalk_client, stream a continuous three-utterance
-# scene in auto-endpoint mode (one DECISION per utterance), then SIGTERM
-# the daemon and require a clean drain (exit 0, socket file removed). The
-# streamed section also scrapes the admin plane and asserts the per-segment
-# decision latency p95 stayed under the incremental-path budget (close pays
-# only the residual feed + O(1) finalize).
+# models from it, start the inference daemon on a temp Unix socket, score
+# two canned utterances through headtalk_client, stream a continuous
+# three-utterance scene in auto-endpoint mode (one DECISION per utterance),
+# then SIGTERM the daemon and require a clean drain (exit 0, socket file
+# removed). The streamed section also scrapes the admin plane and asserts
+# the per-segment decision latency p95 stayed under the incremental-path
+# budget (close pays only the residual feed + O(1) finalize).
 #
 #   tools/run_serve_smoke.sh [build-dir]
 #
@@ -58,63 +57,59 @@ echo "== simulate a tiny corpus =="
 echo "== train models =="
 "$build_dir/tools/headtalk_train" --data "$corpus" --out "$models"
 
-# Generate the streamed scene once; both engines replay it.
 scene="$work_dir/scene.wav"
 "$build_dir/tools/headtalk_simulate" --stream-out "$scene" \
   --stream-script "live@0,live@120,phone@0"
 wav_a=$(find "$corpus" -name '*.wav' | sort | head -n 1)
 wav_b=$(find "$corpus" -name '*.wav' | sort | tail -n 1)
 
-for engine in threaded eventloop; do
-  echo "== [$engine] start the daemon =="
-  "$build_dir/tools/headtalk_serve" --models "$models" --socket "$socket" \
-    --admin-socket "$admin_socket" --engine "$engine" &
-  serve_pid=$!
+echo "== start the daemon =="
+"$build_dir/tools/headtalk_serve" --models "$models" --socket "$socket" \
+  --admin-socket "$admin_socket" &
+serve_pid=$!
 
-  tries=0
-  while [ ! -S "$socket" ]; do
-    tries=$((tries + 1))
-    if [ "$tries" -gt 100 ]; then
-      echo "run_serve_smoke.sh: [$engine] daemon never bound $socket" >&2
-      exit 1
-    fi
-    if ! kill -0 "$serve_pid" 2> /dev/null; then
-      echo "run_serve_smoke.sh: [$engine] daemon exited before binding $socket" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-
-  echo "== [$engine] score two utterances =="
-  "$build_dir/tools/headtalk_client" --socket "$socket" --wav "$wav_a,$wav_b"
-
-  echo "== [$engine] stream a continuous multi-utterance scene =="
-  stream_report=$("$build_dir/tools/headtalk_client" --socket "$socket" \
-    --stream --wav "$scene")
-  printf '%s\n' "$stream_report"
-  if ! printf '%s\n' "$stream_report" | grep -q "segments=3"; then
-    echo "run_serve_smoke.sh: [$engine] expected 3 endpointed segments" >&2
+tries=0
+while [ ! -S "$socket" ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 100 ]; then
+    echo "run_serve_smoke.sh: daemon never bound $socket" >&2
     exit 1
   fi
-
-  echo "== [$engine] assert streamed decision latency p95 =="
-  "$build_dir/tools/headtalk_client" --admin-socket "$admin_socket" \
-    --assert-p95 "stream.decision_latency_seconds:$stream_p95_budget"
-
-  echo "== [$engine] graceful shutdown =="
-  kill -TERM "$serve_pid"
-  serve_status=0
-  wait "$serve_pid" || serve_status=$?
-  serve_pid=""
-  if [ "$serve_status" -ne 0 ]; then
-    echo "run_serve_smoke.sh: [$engine] daemon exited $serve_status after SIGTERM" >&2
+  if ! kill -0 "$serve_pid" 2> /dev/null; then
+    echo "run_serve_smoke.sh: daemon exited before binding $socket" >&2
     exit 1
   fi
-  if [ -e "$socket" ]; then
-    echo "run_serve_smoke.sh: [$engine] socket file left behind after shutdown" >&2
-    exit 1
-  fi
-  rm -f "$admin_socket"
+  sleep 0.1
 done
 
-echo "serve smoke passed: trained, served, scored, drained cleanly (both engines)."
+echo "== score two utterances =="
+"$build_dir/tools/headtalk_client" --socket "$socket" --wav "$wav_a,$wav_b"
+
+echo "== stream a continuous multi-utterance scene =="
+stream_report=$("$build_dir/tools/headtalk_client" --socket "$socket" \
+  --stream --wav "$scene")
+printf '%s\n' "$stream_report"
+if ! printf '%s\n' "$stream_report" | grep -q "segments=3"; then
+  echo "run_serve_smoke.sh: expected 3 endpointed segments" >&2
+  exit 1
+fi
+
+echo "== assert streamed decision latency p95 =="
+"$build_dir/tools/headtalk_client" --admin-socket "$admin_socket" \
+  --assert-p95 "stream.decision_latency_seconds:$stream_p95_budget"
+
+echo "== graceful shutdown =="
+kill -TERM "$serve_pid"
+serve_status=0
+wait "$serve_pid" || serve_status=$?
+serve_pid=""
+if [ "$serve_status" -ne 0 ]; then
+  echo "run_serve_smoke.sh: daemon exited $serve_status after SIGTERM" >&2
+  exit 1
+fi
+if [ -e "$socket" ]; then
+  echo "run_serve_smoke.sh: socket file left behind after shutdown" >&2
+  exit 1
+fi
+
+echo "serve smoke passed: trained, served, scored, drained cleanly."

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Builds the suite with ThreadSanitizer and runs the concurrency-relevant
 # tests (thread pool, the shared FFT plan cache, sim harness incl. the
-# FeatureCache stress test, the serve daemon's multi-client stress under
-# both engines — thread-per-connection and the event-loop reactor with its
-# batch scheduler — and the integration pipeline), so the parallel
-# collection engine and the inference server stay race-clean. Usage:
+# FeatureCache stress test, the serve daemon's multi-client stress through
+# its thread-per-connection core, and the integration pipeline), so the
+# parallel collection engine and the inference server stay race-clean.
+# Usage:
 #
 #   tools/run_tsan_tests.sh [build-dir]     # default: build-tsan
 #
@@ -29,6 +29,6 @@ cmake --build "$build_dir" -j "$(nproc)" \
 # scrape-under-load paths.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-  -R 'ThreadPool|ParallelFor|Jobs\.|FeatureCacheTest|FftPlan|Experiment\.|Collector|EndToEnd|WavPipeline|Metrics|Tracer|ServeServer|ServeEventLoop|ServeStreamMode|ServeAuth|TenantStore|TenantPolicy|Vad\.|Endpointer\.|StreamingDetector|StreamRing|Simd|Admin|SlowExemplar|IncrementalEquivalence'
+  -R 'ThreadPool|ParallelFor|Jobs\.|FeatureCacheTest|FftPlan|Experiment\.|Collector|EndToEnd|WavPipeline|Metrics|Tracer|ServeServer|ServeStreamMode|ServeAuth|TenantStore|TenantPolicy|Vad\.|Endpointer\.|StreamingDetector|StreamRing|Simd|Admin|SlowExemplar|IncrementalEquivalence'
 
 echo "TSan test subset passed with zero reported races."
