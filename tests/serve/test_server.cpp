@@ -447,4 +447,75 @@ TEST(ServeServer, StreamingModeEndpointsThroughServer) {
   EXPECT_EQ(server.stats().decisions, 1u);
 }
 
+// The ServeEventLoop cases below keep the names they had when these
+// contracts were checked against the retired event-loop engine; they now
+// run against the one server, each from a different state than the
+// ServeServer case of the same contract above.
+
+TEST(ServeEventLoop, IdleDeadlineExpires) {
+  // A finished utterance resets the deadline; a connection that then goes
+  // quiet is expired on that fresh deadline, not kept open forever.
+  ServerConfig config = normal_mode_config("deadline_idle");
+  config.request_deadline_ms = 500;
+  Server server(test_pipeline(), config);
+  server.start();
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  const DecisionFrame decision = client.score(serve_test::make_capture(4, 256));
+  EXPECT_EQ(decision.decision, static_cast<std::uint8_t>(core::Decision::kAccepted));
+  // Send nothing further: the next utterance's deadline expires.
+  const Frame reply = client.read_frame(5000);
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(parse_error(reply).code, ErrorCode::kDeadlineExceeded);
+  EXPECT_THROW((void)client.read_frame(5000), ClientError);
+  EXPECT_TRUE(eventually([&] { return server.stats().deadline_expirations == 1; }));
+  server.stop();
+  EXPECT_EQ(server.stats().decisions, 1u);
+}
+
+TEST(ServeEventLoop, MalformedBytesGetErrorFrame) {
+  // Garbage after a completed handshake and utterance still gets a typed
+  // BAD_REQUEST, and the connection is closed rather than resynchronised.
+  ServerConfig config = normal_mode_config("garbage_midsession");
+  Server server(test_pipeline(), config);
+  server.start();
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  (void)client.score(serve_test::make_capture(4, 256));
+  const std::vector<std::uint8_t> garbage(64, 0xee);
+  client.send_bytes(garbage.data(), garbage.size());
+  const Frame reply = client.read_frame(5000);
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(parse_error(reply).code, ErrorCode::kBadRequest);
+  EXPECT_THROW((void)client.read_frame(5000), ClientError);
+  EXPECT_TRUE(eventually([&] { return server.stats().session_errors == 1; }));
+  server.stop();
+  EXPECT_EQ(server.stats().decisions, 1u);
+}
+
+TEST(ServeEventLoop, StopIsIdempotentAndRestartFails) {
+  // stop() before start() is a no-op; request_stop() then repeated stop()
+  // drains an idle client with SHUTTING_DOWN; a stopped server cannot be
+  // restarted.
+  ServerConfig config = normal_mode_config("stop_idle_client");
+  Server server(test_pipeline(), config);
+  server.stop();
+  EXPECT_FALSE(server.running());
+  server.start();
+  EXPECT_TRUE(server.running());
+
+  auto client = BlockingClient::connect_unix(config.socket_path);
+  (void)client.hello();
+  server.request_stop();
+  server.stop();
+  server.stop();  // second call is a no-op
+  EXPECT_FALSE(server.running());
+  const Frame reply = client.read_frame(5000);
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(parse_error(reply).code, ErrorCode::kShuttingDown);
+  EXPECT_THROW(server.start(), std::runtime_error);
+}
+
 }  // namespace
