@@ -260,9 +260,10 @@ int main() {
   server.start();
 
   // Warm-up pass so neither measured phase pays one-time costs (FFT plan
-  // cache, worker spin-up) that would bias the ratio.
-  (void)run_clients(config.socket_path, capture, std::min(clients, 2u), 1, false,
-                    tenant_count);
+  // cache, worker spin-up, each worker's first use of its scoring
+  // workspace) that would bias the ratio: as many connections as a phase
+  // opens, so every worker a phase can reach is warm.
+  (void)run_clients(config.socket_path, capture, clients, 1, false, tenant_count);
 
   const PhaseResult tenantless =
       run_clients(config.socket_path, capture, clients, utterances, false, tenant_count);

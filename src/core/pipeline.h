@@ -117,12 +117,14 @@ class HeadTalkPipeline {
                                              FeatureCapture* features_out = nullptr) const;
 
   /// Streaming entry point, the counterpart of score_capture for audio
-  /// that was already fed through an IncrementalExtractor frame by frame:
-  /// runs only the finalize + classify ladder on the accumulated state, so
-  /// the post-endpoint cost is O(1) in the segment length. The extractor
-  /// must have been begun with incremental_config() (or an equivalent
-  /// config) and fed the segment's samples. Stateless with respect to the
-  /// pipeline, exactly like score_capture.
+  /// that was already fed through an IncrementalExtractor chunk by chunk
+  /// (streamed segments and served whole utterances alike): runs only the
+  /// finalize + classify ladder on the accumulated state, so the
+  /// post-endpoint cost is O(1) in the segment length. In HeadTalk mode the
+  /// extractor must have been begun with incremental_config() (or an
+  /// equivalent config) and fed the segment's samples; Normal and Mute
+  /// never read it. Stateless with respect to the pipeline, exactly like
+  /// score_capture.
   [[nodiscard]] PipelineResult finalize_segment(IncrementalExtractor& extractor,
                                                 VaMode mode, bool followup,
                                                 bool session_active,

@@ -45,18 +45,6 @@ struct Kernels {
   /// out[k] = sqrt(re^2 + im^2) over `bins` complexes.
   void (*magnitudes)(const double* x, std::size_t bins, double* out);
 
-  /// Returns sum_k (x[2k]*rot[2k] - x[2k+1]*rot[2k+1]) over `bins`
-  /// complexes — the real part of <x, conj(rot)> used by the steered SRP
-  /// power evaluation.
-  double (*steered_sum)(const double* x, const double* rot, std::size_t bins);
-
-  /// Fills rot[0..bins) with the interleaved phasors step^k (rot[0] = 1)
-  /// via four independent stride-4 recurrence chains seeded exactly; all
-  /// levels share this implementation so the table is level-identical up
-  /// to autovectorization rounding.
-  void (*rotation_table)(double* rot, std::size_t bins, double step_re,
-                         double step_im);
-
   /// Real-FFT unpack: given the forward transform `z` of the even/odd
   /// packed sequence (half complexes) and the interleaved pack twiddles
   /// `w` (half+1 entries of exp(-i*pi*k/half)), writes spectrum bins
@@ -84,8 +72,8 @@ const Kernels& scalar_kernels() noexcept;
 /// Same source as scalar, compiled for the SSE2 baseline with the
 /// autovectorizer on.
 const Kernels& sse2_kernels() noexcept;
-/// AVX2+FMA: hand-written intrinsics for the butterfly / PHAT / steering
-/// loops, autovectorized code for the rest.
+/// AVX2+FMA: hand-written intrinsics for the butterfly / PHAT / magnitude
+/// / accumulate loops, autovectorized code for the rest.
 const Kernels& avx2_kernels() noexcept;
 #endif
 

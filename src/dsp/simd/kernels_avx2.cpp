@@ -1,4 +1,4 @@
-// AVX2+FMA kernels. The butterfly / PHAT-weighting / magnitude / steering
+// AVX2+FMA kernels. The butterfly / PHAT-weighting / magnitude / accumulate
 // loops are hand-written intrinsics (the complex-multiply shuffle pattern
 // defeats the autovectorizer's cost model); the rest reuse the generic
 // bodies, which this TU's -mavx2 -mfma flags let the compiler vectorize.
@@ -133,30 +133,6 @@ void accumulate_avx2(double* acc, const double* src, std::size_t count) {
   for (; i < count; ++i) acc[i] += src[i];
 }
 
-double steered_sum_avx2(const double* x, const double* rot, std::size_t bins) {
-  const __m256d sign = odd_lane_sign_mask();
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  const std::size_t vec_bins = bins & ~std::size_t{3};
-  std::size_t k = 0;
-  for (; k < vec_bins; k += 4) {
-    const __m256d p0 = _mm256_mul_pd(_mm256_loadu_pd(x + 2 * k),
-                                     _mm256_loadu_pd(rot + 2 * k));
-    const __m256d p1 = _mm256_mul_pd(_mm256_loadu_pd(x + 2 * k + 4),
-                                     _mm256_loadu_pd(rot + 2 * k + 4));
-    acc0 = _mm256_add_pd(acc0, _mm256_xor_pd(p0, sign));
-    acc1 = _mm256_add_pd(acc1, _mm256_xor_pd(p1, sign));
-  }
-  const __m256d accv = _mm256_add_pd(acc0, acc1);
-  const __m128d lanes =
-      _mm_add_pd(_mm256_castpd256_pd128(accv), _mm256_extractf128_pd(accv, 1));
-  double acc = _mm_cvtsd_f64(lanes) + _mm_cvtsd_f64(_mm_unpackhi_pd(lanes, lanes));
-  for (; k < bins; ++k) {
-    acc += x[2 * k] * rot[2 * k] - x[2 * k + 1] * rot[2 * k + 1];
-  }
-  return acc;
-}
-
 }  // namespace
 
 const Kernels& avx2_kernels() noexcept {
@@ -167,8 +143,6 @@ const Kernels& avx2_kernels() noexcept {
       &accumulate_avx2,
       &cross_spectrum_avx2,
       &magnitudes_avx2,
-      &steered_sum_avx2,
-      &avx2_impl::rotation_table_generic,
       &avx2_impl::rfft_unpack_generic,
       &avx2_impl::irfft_repack_generic,
   };

@@ -21,8 +21,6 @@ const Kernels& scalar_kernels() noexcept {
       &scalar_impl::accumulate_generic,
       &scalar_impl::cross_spectrum_generic,
       &scalar_impl::magnitudes_generic,
-      &scalar_impl::steered_sum_generic,
-      &scalar_impl::rotation_table_generic,
       &scalar_impl::rfft_unpack_generic,
       &scalar_impl::irfft_repack_generic,
   };

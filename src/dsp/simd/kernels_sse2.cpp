@@ -23,8 +23,6 @@ const Kernels& sse2_kernels() noexcept {
       &sse2_impl::accumulate_generic,
       &sse2_impl::cross_spectrum_generic,
       &sse2_impl::magnitudes_generic,
-      &sse2_impl::steered_sum_generic,
-      &sse2_impl::rotation_table_generic,
       &sse2_impl::rfft_unpack_generic,
       &sse2_impl::irfft_repack_generic,
   };

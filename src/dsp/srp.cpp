@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "dsp/simd/dispatch.h"
@@ -125,110 +124,6 @@ CorrelationSequence srp_phat(const PairwiseGcc& gcc) {
 
 CorrelationSequence srp_phat(const audio::MultiBuffer& capture, int max_lag) {
   return srp_phat(pairwise_gcc_phat(capture, max_lag));
-}
-
-SrpSearchResult srp_peak_search(const audio::MultiBuffer& capture,
-                                const SrpSearchConfig& config,
-                                SrpWorkspace& workspace) {
-  if (config.max_lag < 1) {
-    throw std::invalid_argument("srp_peak_search: max_lag must be >= 1");
-  }
-  if (config.coarse_stride < 1 || config.refine_radius < 0) {
-    throw std::invalid_argument("srp_peak_search: bad stride/radius");
-  }
-  SrpSearchResult result;
-  const std::size_t n = capture.channel_count();
-  if (n < 2 || capture.frames() == 0) return result;
-
-  const int max_lag = config.max_lag;
-  const std::size_t lag = static_cast<std::size_t>(max_lag);
-  const std::size_t fft_size = pairwise_fft_size(capture.frames(), lag);
-  const std::size_t half = fft_size / 2;
-
-  auto& spectra = workspace.spectra;
-  if (spectra.size() < n) spectra.resize(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    rfft_half_into(capture.channel(c).samples(), fft_size, spectra[c], workspace.fft);
-  }
-
-  // Sum the PHAT-weighted cross spectra of all (unpruned) pairs once; by
-  // linearity the steered power of the sum equals the dense SRP sequence.
-  const auto& kernels = simd::kernels();
-  auto& combined = workspace.combined;
-  combined.fft_size = fft_size;
-  combined.bins.assign(half + 1, Complex{});
-  auto& cross = workspace.correlation.cross;
-  cross.fft_size = fft_size;
-  cross.bins.resize(half + 1);
-  const auto& opts = config.pair_options;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (opts.coherence_floor > 0.0 &&
-          pair_coherence(spectra[i], spectra[j], opts.coherence_stride,
-                         opts.coherence_block) < opts.coherence_floor) {
-        ++result.pairs_pruned;
-        pruned_counter().increment();
-        continue;
-      }
-      kernels.cross_spectrum(reinterpret_cast<const double*>(spectra[i].bins.data()),
-                             reinterpret_cast<const double*>(spectra[j].bins.data()),
-                             reinterpret_cast<double*>(cross.bins.data()),
-                             half + 1, /*phat=*/true, config.epsilon);
-      kernels.accumulate(reinterpret_cast<double*>(combined.bins.data()),
-                         reinterpret_cast<const double*>(cross.bins.data()),
-                         2 * (half + 1));
-    }
-  }
-
-  auto& rotation = workspace.rotation;
-  rotation.resize(half + 1);
-  const std::size_t window = 2 * lag + 1;
-  std::vector<char> seen(window, 0);
-  double best_value = 0.0;
-  int best_lag = 0;
-  bool any = false;
-  const double inv_n = 1.0 / static_cast<double>(fft_size);
-
-  const auto evaluate = [&](int tau) {
-    const std::size_t slot = static_cast<std::size_t>(tau + max_lag);
-    if (seen[slot]) return;
-    seen[slot] = 1;
-    ++result.evaluated;
-    const double angle =
-        2.0 * std::numbers::pi * static_cast<double>(tau) * inv_n;
-    kernels.rotation_table(reinterpret_cast<double*>(rotation.data()), half + 1,
-                           std::cos(angle), std::sin(angle));
-    double sum = combined.bins[0].real();
-    sum += (tau % 2 == 0 ? 1.0 : -1.0) * combined.bins[half].real();
-    if (half >= 2) {
-      sum += 2.0 * kernels.steered_sum(
-                       reinterpret_cast<const double*>(combined.bins.data()) + 2,
-                       reinterpret_cast<const double*>(rotation.data()) + 2,
-                       half - 1);
-    }
-    const double value = sum * inv_n;
-    if (!any || value > best_value) {
-      any = true;
-      best_value = value;
-      best_lag = tau;
-    }
-  };
-
-  // Coarse pass: every coarse_stride-th lag, endpoints always included.
-  for (int tau = -max_lag; tau <= max_lag; tau += config.coarse_stride) {
-    evaluate(tau);
-  }
-  evaluate(max_lag);
-  // Fine pass around the coarse winner.
-  const int center = best_lag;
-  for (int tau = std::max(-max_lag, center - config.refine_radius);
-       tau <= std::min(max_lag, center + config.refine_radius); ++tau) {
-    evaluate(tau);
-  }
-
-  result.peak_lag = best_lag;
-  result.peak_value = best_value;
-  return result;
 }
 
 int srp_max_lag(double max_mic_distance_m, double sample_rate, double speed_of_sound) {

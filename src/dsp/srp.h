@@ -54,15 +54,12 @@ struct PairwiseGccOptions {
                                             int max_lag,
                                             const PairwiseGccOptions& options = {});
 
-/// Reusable scratch for repeated pairwise GCC extraction and SRP peak
-/// search: per-channel spectra, correlation scratch, the summed cross
-/// spectrum, and the steering phasor table. One per thread.
+/// Reusable scratch for repeated pairwise GCC extraction: per-channel
+/// spectra and correlation scratch. One per thread.
 struct SrpWorkspace {
   std::vector<HalfSpectrum> spectra;
   CorrelationWorkspace correlation;
   FftScratch fft;
-  HalfSpectrum combined;          ///< summed PHAT cross spectrum (srp_peak_search)
-  std::vector<Complex> rotation;  ///< steering phasors e^(i*2*pi*k*tau/N)
 };
 
 /// pairwise_gcc_phat writing into caller-owned output/scratch; results are
@@ -77,38 +74,6 @@ void pairwise_gcc_phat_into(const audio::MultiBuffer& capture, int max_lag,
 /// Convenience: SRP-PHAT directly from a capture.
 [[nodiscard]] CorrelationSequence srp_phat(const audio::MultiBuffer& capture,
                                            int max_lag);
-
-/// Coarse-to-fine SRP peak search. Instead of materializing every pair's
-/// GCC sequence and summing (dense srp_phat), the PHAT-weighted cross
-/// spectra of all pairs are summed once in the frequency domain and the
-/// SRP power is evaluated *per candidate lag* by steering-delay
-/// accumulation: P(tau) = (1/N) sum_k Re(C_k e^(i*2*pi*k*tau/N)). A sparse
-/// grid of every `coarse_stride`-th lag is scored first, then the
-/// ±`refine_radius` neighbourhood of the coarse winner — O((W/s + 2r)·N/2)
-/// instead of the dense O(P·N·logN), which wins as arrays grow and lag
-/// windows widen. By linearity P(tau) equals the dense SRP value at tau up
-/// to recurrence rounding (~1e-12 relative), so whenever the true peak
-/// lies within refine_radius of the best coarse sample — any peak whose
-/// main lobe spans a stride, i.e. every physical TDoA peak — the refined
-/// argmax matches the dense argmax exactly.
-struct SrpSearchConfig {
-  int max_lag = 1;
-  int coarse_stride = 4;
-  int refine_radius = 4;
-  double epsilon = 1e-12;  ///< PHAT regularizer, as in gcc_phat
-  PairwiseGccOptions pair_options{};
-};
-
-struct SrpSearchResult {
-  int peak_lag = 0;
-  double peak_value = 0.0;
-  std::size_t evaluated = 0;     ///< steered-power evaluations performed
-  std::size_t pairs_pruned = 0;  ///< pairs dropped by the coherence floor
-};
-
-[[nodiscard]] SrpSearchResult srp_peak_search(const audio::MultiBuffer& capture,
-                                              const SrpSearchConfig& config,
-                                              SrpWorkspace& workspace);
 
 /// The paper selects the SRP lag window from the array's maximum
 /// inter-microphone spacing: N = d*fs/c samples on each side.

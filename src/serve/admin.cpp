@@ -19,17 +19,16 @@
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "serve/listener.h"
 
 namespace headtalk::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void close_quietly(int fd) {
-  if (fd >= 0) ::close(fd);
-}
-
-bool send_all(int fd, const char* data, std::size_t size, int timeout_ms) {
+/// send_all with a write deadline: the admin plane serves one client at a
+/// time on its own thread, so a peer that stops reading must not stall it.
+bool send_all_within(int fd, const char* data, std::size_t size, int timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   std::size_t sent = 0;
   while (sent < size) {
@@ -51,54 +50,6 @@ bool send_all(int fd, const char* data, std::size_t size, int timeout_ms) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-int make_unix_listener(const std::filesystem::path& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string text = path.string();
-  if (text.empty() || text.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("admin: bad unix socket path '" + text + "'");
-  }
-  std::memcpy(addr.sun_path, text.c_str(), text.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("admin: socket() failed");
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    const int err = errno;
-    close_quietly(fd);
-    throw std::runtime_error("admin: cannot bind " + text + ": " + std::strerror(err));
-  }
-  if (::listen(fd, 16) != 0) {
-    close_quietly(fd);
-    throw std::runtime_error("admin: listen() failed on " + text);
-  }
-  return fd;
-}
-
-int make_tcp_listener(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("admin: socket() failed");
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  // Loopback only, like the scoring listener: metrics and the connection
-  // table are operational data, not a public surface.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    const int err = errno;
-    close_quietly(fd);
-    throw std::runtime_error("admin: cannot bind 127.0.0.1:" + std::to_string(port) +
-                             ": " + std::strerror(err));
-  }
-  if (::listen(fd, 16) != 0) {
-    close_quietly(fd);
-    throw std::runtime_error("admin: listen() failed on port " + std::to_string(port));
-  }
-  return fd;
 }
 
 const char* status_text(int status) {
@@ -385,9 +336,9 @@ void AdminServer::serve_one(int fd) const {
        << "\r\nContent-Length: " << response.body.size()
        << "\r\nConnection: close\r\n\r\n";
   const std::string head_text = head.str();
-  if (send_all(fd, head_text.data(), head_text.size(), config_.io_timeout_ms)) {
-    (void)send_all(fd, response.body.data(), response.body.size(),
-                   config_.io_timeout_ms);
+  if (send_all_within(fd, head_text.data(), head_text.size(), config_.io_timeout_ms)) {
+    (void)send_all_within(fd, response.body.data(), response.body.size(),
+                          config_.io_timeout_ms);
   }
   close_quietly(fd);
 }
@@ -399,7 +350,7 @@ AdminFetch admin_fetch_fd(int fd, std::string_view method, std::string_view targ
   AdminFetch out;
   const std::string request = std::string(method) + ' ' + std::string(target) +
                               " HTTP/1.0\r\nHost: admin\r\nContent-Length: 0\r\n\r\n";
-  if (!send_all(fd, request.data(), request.size(), timeout_ms)) {
+  if (!send_all_within(fd, request.data(), request.size(), timeout_ms)) {
     close_quietly(fd);
     throw std::runtime_error("admin client: send failed");
   }

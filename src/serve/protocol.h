@@ -98,7 +98,11 @@ struct Hello {
 
 struct HelloOk {
   std::uint32_t protocol_version = kProtocolVersion;
+  /// Largest AUDIO_CHUNK accepted (frames per channel).
   std::uint32_t max_chunk_frames = 0;
+  /// Hard limit on one utterance (frames per channel): the AUDIO_CHUNK
+  /// that would take an utterance past it is answered with a fatal
+  /// ERROR too-large. Does not apply to streaming mode.
   std::uint32_t max_utterance_frames = 0;
 };
 
@@ -118,7 +122,9 @@ struct DecisionFrame {
   bool via_open_session = false;
   double liveness_score = 0.0;
   double orientation_score = 0.0;
-  double elapsed_seconds = 0.0;  ///< server-side scoring time
+  /// Server time from END_OF_UTTERANCE (or, for a STREAM_DECISION, the
+  /// endpoint) to the verdict; chunks were accumulated as they arrived.
+  double elapsed_seconds = 0.0;
   // Tenant policy verdict. On a tenant-less connection policy_applied is
   // false and policy_allowed simply mirrors the pipeline acceptance; on an
   // AUTH'd connection the policy engine fills all three (policy_reason is

@@ -1,8 +1,8 @@
 #include "serve/session.h"
 
-#include <algorithm>
 #include <exception>
 
+#include "core/scoring_workspace.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,58 +10,12 @@
 
 namespace headtalk::serve {
 
-void SampleRing::reset(std::uint16_t channels, std::size_t capacity_frames,
-                       double sample_rate) {
-  channels_ = channels;
-  capacity_ = capacity_frames;
-  sample_rate_ = sample_rate;
-  data_.assign(capacity_ * channels_, 0.0f);
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-}
-
-void SampleRing::append(std::span<const float> interleaved) {
-  if (channels_ == 0 || capacity_ == 0) return;
-  const std::size_t frames = interleaved.size() / channels_;
-  // A single append larger than the whole ring keeps only its tail.
-  std::size_t start = 0;
-  if (frames > capacity_) {
-    start = frames - capacity_;
-    dropped_ += start;
-  }
-  for (std::size_t f = start; f < frames; ++f) {
-    const std::size_t slot = (head_ + size_) % capacity_;
-    std::copy_n(interleaved.data() + f * channels_, channels_,
-                data_.data() + slot * channels_);
-    if (size_ < capacity_) {
-      ++size_;
-    } else {
-      head_ = (head_ + 1) % capacity_;  // overwrote the oldest frame
-      ++dropped_;
-    }
-  }
-}
-
-audio::MultiBuffer SampleRing::snapshot() const {
-  audio::MultiBuffer capture(channels_, size_, sample_rate_);
-  for (std::size_t f = 0; f < size_; ++f) {
-    const std::size_t slot = (head_ + f) % capacity_;
-    for (std::uint16_t c = 0; c < channels_; ++c) {
-      capture.channel(c)[f] = static_cast<audio::Sample>(data_[slot * channels_ + c]);
-    }
-  }
-  return capture;
-}
-
-void SampleRing::clear() noexcept {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-}
-
 Session::Session(const core::HeadTalkPipeline& pipeline, SessionLimits limits)
     : pipeline_(pipeline), limits_(limits) {}
+
+core::IncrementalExtractor& Session::op() noexcept {
+  return workspace_ != nullptr ? workspace_->incremental() : own_op_;
+}
 
 bool Session::on_bytes(const void* data, std::size_t size) {
   if (state_ == State::kFailed) return false;
@@ -142,7 +96,7 @@ void Session::handle_hello(const Frame& frame) {
   }
   channels_ = hello.channels;
   sample_rate_ = static_cast<double>(hello.sample_rate_hz);
-  ring_.reset(channels_, limits_.max_utterance_frames, sample_rate_);
+  chunk_ = audio::MultiBuffer(channels_, 0, sample_rate_);
   state_ = State::kStreaming;
 
   HelloOk ok;
@@ -167,7 +121,7 @@ void Session::handle_auth(const Frame& frame) {
     reject_auth(AuthRejectCode::kStreamOpen, "AUTH while a stream is open");
     return;
   }
-  if (ring_.frames() != 0) {
+  if (utterance_frames_ != 0) {
     reject_auth(AuthRejectCode::kStreamOpen, "AUTH with an utterance in flight");
     return;
   }
@@ -251,7 +205,39 @@ void Session::handle_chunk(const Frame& frame) {
     }
     return;
   }
-  ring_.append(chunk.interleaved);
+  if (utterance_frames_ + chunk.frames > limits_.max_utterance_frames) {
+    fail(ErrorCode::kTooLarge,
+         "utterance of " + std::to_string(utterance_frames_ + chunk.frames) +
+             " frames exceeds limit " + std::to_string(limits_.max_utterance_frames));
+    return;
+  }
+  // Normal/Mute verdicts read no features: only HeadTalk feeds the operator.
+  if (limits_.mode == core::VaMode::kHeadTalk) {
+    // Shared with the streaming detector's per-frame feed: one instrument
+    // for all time spent pushing samples through the operator.
+    static obs::Histogram& accumulate_seconds = core::pipeline_stage_histogram(
+        "pipeline.stage.incremental_accumulate_seconds");
+    try {
+      obs::Timer timer(&accumulate_seconds);
+      core::IncrementalExtractor& extractor = op();
+      if (utterance_frames_ == 0) {
+        if (workspace_ != nullptr) workspace_->note_use();
+        extractor.begin(pipeline_.incremental_config(), channels_, sample_rate_);
+      }
+      for (std::size_t c = 0; c < channels_; ++c) {
+        audio::Buffer& channel = chunk_.channel(c);
+        channel.resize(chunk.frames);
+        for (std::size_t f = 0; f < chunk.frames; ++f) {
+          channel[f] = static_cast<audio::Sample>(chunk.interleaved[f * channels_ + c]);
+        }
+      }
+      extractor.push(chunk_);
+    } catch (const std::exception& error) {
+      fail(ErrorCode::kInternal, std::string("accumulation failed: ") + error.what());
+      return;
+    }
+  }
+  utterance_frames_ += chunk.frames;
 }
 
 void Session::handle_end_of_utterance(const Frame& frame) {
@@ -265,28 +251,24 @@ void Session::handle_end_of_utterance(const Frame& frame) {
     return;
   }
   const EndOfUtterance end = parse_end_of_utterance(frame);
-  if (ring_.frames() == 0) {
+  if (utterance_frames_ == 0) {
     fail(ErrorCode::kBadRequest, "END_OF_UTTERANCE with no audio streamed");
     return;
   }
-  if (ring_.dropped_frames() > 0) {
-    obs::log_warn("serve.session.ring_overflow",
-                  {{"dropped_frames", ring_.dropped_frames()},
-                   {"kept_frames", ring_.frames()}});
-  }
 
+  // END_OF_UTTERANCE to verdict (finalize + policy): the chunks were
+  // already accumulated, so this is what a STREAM_DECISION's latency means.
   static obs::Histogram& score_seconds =
       obs::Registry::global().histogram("serve.score_seconds");
   DecisionFrame decision;
   try {
     obs::ScopedSpan span("serve.score_utterance");
     obs::Timer timer(&score_seconds);
-    const audio::MultiBuffer capture = ring_.snapshot();
     core::FeatureCapture features;
     const bool want_features = !tenant_id_.empty();
     const core::PipelineResult result =
-        pipeline_.score_capture(capture, limits_.mode, end.followup, session_open_,
-                                workspace_, want_features ? &features : nullptr);
+        pipeline_.finalize_segment(op(), limits_.mode, end.followup, session_open_,
+                                   want_features ? &features : nullptr);
     session_open_ = result.session_open_after;
     decision.decision = static_cast<std::uint8_t>(result.decision);
     decision.live = result.live;
@@ -300,7 +282,7 @@ void Session::handle_end_of_utterance(const Frame& frame) {
     fail(ErrorCode::kInternal, std::string("scoring failed: ") + error.what());
     return;
   }
-  ring_.clear();
+  utterance_frames_ = 0;
   const auto bytes = encode_decision(decision);
   output_.insert(output_.end(), bytes.begin(), bytes.end());
   ++decisions_;
@@ -316,8 +298,8 @@ void Session::handle_stream_start(const Frame& frame) {
     fail(ErrorCode::kBadRequest, "duplicate STREAM_START");
     return;
   }
-  if (ring_.frames() != 0) {
-    fail(ErrorCode::kBadRequest, "STREAM_START with a per-utterance capture buffered");
+  if (utterance_frames_ != 0) {
+    fail(ErrorCode::kBadRequest, "STREAM_START with an utterance in flight");
     return;
   }
   stream::StreamingDetectorConfig config = limits_.stream;

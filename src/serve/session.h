@@ -3,20 +3,21 @@
 // A Session is a pure state machine over the wire protocol: bytes from the
 // socket go in, response bytes come out, and all socket I/O stays in the
 // server core — which makes every transition unit-testable without a
-// network. Streamed audio accumulates in a bounded ring (oldest frames are
-// dropped once the utterance limit is reached; a wake word lives at the
-// *end* of a capture), and END_OF_UTTERANCE runs the shared resident
-// pipeline via its const, thread-safe scoring entry point while the
-// HeadTalk session flag (open session ⇒ follow-ups skip the orientation
-// check) stays per-connection.
+// network. Whole utterances and auto-endpointed streams take one scoring
+// path: every AUDIO_CHUNK of an utterance is pushed through the incremental
+// operator as it arrives (HeadTalk mode; Normal/Mute verdicts read no
+// features, so nothing is fed), and END_OF_UTTERANCE runs only the
+// resident pipeline's const finalize ladder — the same call a streamed
+// segment closes with. An utterance longer than the advertised
+// max_utterance_frames is a fatal ERROR too-large. The HeadTalk session
+// flag (open session ⇒ follow-ups skip the orientation check) stays
+// per-connection.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "audio/sample_buffer.h"
 #include "core/pipeline.h"
@@ -32,7 +33,8 @@ namespace headtalk::serve {
 struct SessionLimits {
   /// Largest single AUDIO_CHUNK accepted (frames per channel).
   std::uint32_t max_chunk_frames = 1u << 16;
-  /// Utterance ring capacity (frames per channel); excess drops oldest.
+  /// Longest whole utterance accepted (frames per channel); the chunk that
+  /// would exceed it is answered with a fatal ERROR too-large.
   std::uint32_t max_utterance_frames = 48000 * 8;
   std::uint16_t max_channels = 16;
   /// Mode the daemon scores under (HeadTalk in production).
@@ -47,47 +49,17 @@ struct SessionLimits {
   tenant::TenantService* tenants = nullptr;
 };
 
-/// Fixed-capacity interleaved multichannel accumulator. Appends past the
-/// capacity overwrite the oldest frames (and are counted), so a client
-/// streaming more audio than the advertised utterance limit still gets the
-/// most recent — wake-word-bearing — span scored.
-class SampleRing {
- public:
-  void reset(std::uint16_t channels, std::size_t capacity_frames, double sample_rate);
-
-  /// `interleaved.size()` must be a multiple of the channel count.
-  void append(std::span<const float> interleaved);
-
-  [[nodiscard]] std::size_t frames() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity_frames() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t dropped_frames() const noexcept { return dropped_; }
-  [[nodiscard]] std::uint16_t channels() const noexcept { return channels_; }
-
-  /// Deinterleaves the buffered frames, oldest first.
-  [[nodiscard]] audio::MultiBuffer snapshot() const;
-
-  /// Empties the ring (capacity and geometry are kept).
-  void clear() noexcept;
-
- private:
-  std::vector<float> data_;  ///< capacity_ * channels_, ring-indexed by frame
-  std::uint16_t channels_ = 0;
-  std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  ///< frame index of the oldest buffered frame
-  std::size_t size_ = 0;
-  std::uint64_t dropped_ = 0;
-  double sample_rate_ = audio::kDefaultSampleRate;
-};
-
 class Session {
  public:
   /// The pipeline outlives the session and is shared across sessions; only
-  /// its const scoring entry point is used.
+  /// its const scoring entry points are used.
   Session(const core::HeadTalkPipeline& pipeline, SessionLimits limits = {});
 
   /// Attaches per-thread scoring scratch (owned by the serve worker, reused
-  /// across the consecutive connections that worker handles). Optional —
-  /// scoring without a workspace is identical, just allocation-heavier. The
+  /// across the consecutive connections that worker handles): its
+  /// incremental operator accumulates this connection's utterances and
+  /// stream segments. Optional — without one the session uses an operator
+  /// of its own, with identical results. Attach before the first byte; the
   /// workspace must outlive the session and belong to the driving thread.
   void set_workspace(core::ScoringWorkspace* workspace) noexcept {
     workspace_ = workspace;
@@ -106,13 +78,13 @@ class Session {
   [[nodiscard]] bool finished() const noexcept { return state_ == State::kFailed; }
   [[nodiscard]] std::size_t decisions_sent() const noexcept { return decisions_; }
   [[nodiscard]] bool hello_done() const noexcept { return state_ == State::kStreaming; }
-  /// True when no utterance is in flight: nothing buffered in the ring, no
-  /// partial frame pending and — in streaming mode — no open segment. A
-  /// drain may close an idle connection immediately; a non-idle one is
-  /// owed its DECISION first.
+  /// True when no utterance is in flight: no audio received since the last
+  /// DECISION, no partial frame pending and — in streaming mode — no open
+  /// segment. A drain may close an idle connection immediately; a non-idle
+  /// one is owed its DECISION first.
   [[nodiscard]] bool idle() const noexcept {
     if (stream_mode_ && detector_ && detector_->in_utterance()) return false;
-    return ring_.frames() == 0 && reader_.buffered_bytes() == 0;
+    return utterance_frames_ == 0 && reader_.buffered_bytes() == 0;
   }
   /// True between STREAM_START and STREAM_END: the server owns
   /// segmentation, so the connection may legitimately sit silent between
@@ -140,13 +112,20 @@ class Session {
                     const core::FeatureCapture& features);
   void reject_auth(AuthRejectCode code, const std::string& message);
   void fail(ErrorCode code, const std::string& message);
+  /// The operator the current utterance accumulates into: the workspace's
+  /// when one is attached, the session's own otherwise.
+  [[nodiscard]] core::IncrementalExtractor& op() noexcept;
 
   const core::HeadTalkPipeline& pipeline_;
   core::ScoringWorkspace* workspace_ = nullptr;  ///< not owned; may be null
   SessionLimits limits_;
   FrameReader reader_;
   std::vector<std::uint8_t> output_;
-  SampleRing ring_;
+  core::IncrementalExtractor own_op_;  ///< used only without a workspace
+  audio::MultiBuffer chunk_;           ///< reused deinterleave scratch
+  /// Frames per channel received for the utterance in flight (per-utterance
+  /// mode); 0 between END_OF_UTTERANCE and the next AUDIO_CHUNK.
+  std::uint64_t utterance_frames_ = 0;
   std::unique_ptr<stream::StreamingDetector> detector_;  ///< streaming mode only
   State state_ = State::kAwaitHello;
   std::uint16_t channels_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/scoring_workspace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -218,8 +219,13 @@ std::uint64_t StreamingDetector::feed_target() const {
                                  ring_.total_frames());
 }
 
+core::IncrementalExtractor& StreamingDetector::op() noexcept {
+  return workspace_ != nullptr ? workspace_->incremental() : own_op_;
+}
+
 void StreamingDetector::open_op(std::uint64_t begin) {
-  op_.begin(pipeline_.incremental_config(), ring_.channels(), vad_.sample_rate());
+  if (workspace_ != nullptr) workspace_->note_use();
+  op().begin(pipeline_.incremental_config(), ring_.channels(), vad_.sample_rate());
   op_open_ = true;
   op_truncated_ = 0;
   op_fed_end_ = begin;
@@ -242,7 +248,7 @@ void StreamingDetector::feed_op_to(std::uint64_t target) {
   }
   if (target <= op_fed_end_) return;
   ring_.extract_into(op_fed_end_, target, feed_buffer_);
-  op_.push(feed_buffer_);
+  op().push(feed_buffer_);
   op_fed_end_ = target;
 }
 
@@ -262,31 +268,24 @@ DecisionEvent StreamingDetector::score_segment(const Segment& segment) {
   event.end_seconds = static_cast<double>(event.end_frame) / fs;
 
   if (config_.mode == core::VaMode::kHeadTalk) {
-    // Streaming path: the segment's audio is (mostly) already inside the
-    // incremental extractor; feed whatever the close added beyond the last
-    // per-frame target and run the finalize ladder. The decision latency
-    // this timer measures is that residual work — O(1) in segment length.
+    // The segment's audio is (mostly) already inside the incremental
+    // extractor; feed whatever the close added beyond the last per-frame
+    // target. The decision latency this timer measures is that residual
+    // work plus the finalize ladder — O(1) in segment length.
     if (!op_open_) open_op(event.begin_frame);
     feed_op_to(event.end_frame);
     event.truncated_frames = op_truncated_;
-    event.result = pipeline_.finalize_segment(op_, config_.mode, /*followup=*/false,
-                                              session_open_,
-                                              config_.capture_features
-                                                  ? &event.features
-                                                  : nullptr);
     op_open_ = false;
   } else {
+    // Normal/Mute verdicts read no features; nothing was fed.
     const std::uint64_t oldest = ring_.oldest_frame();
     if (event.begin_frame < oldest) {
       event.truncated_frames = oldest - event.begin_frame;
     }
-    const audio::MultiBuffer capture =
-        ring_.extract(event.begin_frame, event.end_frame);
-    event.result = pipeline_.score_capture(capture, config_.mode, /*followup=*/false,
-                                           session_open_, workspace_,
-                                           config_.capture_features ? &event.features
-                                                                    : nullptr);
   }
+  event.result = pipeline_.finalize_segment(
+      op(), config_.mode, /*followup=*/false, session_open_,
+      config_.capture_features ? &event.features : nullptr);
   session_open_ = event.result.session_open_after;
   event.latency_seconds = timer.stop();
   return event;

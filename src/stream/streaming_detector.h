@@ -1,12 +1,12 @@
 // Online detection: continuous multichannel audio in, scored decisions out.
 //
 // The StreamingDetector is the layer the always-listening deployment was
-// missing between raw audio and HeadTalkPipeline::score_capture(): chunks
-// of any size go into an absolute-indexed multichannel ring, the reference
+// missing between raw audio and the resident HeadTalkPipeline: chunks of
+// any size go into an absolute-indexed multichannel ring, the reference
 // channel runs through the frame-level Vad, the Endpointer turns frame
-// labels into utterance segments, and each closed segment is extracted
-// from the ring and scored through the resident pipeline with this
-// detector's ScoringWorkspace — emitting one DecisionEvent per utterance
+// labels into utterance segments, the open segment's audio is fed to an
+// incremental operator as it is confirmed, and each close runs the
+// pipeline's finalize_segment — emitting one DecisionEvent per utterance
 // with sample-accurate segment timestamps. The HeadTalk open-session flag
 // carries across segments exactly as it does across utterances of one
 // serve connection.
@@ -113,8 +113,11 @@ class StreamingDetector {
   StreamingDetector(const core::HeadTalkPipeline& pipeline, std::size_t channels,
                     double sample_rate, StreamingDetectorConfig config = {});
 
-  /// Optional per-thread scoring scratch (see core/scoring_workspace.h);
-  /// must outlive the detector and belong to the driving thread.
+  /// Optional per-thread scoring scratch (see core/scoring_workspace.h):
+  /// open segments accumulate in its incremental operator instead of the
+  /// detector's own, so nothing else may use that operator until the
+  /// stream is flushed. Attach before the first push; the workspace must
+  /// outlive the detector and belong to the driving thread.
   void set_workspace(core::ScoringWorkspace* workspace) noexcept {
     workspace_ = workspace;
   }
@@ -159,6 +162,9 @@ class StreamingDetector {
                std::vector<DecisionEvent>& out);
   [[nodiscard]] DecisionEvent score_segment(const Segment& segment);
 
+  /// The workspace's operator when one is attached, the detector's own
+  /// otherwise.
+  [[nodiscard]] core::IncrementalExtractor& op() noexcept;
   /// Opens the incremental extractor for a segment starting at absolute
   /// sample frame `begin` (clamped to the ring's oldest retained frame;
   /// the loss accumulates in op_truncated_).
@@ -183,7 +189,7 @@ class StreamingDetector {
   /// begun when the endpointer confirms a segment, fed frame by frame
   /// while the segment is open, finalized (or abandoned, on a discard)
   /// when it ends.
-  core::IncrementalExtractor op_;
+  core::IncrementalExtractor own_op_;  ///< used only without a workspace
   bool op_open_ = false;
   std::uint64_t op_fed_end_ = 0;     ///< absolute sample frame fed so far
   std::uint64_t op_truncated_ = 0;   ///< frames the open segment lost to overwrite

@@ -200,25 +200,5 @@ TEST(SimdEquivalence, DenseSrpAcrossLevels) {
   }
 }
 
-TEST(SimdEquivalence, SrpPeakSearchMatchesDenseArgmaxAcrossLevels) {
-  const auto capture = delayed_capture(4, 2048, 16);
-  SrpSearchConfig config;
-  config.max_lag = 13;
-  ScopedLevel scalar(simd::Level::kScalar);
-  const CorrelationSequence dense = srp_phat(capture, config.max_lag);
-  for (const simd::Level level : supported_levels()) {
-    ScopedLevel scoped(level);
-    SrpWorkspace workspace;
-    const SrpSearchResult result = srp_peak_search(capture, config, workspace);
-    EXPECT_EQ(result.peak_lag, dense.peak_lag())
-        << "at level " << simd::level_name(level);
-    const double want = dense.at_lag(result.peak_lag);
-    EXPECT_NEAR(result.peak_value, want, 1e-9 * std::max(1.0, std::abs(want)))
-        << "at level " << simd::level_name(level);
-    // The coarse-to-fine search must actually be sparse.
-    EXPECT_LT(result.evaluated, dense.size());
-  }
-}
-
 }  // namespace
 }  // namespace headtalk::dsp

@@ -98,45 +98,6 @@ TEST(PairwiseGcc, ZeroFloorDisablesCoherenceEstimate) {
   EXPECT_DOUBLE_EQ(gcc.pairs[0].coherence, 1.0);  // never estimated
 }
 
-TEST(SrpPeakSearch, CountsPrunedPairs) {
-  const auto base = random_buffer(2048, 5);
-  audio::MultiBuffer capture(std::vector<audio::Buffer>{
-      base,
-      audio::Buffer(fractional_delay(base.samples(), 1.0), 48000.0),
-      random_buffer(2048, 97)});
-  SrpSearchConfig config;
-  config.max_lag = 13;
-  config.pair_options.coherence_floor = 0.2;
-  SrpWorkspace workspace;
-  const auto result = srp_peak_search(capture, config, workspace);
-  EXPECT_EQ(result.pairs_pruned, 2u);
-  EXPECT_EQ(result.peak_lag, -1);  // only the coupled pair steers the peak
-}
-
-TEST(SrpPeakSearch, RejectsBadConfig) {
-  const audio::MultiBuffer capture(2, 512, 48000.0);
-  SrpWorkspace workspace;
-  SrpSearchConfig bad;
-  bad.max_lag = 0;
-  EXPECT_THROW((void)srp_peak_search(capture, bad, workspace), std::invalid_argument);
-  bad = SrpSearchConfig{};
-  bad.coarse_stride = 0;
-  EXPECT_THROW((void)srp_peak_search(capture, bad, workspace), std::invalid_argument);
-  bad = SrpSearchConfig{};
-  bad.refine_radius = -1;
-  EXPECT_THROW((void)srp_peak_search(capture, bad, workspace), std::invalid_argument);
-}
-
-TEST(SrpPeakSearch, DegenerateCapturesGiveEmptyResult) {
-  SrpWorkspace workspace;
-  SrpSearchConfig config;
-  config.max_lag = 5;
-  const audio::MultiBuffer mono(1, 512, 48000.0);
-  const auto result = srp_peak_search(mono, config, workspace);
-  EXPECT_EQ(result.evaluated, 0u);
-  EXPECT_DOUBLE_EQ(result.peak_value, 0.0);
-}
-
 TEST(SrpMaxLag, MatchesPaperValues) {
   // §III-B3: D1 d=8.5 cm -> 12, D2 d=9 cm -> 13, D3 d=6.5 cm -> 10 at 48 kHz.
   EXPECT_EQ(srp_max_lag(0.085, 48000.0), 12);

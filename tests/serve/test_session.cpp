@@ -1,12 +1,17 @@
-// Session state machine: handshake ordering, limit enforcement, ring
+// Session state machine: handshake ordering, limit enforcement, per-chunk
 // accumulation, and per-connection HeadTalk session tracking — all without
 // a socket in sight.
 #include "serve/session.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <span>
+#include <string>
 
+#include "core/scoring_workspace.h"
 #include "serve/protocol.h"
 #include "serve_test_util.h"
 
@@ -37,76 +42,6 @@ SessionLimits normal_mode_limits() {
   SessionLimits limits;
   limits.mode = core::VaMode::kNormal;  // skips DSP: machinery-only tests
   return limits;
-}
-
-TEST(ServeSampleRing, AccumulatesAndDropsOldest) {
-  SampleRing ring;
-  ring.reset(2, 4, 48000.0);
-  EXPECT_EQ(ring.frames(), 0u);
-
-  // Frames are numbered through channel 0 so ordering is observable.
-  const auto frame_values = [](float first, std::size_t count) {
-    std::vector<float> interleaved;
-    for (std::size_t f = 0; f < count; ++f) {
-      interleaved.push_back(first + static_cast<float>(f));  // channel 0
-      interleaved.push_back(0.0f);                           // channel 1
-    }
-    return interleaved;
-  };
-
-  ring.append(frame_values(0.0f, 3));
-  EXPECT_EQ(ring.frames(), 3u);
-  EXPECT_EQ(ring.dropped_frames(), 0u);
-
-  ring.append(frame_values(3.0f, 3));  // frames 3,4,5: drops frames 0,1
-  EXPECT_EQ(ring.frames(), 4u);
-  EXPECT_EQ(ring.dropped_frames(), 2u);
-
-  const audio::MultiBuffer capture = ring.snapshot();
-  ASSERT_EQ(capture.frames(), 4u);
-  EXPECT_DOUBLE_EQ(capture.channel(0)[0], 2.0);  // oldest surviving frame
-  EXPECT_DOUBLE_EQ(capture.channel(0)[3], 5.0);
-  EXPECT_DOUBLE_EQ(capture.sample_rate(), 48000.0);
-
-  ring.clear();
-  EXPECT_EQ(ring.frames(), 0u);
-  EXPECT_EQ(ring.dropped_frames(), 0u);
-  EXPECT_EQ(ring.capacity_frames(), 4u);
-}
-
-TEST(ServeSampleRing, OversizedAppendKeepsTail) {
-  SampleRing ring;
-  ring.reset(1, 3, 48000.0);
-  std::vector<float> interleaved{1, 2, 3, 4, 5};
-  ring.append(interleaved);
-  EXPECT_EQ(ring.frames(), 3u);
-  EXPECT_EQ(ring.dropped_frames(), 2u);
-  const auto capture = ring.snapshot();
-  EXPECT_DOUBLE_EQ(capture.channel(0)[0], 3.0);
-  EXPECT_DOUBLE_EQ(capture.channel(0)[2], 5.0);
-}
-
-TEST(ServeSampleRing, OversizedAppendAfterWrapAroundKeepsNewestCapacityFrames) {
-  // Regression: an oversized append landing on a ring whose head has
-  // already wrapped must still leave exactly the newest `capacity` frames,
-  // and dropped_frames() must count both the skipped chunk head and every
-  // overwritten resident frame.
-  SampleRing ring;
-  ring.reset(1, 3, 48000.0);
-  ring.append(std::vector<float>{1, 2});
-  ring.append(std::vector<float>{3, 4});  // wraps: keeps 2,3,4 and drops 1
-  EXPECT_EQ(ring.frames(), 3u);
-  EXPECT_EQ(ring.dropped_frames(), 1u);
-
-  ring.append(std::vector<float>{5, 6, 7, 8, 9});  // 5 frames into capacity 3
-  EXPECT_EQ(ring.frames(), 3u);
-  // 1 from before + 2 skipped at the chunk head (5,6) + 3 overwritten (2,3,4).
-  EXPECT_EQ(ring.dropped_frames(), 6u);
-  const auto capture = ring.snapshot();
-  ASSERT_EQ(capture.frames(), 3u);
-  EXPECT_DOUBLE_EQ(capture.channel(0)[0], 7.0);
-  EXPECT_DOUBLE_EQ(capture.channel(0)[1], 8.0);
-  EXPECT_DOUBLE_EQ(capture.channel(0)[2], 9.0);
 }
 
 TEST(ServeSession, HelloHandshakeAdvertisesLimits) {
@@ -164,6 +99,44 @@ TEST(ServeSession, OversizedChunkFails) {
   const auto frames = drain(session);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(parse_error(frames[0]).code, ErrorCode::kTooLarge);
+}
+
+TEST(ServeSession, UtteranceOverLimitIsTooLarge) {
+  // max_utterance_frames is a hard limit: the chunk that takes the
+  // utterance past it ends the connection with ERROR too-large, and nothing
+  // is scored — no forced finalize, no dropping the oldest frames.
+  SessionLimits limits = normal_mode_limits();
+  limits.max_utterance_frames = 1000;
+  const auto chunk = [](std::size_t frames) {
+    return encode_audio_chunk(std::vector<float>(frames * 4, 0.1f), 4);
+  };
+  {
+    Session session(test_pipeline(), limits);
+    feed(session, encode_hello(Hello{}), true);
+    (void)drain(session);
+    feed(session, chunk(600), true);
+    EXPECT_FALSE(session.idle());
+    feed(session, chunk(600), false);
+    feed(session, encode_end_of_utterance(false), false);
+    const auto frames = drain(session);
+    ASSERT_EQ(frames.size(), 1u);
+    ASSERT_EQ(frames[0].type, FrameType::kError);
+    EXPECT_EQ(parse_error(frames[0]).code, ErrorCode::kTooLarge);
+    EXPECT_EQ(session.decisions_sent(), 0u);
+  }
+  {
+    // Exactly at the limit is fine, and the count restarts per utterance.
+    Session session(test_pipeline(), limits);
+    feed(session, encode_hello(Hello{}), true);
+    (void)drain(session);
+    for (int u = 0; u < 2; ++u) {
+      feed(session, chunk(600), true);
+      feed(session, chunk(400), true);
+      feed(session, encode_end_of_utterance(false), true);
+      EXPECT_TRUE(session.idle());
+    }
+    EXPECT_EQ(session.decisions_sent(), 2u);
+  }
 }
 
 TEST(ServeSession, EndOfUtteranceWithoutAudioFails) {
@@ -240,29 +213,62 @@ TEST(ServeSession, ScoresUtterancesBackToBack) {
 }
 
 TEST(ServeSession, HeadTalkModeScoresRealCaptures) {
-  // Full-DSP path: one real utterance through preprocess + both detectors.
-  SessionLimits limits;  // default kHeadTalk
-  Session session(test_pipeline(), limits);
-  feed(session, encode_hello(Hello{}), true);
-  (void)drain(session);
-
+  // Full-DSP path: each AUDIO_CHUNK is accumulated as it arrives and
+  // END_OF_UTTERANCE only finalizes. However the client splits the
+  // utterance, the verdict must equal score_capture on the same samples
+  // rounded to f32 (the wire format) — as a plain utterance, and as a
+  // follow-up while the session that utterance opened is still open.
   const auto capture = serve_test::make_capture(4, 24000);
-  std::vector<float> interleaved(capture.frames() * 4);
-  for (std::size_t f = 0; f < capture.frames(); ++f) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      interleaved[f * 4 + c] = static_cast<float>(capture.channel(c)[f]);
+  const std::size_t frames = capture.frames();
+  audio::MultiBuffer wire(4, frames, capture.sample_rate());
+  std::vector<float> interleaved(frames * 4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    for (std::size_t f = 0; f < frames; ++f) {
+      const float sample = static_cast<float>(capture.channel(c)[f]);
+      wire.channel(c)[f] = sample;
+      interleaved[f * 4 + c] = sample;
     }
   }
-  feed(session, encode_audio_chunk(interleaved, 4), true);
-  feed(session, encode_end_of_utterance(false), true);
-  const auto frames = drain(session);
-  ASSERT_EQ(frames.size(), 1u);
-  const DecisionFrame decision = parse_decision(frames[0]);
-  // The verdict depends on the synthetic models; the contract is that a
-  // decision came back with the liveness stage populated.
-  EXPECT_LE(decision.decision, 3);
-  EXPECT_GE(decision.elapsed_seconds, 0.0);
-  EXPECT_EQ(session.decisions_sent(), 1u);
+  const core::PipelineResult plain = test_pipeline().score_capture(
+      wire, core::VaMode::kHeadTalk, /*followup=*/false, /*session_active=*/false);
+  ASSERT_TRUE(plain.session_open_after) << "the fixture must open a session";
+  const core::PipelineResult followup = test_pipeline().score_capture(
+      wire, core::VaMode::kHeadTalk, /*followup=*/true, /*session_active=*/true);
+  const core::PipelineResult* expected[] = {&plain, &followup};
+
+  core::ScoringWorkspace workspace;
+  const std::size_t chunk_sizes[] = {1, 480, 4800, frames};
+  for (std::size_t i = 0; i < std::size(chunk_sizes); ++i) {
+    const std::size_t chunk_frames = chunk_sizes[i];
+    SCOPED_TRACE("chunks of " + std::to_string(chunk_frames) + " frames");
+    Session session(test_pipeline(), SessionLimits{});  // default kHeadTalk
+    // Every other run accumulates in a worker's workspace instead of the
+    // session's own operator.
+    if (i % 2 == 1) session.set_workspace(&workspace);
+    std::vector<std::uint8_t> bytes = encode_hello(Hello{});
+    for (const bool is_followup : {false, true}) {
+      for (std::size_t begin = 0; begin < frames; begin += chunk_frames) {
+        const std::size_t n = std::min(chunk_frames, frames - begin);
+        const auto chunk = encode_audio_chunk(
+            std::span<const float>(interleaved.data() + begin * 4, n * 4), 4);
+        bytes.insert(bytes.end(), chunk.begin(), chunk.end());
+      }
+      const auto end = encode_end_of_utterance(is_followup);
+      bytes.insert(bytes.end(), end.begin(), end.end());
+    }
+    feed(session, bytes, true);
+    const auto replies = drain(session);
+    ASSERT_EQ(replies.size(), 3u);  // HELLO_OK + one DECISION per utterance
+    for (std::size_t u = 0; u < 2; ++u) {
+      const DecisionFrame decision = parse_decision(replies[u + 1]);
+      EXPECT_EQ(decision.decision, static_cast<std::uint8_t>(expected[u]->decision));
+      EXPECT_EQ(decision.via_open_session, expected[u]->via_open_session);
+      EXPECT_DOUBLE_EQ(decision.liveness_score, expected[u]->liveness_score);
+      EXPECT_DOUBLE_EQ(decision.orientation_score, expected[u]->orientation_score);
+      EXPECT_GE(decision.elapsed_seconds, 0.0);
+    }
+    EXPECT_TRUE(session.idle());
+  }
 }
 
 }  // namespace

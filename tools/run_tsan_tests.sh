@@ -8,8 +8,14 @@
 #
 #   tools/run_tsan_tests.sh [build-dir]     # default: build-tsan
 #
-# Pass HEADTALK_SANITIZE=address the same way for an ASan sweep:
-#   cmake -B build-asan -S . -DHEADTALK_SANITIZE=address
+# For an AddressSanitizer + UndefinedBehaviorSanitizer sweep of the whole
+# suite, configure HEADTALK_SANITIZE=address (it adds
+# -fsanitize=address,undefined -fno-sanitize-recover=undefined) and run
+# every test:
+#   cmake -B build-asan -S . -DHEADTALK_SANITIZE=address \
+#     -DHEADTALK_BUILD_BENCHES=OFF -DHEADTALK_BUILD_EXAMPLES=OFF
+#   cmake --build build-asan -j "$(nproc)"
+#   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
