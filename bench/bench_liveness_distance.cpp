@@ -7,7 +7,6 @@
 
 #include "baseline/void.h"
 #include "core/liveness_detector.h"
-#include "core/preprocess.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "ml/svm.h"
@@ -48,8 +47,9 @@ int main() {
       s.label = label;
       s.headtalk = collector.liveness_features(spec);
       // The Void baseline is not disk-cached; re-render via the collector.
-      const auto clean = core::preprocess(collector.capture(spec).channel(0));
-      s.void_style = void_extractor.extract(clean);
+      // Void consumes the raw channel 0 (its own power spectrum, no
+      // HeadTalk band-pass or trim).
+      s.void_style = void_extractor.extract(collector.capture(spec).channel(0));
       out.push_back(std::move(s));
     }
     return out;

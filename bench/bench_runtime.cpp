@@ -28,7 +28,7 @@
 #include "core/liveness_features.h"
 #include "core/orientation_classifier.h"
 #include "core/orientation_features.h"
-#include "core/preprocess.h"
+#include "core/pipeline.h"
 #include "core/scoring_workspace.h"
 #include "dsp/fft_plan.h"
 #include "dsp/simd/dispatch.h"
@@ -51,72 +51,62 @@ const audio::MultiBuffer& capture() {
   return instance;
 }
 
-const audio::MultiBuffer& denoised() {
-  static const audio::MultiBuffer instance = core::preprocess(capture());
-  return instance;
-}
-
-core::OrientationClassifier& trained_orientation() {
-  static core::OrientationClassifier instance = [] {
-    // A small synthetic training set: runtime depends on support-vector
-    // count and feature dimension, both matched to the real pipeline.
-    core::OrientationFeatureExtractor extractor;
-    const auto dim = extractor.dimension(4);
-    std::mt19937 rng(1);
-    std::normal_distribution<double> g(0.0, 1.0);
-    ml::Dataset data;
-    for (int i = 0; i < 80; ++i) {
-      ml::FeatureVector a(dim), b(dim);
-      for (std::size_t j = 0; j < dim; ++j) {
-        a[j] = g(rng) + 1.0;
-        b[j] = g(rng) - 1.0;
-      }
-      data.add(std::move(a), core::kLabelFacing);
-      data.add(std::move(b), core::kLabelNonFacing);
+core::OrientationClassifier train_orientation() {
+  // A small synthetic training set: runtime depends on support-vector
+  // count and feature dimension, both matched to the real pipeline.
+  core::OrientationFeatureExtractor extractor;
+  const auto dim = extractor.dimension(4);
+  std::mt19937 rng(1);
+  std::normal_distribution<double> g(0.0, 1.0);
+  ml::Dataset data;
+  for (int i = 0; i < 80; ++i) {
+    ml::FeatureVector a(dim), b(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      a[j] = g(rng) + 1.0;
+      b[j] = g(rng) - 1.0;
     }
-    core::OrientationClassifier clf;
-    clf.train(data);
-    return clf;
-  }();
-  return instance;
-}
-
-core::LivenessDetector& trained_liveness() {
-  static core::LivenessDetector instance = [] {
-    core::LivenessFeatureExtractor extractor;
-    const auto dim = extractor.dimension();
-    std::mt19937 rng(2);
-    std::normal_distribution<double> g(0.0, 1.0);
-    ml::Dataset data;
-    for (int i = 0; i < 80; ++i) {
-      ml::FeatureVector a(dim), b(dim);
-      for (std::size_t j = 0; j < dim; ++j) {
-        a[j] = g(rng) + 1.0;
-        b[j] = g(rng) - 1.0;
-      }
-      data.add(std::move(a), core::kLabelLive);
-      data.add(std::move(b), core::kLabelReplay);
-    }
-    core::LivenessDetector det;
-    det.train(data);
-    return det;
-  }();
-  return instance;
-}
-
-void BM_Preprocess(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::preprocess(capture()));
+    data.add(std::move(a), core::kLabelFacing);
+    data.add(std::move(b), core::kLabelNonFacing);
   }
+  core::OrientationClassifier clf;
+  clf.train(data);
+  return clf;
 }
-BENCHMARK(BM_Preprocess)->Unit(benchmark::kMillisecond);
+
+core::LivenessDetector train_liveness() {
+  core::LivenessFeatureExtractor extractor;
+  const auto dim = extractor.dimension();
+  std::mt19937 rng(2);
+  std::normal_distribution<double> g(0.0, 1.0);
+  ml::Dataset data;
+  for (int i = 0; i < 80; ++i) {
+    ml::FeatureVector a(dim), b(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      a[j] = g(rng) + 1.0;
+      b[j] = g(rng) - 1.0;
+    }
+    data.add(std::move(a), core::kLabelLive);
+    data.add(std::move(b), core::kLabelReplay);
+  }
+  core::LivenessDetector det;
+  det.train(data);
+  return det;
+}
+
+const core::HeadTalkPipeline& pipeline() {
+  static const core::HeadTalkPipeline instance(train_orientation(), train_liveness());
+  return instance;
+}
+
+const core::OrientationClassifier& trained_orientation() { return pipeline().orientation(); }
+const core::LivenessDetector& trained_liveness() { return pipeline().liveness(); }
 
 void BM_LivenessDetection(benchmark::State& state) {
   // One channel -> features -> network score (the paper's 42 ms stage).
   core::LivenessFeatureExtractor extractor;
   auto& detector = trained_liveness();
   for (auto _ : state) {
-    const auto features = extractor.extract(denoised().channel(0));
+    const auto features = extractor.extract(capture().channel(0));
     benchmark::DoNotOptimize(detector.score(features));
   }
 }
@@ -127,23 +117,20 @@ void BM_OrientationDetection(benchmark::State& state) {
   core::OrientationFeatureExtractor extractor;
   auto& classifier = trained_orientation();
   for (auto _ : state) {
-    const auto features = extractor.extract(denoised());
+    const auto features = extractor.extract(capture());
     benchmark::DoNotOptimize(classifier.predict(features));
   }
 }
 BENCHMARK(BM_OrientationDetection)->Unit(benchmark::kMillisecond);
 
 void BM_FullHeadTalkDecision(benchmark::State& state) {
-  // Preprocess + liveness + orientation, as process_wake_word would run.
-  core::LivenessFeatureExtractor liveness_extractor;
-  core::OrientationFeatureExtractor orientation_extractor;
-  auto& liveness = trained_liveness();
-  auto& orientation = trained_orientation();
+  // The production path: raw capture -> one accumulation pass (band-pass,
+  // trim, both feature sets) -> liveness and orientation verdicts.
+  core::ScoringWorkspace workspace;
   for (auto _ : state) {
-    const auto clean = core::preprocess(capture());
-    const double live_score = liveness.score(liveness_extractor.extract(clean.channel(0)));
-    benchmark::DoNotOptimize(live_score);
-    benchmark::DoNotOptimize(orientation.predict(orientation_extractor.extract(clean)));
+    benchmark::DoNotOptimize(pipeline().score_capture(capture(), core::VaMode::kHeadTalk,
+                                                    /*followup=*/false,
+                                                    /*session_active=*/false, &workspace));
   }
 }
 BENCHMARK(BM_FullHeadTalkDecision)->Unit(benchmark::kMillisecond);
@@ -177,13 +164,13 @@ bool run_plan_cache_record() {
   // --- Cold: every call rebuilds its FFT plans and scratch buffers ---
   cache.set_enabled(false);
   cache.clear();
-  const auto orientation_cold = orientation_extractor.extract(denoised());
+  const auto orientation_cold = orientation_extractor.extract(capture());
   const double orientation_cold_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(orientation_extractor.extract(denoised()));
+    benchmark::DoNotOptimize(orientation_extractor.extract(capture()));
   });
-  const auto liveness_cold = liveness_extractor.extract(denoised().channel(0));
+  const auto liveness_cold = liveness_extractor.extract(capture().channel(0));
   const double liveness_cold_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(liveness_extractor.extract(denoised().channel(0)));
+    benchmark::DoNotOptimize(liveness_extractor.extract(capture().channel(0)));
   });
 
   // --- Warm: cached plans + per-thread workspace, one warm-up call ---
@@ -191,13 +178,13 @@ bool run_plan_cache_record() {
   cache.clear();
   const auto stats_before = cache.stats();
   core::ScoringWorkspace workspace;
-  const auto orientation_warm = orientation_extractor.extract(denoised(), &workspace);
+  const auto orientation_warm = orientation_extractor.extract(capture(), &workspace);
   const double orientation_warm_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(orientation_extractor.extract(denoised(), &workspace));
+    benchmark::DoNotOptimize(orientation_extractor.extract(capture(), &workspace));
   });
-  const auto liveness_warm = liveness_extractor.extract(denoised().channel(0), &workspace);
+  const auto liveness_warm = liveness_extractor.extract(capture().channel(0), &workspace);
   const double liveness_warm_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(liveness_extractor.extract(denoised().channel(0), &workspace));
+    benchmark::DoNotOptimize(liveness_extractor.extract(capture().channel(0), &workspace));
   });
   const auto stats_after = cache.stats();
 
@@ -254,7 +241,7 @@ bool run_simd_level_record() {
 
   dsp::simd::set_level(dsp::simd::Level::kScalar);
   core::ScoringWorkspace reference_workspace;
-  const auto reference = extractor.extract(denoised(), &reference_workspace);
+  const auto reference = extractor.extract(capture(), &reference_workspace);
   const int reference_verdict = classifier.predict(reference);
 
   bool ok = true;
@@ -264,9 +251,9 @@ bool run_simd_level_record() {
     const auto level = static_cast<dsp::simd::Level>(l);
     dsp::simd::set_level(level);
     core::ScoringWorkspace workspace;
-    const auto features = extractor.extract(denoised(), &workspace);
+    const auto features = extractor.extract(capture(), &workspace);
     const double warm_ms = time_ms_per_iter(iters, [&] {
-      benchmark::DoNotOptimize(extractor.extract(denoised(), &workspace));
+      benchmark::DoNotOptimize(extractor.extract(capture(), &workspace));
     });
     double level_delta = 0.0;
     for (std::size_t k = 0; k < features.size(); ++k) {

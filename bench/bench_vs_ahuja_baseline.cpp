@@ -6,7 +6,6 @@
 #include "bench_common.h"
 
 #include "baseline/dov.h"
-#include "core/preprocess.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "ml/svm.h"
@@ -15,16 +14,16 @@ using namespace headtalk;
 
 namespace {
 
-// Extracts DoV features for the same specs (renders come from the cache
-// via Collector::capture determinism; DoV features are not disk-cached, so
-// this re-renders — keep the corpus modest).
+// Extracts DoV features for the same specs (Collector::capture is
+// deterministic; DoV features are not disk-cached, so this re-renders —
+// keep the corpus modest). The raw capture goes in: the extractor shares
+// HeadTalk's band-pass, trim and pruned GCC windows.
 ml::FeatureVector dov_features(const sim::Collector& collector,
                                const sim::SampleSpec& spec) {
-  const auto capture = core::preprocess(collector.capture(spec));
   baseline::DovFeatureConfig cfg;
   cfg.max_mic_distance_m =
       room::DeviceSpec::get(spec.device).max_pair_distance(collector.channels_for(spec.device));
-  return baseline::DovFeatureExtractor(cfg).extract(capture);
+  return baseline::DovFeatureExtractor(cfg).extract(collector.capture(spec));
 }
 
 double evaluate(const ml::Dataset& train, const ml::Dataset& test) {

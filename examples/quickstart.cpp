@@ -61,26 +61,26 @@ int main() {
 
   ml::Dataset orientation_data, liveness_data;
   unsigned seed = 1;
-  // The extractors band-pass and trim internally (the pipeline's own
-  // preprocessing config), so training matches scoring exactly.
+  // The extractors band-pass and trim raw captures internally, exactly as
+  // the pipeline scores them, so training matches scoring.
   for (int rep = 0; rep < 4; ++rep) {
     for (double angle : {0.0, 20.0, -20.0}) {  // facing examples
       const auto cap = record_wake_word(angle, false, seed++);
-      orientation_data.add(orientation_features.extract(cap, config.preprocess),
+      orientation_data.add(orientation_features.extract(cap),
                            core::kLabelFacing);
-      liveness_data.add(liveness_features.extract(cap.channel(0), config.preprocess),
+      liveness_data.add(liveness_features.extract(cap.channel(0)),
                         core::kLabelLive);
     }
     for (double angle : {110.0, -110.0, 180.0}) {  // non-facing examples
       const auto cap = record_wake_word(angle, false, seed++);
-      orientation_data.add(orientation_features.extract(cap, config.preprocess),
+      orientation_data.add(orientation_features.extract(cap),
                            core::kLabelNonFacing);
-      liveness_data.add(liveness_features.extract(cap.channel(0), config.preprocess),
+      liveness_data.add(liveness_features.extract(cap.channel(0)),
                         core::kLabelLive);
     }
     for (double angle : {0.0, 90.0}) {  // replay examples
       const auto cap = record_wake_word(angle, true, seed++);
-      liveness_data.add(liveness_features.extract(cap.channel(0), config.preprocess),
+      liveness_data.add(liveness_features.extract(cap.channel(0)),
                         core::kLabelReplay);
     }
   }

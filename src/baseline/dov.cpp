@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/incremental_extractor.h"
 #include "dsp/srp.h"
 
 namespace headtalk::baseline {
@@ -23,16 +24,24 @@ ml::FeatureVector DovFeatureExtractor::extract(const audio::MultiBuffer& capture
   if (capture.channel_count() < 2) {
     throw std::invalid_argument("DovFeatureExtractor: need >= 2 channels");
   }
-  const int max_lag = effective_max_lag(capture.sample_rate());
-  const auto gcc = dsp::pairwise_gcc_phat(capture, max_lag);
+  // The same GCC estimate HeadTalk's SRP is built from: the operator's
+  // band-passed, trimmed, coherence-pruned per-pair windows.
+  core::IncrementalExtractorConfig op_config;
+  op_config.orientation.max_lag = effective_max_lag(capture.sample_rate());
+  op_config.enable_liveness = false;
+  core::IncrementalExtractor op;
+  op.begin(op_config, capture.channel_count(), capture.sample_rate());
+  op.push(capture);
+  (void)op.finalize_orientation();
 
   ml::FeatureVector features;
   features.reserve(dimension(capture.channel_count()));
-  for (const auto& pair : gcc.pairs) {
-    features.insert(features.end(), pair.gcc.values.begin(), pair.gcc.values.end());
+  for (std::size_t p = 0; p < op.pair_count(); ++p) {
+    const auto window = op.pair_gcc(p);
+    features.insert(features.end(), window.begin(), window.end());
   }
-  for (const auto& pair : gcc.pairs) {
-    features.push_back(static_cast<double>(pair.gcc.peak_lag()));
+  for (std::size_t p = 0; p < op.pair_count(); ++p) {
+    features.push_back(static_cast<double>(op.pair_tdoa(p)));
   }
   return features;
 }

@@ -3,9 +3,11 @@
 // DoV's classifier consumes GCC-PHAT features only (per-pair correlation
 // sequences + TDoA) — no SRP-PHAT peak structure and no speech-directivity
 // (HLBR / banded low-band) features — and uses different facing
-// definitions. HeadTalk's §II comparison claims ~+3% accuracy over this
-// approach on the same data; bench_vs_ahuja_baseline reproduces that
-// head-to-head.
+// definitions. The GCC windows are the ones HeadTalk's SRP is summed from
+// (core::IncrementalExtractor, coherence pruning included), so the
+// comparison isolates the feature sets rather than the estimators.
+// HeadTalk's §II comparison claims ~+3% accuracy over this approach on the
+// same data; bench_vs_ahuja_baseline runs that head-to-head.
 #pragma once
 
 #include <string_view>
@@ -27,6 +29,7 @@ class DovFeatureExtractor {
  public:
   explicit DovFeatureExtractor(DovFeatureConfig config = {}) : config_(config) {}
 
+  /// Features of a raw capture (band-passed and trimmed internally).
   [[nodiscard]] ml::FeatureVector extract(const audio::MultiBuffer& capture) const;
   [[nodiscard]] std::size_t dimension(std::size_t channels) const;
   [[nodiscard]] int effective_max_lag(double sample_rate) const;

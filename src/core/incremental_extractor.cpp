@@ -16,10 +16,14 @@
 namespace headtalk::core {
 namespace {
 
-// Same PHAT regularizer as gcc_phat's default; the coherence sampling
-// parameters match PairwiseGccOptions' defaults (the batch extractor only
-// ever overrode the floor).
+// Same PHAT regularizer as gcc_phat's default.
 constexpr double kPhatEpsilon = 1e-12;
+// Pair coherence is block-averaged magnitude-squared coherence
+// |Σxy*|²/(Σ|x|²Σ|y|²) over groups of kCoherenceBlock bins sampled every
+// kCoherenceStride-th bin. Single-bin coherence is identically 1, so the
+// averaging inside each group is what makes this a detector: independent
+// noise decorrelates to ~1/kCoherenceBlock while coupled channels stay
+// near 1.
 constexpr std::size_t kCoherenceStride = 4;
 constexpr std::size_t kCoherenceBlock = 64;
 
@@ -33,9 +37,9 @@ obs::Counter& pruned_counter() {
   return c;
 }
 
-// Mirrors the block count pair_coherence produces for a given bin count:
-// sampled every stride-th bin in groups of `block`, ragged tails shorter
-// than block/2 folded away.
+// Coherence groups per block spectrum of `bins` bins. A ragged tail group
+// with fewer than kCoherenceBlock/2 samples would read as spuriously
+// coherent, so it is folded away.
 std::size_t coherence_block_count(std::size_t bins) {
   std::size_t blocks = 0;
   std::size_t k = 0;
@@ -73,8 +77,8 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   finalized_ = false;
   pushed_ = 0;
 
-  // Preprocessing: the same band-pass design as core::preprocess, realized
-  // as per-channel stateful cascades so chunks filter continuously.
+  // Preprocessing: per-channel stateful band-pass cascades, so chunks
+  // filter continuously.
   const double high = std::min(config_.preprocess.high_hz, 0.45 * sample_rate);
   bandpass_.clear();
   bandpass_.reserve(channels);
@@ -96,8 +100,8 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
                    : dsp::srp_max_lag(config_.orientation.max_mic_distance_m,
                                       sample_rate, config_.orientation.speed_of_sound);
     pair_count_ = channels * (channels - 1) / 2;
-    // The per-block transform needs the linear-correlation padding and the
-    // full lag window, exactly like the batch pairwise FFT sizing.
+    // The per-block transform covers the linear-correlation padding and the
+    // full lag window (negative lags wrap to the tail).
     const auto lag = static_cast<std::size_t>(max_lag_);
     block_fft = std::max<std::size_t>(
         2, dsp::next_pow2(std::max(block_len_ + lag + 1, 2 * lag + 1)));
@@ -117,6 +121,9 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   coherence_blocks_ = orientation_on_ ? coherence_block_count(block_fft / 2 + 1) : 0;
   gcc_blocks_.clear();
   coherence_partials_.clear();
+  pair_gcc_.clear();
+  pair_pruned_.clear();
+  srp_.clear();
   cross_.fft_size = block_fft;
   cross_.bins.assign(block_fft / 2 + 1, dsp::Complex{});
 
@@ -205,10 +212,9 @@ void IncrementalExtractor::push(const audio::MultiBuffer& chunk) {
 void IncrementalExtractor::accumulate_pair_block(const dsp::HalfSpectrum& x,
                                                  const dsp::HalfSpectrum& y,
                                                  double* coherence_acc) {
-  // Partial sums of the block-averaged coherence estimate, in exactly the
-  // bin grouping of pair_coherence; finalize forms |Σxy*|²/(Σ|x|²Σ|y|²)
-  // from the per-segment sums so the estimate is Welch-averaged over the
-  // selected blocks.
+  // Partial sums of the block-averaged coherence estimate per bin group;
+  // finalize forms |Σxy*|²/(Σ|x|²Σ|y|²) from the per-segment sums so the
+  // estimate is Welch-averaged over the selected blocks.
   const std::size_t bins = std::min(x.bins.size(), y.bins.size());
   std::size_t k = 0;
   std::size_t cb = 0;
@@ -238,8 +244,8 @@ void IncrementalExtractor::accumulate_pair_block(const dsp::HalfSpectrum& x,
 void IncrementalExtractor::process_block(const dsp::RollingStftFrame& frame) {
   const std::size_t valid = frame.valid;
 
-  // Block RMS envelope across channels, as preprocess's active_span frames
-  // (the block framer's rectangular window leaves the samples untouched).
+  // Block RMS envelope across channels, for the trim (the block framer's
+  // rectangular window leaves the samples untouched).
   double acc = 0.0;
   for (std::size_t c = 0; c < channels_; ++c) {
     const auto& samples = frame.windowed[c];
@@ -361,9 +367,8 @@ void IncrementalExtractor::finalize_shared() {
 }
 
 void IncrementalExtractor::select_active_blocks() {
-  // Block-granular form of preprocess's active_span: same relative
-  // threshold, silence floor, minimum span, and padding rules — applied
-  // to the per-block envelope instead of 10 ms frames.
+  // The PreprocessConfig trim rules on the per-block envelope: relative
+  // threshold, silence floor, minimum span, and padding.
   const std::size_t blocks = envelope_.size();
   active_begin_ = 0;
   active_end_ = blocks;
@@ -401,25 +406,22 @@ ml::FeatureVector IncrementalExtractor::finalize_orientation() {
   const std::size_t window = 2 * static_cast<std::size_t>(max_lag_) + 1;
   const std::size_t count = active_end_ - active_begin_;
 
-  ml::FeatureVector features;
-
   // Mean lag window per pair over the selected blocks, then the segment
   // coherence from the summed cross/power partials. A segment with no
   // selected blocks carries no pairwise evidence: its coherence reads 0,
   // so with a floor set every pair prunes to the neutral zero window.
-  std::vector<std::vector<double>> pair_windows(pair_count_,
-                                                std::vector<double>(window, 0.0));
-  std::vector<bool> pruned(pair_count_, false);
+  pair_gcc_.assign(pair_count_ * window, 0.0);
+  pair_pruned_.assign(pair_count_, 0);
   const std::size_t coh_stride = coherence_blocks_ * 4;
   for (std::size_t p = 0; p < pair_count_; ++p) {
-    auto& values = pair_windows[p];
+    double* values = pair_gcc_.data() + p * window;
     for (std::size_t b = active_begin_; b < active_end_; ++b) {
       const double* src = gcc_blocks_.data() + (b * pair_count_ + p) * window;
       for (std::size_t k = 0; k < window; ++k) values[k] += src[k];
     }
     if (count > 0) {
       const double inv = 1.0 / static_cast<double>(count);
-      for (auto& v : values) v *= inv;
+      for (std::size_t k = 0; k < window; ++k) values[k] *= inv;
     }
     if (config_.orientation.coherence_floor > 0.0) {
       double total = 0.0;
@@ -443,35 +445,32 @@ ml::FeatureVector IncrementalExtractor::finalize_orientation() {
           count == 0 ? 0.0
                      : (cblocks > 0 ? total / static_cast<double>(cblocks) : 1.0);
       if (coherence < config_.orientation.coherence_floor) {
-        pruned[p] = true;
-        std::fill(values.begin(), values.end(), 0.0);
+        pair_pruned_[p] = 1;
+        std::fill(values, values + window, 0.0);
         pruned_counter().increment();
       }
     }
   }
 
-  std::vector<double> srp(window, 0.0);
+  srp_.assign(window, 0.0);
   const auto& accumulate = dsp::simd::kernels().accumulate;
   for (std::size_t p = 0; p < pair_count_; ++p) {
-    if (pruned[p]) continue;
-    accumulate(srp.data(), pair_windows[p].data(), window);
+    if (pair_pruned_[p]) continue;
+    accumulate(srp_.data(), pair_gcc_.data() + p * window, window);
   }
 
-  const auto peaks = dsp::top_peaks(srp, config_.orientation.srp_peaks);
+  ml::FeatureVector features;
+  const auto peaks = dsp::top_peaks(srp_, config_.orientation.srp_peaks);
   features.insert(features.end(), peaks.begin(), peaks.end());
-  const auto srp_stats = dsp::summary_statistics(srp);
+  const auto srp_stats = dsp::summary_statistics(srp_);
   features.insert(features.end(), srp_stats.begin(), srp_stats.end());
 
-  for (const auto& values : pair_windows) {
-    features.insert(features.end(), values.begin(), values.end());
+  features.insert(features.end(), pair_gcc_.begin(), pair_gcc_.end());
+  for (std::size_t p = 0; p < pair_count_; ++p) {
+    features.push_back(static_cast<double>(pair_tdoa(p)));
   }
   for (std::size_t p = 0; p < pair_count_; ++p) {
-    features.push_back(pruned[p] ? 0.0
-                                 : static_cast<double>(
-                                       window_peak_lag(pair_windows[p], max_lag_)));
-  }
-  for (const auto& values : pair_windows) {
-    const auto stats = dsp::summary_statistics(values);
+    const auto stats = dsp::summary_statistics(pair_gcc(p));
     features.insert(features.end(), stats.begin(), stats.end());
   }
 
@@ -503,6 +502,22 @@ ml::FeatureVector IncrementalExtractor::finalize_orientation() {
   features.insert(features.end(), banded.begin(), banded.end());
 
   return features;
+}
+
+std::span<const double> IncrementalExtractor::pair_gcc(std::size_t pair) const {
+  const std::size_t window = 2 * static_cast<std::size_t>(max_lag_) + 1;
+  if ((pair + 1) * window > pair_gcc_.size()) {
+    throw std::out_of_range("IncrementalExtractor: no finalized GCC window for pair");
+  }
+  return std::span<const double>(pair_gcc_).subspan(pair * window, window);
+}
+
+bool IncrementalExtractor::pair_pruned(std::size_t pair) const {
+  return pair_pruned_.at(pair) != 0;
+}
+
+int IncrementalExtractor::pair_tdoa(std::size_t pair) const {
+  return pair_pruned(pair) ? 0 : window_peak_lag(pair_gcc(pair), max_lag_);
 }
 
 ml::FeatureVector IncrementalExtractor::finalize_liveness() {

@@ -1,10 +1,9 @@
-// Frame-incremental feature extraction: the streaming form of the
-// preprocess + orientation + liveness feature chain.
+// Frame-incremental feature extraction: the one implementation of the
+// preprocessing + orientation + liveness feature chain (Fig. 2).
 //
-// The batch extractors see a finished segment and recompute everything
-// from scratch — O(segment) work after the endpointer closes. This
-// operator instead consumes audio in arbitrary chunks as it arrives and
-// folds each hop-aligned analysis block into running accumulators:
+// The operator consumes raw audio in arbitrary chunks as it arrives and
+// folds each hop-aligned analysis block into running accumulators, so
+// finalizing a segment costs almost nothing once its audio is in:
 //
 //   * band-pass biquad state carried per channel (the Fig. 2 preprocessing
 //     filter, applied sample-by-sample);
@@ -17,11 +16,11 @@
 //     Σx/Σx² for the liveness normalization.
 //
 // Silence trimming happens lazily: every block also records its RMS
-// envelope, and finalize selects the active block span with the same
-// threshold rules as core::preprocess (at block rather than 10 ms
-// granularity). Pre-roll blocks may therefore be accumulated before the
-// utterance is confirmed and post-roll blocks after it ends — the trim
-// keeps the decision independent of how generously the endpointer fed.
+// envelope, and finalize selects the active block span (see
+// PreprocessConfig for the rules). Pre-roll blocks may therefore be
+// accumulated before the utterance is confirmed and post-roll blocks
+// after it ends — the trim keeps the decision independent of how
+// generously the endpointer fed.
 //
 // The block sequence — and hence every finalized feature — is invariant
 // to push() chunking: state transitions depend only on cumulative sample
@@ -33,18 +32,43 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "audio/sample_buffer.h"
 #include "core/liveness_features.h"
 #include "core/orientation_features.h"
-#include "core/preprocess.h"
 #include "dsp/biquad.h"
 #include "dsp/fft.h"
 #include "dsp/rolling_stft.h"
 #include "ml/dataset.h"
 
 namespace headtalk::core {
+
+/// The "Preprocessing" block of Fig. 2: a Butterworth band-pass keeping
+/// 100 Hz – 16 kHz, plus energy-based trimming of leading/trailing
+/// silence on the per-block RMS envelope shared by all channels (one span
+/// for every channel, so inter-channel delays are preserved).
+struct PreprocessConfig {
+  int filter_order = 5;
+  double low_hz = 100.0;
+  /// Clamped to 0.45 × the sample rate, so low-rate captures stay valid.
+  double high_hz = 16000.0;
+  /// Trim threshold relative to the segment's loudest block (dB); <= -120
+  /// disables trimming.
+  double trim_threshold_db = -35.0;
+  /// Padding kept around the detected utterance (rounded up to blocks).
+  double trim_pad_ms = 40.0;
+  /// Absolute silence floor (dBFS, block RMS). When the loudest block sits
+  /// below it the segment holds no utterance, and the relative threshold
+  /// would otherwise latch onto noise wiggle — every block is kept.
+  double silence_floor_db = -65.0;
+  /// Shortest detected span (ms, before padding) worth trimming to; a
+  /// narrower one is a noise blip, not speech — even the shortest wake
+  /// word syllable outlasts it — so no trimming happens.
+  double min_active_ms = 60.0;
+};
 
 struct IncrementalExtractorConfig {
   PreprocessConfig preprocess{};
@@ -94,6 +118,31 @@ class IncrementalExtractor {
   [[nodiscard]] const IncrementalExtractorConfig& config() const noexcept {
     return config_;
   }
+  /// Samples per analysis block.
+  [[nodiscard]] std::size_t block_length() const noexcept { return block_len_; }
+  /// The blocks the silence trim kept, [begin, end); valid after either
+  /// finalize. Block b covers samples [b, b + 1) × block_length().
+  [[nodiscard]] std::pair<std::size_t, std::size_t> active_blocks() const noexcept {
+    return {active_begin_, active_end_};
+  }
+
+  // Correlation results of the last finalize_orientation(), cleared by
+  // begin(); a returned span is valid until the next begin() or
+  // finalize_orientation(). Pairs are ordered (0,1), (0,2), …, (n-2,n-1);
+  // every window spans lags -max_lag()..+max_lag().
+  [[nodiscard]] int max_lag() const noexcept { return max_lag_; }
+  [[nodiscard]] std::size_t pair_count() const noexcept { return pair_count_; }
+  /// Mean GCC-PHAT window of a pair over the active blocks; all zeros when
+  /// the pair fell below the coherence floor. Throws std::out_of_range
+  /// for a bad index or before finalize_orientation().
+  [[nodiscard]] std::span<const double> pair_gcc(std::size_t pair) const;
+  [[nodiscard]] bool pair_pruned(std::size_t pair) const;
+  /// The pair's TDoA in samples (lag of the window's first maximum); 0 for
+  /// a pruned pair.
+  [[nodiscard]] int pair_tdoa(std::size_t pair) const;
+  /// Weighted SRP-PHAT sequence (Eq. 6): the sum of the unpruned pair
+  /// windows.
+  [[nodiscard]] std::span<const double> srp() const noexcept { return srp_; }
 
  private:
   enum class LivenessPath { kOff, kPassthrough, kDecimate, kBuffered };
@@ -131,9 +180,12 @@ class IncrementalExtractor {
   bool orientation_on_ = false;
   int max_lag_ = 0;
   std::size_t pair_count_ = 0;
-  std::size_t coherence_blocks_ = 0;  ///< sampled-bin blocks per pair_coherence pass
+  std::size_t coherence_blocks_ = 0;  ///< sampled-bin groups per block spectrum
   std::vector<double> gcc_blocks_;    ///< [block][pair][2*max_lag+1]
   std::vector<double> coherence_partials_;  ///< [block][pair][cblock][cr,ci,px,py]
+  std::vector<double> pair_gcc_;      ///< finalized [pair][2*max_lag+1]
+  std::vector<char> pair_pruned_;     ///< finalized, per pair
+  std::vector<double> srp_;           ///< finalized [2*max_lag+1]
   dsp::HalfSpectrum cross_;
   std::vector<double> lag_window_;
   dsp::FftScratch fft_scratch_;

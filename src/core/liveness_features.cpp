@@ -7,17 +7,10 @@ namespace headtalk::core {
 
 ml::FeatureVector LivenessFeatureExtractor::extract(const audio::Buffer& channel,
                                                     ScoringWorkspace* workspace) const {
-  return extract(channel, PreprocessConfig{}, workspace);
-}
-
-ml::FeatureVector LivenessFeatureExtractor::extract(const audio::Buffer& channel,
-                                                    const PreprocessConfig& preprocess,
-                                                    ScoringWorkspace* workspace) const {
   // One definition for batch and streamed extraction: the whole channel
   // goes through the incremental operator in a single push (chunk
   // invariance makes this bit-identical to frame-by-frame streaming).
   IncrementalExtractorConfig op_config;
-  op_config.preprocess = preprocess;
   op_config.liveness = config_;
   op_config.enable_orientation = false;
   IncrementalExtractor local;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "audio/sample_buffer.h"
-#include "core/preprocess.h"
 #include "ml/dataset.h"
 
 namespace headtalk::core {
@@ -31,19 +30,13 @@ class LivenessFeatureExtractor {
   explicit LivenessFeatureExtractor(LivenessFeatureConfig config = {})
       : config_(config) {}
 
-  /// Extracts features from one channel of a capture (any sample rate; the
-  /// channel is band-passed, silence-trimmed with a default
+  /// Extracts features from one raw channel of a capture (any sample rate;
+  /// the channel is band-passed, silence-trimmed with a default
   /// PreprocessConfig, and resampled internally by the incremental
   /// operator this call delegates to — identical to streaming the channel
   /// frame by frame). `workspace` (optional) supplies reusable scratch;
   /// it never changes the result.
   [[nodiscard]] ml::FeatureVector extract(const audio::Buffer& channel,
-                                          ScoringWorkspace* workspace = nullptr) const;
-
-  /// extract() with explicit preprocessing parameters, so trainers and the
-  /// pipeline share one preprocessing definition with streamed scoring.
-  [[nodiscard]] ml::FeatureVector extract(const audio::Buffer& channel,
-                                          const PreprocessConfig& preprocess,
                                           ScoringWorkspace* workspace = nullptr) const;
 
   [[nodiscard]] std::size_t dimension() const noexcept {

@@ -29,12 +29,6 @@ std::size_t OrientationFeatureExtractor::dimension(std::size_t channels) const {
 
 ml::FeatureVector OrientationFeatureExtractor::extract(
     const audio::MultiBuffer& capture, ScoringWorkspace* workspace) const {
-  return extract(capture, PreprocessConfig{}, workspace);
-}
-
-ml::FeatureVector OrientationFeatureExtractor::extract(
-    const audio::MultiBuffer& capture, const PreprocessConfig& preprocess,
-    ScoringWorkspace* workspace) const {
   if (capture.channel_count() < 2) {
     throw std::invalid_argument("OrientationFeatureExtractor: need >= 2 channels");
   }
@@ -42,7 +36,6 @@ ml::FeatureVector OrientationFeatureExtractor::extract(
   // capture through the incremental operator in a single push. Chunk
   // invariance makes this bit-identical to frame-by-frame streaming.
   IncrementalExtractorConfig op_config;
-  op_config.preprocess = preprocess;
   op_config.orientation = config_;
   op_config.enable_liveness = false;
   IncrementalExtractor local;

@@ -1,6 +1,7 @@
 // Orientation feature extraction (§III-B3).
 //
-// From a preprocessed multichannel capture:
+// From a raw multichannel capture (band-passed and trimmed by the
+// incremental operator):
 //   Speech reverberation features —
 //     * weighted SRP-PHAT over the array's physical lag window: the top-3
 //       peak values (Fig. 6b shows 3-4 reverberation peaks) and the five
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "audio/sample_buffer.h"
-#include "core/preprocess.h"
 #include "ml/dataset.h"
 
 namespace headtalk::core {
@@ -51,8 +51,8 @@ class OrientationFeatureExtractor {
   explicit OrientationFeatureExtractor(OrientationFeatureConfig config = {})
       : config_(config) {}
 
-  /// Extracts the feature vector from a capture. The capture is band-passed
-  /// and silence-trimmed internally (default PreprocessConfig) by the
+  /// Extracts the feature vector from a raw capture. The capture is
+  /// band-passed and silence-trimmed (default PreprocessConfig) by the
   /// incremental operator this call delegates to, so the result is
   /// identical to streaming the same capture frame by frame. The feature
   /// length depends only on the channel count and lag window, so captures
@@ -62,13 +62,6 @@ class OrientationFeatureExtractor {
   /// makes repeated extractions allocation-free after warm-up and never
   /// changes the result — features are bit-identical with or without it.
   [[nodiscard]] ml::FeatureVector extract(const audio::MultiBuffer& capture,
-                                          ScoringWorkspace* workspace = nullptr) const;
-
-  /// extract() with explicit preprocessing parameters (filter band and
-  /// trim rules) — what the pipeline and trainers use so batch and
-  /// streamed scoring share one preprocessing definition.
-  [[nodiscard]] ml::FeatureVector extract(const audio::MultiBuffer& capture,
-                                          const PreprocessConfig& preprocess,
                                           ScoringWorkspace* workspace = nullptr) const;
 
   /// Feature dimension for a given channel count.

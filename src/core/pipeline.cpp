@@ -129,7 +129,6 @@ HeadTalkPipeline::HeadTalkPipeline(OrientationClassifier orientation,
   if (!orientation_.trained() || !liveness_.trained()) {
     throw std::invalid_argument("HeadTalkPipeline: both detectors must be trained");
   }
-  incremental_config_.preprocess = config_.preprocess;
   incremental_config_.orientation = config_.orientation_features;
   incremental_config_.liveness = config_.liveness_features;
 }

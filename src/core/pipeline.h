@@ -20,7 +20,6 @@
 #include "core/liveness_features.h"
 #include "core/orientation_classifier.h"
 #include "core/orientation_features.h"
-#include "core/preprocess.h"
 
 namespace headtalk::obs {
 class Histogram;
@@ -57,7 +56,6 @@ struct PipelineResult {
 };
 
 struct PipelineConfig {
-  PreprocessConfig preprocess{};
   OrientationFeatureConfig orientation_features{};
   LivenessFeatureConfig liveness_features{};
 };

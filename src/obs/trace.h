@@ -1,7 +1,7 @@
 // Scoped-span tracing with Chrome trace-event export.
 //
 //   obs::set_tracing_enabled(true);            // or --trace-out on the tools
-//   { obs::ScopedSpan span("pipeline.preprocess"); ... }
+//   { obs::ScopedSpan span("pipeline.incremental_accumulate"); ... }
 //   obs::Tracer::global().write_chrome_trace_file("trace.json");
 //
 // The file loads in chrome://tracing and in Perfetto (ui.perfetto.dev) as

@@ -231,10 +231,9 @@ ml::FeatureVector Collector::orientation_features(
   const auto key = cache_key(spec, "orient2");
   if (auto hit = cache_.load(key)) return *hit;
   const auto raw = capture(spec);
-  // The extractor preprocesses internally (same config), so training
-  // features share one definition with streamed scoring.
-  const auto features =
-      orientation_extractor(spec).extract(raw, config_.preprocess, workspace);
+  // The extractor band-passes and trims internally, so training features
+  // share one definition with streamed scoring.
+  const auto features = orientation_extractor(spec).extract(raw, workspace);
   cache_.store(key, features);
   return features;
 }
@@ -246,7 +245,7 @@ ml::FeatureVector Collector::liveness_features(const SampleSpec& spec,
   if (auto hit = cache_.load(key)) return *hit;
   const auto raw = capture(spec);
   const auto features = core::LivenessFeatureExtractor(config_.liveness)
-                            .extract(raw.channel(0), config_.preprocess, workspace);
+                            .extract(raw.channel(0), workspace);
   cache_.store(key, features);
   return features;
 }

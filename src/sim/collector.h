@@ -17,7 +17,6 @@
 #include "audio/sample_buffer.h"
 #include "core/liveness_features.h"
 #include "core/orientation_features.h"
-#include "core/preprocess.h"
 #include "ml/dataset.h"
 #include "room/scene.h"
 #include "speech/speaker_profile.h"
@@ -48,7 +47,6 @@ struct CollectorConfig {
   /// On-disk cache size cap in bytes; 0 defers to $HEADTALK_CACHE_LIMIT_MB
   /// (unset → unlimited). See FeatureCache::default_limit_bytes().
   std::uint64_t cache_limit_bytes = 0;
-  core::PreprocessConfig preprocess{};
   core::LivenessFeatureConfig liveness{};
 };
 
@@ -73,7 +71,7 @@ class Collector {
   [[nodiscard]] audio::MultiBuffer capture(const SampleSpec& spec,
                                            const CaptureOptions& options) const;
 
-  /// Orientation feature vector (preprocess + extract; disk-cached).
+  /// Orientation feature vector (band-pass + trim + extract; disk-cached).
   /// `workspace` (optional) supplies per-thread scoring scratch for the
   /// cache-miss path — the parallel collection engine passes one per lane;
   /// features are bit-identical with or without it.

@@ -5,7 +5,6 @@
 
 #include "core/liveness_features.h"
 #include "core/orientation_features.h"
-#include "core/preprocess.h"
 
 namespace headtalk::tenant {
 namespace {
@@ -114,16 +113,17 @@ SpeakerProfile enroll_profile(const core::PipelineConfig& pipeline_config,
     if (capture.channel_count() != channels) {
       throw EnrollmentError("enrollment: channel count varies across captures");
     }
-    // The extractors preprocess internally with the pipeline's config, so
-    // enrolled profiles match what streamed scoring computes at match time.
+    // The extractors band-pass and trim internally with the operator's
+    // config, so enrolled profiles match what streamed scoring computes at
+    // match time.
     core::FeatureCapture extracted;
     extracted.liveness =
-        liveness_extractor.extract(capture.channel(0), pipeline_config.preprocess);
+        liveness_extractor.extract(capture.channel(0));
     // Orientation needs inter-channel structure; a single-channel capture
     // enrolls on liveness features alone.
     if (channels > 1) {
       extracted.orientation =
-          orientation_extractor.extract(capture, pipeline_config.preprocess);
+          orientation_extractor.extract(capture);
     }
     features.push_back(std::move(extracted));
   }

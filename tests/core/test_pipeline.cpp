@@ -55,23 +55,22 @@ struct PipelineFixture : ::testing::Test {
     ml::Dataset orientation_data;
     ml::Dataset liveness_data;
     unsigned seed = 100;
-    // The extractors preprocess internally with the pipeline's config, so
-    // the training features equal what score_capture computes on the raw
-    // renders.
+    // The extractors band-pass and trim internally, so the training
+    // features equal what score_capture computes on the raw renders.
     for (int rep = 0; rep < 4; ++rep) {
       for (double angle : {0.0, 20.0, -20.0}) {
         const auto cap = render(angle, false, seed++);
-        orientation_data.add(ofe.extract(cap, config.preprocess), kLabelFacing);
-        liveness_data.add(lfe.extract(cap.channel(0), config.preprocess), kLabelLive);
+        orientation_data.add(ofe.extract(cap), kLabelFacing);
+        liveness_data.add(lfe.extract(cap.channel(0)), kLabelLive);
       }
       for (double angle : {120.0, -120.0, 180.0}) {
         const auto cap = render(angle, false, seed++);
-        orientation_data.add(ofe.extract(cap, config.preprocess), kLabelNonFacing);
-        liveness_data.add(lfe.extract(cap.channel(0), config.preprocess), kLabelLive);
+        orientation_data.add(ofe.extract(cap), kLabelNonFacing);
+        liveness_data.add(lfe.extract(cap.channel(0)), kLabelLive);
       }
       for (double angle : {0.0, 90.0}) {
         const auto cap = render(angle, true, seed++);
-        liveness_data.add(lfe.extract(cap.channel(0), config.preprocess), kLabelReplay);
+        liveness_data.add(lfe.extract(cap.channel(0)), kLabelReplay);
       }
     }
     OrientationClassifier orientation;

@@ -9,15 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <vector>
 
+#include "core/incremental_extractor.h"
 #include "dsp/correlation.h"
 #include "dsp/fft.h"
 #include "dsp/fractional_delay.h"
 #include "dsp/simd/dispatch.h"
-#include "dsp/srp.h"
 
 namespace headtalk::dsp {
 namespace {
@@ -188,15 +189,43 @@ TEST(SimdEquivalence, GccPhatValuesAndPeakLagAcrossLevels) {
 }
 
 TEST(SimdEquivalence, DenseSrpAcrossLevels) {
+  // The operator's finalized SRP and per-pair GCC windows: block spectra,
+  // PHAT cross spectra, pruned inverse transforms and the SRP sum all run
+  // through the dispatched kernels.
   const auto capture = delayed_capture(4, 2048, 15);
+  core::IncrementalExtractorConfig config;
+  config.orientation.max_lag = 13;
+  config.enable_liveness = false;
+  struct Result {
+    std::vector<double> srp;
+    std::vector<std::vector<double>> pairs;
+  };
+  auto run = [&] {
+    core::IncrementalExtractor op;
+    op.begin(config, capture.channel_count(), capture.sample_rate());
+    op.push(capture);
+    (void)op.finalize_orientation();
+    Result r{{op.srp().begin(), op.srp().end()}, {}};
+    for (std::size_t p = 0; p < op.pair_count(); ++p) {
+      r.pairs.emplace_back(op.pair_gcc(p).begin(), op.pair_gcc(p).end());
+    }
+    return r;
+  };
+  auto peak = [](const std::vector<double>& v) {
+    return std::distance(v.begin(), std::max_element(v.begin(), v.end()));
+  };
   ScopedLevel scalar(simd::Level::kScalar);
-  const CorrelationSequence reference = srp_phat(capture, 13);
+  const Result reference = run();
+  ASSERT_EQ(reference.pairs.size(), 6u);
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
-    const CorrelationSequence srp = srp_phat(capture, 13);
-    EXPECT_EQ(srp.peak_lag(), reference.peak_lag())
-        << "at level " << simd::level_name(level);
-    expect_close(srp.values, reference.values, "srp_phat", level);
+    const Result got = run();
+    EXPECT_EQ(peak(got.srp), peak(reference.srp)) << "at level " << simd::level_name(level);
+    expect_close(got.srp, reference.srp, "srp", level);
+    ASSERT_EQ(got.pairs.size(), reference.pairs.size());
+    for (std::size_t p = 0; p < got.pairs.size(); ++p) {
+      expect_close(got.pairs[p], reference.pairs[p], "pair gcc", level);
+    }
   }
 }
 

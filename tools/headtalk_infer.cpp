@@ -20,7 +20,6 @@
 #include "core/orientation_classifier.h"
 #include "core/orientation_features.h"
 #include "core/pipeline.h"
-#include "core/preprocess.h"
 #include "core/scoring_workspace.h"
 #include "ml/serialize.h"
 #include "obs/metrics.h"
@@ -178,8 +177,7 @@ int main(int argc, char** argv) {
       // matching the pipeline's streamed scoring definition exactly.
       const auto live_features = [&] {
         obs::ScopedSpan span("pipeline.liveness_features");
-        return liveness_features.extract(raw.channel(0), core::PreprocessConfig{},
-                                         &workspace);
+        return liveness_features.extract(raw.channel(0), &workspace);
       }();
       const double live_score = [&] {
         obs::ScopedSpan span("pipeline.liveness_score");
@@ -189,7 +187,7 @@ int main(int argc, char** argv) {
 
       const auto features = [&] {
         obs::ScopedSpan span("pipeline.orientation_features");
-        return extractor.extract(raw, core::PreprocessConfig{}, &workspace);
+        return extractor.extract(raw, &workspace);
       }();
       double orient_score = 0.0;
       bool facing = false;

@@ -28,7 +28,6 @@
 #include "core/orientation_classifier.h"
 #include "core/orientation_features.h"
 #include "core/pipeline.h"
-#include "core/preprocess.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tenant/enrollment.h"
@@ -184,7 +183,7 @@ int main(int argc, char** argv) {
       // one the pipeline scores with), keeping the training definition
       // identical to streamed inference.
       auto& out = extracted[i];
-      out.liveness = liveness_features.extract(raw.channel(0), core::PreprocessConfig{});
+      out.liveness = liveness_features.extract(raw.channel(0));
       out.liveness_label = entry.source == sim::ReplaySource::kNone ? core::kLabelLive
                                                                     : core::kLabelReplay;
       if (entry.source == sim::ReplaySource::kNone) {
@@ -194,11 +193,11 @@ int main(int argc, char** argv) {
         const core::OrientationFeatureExtractor extractor(config);
         switch (core::training_arc(core::FacingDefinition::kDefinition4, entry.angle_deg)) {
           case core::TrainingArc::kFacing:
-            out.orientation = extractor.extract(raw, core::PreprocessConfig{});
+            out.orientation = extractor.extract(raw);
             out.orientation_label = core::kLabelFacing;
             break;
           case core::TrainingArc::kNonFacing:
-            out.orientation = extractor.extract(raw, core::PreprocessConfig{});
+            out.orientation = extractor.extract(raw);
             out.orientation_label = core::kLabelNonFacing;
             break;
           case core::TrainingArc::kExcluded:
