@@ -30,6 +30,7 @@
 #include "core/orientation_features.h"
 #include "core/pipeline.h"
 #include "core/scoring_workspace.h"
+#include "dsp/biquad.h"
 #include "dsp/fft_plan.h"
 #include "dsp/simd/dispatch.h"
 #include "sim/collector.h"
@@ -134,6 +135,42 @@ void BM_FullHeadTalkDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullHeadTalkDecision)->Unit(benchmark::kMillisecond);
+
+void BM_Bandpass(benchmark::State& state) {
+  // The Fig. 2 band-pass over the whole capture: through the operator's
+  // MultichannelBiquadCascade (lanes:1, one dispatched biquad_cascade call
+  // for every channel at the active level) and as one BiquadCascade per
+  // channel (lanes:0), the layout it replaced.
+  const audio::MultiBuffer& x = capture();
+  const core::PreprocessConfig pre;
+  const dsp::BiquadCascade design = dsp::butterworth_bandpass(
+      pre.filter_order, pre.low_hz, std::min(pre.high_hz, 0.45 * x.sample_rate()),
+      x.sample_rate());
+  std::vector<audio::Sample> out;
+  if (state.range(0) == 0) {
+    std::vector<dsp::BiquadCascade> cascades(x.channel_count(), design);
+    for (auto _ : state) {
+      for (std::size_t c = 0; c < x.channel_count(); ++c) {
+        const auto samples = x.channel(c).samples();
+        out.assign(samples.begin(), samples.end());
+        cascades[c].process(out);
+        benchmark::DoNotOptimize(out.data());
+      }
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel("per-channel BiquadCascade");
+  } else {
+    dsp::MultichannelBiquadCascade lanes;
+    lanes.reset(design, x.channel_count());
+    for (auto _ : state) {
+      lanes.process(x, 0, x.frames(), out);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string("simd biquad_cascade, ") + dsp::simd::kernels().name);
+  }
+}
+BENCHMARK(BM_Bandpass)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 int env_int(const char* name, int fallback) {
   const char* value = std::getenv(name);

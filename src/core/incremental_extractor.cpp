@@ -77,16 +77,13 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   finalized_ = false;
   pushed_ = 0;
 
-  // Preprocessing: per-channel stateful band-pass cascades, so chunks
-  // filter continuously.
+  // Preprocessing: one band-pass design, a delay line per channel carried
+  // across chunks so they filter continuously.
   const double high = std::min(config_.preprocess.high_hz, 0.45 * sample_rate);
-  bandpass_.clear();
-  bandpass_.reserve(channels);
-  for (std::size_t c = 0; c < channels; ++c) {
-    bandpass_.push_back(dsp::butterworth_bandpass(config_.preprocess.filter_order,
-                                                  config_.preprocess.low_hz, high,
-                                                  sample_rate));
-  }
+  bandpass_.reset(dsp::butterworth_bandpass(config_.preprocess.filter_order,
+                                            config_.preprocess.low_hz, high,
+                                            sample_rate),
+                  channels);
   block_len_ = static_cast<std::size_t>(
       std::max(1.0, config_.block_ms * sample_rate / 1000.0));
 
@@ -198,13 +195,17 @@ void IncrementalExtractor::push(const audio::MultiBuffer& chunk) {
   if (chunk.sample_rate() != sample_rate_) {
     throw std::invalid_argument("IncrementalExtractor: sample rate mismatch");
   }
-  for (std::size_t c = 0; c < channels_; ++c) {
-    const auto samples = chunk.channel(c).samples();
-    filter_scratch_.assign(samples.begin(), samples.end());
-    bandpass_[c].process(filter_scratch_);
-    blocks_.push(c, filter_scratch_);
+  // One band-pass kernel call per analysis block of the chunk keeps the
+  // scratch at channels × block_length() samples however long the chunk.
+  const std::size_t frames = chunk.frames();
+  for (std::size_t first = 0; first < frames; first += block_len_) {
+    const std::size_t take = std::min(block_len_, frames - first);
+    bandpass_.process(chunk, first, take, filter_scratch_);
+    for (std::size_t c = 0; c < channels_; ++c) {
+      blocks_.push(c, {filter_scratch_.data() + c * take, take});
+    }
   }
-  pushed_ += chunk.frames();
+  pushed_ += frames;
   dsp::RollingStftFrame frame;
   while (blocks_.pop(frame)) process_block(frame);
 }
@@ -323,19 +324,18 @@ void IncrementalExtractor::feed_liveness(std::span<const audio::Sample> samples)
     case LivenessPath::kDecimate: {
       // Streaming form of the batch fast path: stateful anti-alias cascade
       // followed by phase-0 sample keeping (out[m] = filtered[m*step]).
-      std::vector<audio::Sample> emitted;
-      emitted.reserve(samples.size() / decimate_step_ + 1);
+      live_emitted_.clear();
       for (const double x : samples) {
         const double y = antialias_.process(x);
         if (decimate_phase_ == 0) {
-          emitted.push_back(y);
+          live_emitted_.push_back(y);
           live_sum_ += y;
           live_sum_sq_ += y * y;
         }
         decimate_phase_ = (decimate_phase_ + 1) % decimate_step_;
       }
-      live_count_ += emitted.size();
-      live_stft_.push(0, emitted);
+      live_count_ += live_emitted_.size();
+      live_stft_.push(0, live_emitted_);
       break;
     }
   }

@@ -6,7 +6,7 @@
 // finalizing a segment costs almost nothing once its audio is in:
 //
 //   * band-pass biquad state carried per channel (the Fig. 2 preprocessing
-//     filter, applied sample-by-sample);
+//     filter, run over all channels at once in SIMD lanes);
 //   * per-block GCC-PHAT lag windows and cross-spectral coherence partial
 //     sums for every microphone pair (SRP and the pair features are means
 //     over the selected blocks at finalize);
@@ -165,9 +165,10 @@ class IncrementalExtractor {
   bool open_ = false;
   bool finalized_ = false;
 
-  // Preprocessing: per-channel band-pass state and the block framer.
-  std::vector<dsp::BiquadCascade> bandpass_;
-  std::vector<audio::Sample> filter_scratch_;
+  // Preprocessing: the band-pass (one design, per-channel delay lines)
+  // and the block framer.
+  dsp::MultichannelBiquadCascade bandpass_;
+  std::vector<audio::Sample> filter_scratch_;  ///< [channel][frame], <= one block
   dsp::RollingStft blocks_;
   std::size_t block_len_ = 0;
   std::size_t pushed_ = 0;
@@ -211,6 +212,7 @@ class IncrementalExtractor {
   std::vector<std::size_t> resampled_upto_;  ///< cumulative live_count_ per block
   std::vector<double> live_cum_sum_, live_cum_sum_sq_;  ///< cumulative per block
   std::vector<audio::Sample> live_raw_;  ///< kBuffered: filtered channel 0
+  std::vector<audio::Sample> live_emitted_;  ///< kDecimate: one block's output
   dsp::HalfSpectrum live_window_spectrum_;  ///< FFT of the full analysis window
 };
 

@@ -5,6 +5,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "dsp/simd/dispatch.h"
+
 namespace headtalk::dsp {
 
 audio::Sample Biquad::process(audio::Sample x) noexcept {
@@ -43,6 +45,36 @@ double BiquadCascade::magnitude_response(double w) const {
     h *= num / den;
   }
   return std::abs(h);
+}
+
+void MultichannelBiquadCascade::reset(const BiquadCascade& design,
+                                      std::size_t channels) {
+  coeffs_.clear();
+  for (const Biquad& s : design.sections()) {
+    coeffs_.insert(coeffs_.end(), {s.b0, s.b1, s.b2, s.a1, s.a2});
+  }
+  state_.assign(2 * design.section_count() * channels, 0.0);
+  in_.assign(channels, nullptr);
+  out_.assign(channels, nullptr);
+}
+
+void MultichannelBiquadCascade::process(const audio::MultiBuffer& chunk,
+                                        std::size_t first, std::size_t frames,
+                                        std::vector<audio::Sample>& out) {
+  const std::size_t channels = in_.size();
+  if (chunk.channel_count() != channels) {
+    throw std::invalid_argument("MultichannelBiquadCascade: channel count mismatch");
+  }
+  if (first > chunk.frames() || frames > chunk.frames() - first) {
+    throw std::invalid_argument("MultichannelBiquadCascade: range past the chunk");
+  }
+  out.resize(channels * frames);
+  for (std::size_t c = 0; c < channels; ++c) {
+    in_[c] = chunk.channel(c).samples().data() + first;
+    out_[c] = out.data() + c * frames;
+  }
+  simd::kernels().biquad_cascade(coeffs_.data(), coeffs_.size() / 5, state_.data(),
+                                 channels, in_.data(), out_.data(), frames);
 }
 
 namespace {

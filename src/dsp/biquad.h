@@ -28,6 +28,10 @@ struct Biquad {
   /// Clears the delay line.
   void reset() noexcept { z1_ = z2_ = 0.0; }
 
+  /// Delay-line contents after the last process() call.
+  [[nodiscard]] double z1() const noexcept { return z1_; }
+  [[nodiscard]] double z2() const noexcept { return z2_; }
+
  private:
   double z1_ = 0.0, z2_ = 0.0;
 };
@@ -39,6 +43,7 @@ class BiquadCascade {
   explicit BiquadCascade(std::vector<Biquad> sections) : sections_(std::move(sections)) {}
 
   [[nodiscard]] std::size_t section_count() const noexcept { return sections_.size(); }
+  [[nodiscard]] std::span<const Biquad> sections() const noexcept { return sections_; }
 
   [[nodiscard]] audio::Sample process(audio::Sample x) noexcept;
   void reset() noexcept;
@@ -54,6 +59,32 @@ class BiquadCascade {
 
  private:
   std::vector<Biquad> sections_;
+};
+
+/// One cascade design run over every channel of a capture at once. The
+/// channels share one coefficient table and each carries its own delay
+/// lines; process() is one call of the dispatched
+/// simd::Kernels::biquad_cascade, which packs channels into vector lanes.
+/// At every SIMD level each channel's output equals what its own copy of
+/// the design's BiquadCascade::process would produce, bit for bit.
+class MultichannelBiquadCascade {
+ public:
+  /// Takes `design`'s coefficients and zeroes `channels` delay lines.
+  void reset(const BiquadCascade& design, std::size_t channels);
+
+  /// Filters frames [first, first + frames) of every channel of `chunk`,
+  /// continuing the previous call's signal. `out` becomes channels ×
+  /// frames samples, channel c at [c × frames, (c + 1) × frames); its
+  /// capacity is reused. Throws std::invalid_argument on a channel-count
+  /// mismatch or a range past the chunk's end.
+  void process(const audio::MultiBuffer& chunk, std::size_t first, std::size_t frames,
+               std::vector<audio::Sample>& out);
+
+ private:
+  std::vector<double> coeffs_;  ///< [section][b0, b1, b2, a1, a2]
+  std::vector<double> state_;   ///< [section][z1, z2][channel]
+  std::vector<const audio::Sample*> in_;  ///< per-channel pointers of one call
+  std::vector<audio::Sample*> out_;
 };
 
 /// Butterworth low-pass of the given order (>=1) with cut-off `cutoff_hz`.

@@ -14,10 +14,13 @@
 //   unset / auto               best supported level
 //
 // Numerical contract: all levels agree bit-for-bit on element-wise kernels
-// (accumulate, scale) and to <= 1e-9 relative on reduction/transform
-// kernels (FMA contraction and vector-lane summation reorder the
-// roundings). The equivalence suite (tests/dsp/test_simd.cpp, ctest label
-// `simd-equivalence`) enforces this on every level the host supports.
+// (accumulate, scale) and on the biquad cascade (its lanes are channels,
+// and every level is built without FMA contraction, so each lane equals
+// dsp::BiquadCascade::process exactly), and to <= 1e-9 relative on
+// reduction/transform kernels (FMA contraction and vector-lane summation
+// reorder the roundings). The equivalence suite (tests/dsp/test_simd.cpp,
+// ctest label `simd-equivalence`) enforces this on every level the host
+// supports.
 #pragma once
 
 #include "dsp/simd/kernels.h"

@@ -1,11 +1,13 @@
 // Kernel table shared by every SIMD dispatch level.
 //
-// All kernels operate on interleaved complex data (`double*` viewing a
-// `std::complex<double>` array: re0, im0, re1, im1, …) — the layout
-// std::complex guarantees — so the same pointers serve scalar loops and
-// packed vector loads. Sizes are in *complex elements* unless a parameter
-// says otherwise. Each level (scalar / SSE2 / AVX2) provides one immutable
-// table; dispatch.h selects between them at runtime.
+// The spectral kernels operate on interleaved complex data (`double*`
+// viewing a `std::complex<double>` array: re0, im0, re1, im1, …) — the
+// layout std::complex guarantees — so the same pointers serve scalar loops
+// and packed vector loads. Sizes are in *complex elements* unless a
+// parameter says otherwise. The biquad cascade instead works on real
+// per-channel sample buffers, one channel per vector lane. Each level
+// (scalar / SSE2 / AVX2) provides one immutable table; dispatch.h selects
+// between them at runtime.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +64,24 @@ struct Kernels {
   /// for k in [0, half).
   void (*irfft_repack)(const double* bins, const double* w, double* z,
                        std::size_t half);
+
+  /// Direct-form-II-transposed biquad cascade over `lanes` channels that
+  /// share one coefficient set. `coeffs` holds `sections` rows of
+  /// {b0, b1, b2, a1, a2}; `state` holds the delay lines as
+  /// [section][z1, z2][lane] (2 * sections * lanes doubles), read on entry
+  /// and written back on exit so consecutive calls filter one continuous
+  /// signal. For every lane l and sample i in [0, frames):
+  ///   v = in[l][i]; per section: y = b0*v + z1; z1 = b1*v - a1*y + z2;
+  ///   z2 = b2*v - a2*y; v = y;  then out[l][i] = v
+  /// — dsp::Biquad::process's arithmetic, evaluated without FMA
+  /// contraction, so every level equals BiquadCascade::process on each
+  /// channel bit for bit. Lanes are channels: SSE2 packs 2 per vector,
+  /// AVX2 4, and a ragged tail drops to narrower groups. No output buffer
+  /// may overlap an input or another output.
+  void (*biquad_cascade)(const double* coeffs, std::size_t sections,
+                         double* state, std::size_t lanes,
+                         const double* const* in, double* const* out,
+                         std::size_t frames);
 };
 
 /// Reference kernels — compiled with vectorization disabled.
@@ -70,10 +90,11 @@ const Kernels& scalar_kernels() noexcept;
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || defined(_M_IX86)
 #define HEADTALK_SIMD_X86 1
 /// Same source as scalar, compiled for the SSE2 baseline with the
-/// autovectorizer on.
+/// autovectorizer on; the biquad cascade runs two channels per register.
 const Kernels& sse2_kernels() noexcept;
 /// AVX2+FMA: hand-written intrinsics for the butterfly / PHAT / magnitude
-/// / accumulate loops, autovectorized code for the rest.
+/// / accumulate loops, autovectorized code for the rest, and a four-lane
+/// biquad cascade built without FMA (biquad_avx2.cpp).
 const Kernels& avx2_kernels() noexcept;
 #endif
 

@@ -135,6 +135,11 @@ void accumulate_avx2(double* acc, const double* src, std::size_t count) {
 
 }  // namespace
 
+// Defined in biquad_avx2.cpp, the one AVX2 kernel built without FMA.
+void biquad_cascade_avx2(const double* coeffs, std::size_t sections, double* state,
+                         std::size_t lanes, const double* const* in,
+                         double* const* out, std::size_t frames);
+
 const Kernels& avx2_kernels() noexcept {
   static constexpr Kernels table{
       "avx2",
@@ -145,6 +150,7 @@ const Kernels& avx2_kernels() noexcept {
       &magnitudes_avx2,
       &avx2_impl::rfft_unpack_generic,
       &avx2_impl::irfft_repack_generic,
+      &biquad_cascade_avx2,
   };
   return table;
 }

@@ -4,6 +4,10 @@
 // autovectorizer happened to emit.
 #include "dsp/simd/kernels.h"
 
+#if defined(HEADTALK_SIMD_X86)
+#include <emmintrin.h>  // biquad_lanes.inl declares its SSE2 policy on x86
+#endif
+
 #include <cmath>
 #include <cstddef>
 
@@ -11,6 +15,7 @@ namespace headtalk::dsp::simd {
 
 #define HEADTALK_SIMD_NS scalar_impl
 #include "dsp/simd/kernels_impl.inl"
+#include "dsp/simd/biquad_lanes.inl"
 #undef HEADTALK_SIMD_NS
 
 const Kernels& scalar_kernels() noexcept {
@@ -23,6 +28,7 @@ const Kernels& scalar_kernels() noexcept {
       &scalar_impl::magnitudes_generic,
       &scalar_impl::rfft_unpack_generic,
       &scalar_impl::irfft_repack_generic,
+      &scalar_impl::biquad_cascade_lanes<scalar_impl::ScalarLanes>,
   };
   return table;
 }

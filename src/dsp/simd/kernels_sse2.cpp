@@ -6,6 +6,8 @@
 
 #if defined(HEADTALK_SIMD_X86)
 
+#include <emmintrin.h>
+
 #include <cmath>
 #include <cstddef>
 
@@ -13,6 +15,7 @@ namespace headtalk::dsp::simd {
 
 #define HEADTALK_SIMD_NS sse2_impl
 #include "dsp/simd/kernels_impl.inl"
+#include "dsp/simd/biquad_lanes.inl"
 #undef HEADTALK_SIMD_NS
 
 const Kernels& sse2_kernels() noexcept {
@@ -25,6 +28,7 @@ const Kernels& sse2_kernels() noexcept {
       &sse2_impl::magnitudes_generic,
       &sse2_impl::rfft_unpack_generic,
       &sse2_impl::irfft_repack_generic,
+      &sse2_impl::biquad_cascade_lanes<sse2_impl::Sse2Lanes, sse2_impl::ScalarLanes>,
   };
   return table;
 }

@@ -85,19 +85,25 @@ void expect_identical(const ml::FeatureVector& streamed,
 }
 
 void sweep_orientation_chunks() {
-  const auto capture =
-      make_segment_capture(4, 12000, audio::kDefaultSampleRate, /*seed=*/3);
-  const OrientationFeatureExtractor extractor;
-  const auto batch = extractor.extract(capture);
+  // The band-pass packs channels into SIMD lanes (2 per SSE2 register, 4
+  // per AVX2 one), so the channel counts cover full groups and every kind
+  // of ragged tail.
+  for (const std::size_t channels : {2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(testing::Message() << channels << " channels");
+    const auto capture =
+        make_segment_capture(channels, 12000, audio::kDefaultSampleRate, /*seed=*/3);
+    const OrientationFeatureExtractor extractor;
+    const auto batch = extractor.extract(capture);
 
-  IncrementalExtractorConfig config;
-  config.orientation = extractor.config();
-  config.enable_liveness = false;
-  for (const std::size_t chunk : kChunks) {
-    IncrementalExtractor op;
-    op.begin(config, capture.channel_count(), capture.sample_rate());
-    push_chunked(op, capture, chunk);
-    expect_identical(op.finalize_orientation(), batch, chunk);
+    IncrementalExtractorConfig config;
+    config.orientation = extractor.config();
+    config.enable_liveness = false;
+    for (const std::size_t chunk : kChunks) {
+      IncrementalExtractor op;
+      op.begin(config, capture.channel_count(), capture.sample_rate());
+      push_chunked(op, capture, chunk);
+      expect_identical(op.finalize_orientation(), batch, chunk);
+    }
   }
 }
 

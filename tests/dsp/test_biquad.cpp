@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 namespace headtalk::dsp {
 namespace {
@@ -100,6 +101,39 @@ TEST(Biquad, StableUnderLongWhiteNoise) {
     peak = std::max(peak, std::abs(bp.process(x)));
   }
   EXPECT_LT(peak, 10.0);  // bounded output == stable poles
+}
+
+TEST(MultichannelBiquadCascade, MatchesPerChannelCascadeAcrossCalls) {
+  // The wrapper's coefficient table and per-channel delay lines: two
+  // ranges of one chunk filter like one continuous per-channel cascade.
+  const BiquadCascade design = butterworth_bandpass(5, 100.0, 16000.0, kFs);
+  constexpr std::size_t kFrames = 500;
+  constexpr std::size_t kSplit = 123;
+  audio::MultiBuffer chunk(3, kFrames, kFs);
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      chunk.channel(c)[f] = std::sin(0.01 * static_cast<double>((c + 1) * f));
+    }
+  }
+  MultichannelBiquadCascade lanes;
+  lanes.reset(design, 3);
+  std::vector<audio::Sample> head, tail;
+  lanes.process(chunk, 0, kSplit, head);
+  lanes.process(chunk, kSplit, kFrames - kSplit, tail);
+  ASSERT_EQ(head.size(), 3 * kSplit);
+  ASSERT_EQ(tail.size(), 3 * (kFrames - kSplit));
+  for (std::size_t c = 0; c < 3; ++c) {
+    BiquadCascade cascade = design;
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      const double want = cascade.process(chunk.channel(c)[f]);
+      const double got = f < kSplit ? head[c * kSplit + f]
+                                    : tail[c * (kFrames - kSplit) + f - kSplit];
+      EXPECT_EQ(got, want) << "channel " << c << " frame " << f;
+    }
+  }
+  EXPECT_THROW(lanes.process(chunk, 400, 101, tail), std::invalid_argument);
+  lanes.reset(design, 2);
+  EXPECT_THROW(lanes.process(chunk, 0, 1, tail), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,18 +3,24 @@
 // Every kernel-backed DSP entry point is swept across all dispatch levels
 // the host supports and compared against the scalar reference: transforms
 // and reductions must agree to <= 1e-9 relative (AVX2's FMA contraction
-// reorders roundings), and discrete results — GCC/SRP peak lags — must be
-// identical. The suite is run twice by ctest: once under HEADTALK_SIMD=off
-// (scalar startup resolution) and once at the native best level.
+// reorders roundings), discrete results — GCC/SRP peak lags — must be
+// identical, and the multichannel biquad cascade must equal a per-channel
+// BiquadCascade bit for bit. The suite is run twice by ctest: once under
+// HEADTALK_SIMD=off (scalar startup resolution) and once at the native best
+// level.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/incremental_extractor.h"
+#include "dsp/biquad.h"
 #include "dsp/correlation.h"
 #include "dsp/fft.h"
 #include "dsp/fractional_delay.h"
@@ -67,6 +73,21 @@ void expect_close(const std::vector<double>& got, const std::vector<double>& wan
     const double tol = 1e-9 * std::max(1.0, std::abs(want[k]));
     EXPECT_NEAR(got[k], want[k], tol)
         << what << " bin " << k << " at level " << simd::level_name(level);
+  }
+}
+
+/// Exact equality: the first differing element fails with both bit patterns.
+void expect_bits_equal(const std::vector<double>& got, const std::vector<double>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const auto got_bits = std::bit_cast<std::uint64_t>(got[k]);
+    const auto want_bits = std::bit_cast<std::uint64_t>(want[k]);
+    if (got_bits != want_bits) {
+      EXPECT_EQ(got_bits, want_bits)
+          << what << " index " << k << ": " << got[k] << " vs " << want[k];
+      return;
+    }
   }
 }
 
@@ -225,6 +246,62 @@ TEST(SimdEquivalence, DenseSrpAcrossLevels) {
     ASSERT_EQ(got.pairs.size(), reference.pairs.size());
     for (std::size_t p = 0; p < got.pairs.size(); ++p) {
       expect_close(got.pairs[p], reference.pairs[p], "pair gcc", level);
+    }
+  }
+}
+
+TEST(SimdEquivalence, BiquadLanesMatchCascadeAcrossLevels) {
+  // The band-pass kernel packs channels into vector lanes; every lane's
+  // output and carried delay line must equal a per-channel
+  // BiquadCascade::process bit for bit, at every level, for full and
+  // ragged lane groups, with state carried across calls of any size.
+  const BiquadCascade design = butterworth_bandpass(5, 100.0, 16000.0, 48000.0);
+  std::vector<double> coeffs;
+  for (const Biquad& s : design.sections()) {
+    coeffs.insert(coeffs.end(), {s.b0, s.b1, s.b2, s.a1, s.a2});
+  }
+  const std::size_t sections = design.section_count();
+  constexpr std::size_t kFrames = 2000;
+  for (const std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 8u}) {
+    std::vector<std::vector<double>> in;
+    std::vector<std::vector<double>> want;
+    std::vector<double> want_state(2 * sections * lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      in.push_back(random_signal(kFrames, static_cast<unsigned>(100 + 10 * lanes + l)));
+      BiquadCascade cascade = design;
+      want.push_back(in.back());
+      cascade.process(want.back());
+      for (std::size_t s = 0; s < sections; ++s) {
+        want_state[2 * s * lanes + l] = cascade.sections()[s].z1();
+        want_state[(2 * s + 1) * lanes + l] = cascade.sections()[s].z2();
+      }
+    }
+    for (const simd::Level level : supported_levels()) {
+      ScopedLevel scoped(level);
+      for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{960},
+                                      kFrames}) {
+        const std::string what = std::string(simd::level_name(level)) + " lanes " +
+                                 std::to_string(lanes) + " chunk " +
+                                 std::to_string(chunk);
+        std::vector<std::vector<double>> out(lanes, std::vector<double>(kFrames));
+        std::vector<double> state(2 * sections * lanes, 0.0);
+        std::vector<const double*> in_ptrs(lanes);
+        std::vector<double*> out_ptrs(lanes);
+        for (std::size_t offset = 0; offset < kFrames; offset += chunk) {
+          for (std::size_t l = 0; l < lanes; ++l) {
+            in_ptrs[l] = in[l].data() + offset;
+            out_ptrs[l] = out[l].data() + offset;
+          }
+          simd::kernels().biquad_cascade(coeffs.data(), sections, state.data(), lanes,
+                                         in_ptrs.data(), out_ptrs.data(),
+                                         std::min(chunk, kFrames - offset));
+        }
+        for (std::size_t l = 0; l < lanes; ++l) {
+          expect_bits_equal(out[l], want[l],
+                            what + " output of lane " + std::to_string(l));
+        }
+        expect_bits_equal(state, want_state, what + " state");
+      }
     }
   }
 }
