@@ -164,12 +164,20 @@ void Session::reject_auth(AuthRejectCode code, const std::string& message) {
   output_.insert(output_.end(), bytes.begin(), bytes.end());
 }
 
-void Session::apply_policy(DecisionFrame& decision, const core::PipelineResult& result,
-                           const core::FeatureCapture& features) {
+DecisionFrame Session::decide(const core::PipelineResult& result,
+                             const core::FeatureCapture& features) {
+  DecisionFrame decision;
+  decision.decision = static_cast<std::uint8_t>(result.decision);
+  decision.live = result.live;
+  decision.facing = result.facing;
+  decision.via_open_session = result.via_open_session;
+  decision.liveness_score = result.liveness_score;
+  decision.orientation_score = result.orientation_score;
+  session_open_ = result.session_open_after;
   if (tenant_id_.empty() || limits_.tenants == nullptr) {
     decision.policy_applied = false;
     decision.policy_allowed = result.decision == core::Decision::kAccepted;
-    return;
+    return decision;
   }
   const tenant::PolicyDecision policy =
       limits_.tenants->decide(tenant_id_, result, features);
@@ -180,6 +188,7 @@ void Session::apply_policy(DecisionFrame& decision, const core::PipelineResult& 
   // A policy denial must not leave a HeadTalk session open: a mismatched
   // or over-quota speaker does not get hands-free follow-ups.
   if (!policy.allowed) session_open_ = false;
+  return decision;
 }
 
 void Session::handle_chunk(const Frame& frame) {
@@ -269,14 +278,7 @@ void Session::handle_end_of_utterance(const Frame& frame) {
     const core::PipelineResult result =
         pipeline_.finalize_segment(op(), limits_.mode, end.followup, session_open_,
                                    want_features ? &features : nullptr);
-    session_open_ = result.session_open_after;
-    decision.decision = static_cast<std::uint8_t>(result.decision);
-    decision.live = result.live;
-    decision.facing = result.facing;
-    decision.via_open_session = result.via_open_session;
-    decision.liveness_score = result.liveness_score;
-    decision.orientation_score = result.orientation_score;
-    apply_policy(decision, result, features);
+    decision = decide(result, features);
     decision.elapsed_seconds = timer.stop();
   } catch (const std::exception& error) {
     fail(ErrorCode::kInternal, std::string("scoring failed: ") + error.what());
@@ -347,25 +349,11 @@ void Session::handle_stream_end(const Frame& frame) {
 
 void Session::emit_stream_decision(const stream::DecisionEvent& event) {
   StreamDecisionFrame decision;
-  decision.decision.decision = static_cast<std::uint8_t>(event.result.decision);
-  decision.decision.live = event.result.live;
-  decision.decision.facing = event.result.facing;
-  decision.decision.via_open_session = event.result.via_open_session;
-  decision.decision.liveness_score = event.result.liveness_score;
-  decision.decision.orientation_score = event.result.orientation_score;
+  decision.decision = decide(event.result, event.features);
   decision.decision.elapsed_seconds = event.latency_seconds;
   decision.begin_seconds = event.begin_seconds;
   decision.end_seconds = event.end_seconds;
   decision.force_closed = event.force_closed;
-  // Carry the pipeline's session flag first; a policy denial then clears
-  // it (a mismatched speaker earns no hands-free follow-ups).
-  session_open_ = event.result.session_open_after;
-  apply_policy(decision.decision, event.result, event.features);
-  if (event.truncated_frames > 0) {
-    obs::log_warn("serve.session.stream_truncated",
-                  {{"truncated_frames", event.truncated_frames},
-                   {"begin_seconds", event.begin_seconds}});
-  }
   const auto bytes = encode_stream_decision(decision);
   output_.insert(output_.end(), bytes.begin(), bytes.end());
   ++decisions_;

@@ -106,10 +106,12 @@ class Session {
   void handle_stream_start(const Frame& frame);
   void handle_stream_end(const Frame& frame);
   void emit_stream_decision(const stream::DecisionEvent& event);
-  /// Fills the DECISION policy fields: the tenant's policy engine on an
-  /// AUTH'd connection, a mirror of the pipeline verdict otherwise.
-  void apply_policy(DecisionFrame& decision, const core::PipelineResult& result,
-                    const core::FeatureCapture& features);
+  /// The DECISION body for one scored utterance: the pipeline verdict,
+  /// then the policy fields — the tenant's policy engine on an AUTH'd
+  /// connection, a mirror of the verdict otherwise. Carries the pipeline's
+  /// session flag forward; a policy denial then clears it.
+  [[nodiscard]] DecisionFrame decide(const core::PipelineResult& result,
+                                     const core::FeatureCapture& features);
   void reject_auth(AuthRejectCode code, const std::string& message);
   void fail(ErrorCode code, const std::string& message);
   /// The operator the current utterance accumulates into: the workspace's

@@ -50,15 +50,6 @@ void StreamRing::reset(std::size_t channels, std::size_t capacity_frames,
   sample_rate_ = sample_rate;
   data_.assign(capacity_ * channels_, 0.0);
   total_ = 0;
-  first_ = 0;
-}
-
-void StreamRing::seek(std::uint64_t frame) {
-  if (total_ != first_) {
-    throw std::logic_error("StreamRing: seek on a non-empty ring");
-  }
-  total_ = frame;
-  first_ = frame;
 }
 
 void StreamRing::push(std::span<const float> interleaved) {
@@ -74,9 +65,10 @@ void StreamRing::push(std::span<const float> interleaved) {
   }
 }
 
-void StreamRing::push(const audio::MultiBuffer& chunk) {
+void StreamRing::push(const audio::MultiBuffer& chunk, std::size_t first,
+                      std::size_t count) {
   if (channels_ == 0 || capacity_ == 0) return;
-  for (std::size_t f = 0; f < chunk.frames(); ++f) {
+  for (std::size_t f = first; f < first + count; ++f) {
     const std::size_t slot = static_cast<std::size_t>(total_ % capacity_);
     for (std::size_t c = 0; c < channels_; ++c) {
       data_[slot * channels_ + c] = chunk.channel(c)[f];
@@ -85,17 +77,11 @@ void StreamRing::push(const audio::MultiBuffer& chunk) {
   }
 }
 
-audio::MultiBuffer StreamRing::extract(std::uint64_t begin, std::uint64_t end) const {
-  audio::MultiBuffer capture;
-  extract_into(begin, end, capture);
-  return capture;
-}
-
 void StreamRing::extract_into(std::uint64_t begin, std::uint64_t end,
                               audio::MultiBuffer& out) const {
-  begin = std::max(begin, oldest_frame());
-  end = std::min<std::uint64_t>(end, total_);
-  if (begin > end) begin = end;
+  if (begin < oldest_frame() || begin > end || end > total_) {
+    throw std::logic_error("StreamRing: read outside the retained frames");
+  }
   const auto frames = static_cast<std::size_t>(end - begin);
   if (out.channel_count() != channels_ || out.sample_rate() != sample_rate_) {
     out = audio::MultiBuffer(channels_, frames, sample_rate_);
@@ -119,29 +105,45 @@ StreamingDetector::StreamingDetector(const core::HeadTalkPipeline& pipeline,
       vad_(config.vad, sample_rate),
       endpointer_(config.endpoint) {
   if (channels == 0) throw std::invalid_argument("StreamingDetector: zero channels");
-  // Worst-case extraction span: a force-closed segment of max length (its
-  // pre-roll is inside that bound), plus the margin covering chunk lag.
-  const std::size_t capacity =
-      endpointer_.config().max_utterance_frames * vad_.frame_length() +
-      config_.ring_margin_frames;
-  ring_.reset(channels, capacity, sample_rate);
-  ring_.seek(config_.start_frame);
+  // The oldest sample still unfed trails the end of the newest classified
+  // VAD frame by at most: pre-roll + onset frames when an onset confirms
+  // (the segment reaches back to its pre-roll, nothing of it fed yet), or
+  // hangover - post-roll frames when speech resumes inside a gap (the
+  // feed stopped at last_active + 1 + post-roll). One more frame covers
+  // the VAD's partial frame, so the bound holds wherever a slice ends.
+  const EndpointerConfig& endpoint = endpointer_.config();
+  const std::size_t lag_frames =
+      std::max(endpoint.pre_roll_frames + endpoint.onset_frames,
+               endpoint.hangover_frames - endpoint.post_roll_frames);
+  ring_.reset(channels, (lag_frames + 1) * vad_.frame_length(), sample_rate);
+  reference_.reserve(vad_.frame_length());
+  vad_frames_.reserve(1);
+}
+
+std::size_t StreamingDetector::slice_frames() const noexcept {
+  const std::size_t frame_len = vad_.frame_length();
+  return frame_len - static_cast<std::size_t>(ring_.total_frames() % frame_len);
 }
 
 std::vector<DecisionEvent> StreamingDetector::push_interleaved(
     std::span<const float> interleaved) {
-  if (ring_.channels() == 0 || interleaved.size() % ring_.channels() != 0) {
+  const std::size_t channels = ring_.channels();
+  if (channels == 0 || interleaved.size() % channels != 0) {
     throw std::invalid_argument(
         "StreamingDetector: sample count is not a multiple of the channel count");
   }
-  ring_.push(interleaved);
-  const std::size_t frames = interleaved.size() / ring_.channels();
-  reference_.resize(frames);
-  for (std::size_t f = 0; f < frames; ++f) {
-    reference_[f] = static_cast<audio::Sample>(interleaved[f * ring_.channels()]);
-  }
+  const std::size_t frames = interleaved.size() / channels;
   std::vector<DecisionEvent> out;
-  advance(reference_, out);
+  for (std::size_t first = 0; first < frames;) {
+    const std::size_t count = std::min(slice_frames(), frames - first);
+    ring_.push(interleaved.subspan(first * channels, count * channels));
+    reference_.resize(count);
+    for (std::size_t f = 0; f < count; ++f) {
+      reference_[f] = static_cast<audio::Sample>(interleaved[(first + f) * channels]);
+    }
+    advance(reference_, out);
+    first += count;
+  }
   return out;
 }
 
@@ -152,9 +154,14 @@ std::vector<DecisionEvent> StreamingDetector::push(const audio::MultiBuffer& chu
   if (chunk.sample_rate() != vad_.sample_rate()) {
     throw std::invalid_argument("StreamingDetector: chunk sample rate mismatch");
   }
-  ring_.push(chunk);
+  const auto reference = chunk.channel(0).samples();
   std::vector<DecisionEvent> out;
-  advance(chunk.channel(0).samples(), out);
+  for (std::size_t first = 0; first < chunk.frames();) {
+    const std::size_t count = std::min(slice_frames(), chunk.frames() - first);
+    ring_.push(chunk, first, count);
+    advance(reference.subspan(first, count), out);
+    first += count;
+  }
   return out;
 }
 
@@ -170,8 +177,9 @@ std::vector<DecisionEvent> StreamingDetector::flush() {
 
 void StreamingDetector::advance(std::span<const audio::Sample> reference,
                                 std::vector<DecisionEvent>& out) {
-  const auto vad_frames = vad_.push(reference);
-  for (const VadFrame& frame : vad_frames) {
+  vad_frames_.clear();
+  vad_.push(reference, vad_frames_);
+  for (const VadFrame& frame : vad_frames_) {
     metric_vad_active().set(frame.active ? 1.0 : 0.0);
     const auto segment = endpointer_.on_frame(frame.active);
     if (segment) {
@@ -187,9 +195,8 @@ void StreamingDetector::advance(std::span<const audio::Sample> reference,
       // the residual feed plus the O(1) finalize.
       obs::Timer accumulate(&metric_accumulate());
       if (!op_open_) {
-        open_op(config_.start_frame +
-                endpointer_.open_begin() *
-                    static_cast<std::uint64_t>(vad_.frame_length()));
+        open_op(endpointer_.open_begin() *
+                static_cast<std::uint64_t>(vad_.frame_length()));
       }
       feed_op_to(feed_target());
     } else if (op_open_ && !endpointer_.in_utterance()) {
@@ -214,9 +221,7 @@ std::uint64_t StreamingDetector::feed_target() const {
   // audio before that bound is certainly part of the segment.
   const std::uint64_t bound =
       endpointer_.last_active() + 1 + endpointer_.config().post_roll_frames;
-  const std::uint64_t frames = std::min<std::uint64_t>(endpointer_.frames_seen(), bound);
-  return std::min<std::uint64_t>(config_.start_frame + frames * frame_len,
-                                 ring_.total_frames());
+  return std::min<std::uint64_t>(endpointer_.frames_seen(), bound) * frame_len;
 }
 
 core::IncrementalExtractor& StreamingDetector::op() noexcept {
@@ -227,25 +232,10 @@ void StreamingDetector::open_op(std::uint64_t begin) {
   if (workspace_ != nullptr) workspace_->note_use();
   op().begin(pipeline_.incremental_config(), ring_.channels(), vad_.sample_rate());
   op_open_ = true;
-  op_truncated_ = 0;
   op_fed_end_ = begin;
-  const std::uint64_t oldest = ring_.oldest_frame();
-  if (op_fed_end_ < oldest) {
-    op_truncated_ = oldest - op_fed_end_;
-    op_fed_end_ = oldest;
-  }
 }
 
 void StreamingDetector::feed_op_to(std::uint64_t target) {
-  if (!op_open_) return;
-  const std::uint64_t oldest = ring_.oldest_frame();
-  if (op_fed_end_ < oldest) {
-    // Samples between the last feed and now were overwritten (a chunk far
-    // larger than the ring margin); count them and continue from the
-    // oldest survivor, exactly like the batch extraction clamp.
-    op_truncated_ += oldest - op_fed_end_;
-    op_fed_end_ = oldest;
-  }
   if (target <= op_fed_end_) return;
   ring_.extract_into(op_fed_end_, target, feed_buffer_);
   op().push(feed_buffer_);
@@ -258,10 +248,8 @@ DecisionEvent StreamingDetector::score_segment(const Segment& segment) {
 
   const auto frame_len = static_cast<std::uint64_t>(vad_.frame_length());
   DecisionEvent event;
-  event.begin_frame = config_.start_frame + segment.begin_frame * frame_len;
-  event.end_frame =
-      std::min<std::uint64_t>(config_.start_frame + segment.end_frame * frame_len,
-                              ring_.total_frames());
+  event.begin_frame = segment.begin_frame * frame_len;
+  event.end_frame = segment.end_frame * frame_len;
   event.force_closed = segment.force_closed;
   const double fs = vad_.sample_rate();
   event.begin_seconds = static_cast<double>(event.begin_frame) / fs;
@@ -274,14 +262,7 @@ DecisionEvent StreamingDetector::score_segment(const Segment& segment) {
     // work plus the finalize ladder — O(1) in segment length.
     if (!op_open_) open_op(event.begin_frame);
     feed_op_to(event.end_frame);
-    event.truncated_frames = op_truncated_;
     op_open_ = false;
-  } else {
-    // Normal/Mute verdicts read no features; nothing was fed.
-    const std::uint64_t oldest = ring_.oldest_frame();
-    if (event.begin_frame < oldest) {
-      event.truncated_frames = oldest - event.begin_frame;
-    }
   }
   event.result = pipeline_.finalize_segment(
       op(), config_.mode, /*followup=*/false, session_open_,

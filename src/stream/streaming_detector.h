@@ -2,14 +2,19 @@
 //
 // The StreamingDetector is the layer the always-listening deployment was
 // missing between raw audio and the resident HeadTalkPipeline: chunks of
-// any size go into an absolute-indexed multichannel ring, the reference
-// channel runs through the frame-level Vad, the Endpointer turns frame
-// labels into utterance segments, the open segment's audio is fed to an
-// incremental operator as it is confirmed, and each close runs the
-// pipeline's finalize_segment — emitting one DecisionEvent per utterance
-// with sample-accurate segment timestamps. The HeadTalk open-session flag
-// carries across segments exactly as it does across utterances of one
-// serve connection.
+// any size are cut into slices of at most one VAD frame, each slice goes
+// into a multichannel ring, its reference channel runs through the
+// frame-level Vad, the Endpointer turns frame labels into utterance
+// segments, the open segment's audio is fed to an incremental operator as
+// it is confirmed, and each close runs the pipeline's finalize_segment —
+// emitting one DecisionEvent per utterance with sample-accurate segment
+// timestamps. The HeadTalk open-session flag carries across segments
+// exactly as it does across utterances of one serve connection.
+//
+// The ring holds only audio the operator has not consumed yet: its
+// capacity follows from the endpointer config and the VAD frame length
+// (see StreamingDetector's constructor), never from the utterance length,
+// and slicing keeps any chunk size inside it.
 //
 // Not thread-safe: one detector per stream, driven from one thread. The
 // pipeline is shared and only its const scoring entry point is used.
@@ -31,20 +36,9 @@ struct StreamingDetectorConfig {
   EndpointerConfig endpoint{};
   /// Mode segments are scored under (HeadTalk in production).
   core::VaMode mode = core::VaMode::kHeadTalk;
-  /// Extra ring capacity (sample frames) beyond the worst-case segment
-  /// span, absorbing the lag between a chunk landing in the ring and its
-  /// VAD frames being classified. Chunks larger than this margin can cost
-  /// a closing segment its oldest samples (counted as truncated_frames).
-  std::size_t ring_margin_frames = 48000;
   /// Copy each segment's feature vectors into DecisionEvent::features
   /// (needed by tenant-scoped serving for speaker-identity matching).
   bool capture_features = false;
-  /// Absolute sample-frame index of the first frame this detector will be
-  /// fed — a resumed or sharded stream keeps globally consistent event
-  /// timestamps by passing its offset here. All DecisionEvent frame fields
-  /// (and seconds, computed from them) are absolute under this origin; the
-  /// arithmetic is 64-bit throughout, so origins past 2^32 are exact.
-  std::uint64_t start_frame = 0;
 };
 
 /// One scored utterance detected in the stream.
@@ -55,9 +49,6 @@ struct DecisionEvent {
   double begin_seconds = 0.0;
   double end_seconds = 0.0;
   bool force_closed = false;
-  /// Sample frames the segment lost to ring overwrite (0 in any sanely
-  /// sized configuration).
-  std::uint64_t truncated_frames = 0;
   /// Endpoint close → decision available (extraction + scoring).
   double latency_seconds = 0.0;
   /// Feature vectors of the scoring pass; only filled when the detector's
@@ -66,34 +57,28 @@ struct DecisionEvent {
 };
 
 /// Absolute-indexed multichannel sample ring: frame `n` of the stream
-/// lives at slot `n % capacity` until overwritten, so a closing segment is
-/// extracted by its absolute [begin, end) without any index bookkeeping at
-/// the call site. Samples are stored interleaved.
+/// lives at slot `n % capacity` until overwritten, so the operator's feed
+/// reads by absolute [begin, end) without any index bookkeeping at the
+/// call site. Samples are stored interleaved.
 class StreamRing {
  public:
   void reset(std::size_t channels, std::size_t capacity_frames, double sample_rate);
 
-  /// Re-origins an empty ring: the next pushed frame gets absolute index
-  /// `frame`. Only valid before any push (or straight after reset).
-  void seek(std::uint64_t frame);
-
   /// `interleaved.size()` must be a multiple of the channel count.
   void push(std::span<const float> interleaved);
-  void push(const audio::MultiBuffer& chunk);
+  /// Pushes frames [first, first + count) of a deinterleaved chunk.
+  void push(const audio::MultiBuffer& chunk, std::size_t first, std::size_t count);
 
-  /// Deinterleaves [begin, end) into a capture; `begin` is clamped to the
-  /// oldest retained frame (the caller sees the loss via oldest_frame()).
-  [[nodiscard]] audio::MultiBuffer extract(std::uint64_t begin, std::uint64_t end) const;
-
-  /// extract() into a caller-owned capture, reusing its channel storage —
-  /// the streaming feed path calls this once per VAD frame, so the steady
-  /// state is allocation-free.
+  /// Deinterleaves [begin, end) into a caller-owned capture, reusing its
+  /// channel storage, so the per-frame feed is allocation-free. Throws
+  /// std::logic_error unless oldest_frame() <= begin <= end <=
+  /// total_frames(): a read of overwritten audio is a sizing bug.
   void extract_into(std::uint64_t begin, std::uint64_t end,
                     audio::MultiBuffer& out) const;
 
   [[nodiscard]] std::uint64_t total_frames() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t oldest_frame() const noexcept {
-    return total_ > first_ + capacity_ ? total_ - capacity_ : first_;
+    return total_ > capacity_ ? total_ - capacity_ : 0;
   }
   [[nodiscard]] std::size_t capacity_frames() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t channels() const noexcept { return channels_; }
@@ -103,7 +88,6 @@ class StreamRing {
   std::size_t channels_ = 0;
   std::size_t capacity_ = 0;
   std::uint64_t total_ = 0;  ///< absolute index one past the newest frame
-  std::uint64_t first_ = 0;  ///< absolute index of the first frame ever pushed
   double sample_rate_ = audio::kDefaultSampleRate;
 };
 
@@ -122,8 +106,9 @@ class StreamingDetector {
     workspace_ = workspace;
   }
 
-  /// Feeds one chunk of interleaved float32 frames (the serve wire format);
-  /// returns the decisions whose segments closed inside this chunk.
+  /// Feeds one chunk of interleaved float32 frames (the serve wire format)
+  /// of any size; returns the decisions whose segments closed inside this
+  /// chunk. Events do not depend on how the stream was chunked.
   std::vector<DecisionEvent> push_interleaved(std::span<const float> interleaved);
 
   /// Same, from a deinterleaved capture (local tools). Channel count and
@@ -152,12 +137,20 @@ class StreamingDetector {
   [[nodiscard]] std::size_t channels() const noexcept { return ring_.channels(); }
   [[nodiscard]] const Vad& vad() const noexcept { return vad_; }
   [[nodiscard]] const StreamingDetectorConfig& config() const noexcept { return config_; }
+  /// Ring capacity in sample frames (fixed at construction).
+  [[nodiscard]] std::size_t ring_capacity() const noexcept {
+    return ring_.capacity_frames();
+  }
 
  private:
-  /// Runs VAD + endpointing over reference-channel samples already pushed
-  /// to the ring, scoring every segment that closes. In HeadTalk mode the
-  /// open segment's samples are fed to the incremental extractor once per
-  /// VAD frame, so a close only pays the residual feed + finalize.
+  /// Frames the next slice may hold: up to the end of the VAD's partial
+  /// frame, so each slice completes at most one VAD frame.
+  [[nodiscard]] std::size_t slice_frames() const noexcept;
+  /// Runs VAD + endpointing over one slice's reference-channel samples,
+  /// already pushed to the ring, scoring every segment that closes. In
+  /// HeadTalk mode the open segment's samples are fed to the incremental
+  /// extractor once per VAD frame, so a close only pays the residual feed
+  /// + finalize.
   void advance(std::span<const audio::Sample> reference,
                std::vector<DecisionEvent>& out);
   [[nodiscard]] DecisionEvent score_segment(const Segment& segment);
@@ -166,8 +159,7 @@ class StreamingDetector {
   /// otherwise.
   [[nodiscard]] core::IncrementalExtractor& op() noexcept;
   /// Opens the incremental extractor for a segment starting at absolute
-  /// sample frame `begin` (clamped to the ring's oldest retained frame;
-  /// the loss accumulates in op_truncated_).
+  /// sample frame `begin`.
   void open_op(std::uint64_t begin);
   /// Feeds ring samples [fed_end_, target) to the open extractor.
   void feed_op_to(std::uint64_t target);
@@ -182,7 +174,8 @@ class StreamingDetector {
   Vad vad_;
   Endpointer endpointer_;
   StreamRing ring_;
-  std::vector<audio::Sample> reference_;  ///< channel-0 scratch for one chunk
+  std::vector<audio::Sample> reference_;  ///< channel-0 scratch for one slice
+  std::vector<VadFrame> vad_frames_;      ///< frames one slice completed (0 or 1)
   std::uint64_t discards_reported_ = 0;   ///< endpointer discards mirrored to obs
   bool session_open_ = false;
   /// Incremental per-segment extraction state (HeadTalk mode). The op is
@@ -192,7 +185,6 @@ class StreamingDetector {
   core::IncrementalExtractor own_op_;  ///< used only without a workspace
   bool op_open_ = false;
   std::uint64_t op_fed_end_ = 0;     ///< absolute sample frame fed so far
-  std::uint64_t op_truncated_ = 0;   ///< frames the open segment lost to overwrite
   audio::MultiBuffer feed_buffer_;   ///< reused per-frame extraction scratch
 };
 

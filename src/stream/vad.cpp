@@ -44,6 +44,11 @@ void Vad::reset() {
 
 std::vector<VadFrame> Vad::push(std::span<const audio::Sample> samples) {
   std::vector<VadFrame> out;
+  push(samples, out);
+  return out;
+}
+
+void Vad::push(std::span<const audio::Sample> samples, std::vector<VadFrame>& out) {
   std::size_t consumed = 0;
   // Top up a partial frame left by the previous push first.
   if (!pending_.empty()) {
@@ -52,7 +57,7 @@ std::vector<VadFrame> Vad::push(std::span<const audio::Sample> samples) {
     pending_.insert(pending_.end(), samples.begin(),
                     samples.begin() + static_cast<std::ptrdiff_t>(take));
     consumed = take;
-    if (pending_.size() < frame_length_) return out;
+    if (pending_.size() < frame_length_) return;
     out.push_back(classify(pending_));
     pending_.clear();
   }
@@ -62,7 +67,6 @@ std::vector<VadFrame> Vad::push(std::span<const audio::Sample> samples) {
   }
   pending_.insert(pending_.end(), samples.begin() + static_cast<std::ptrdiff_t>(consumed),
                   samples.end());
-  return out;
 }
 
 VadFrame Vad::classify(std::span<const audio::Sample> frame) {

@@ -84,6 +84,9 @@ class Vad {
   /// Feeds continuous reference-channel audio; returns the frames completed
   /// by this chunk (possibly none — a partial frame is carried over).
   std::vector<VadFrame> push(std::span<const audio::Sample> samples);
+  /// Same, appending to a caller-owned vector (allocation-free once it has
+  /// capacity).
+  void push(std::span<const audio::Sample> samples, std::vector<VadFrame>& out);
 
   /// Forgets buffered samples and re-initializes the noise floor.
   void reset();

@@ -1,7 +1,8 @@
-// StreamingDetector: the absolute-indexed ring, chunked VAD + endpointing
-// over a continuous multichannel stream, per-segment scoring through the
-// resident pipeline (with the open-session flag carried across segments),
-// flush, input validation, and force-close.
+// StreamingDetector: the absolute-indexed ring and its sizing, chunked VAD
+// + endpointing over a continuous multichannel stream, per-segment scoring
+// through the resident pipeline (with the open-session flag carried across
+// segments), chunk-size invariance on a rendered scene, flush, input
+// validation, and force-close.
 #include "stream/streaming_detector.h"
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "serve_test_util.h"
+#include "sim/collector.h"
+#include "sim/stream_scene.h"
 
 using namespace headtalk;
 using namespace headtalk::stream;
@@ -96,20 +99,37 @@ TEST(StreamRing, AbsoluteIndexingSurvivesWrapAround) {
   EXPECT_EQ(ring.total_frames(), 6u);
   EXPECT_EQ(ring.oldest_frame(), 2u);
 
-  // A begin older than the ring clamps to the oldest retained frame.
-  auto capture = ring.extract(0, 6);
+  // Every retained frame comes back by its absolute index.
+  audio::MultiBuffer capture;
+  ring.extract_into(2, 6, capture);
   ASSERT_EQ(capture.frames(), 4u);
   EXPECT_DOUBLE_EQ(capture.channel(0)[0], 3.0);
   EXPECT_DOUBLE_EQ(capture.channel(0)[3], 6.0);
 
-  // An interior span comes back by its absolute indices.
-  capture = ring.extract(4, 6);
+  // An interior span reuses the capture.
+  ring.extract_into(4, 6, capture);
   ASSERT_EQ(capture.frames(), 2u);
   EXPECT_DOUBLE_EQ(capture.channel(0)[0], 5.0);
   EXPECT_DOUBLE_EQ(capture.channel(0)[1], 6.0);
 
-  // An end beyond the stream clamps to what was pushed.
-  EXPECT_EQ(ring.extract(5, 100).frames(), 1u);
+  // Overwritten or not-yet-pushed frames are a sizing bug, not a clamp.
+  EXPECT_THROW(ring.extract_into(1, 6, capture), std::logic_error);
+  EXPECT_THROW(ring.extract_into(5, 7, capture), std::logic_error);
+}
+
+TEST(StreamingDetector, RingCapacityFollowsTheEndpointerNotTheUtteranceLength) {
+  // The ring holds only audio the operator has not consumed: the larger of
+  // pre-roll + onset and hangover - post-roll VAD frames, plus the frame
+  // the VAD is still filling. The utterance length never enters.
+  auto config = test_config();  // pre 2 + onset 2 vs hangover 3 - post 2
+  StreamingDetector detector(test_pipeline(), 4, audio::kDefaultSampleRate, config);
+  const std::size_t frame_len = detector.vad().frame_length();
+  EXPECT_EQ(detector.ring_capacity(), 5 * frame_len);
+
+  config.endpoint.max_utterance_frames = 4000;
+  config.endpoint.hangover_frames = 40;  // 40 - 2 post-roll frames dominate
+  StreamingDetector wide(test_pipeline(), 4, audio::kDefaultSampleRate, config);
+  EXPECT_EQ(wide.ring_capacity(), 39 * frame_len);
 }
 
 TEST(StreamingDetector, RejectsInvalidInput) {
@@ -157,7 +177,6 @@ TEST(StreamingDetector, EmitsOneDecisionPerBurstMatchingOfflineScoring) {
     EXPECT_DOUBLE_EQ(event.begin_seconds,
                      static_cast<double>(event.begin_frame) / audio::kDefaultSampleRate);
     EXPECT_FALSE(event.force_closed);
-    EXPECT_EQ(event.truncated_frames, 0u);
     EXPECT_GE(event.latency_seconds, 0.0);
     previous_end = event.end_frame;
 
@@ -171,42 +190,6 @@ TEST(StreamingDetector, EmitsOneDecisionPerBurstMatchingOfflineScoring) {
     session_open = offline.session_open_after;
   }
   EXPECT_EQ(detector.session_open(), session_open);
-}
-
-TEST(StreamingDetector, StartFrameOffsetsEventsExactlyEvenPast32Bits) {
-  // Satellite: a resumed/sharded stream passes its absolute origin via
-  // start_frame. Events must shift by exactly that origin — with every
-  // product kept in 64 bits, so an origin near 2^32 (where a truncated
-  // frame*length multiply would wrap) stays exact — and the second
-  // timestamps must be derived from the exact 64-bit frame indices.
-  const std::uint64_t start = (std::uint64_t{1} << 32) - 1000;
-  auto config = test_config();
-  StreamingDetector baseline(test_pipeline(), 4, audio::kDefaultSampleRate, config);
-  config.start_frame = start;
-  StreamingDetector offset(test_pipeline(), 4, audio::kDefaultSampleRate, config);
-  const std::size_t frame_len = baseline.vad().frame_length();
-
-  std::vector<float> stream;
-  append_silence(stream, 5 * frame_len, 4);
-  append_tone(stream, 12 * frame_len, 4);
-  append_silence(stream, 10 * frame_len, 4);
-
-  const auto base_events = stream_in_chunks(baseline, stream, frame_len + 37);
-  const auto off_events = stream_in_chunks(offset, stream, frame_len + 37);
-  ASSERT_EQ(base_events.size(), 1u);
-  ASSERT_EQ(off_events.size(), 1u);
-  EXPECT_EQ(off_events[0].begin_frame, base_events[0].begin_frame + start);
-  EXPECT_EQ(off_events[0].end_frame, base_events[0].end_frame + start);
-  EXPECT_GT(off_events[0].end_frame, std::uint64_t{1} << 32);  // really crossed
-  EXPECT_DOUBLE_EQ(
-      off_events[0].begin_seconds,
-      static_cast<double>(off_events[0].begin_frame) / audio::kDefaultSampleRate);
-  EXPECT_DOUBLE_EQ(
-      off_events[0].end_seconds,
-      static_cast<double>(off_events[0].end_frame) / audio::kDefaultSampleRate);
-  EXPECT_EQ(off_events[0].truncated_frames, 0u);
-  EXPECT_EQ(off_events[0].result.decision, base_events[0].result.decision);
-  EXPECT_EQ(offset.frames_streamed(), baseline.frames_streamed() + start);
 }
 
 TEST(StreamingDetector, HeadTalkStreamedDecisionMatchesBatchScoring) {
@@ -285,3 +268,84 @@ TEST(StreamingDetector, LongSpeechForceClosesAtMaxLength) {
   EXPECT_EQ(detector.force_closed(), events.size());
 }
 
+
+namespace {
+
+/// A rendered lab/D2 stream of 12 utterances (facing, not facing, phone
+/// replay; four rounds), about 19 s — long enough that a ring sized for
+/// less than the whole stream must recycle slots inside one push().
+const sim::StreamScene& rendered_scene() {
+  static const sim::StreamScene scene = [] {
+    sim::CollectorConfig collector_config;
+    collector_config.cache_enabled = false;
+    const sim::Collector collector(collector_config);
+    std::vector<sim::SampleSpec> specs;
+    for (unsigned round = 0; round < 4; ++round) {
+      sim::SampleSpec base;
+      base.location = {sim::GridRadial::kMiddle, 3.0};
+      base.repetition = round;
+      sim::SampleSpec away = base;
+      away.angle_deg = 120.0;
+      sim::SampleSpec replay = base;
+      replay.replay = sim::ReplaySource::kSmartphone;
+      specs.insert(specs.end(), {base, away, replay});
+    }
+    return sim::render_stream_scene(collector, specs);
+  }();
+  return scene;
+}
+
+std::vector<DecisionEvent> push_scene(const StreamingDetectorConfig& config,
+                                      std::size_t chunk_frames) {
+  const auto& audio = rendered_scene().audio;
+  StreamingDetector detector(test_pipeline(), audio.channel_count(),
+                             audio.sample_rate(), config);
+  std::vector<DecisionEvent> events;
+  for (std::size_t begin = 0; begin < audio.frames(); begin += chunk_frames) {
+    const std::size_t count = std::min(chunk_frames, audio.frames() - begin);
+    audio::MultiBuffer chunk(audio.channel_count(), count, audio.sample_rate());
+    for (std::size_t c = 0; c < audio.channel_count(); ++c) {
+      std::copy_n(audio.channel(c).samples().data() + begin, count,
+                  chunk.channel(c).samples().data());
+    }
+    const auto closed = detector.push(chunk);
+    events.insert(events.end(), closed.begin(), closed.end());
+  }
+  const auto tail = detector.flush();
+  events.insert(events.end(), tail.begin(), tail.end());
+  return events;
+}
+
+}  // namespace
+
+TEST(StreamingDetector, ChunkSizeCannotChangeAStreamedVerdict) {
+  // The whole ~19 s scene in one push() must produce exactly the events of
+  // a 960-frame-chunk run: same spans, verdicts, scores and feature
+  // vectors, bit for bit. A ring too small for what the operator has not
+  // consumed yet would throw (or, clamping, score different audio). The
+  // wide endpointer grows that unfed tail.
+  StreamingDetectorConfig defaults;
+  defaults.capture_features = true;
+  StreamingDetectorConfig wide = defaults;
+  wide.endpoint.pre_roll_frames = 30;
+  wide.endpoint.hangover_frames = 40;
+
+  for (const auto& config : {defaults, wide}) {
+    SCOPED_TRACE(config.endpoint.pre_roll_frames);
+    const auto whole = push_scene(config, rendered_scene().audio.frames());
+    const auto chunked = push_scene(config, 960);
+    ASSERT_EQ(chunked.size(), rendered_scene().utterances.size());
+    ASSERT_EQ(whole.size(), chunked.size());
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(whole[i].begin_frame, chunked[i].begin_frame);
+      EXPECT_EQ(whole[i].end_frame, chunked[i].end_frame);
+      EXPECT_EQ(whole[i].result.decision, chunked[i].result.decision);
+      EXPECT_EQ(whole[i].result.liveness_score, chunked[i].result.liveness_score);
+      EXPECT_EQ(whole[i].result.orientation_score,
+                chunked[i].result.orientation_score);
+      EXPECT_EQ(whole[i].features.liveness, chunked[i].features.liveness);
+      EXPECT_EQ(whole[i].features.orientation, chunked[i].features.orientation);
+    }
+  }
+}

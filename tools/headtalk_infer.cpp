@@ -4,7 +4,8 @@
 //   headtalk_infer --models models --wav a.wav,b.wav,c.wav --jobs 4
 //
 // Prints, per capture, the liveness score, the orientation verdict, and the
-// decision the pipeline would take in HeadTalk mode. Multiple captures
+// decision the pipeline takes in HeadTalk mode — scored through the same
+// HeadTalkPipeline::score_capture path as headtalk_serve. Multiple captures
 // (comma-separated) are scored in parallel and reported in input order.
 #include <algorithm>
 #include <cstdio>
@@ -16,9 +17,7 @@
 #include "cli/args.h"
 #include "cli/names.h"
 #include "core/liveness_detector.h"
-#include "core/liveness_features.h"
 #include "core/orientation_classifier.h"
-#include "core/orientation_features.h"
 #include "core/pipeline.h"
 #include "core/scoring_workspace.h"
 #include "ml/serialize.h"
@@ -96,18 +95,20 @@ int main(int argc, char** argv) {
       }
     }
 
+    // One resident pipeline for both modes, configured as headtalk_serve
+    // configures it, so a capture scores here exactly as the daemon would.
+    core::PipelineConfig pipeline_config;
+    pipeline_config.orientation_features.max_mic_distance_m =
+        device.max_pair_distance(device.default_channels);
+    const core::HeadTalkPipeline pipeline(std::move(orientation), std::move(liveness),
+                                          pipeline_config);
+
     if (args.get_switch("--stream")) {
       // Continuous mode: the same resident-pipeline path headtalk_serve
       // uses, minus the socket — VAD + endpointing segment the stream and
       // each closed segment is scored in place.
       const long chunk_ms = args.get_int("--chunk-ms");
       if (chunk_ms < 1) throw cli::ArgsError("--chunk-ms must be >= 1");
-      core::PipelineConfig pipeline_config;
-      pipeline_config.orientation_features.max_mic_distance_m =
-          device.max_pair_distance(device.default_channels);
-      const core::HeadTalkPipeline pipeline(std::move(orientation),
-                                            std::move(liveness), pipeline_config);
-
       core::ScoringWorkspace workspace;
       std::unique_ptr<stream::StreamingDetector> detector;
       std::vector<stream::DecisionEvent> events;
@@ -153,13 +154,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    core::OrientationFeatureConfig config;
-    config.max_mic_distance_m = device.max_pair_distance(device.default_channels);
-    const core::OrientationFeatureExtractor extractor(config);
-    const core::LivenessFeatureExtractor liveness_features;
-
-    // Scoring a capture is independent work against const models; batches
-    // fan out across --jobs workers and reports print in input order.
+    // Scoring a capture is independent work against the const pipeline;
+    // batches fan out across --jobs workers and reports print in input order.
     tenant::PolicyEngine policy;
     std::vector<std::string> reports(wavs.size());
     static obs::Histogram& capture_seconds =
@@ -173,60 +169,34 @@ int main(int argc, char** argv) {
         obs::ScopedSpan span("infer.read_wav");
         return audio::read_wav(wavs[i]);
       }();
-      // Preprocessing happens inside the extractors (incremental operator),
-      // matching the pipeline's streamed scoring definition exactly.
-      const auto live_features = [&] {
-        obs::ScopedSpan span("pipeline.liveness_features");
-        return liveness_features.extract(raw.channel(0), &workspace);
-      }();
-      const double live_score = [&] {
-        obs::ScopedSpan span("pipeline.liveness_score");
-        return liveness.score(live_features);
-      }();
-      const bool live = live_score >= liveness.config().threshold;
+      // The daemon's scoring path: one operator pass over all channels,
+      // then the pipeline's decision ladder (orientation runs only for a
+      // live capture).
+      core::FeatureCapture features;
+      const core::PipelineResult result =
+          pipeline.score_capture(raw, core::VaMode::kHeadTalk, /*followup=*/false,
+                                 /*session_active=*/false, &workspace, &features);
 
-      const auto features = [&] {
-        obs::ScopedSpan span("pipeline.orientation_features");
-        return extractor.extract(raw, &workspace);
-      }();
-      double orient_score = 0.0;
-      bool facing = false;
-      {
-        obs::ScopedSpan span("pipeline.orientation_score");
-        orient_score = orientation.score(features);
-        facing = orientation.is_facing(features);
+      char orientation_text[64] = "not checked";
+      if (result.orientation_checked) {
+        std::snprintf(orientation_text, sizeof orientation_text, "score %+.3f -> %s",
+                      result.orientation_score, result.facing ? "facing" : "not facing");
       }
-
-      const char* decision = !live    ? "rejected-replay"
-                             : facing ? "ACCEPTED"
-                                      : "rejected-not-facing";
-      obs::Registry::global()
-          .counter(!live    ? "infer.decision.rejected_replay"
-                   : facing ? "infer.decision.accepted"
-                            : "infer.decision.rejected_not_facing")
-          .increment();
       char text[512];
       std::snprintf(text, sizeof text,
                     "capture: %zu channels, %.0f ms\n"
                     "liveness:    score %.3f -> %s\n"
-                    "orientation: score %+.3f -> %s\n"
+                    "orientation: %s\n"
                     "headtalk decision: %s\n",
                     raw.channel_count(),
                     1000.0 * static_cast<double>(raw.frames()) / raw.sample_rate(),
-                    live_score, live ? "live human" : "mechanical speaker",
-                    orient_score, facing ? "facing" : "not facing", decision);
+                    result.liveness_score, result.live ? "live human" : "mechanical speaker",
+                    orientation_text,
+                    std::string(core::decision_name(result.decision)).c_str());
       reports[i] = text;
 
       if (profile) {
-        core::FeatureCapture capture_features;
-        capture_features.liveness = live_features;
-        capture_features.orientation = features;
-        core::PipelineResult result;
-        result.decision = !live    ? core::Decision::kRejectedReplay
-                          : facing ? core::Decision::kAccepted
-                                   : core::Decision::kRejectedNotFacing;
-        const tenant::PolicyDecision verdict =
-            policy.decide(*profile, result, capture_features);
+        const tenant::PolicyDecision verdict = policy.decide(*profile, result, features);
         std::snprintf(text, sizeof text,
                       "tenant '%s' (%s): match %.3f vs threshold %.3f -> policy %s "
                       "(%s)\n",
