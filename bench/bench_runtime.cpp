@@ -15,13 +15,17 @@
 //     $HEADTALK_RUNTIME_SKIP_GBENCH=1, e.g. in the bench-smoke ctest).
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <random>
 
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/liveness_detector.h"
@@ -31,6 +35,8 @@
 #include "core/pipeline.h"
 #include "core/scoring_workspace.h"
 #include "dsp/biquad.h"
+#include "dsp/correlation.h"
+#include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/simd/dispatch.h"
 #include "sim/collector.h"
@@ -172,6 +178,152 @@ void BM_Bandpass(benchmark::State& state) {
 }
 BENCHMARK(BM_Bandpass)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+// The operator's per-block transforms on one 20 ms block of the capture
+// (D2: 4 channels, 960 samples, 1024-point block FFT, lag window ±13).
+// lanes:0 runs one transform per call, the layout the lane kernels
+// replaced; lanes:1 runs the lane path the operator uses.
+constexpr std::size_t kBlockLen = 960;
+constexpr std::size_t kBlockFft = 1024;
+constexpr int kBlockMaxLag = 13;
+constexpr std::size_t kLanes = dsp::simd::kFftLanes;
+
+std::vector<const audio::Sample*> block_channels() {
+  std::vector<const audio::Sample*> channels;
+  const std::size_t offset = capture().frames() / 2;
+  for (std::size_t c = 0; c < capture().channel_count(); ++c) {
+    channels.push_back(capture().channel(c).samples().data() + offset);
+  }
+  return channels;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> channel_pairs(std::size_t channels) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i + 1 < channels; ++i) {
+    for (std::size_t j = i + 1; j < channels; ++j) pairs.emplace_back(i, j);
+  }
+  return pairs;
+}
+
+void BM_BlockStft(benchmark::State& state) {
+  const auto channels = block_channels();
+  if (state.range(0) == 0) {
+    std::vector<dsp::HalfSpectrum> spectra(channels.size());
+    dsp::FftScratch scratch;
+    for (auto _ : state) {
+      for (std::size_t c = 0; c < channels.size(); ++c) {
+        dsp::rfft_half_into({channels[c], kBlockLen}, kBlockFft, spectra[c], scratch);
+        benchmark::DoNotOptimize(spectra[c].bins.data());
+      }
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel("rfft_half_into per channel");
+  } else {
+    std::vector<dsp::LaneSpectrum> spectra((channels.size() + kLanes - 1) / kLanes);
+    dsp::LaneScratch scratch;
+    for (auto _ : state) {
+      for (std::size_t g = 0; g < spectra.size(); ++g) {
+        const std::size_t count = std::min(kLanes, channels.size() - g * kLanes);
+        dsp::rfft_lanes_into({channels.data() + g * kLanes, count}, kBlockLen, kBlockFft,
+                             spectra[g], scratch);
+        benchmark::DoNotOptimize(spectra[g].re.data());
+      }
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string("rfft_lanes_into, ") + dsp::simd::kernels().name);
+  }
+}
+BENCHMARK(BM_BlockStft)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_PairGcc(benchmark::State& state) {
+  // PHAT cross spectrum and pruned inverse over the lag window for every
+  // microphone pair, from the block spectra (coherence sums excluded: the
+  // per-transform path has no counterpart).
+  const auto channels = block_channels();
+  const auto pairs = channel_pairs(channels.size());
+  if (state.range(0) == 0) {
+    std::vector<dsp::HalfSpectrum> spectra(channels.size());
+    dsp::FftScratch scratch;
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      dsp::rfft_half_into({channels[c], kBlockLen}, kBlockFft, spectra[c], scratch);
+    }
+    dsp::CorrelationWorkspace workspace;
+    dsp::CorrelationSequence out;
+    for (auto _ : state) {
+      for (const auto& [i, j] : pairs) {
+        dsp::gcc_phat_from_spectra_into(spectra[i], spectra[j], kBlockMaxLag, out, workspace);
+        benchmark::DoNotOptimize(out.values.data());
+      }
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel("gcc_phat_from_spectra_into per pair");
+  } else {
+    std::vector<dsp::LaneSpectrum> spectra((channels.size() + kLanes - 1) / kLanes);
+    dsp::LaneScratch scratch;
+    for (std::size_t g = 0; g < spectra.size(); ++g) {
+      const std::size_t count = std::min(kLanes, channels.size() - g * kLanes);
+      dsp::rfft_lanes_into({channels.data() + g * kLanes, count}, kBlockLen, kBlockFft,
+                           spectra[g], scratch);
+    }
+    dsp::LaneSpectrum x = spectra[0], y = spectra[0], cross = spectra[0];
+    std::vector<double> windows;
+    const auto& kernels = dsp::simd::kernels();
+    for (auto _ : state) {
+      for (std::size_t first = 0; first < pairs.size(); first += kLanes) {
+        const dsp::LaneSpectrum* x_from[kLanes] = {};
+        const dsp::LaneSpectrum* y_from[kLanes] = {};
+        std::size_t x_lane[kLanes] = {}, y_lane[kLanes] = {};
+        for (std::size_t l = 0; l < kLanes && first + l < pairs.size(); ++l) {
+          const auto [i, j] = pairs[first + l];
+          x_from[l] = &spectra[i / kLanes];
+          x_lane[l] = i % kLanes;
+          y_from[l] = &spectra[j / kLanes];
+          y_lane[l] = j % kLanes;
+        }
+        const dsp::LaneSelection xs = dsp::select_lanes(x_from, x_lane, x);
+        const dsp::LaneSelection ys = dsp::select_lanes(y_from, y_lane, y);
+        kernels.phat_lanes(xs.re, xs.im, xs.order, ys.re, ys.im, ys.order, cross.re.data(),
+                           cross.im.data(), kBlockFft / 2 + 1, 1e-12);
+        dsp::irfft_lanes_window_into(cross, kBlockMaxLag, windows, scratch);
+        benchmark::DoNotOptimize(windows.data());
+      }
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string("phat_lanes + irfft_lanes_window_into, ") + kernels.name);
+  }
+}
+BENCHMARK(BM_PairGcc)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_DirectivityFft(benchmark::State& state) {
+  // The directivity spectrum of one block: the 4096-point real FFT of the
+  // ~85 ms mixdown window, magnitudes of the 344 bins the HLBR and banded
+  // features read.
+  constexpr std::size_t kFft = 4096;
+  constexpr std::size_t kBins = 344;
+  const auto mix = capture().channel(0).samples().subspan(capture().frames() / 2, kFft);
+  std::vector<double> magnitudes(kBins);
+  if (state.range(0) == 0) {
+    dsp::HalfSpectrum spectrum;
+    dsp::FftScratch scratch;
+    for (auto _ : state) {
+      dsp::rfft_half_into(mix, kFft, spectrum, scratch);
+      for (std::size_t k = 0; k < kBins; ++k) magnitudes[k] = std::abs(spectrum.bins[k]);
+      benchmark::DoNotOptimize(magnitudes.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel("rfft_half_into");
+  } else {
+    dsp::LaneScratch scratch;
+    for (auto _ : state) {
+      dsp::rfft_magnitudes_head(mix.first(kFft / 3), mix.subspan(kFft / 3), kFft, kBins,
+                                magnitudes.data(), scratch);
+      benchmark::DoNotOptimize(magnitudes.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string("rfft_magnitudes_head, ") + dsp::simd::kernels().name);
+  }
+}
+BENCHMARK(BM_DirectivityFft)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 int env_int(const char* name, int fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
@@ -264,9 +416,8 @@ bool run_plan_cache_record() {
 
 /// Warm orientation scoring swept across every SIMD dispatch level the
 /// host supports, enforcing the numerical contract of the kernel layer:
-/// per-feature deltas <= 1e-9 relative against the scalar reference and a
-/// bit-identical classifier verdict at every level. Returns false when the
-/// contract breaks.
+/// features bit-identical to the scalar reference (so the verdict is too)
+/// at every level. Returns false when the contract breaks.
 bool run_simd_level_record() {
   const int iters = env_int("HEADTALK_RUNTIME_BENCH_ITERS", 10);
   const core::OrientationFeatureExtractor extractor;
@@ -292,8 +443,11 @@ bool run_simd_level_record() {
     const double warm_ms = time_ms_per_iter(iters, [&] {
       benchmark::DoNotOptimize(extractor.extract(capture(), &workspace));
     });
+    bool identical = features.size() == reference.size();
     double level_delta = 0.0;
     for (std::size_t k = 0; k < features.size(); ++k) {
+      identical = identical && std::bit_cast<std::uint64_t>(features[k]) ==
+                                   std::bit_cast<std::uint64_t>(reference[k]);
       const double scale = std::max(1.0, std::abs(reference[k]));
       level_delta = std::max(level_delta, std::abs(features[k] - reference[k]) / scale);
     }
@@ -304,7 +458,7 @@ bool run_simd_level_record() {
                 name, warm_ms, level_delta,
                 verdict == reference_verdict ? "identical" : "DIFFERS");
     recorder.set_metric(std::string("orientation_warm_") + name + "_ms", warm_ms);
-    if (level_delta > 1e-9 || verdict != reference_verdict) ok = false;
+    if (!identical || verdict != reference_verdict) ok = false;
   }
   dsp::simd::set_level(original);
 
@@ -314,10 +468,10 @@ bool run_simd_level_record() {
 
   if (!ok) {
     std::fprintf(stderr,
-                 "bench_runtime: SIMD levels disagree beyond the 1e-9 contract "
+                 "bench_runtime: SIMD levels do not give bit-identical features "
                  "or flipped a verdict\n");
   } else {
-    bench::print_note("  all levels within 1e-9 with identical verdicts");
+    bench::print_note("  all levels bit-identical with identical verdicts");
   }
   return ok;
 }

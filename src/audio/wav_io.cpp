@@ -132,6 +132,8 @@ MultiBuffer read_wav(const std::filesystem::path& path) {
   std::uint16_t format = 0, channels = 0, bits = 0;
   std::uint32_t rate = 0;
   std::vector<char> data;
+  std::error_code size_error;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
 
   while (in) {
     std::array<char, 4> tag{};
@@ -147,6 +149,15 @@ MultiBuffer read_wav(const std::filesystem::path& path) {
       bits = read_le<std::uint16_t>(in, path, "fmt chunk");
       if (chunk_size > 16) in.seekg(chunk_size - 16, std::ios::cur);
     } else if (tag_is(tag, "data")) {
+      // Bound the allocation by what the file can hold: a hostile size
+      // field must not reserve up to 4 GiB before the read fails.
+      const auto offset = static_cast<std::uintmax_t>(std::streamoff(in.tellg()));
+      if (!size_error && chunk_size > file_bytes - std::min(file_bytes, offset)) {
+        fail_read(in, path,
+                  "truncated data chunk (declares " + std::to_string(chunk_size) +
+                      " bytes, " + std::to_string(file_bytes - std::min(file_bytes, offset)) +
+                      " left)");
+      }
       data.resize(chunk_size);
       in.read(data.data(), chunk_size);
       if (!in) fail_read(in, path, "truncated data chunk");
@@ -179,6 +190,12 @@ MultiBuffer read_wav(const std::filesystem::path& path) {
       } else {
         float v;
         std::memcpy(&v, p, 4);
+        if (!std::isfinite(v)) {
+          throw std::runtime_error(
+              "read_wav: non-finite sample at index " + std::to_string(i * channels + c) +
+              " (frame " + std::to_string(i) + ", channel " + std::to_string(c) + ") in " +
+              path.string());
+        }
         out.channel(c)[i] = static_cast<double>(v);
       }
       p += bytes_per_sample;

@@ -32,6 +32,8 @@ constexpr std::size_t kCoherenceBlock = 64;
 // the 15 Hz chunks of the 20-band low-band statistics).
 constexpr double kDirectivityWindowSeconds = 0.08;
 
+constexpr std::size_t kLanes = dsp::simd::kFftLanes;
+
 obs::Counter& pruned_counter() {
   static obs::Counter& c = obs::Registry::global().counter("dsp.srp.pairs_pruned");
   return c;
@@ -86,6 +88,10 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
                   channels);
   block_len_ = static_cast<std::size_t>(
       std::max(1.0, config_.block_ms * sample_rate / 1000.0));
+  block_.assign(channels * block_len_, 0.0);
+  filter_in_.assign(channels, nullptr);
+  filter_out_.assign(channels, nullptr);
+  block_fill_ = 0;
 
   orientation_on_ = config_.enable_orientation && channels >= 2;
   max_lag_ = 0;
@@ -104,13 +110,12 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
         2, dsp::next_pow2(std::max(block_len_ + lag + 1, 2 * lag + 1)));
   }
 
-  dsp::RollingStft::Config blocks;
-  blocks.channels = channels;
-  blocks.frame_size = block_len_;
-  blocks.hop_size = block_len_;
-  blocks.fft_size = block_fft;
-  blocks.window = dsp::WindowType::kRectangular;
-  blocks_.reset(blocks);
+  block_fft_ = block_fft;
+  channel_spectra_.resize(orientation_on_ ? (channels + kLanes - 1) / kLanes : 0);
+  pairs_.clear();
+  for (std::size_t i = 0; orientation_on_ && i + 1 < channels; ++i) {
+    for (std::size_t j = i + 1; j < channels; ++j) pairs_.emplace_back(i, j);
+  }
 
   envelope_.clear();
   active_begin_ = active_end_ = 0;
@@ -122,7 +127,9 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   pair_pruned_.clear();
   srp_.clear();
   cross_.fft_size = block_fft;
-  cross_.bins.assign(block_fft / 2 + 1, dsp::Complex{});
+  cross_.re.assign((block_fft / 2 + 1) * kLanes, 0.0);
+  cross_.im.assign((block_fft / 2 + 1) * kLanes, 0.0);
+  coherence_sums_.assign(coherence_blocks_ * 4 * kLanes, 0.0);
 
   dir_fft_ = std::max<std::size_t>(
       2, dsp::next_pow2(static_cast<std::size_t>(sample_rate * kDirectivityWindowSeconds)));
@@ -132,7 +139,8 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
                        static_cast<std::size_t>(
                            std::ceil(top_hz * static_cast<double>(dir_fft_) / sample_rate)) +
                            2);
-  mix_history_.clear();
+  mix_ring_.assign(dir_fft_, 0.0);
+  mixed_ = 0;
   dir_blocks_.clear();
 
   // Liveness: pick the resampling path once per stream. Integer decimation
@@ -162,7 +170,7 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
     } else if (factor > 1.0 && std::abs(factor - rounded) < 1e-9) {
       liveness_path_ = LivenessPath::kDecimate;
       decimate_step_ = static_cast<std::size_t>(rounded);
-      antialias_ = dsp::butterworth_lowpass(10, 0.45 * target, sample_rate);
+      antialias_.reset(dsp::butterworth_lowpass(10, 0.45 * target, sample_rate), 1);
     } else {
       liveness_path_ = LivenessPath::kBuffered;
     }
@@ -195,115 +203,121 @@ void IncrementalExtractor::push(const audio::MultiBuffer& chunk) {
   if (chunk.sample_rate() != sample_rate_) {
     throw std::invalid_argument("IncrementalExtractor: sample rate mismatch");
   }
-  // One band-pass kernel call per analysis block of the chunk keeps the
-  // scratch at channels × block_length() samples however long the chunk.
+  // The band-pass writes straight into the open block; each block is
+  // processed the moment its last sample is filtered.
   const std::size_t frames = chunk.frames();
-  for (std::size_t first = 0; first < frames; first += block_len_) {
-    const std::size_t take = std::min(block_len_, frames - first);
-    bandpass_.process(chunk, first, take, filter_scratch_);
+  for (std::size_t first = 0; first < frames;) {
+    const std::size_t take = std::min(block_len_ - block_fill_, frames - first);
     for (std::size_t c = 0; c < channels_; ++c) {
-      blocks_.push(c, {filter_scratch_.data() + c * take, take});
+      filter_in_[c] = chunk.channel(c).samples().data() + first;
+      filter_out_[c] = block_.data() + c * block_len_ + block_fill_;
+    }
+    bandpass_.process(filter_in_.data(), filter_out_.data(), take);
+    block_fill_ += take;
+    first += take;
+    if (block_fill_ == block_len_) {
+      process_block(block_len_);
+      block_fill_ = 0;
     }
   }
   pushed_ += frames;
-  dsp::RollingStftFrame frame;
-  while (blocks_.pop(frame)) process_block(frame);
 }
 
-void IncrementalExtractor::accumulate_pair_block(const dsp::HalfSpectrum& x,
-                                                 const dsp::HalfSpectrum& y,
-                                                 double* coherence_acc) {
-  // Partial sums of the block-averaged coherence estimate per bin group;
-  // finalize forms |Σxy*|²/(Σ|x|²Σ|y|²) from the per-segment sums so the
-  // estimate is Welch-averaged over the selected blocks.
-  const std::size_t bins = std::min(x.bins.size(), y.bins.size());
-  std::size_t k = 0;
-  std::size_t cb = 0;
-  while (k < bins && cb < coherence_blocks_) {
-    double cr = 0.0, ci = 0.0, px = 0.0, py = 0.0;
-    std::size_t count = 0;
-    for (; count < kCoherenceBlock && k < bins; k += kCoherenceStride, ++count) {
-      const double xr = x.bins[k].real();
-      const double xi = x.bins[k].imag();
-      const double yr = y.bins[k].real();
-      const double yi = y.bins[k].imag();
-      cr += xr * yr + xi * yi;
-      ci += xi * yr - xr * yi;
-      px += xr * xr + xi * xi;
-      py += yr * yr + yi * yi;
-    }
-    if (count < kCoherenceBlock / 2) break;
-    double* acc = coherence_acc + cb * 4;
-    acc[0] += cr;
-    acc[1] += ci;
-    acc[2] += px;
-    acc[3] += py;
-    ++cb;
-  }
-}
-
-void IncrementalExtractor::process_block(const dsp::RollingStftFrame& frame) {
-  const std::size_t valid = frame.valid;
-
-  // Block RMS envelope across channels, for the trim (the block framer's
-  // rectangular window leaves the samples untouched).
+void IncrementalExtractor::process_block(std::size_t valid) {
+  // Block RMS envelope across channels, for the trim.
   double acc = 0.0;
   for (std::size_t c = 0; c < channels_; ++c) {
-    const auto& samples = frame.windowed[c];
+    const audio::Sample* samples = block_.data() + c * block_len_;
     for (std::size_t i = 0; i < valid; ++i) acc += samples[i] * samples[i];
   }
   envelope_.push_back(
       std::sqrt(acc / static_cast<double>(std::max<std::size_t>(1, valid) * channels_)));
 
   if (orientation_on_) {
-    const std::size_t window = 2 * static_cast<std::size_t>(max_lag_) + 1;
-    const std::size_t bins = cross_.bins.size();
-    const std::size_t coh_stride = coherence_blocks_ * 4;
-    const std::size_t coh_base = coherence_partials_.size();
-    coherence_partials_.resize(coh_base + pair_count_ * coh_stride, 0.0);
-    const auto& kernels = dsp::simd::kernels();
-    std::size_t pair = 0;
-    for (std::size_t i = 0; i + 1 < channels_; ++i) {
-      for (std::size_t j = i + 1; j < channels_; ++j, ++pair) {
-        accumulate_pair_block(frame.spectra[i], frame.spectra[j],
-                              coherence_partials_.data() + coh_base + pair * coh_stride);
-        kernels.cross_spectrum(
-            reinterpret_cast<const double*>(frame.spectra[i].bins.data()),
-            reinterpret_cast<const double*>(frame.spectra[j].bins.data()),
-            reinterpret_cast<double*>(cross_.bins.data()), bins,
-            /*phat=*/true, kPhatEpsilon);
-        dsp::irfft_half_window_into(cross_, max_lag_, lag_window_, fft_scratch_);
-        gcc_blocks_.insert(gcc_blocks_.end(), lag_window_.begin(),
-                           lag_window_.begin() + static_cast<std::ptrdiff_t>(window));
-      }
-    }
-
-    // Directivity: the truncated spectrum of the sliding mixdown window.
-    // Only the bins the HLBR/banded features read are stored per block.
-    for (std::size_t i = 0; i < valid; ++i) {
-      double mix = 0.0;
-      for (std::size_t c = 0; c < channels_; ++c) mix += frame.windowed[c][i];
-      mix_history_.push_back(mix / static_cast<double>(channels_));
-    }
-    if (mix_history_.size() > dir_fft_) {
-      mix_history_.erase(mix_history_.begin(),
-                         mix_history_.begin() + static_cast<std::ptrdiff_t>(
-                                                    mix_history_.size() - dir_fft_));
-    }
-    dsp::rfft_half_into(mix_history_, dir_fft_, dir_spectrum_, fft_scratch_);
-    for (std::size_t k = 0; k < dir_bins_; ++k) {
-      dir_blocks_.push_back(std::abs(dir_spectrum_.bins[k]));
-    }
+    accumulate_pairs(valid);
+    accumulate_directivity(valid);
   }
 
   if (liveness_path_ != LivenessPath::kOff) {
-    feed_liveness({frame.windowed[0].data(), valid});
+    feed_liveness({block_.data(), valid});
     if (liveness_path_ != LivenessPath::kBuffered) {
       resampled_upto_.push_back(live_count_);
       live_cum_sum_.push_back(live_sum_);
       live_cum_sum_sq_.push_back(live_sum_sq_);
     }
   }
+}
+
+void IncrementalExtractor::accumulate_pairs(std::size_t valid) {
+  // Block STFT: the channels' zero-padded blocks, four per lane group.
+  const audio::Sample* signals[kLanes] = {};
+  for (std::size_t g = 0; g < channel_spectra_.size(); ++g) {
+    const std::size_t count = std::min(kLanes, channels_ - g * kLanes);
+    for (std::size_t l = 0; l < count; ++l) {
+      signals[l] = block_.data() + (g * kLanes + l) * block_len_;
+    }
+    dsp::rfft_lanes_into({signals, count}, valid, block_fft_, channel_spectra_[g],
+                         lane_scratch_);
+  }
+
+  // Pair GCC, four pairs per lane group: coherence partial sums of the raw
+  // spectra (finalize forms |Σxy*|²/(Σ|x|²Σ|y|²) from the per-segment sums,
+  // Welch-averaged over the selected blocks), then the PHAT cross spectrum
+  // and its pruned inverse over the lag window.
+  const auto& kernels = dsp::simd::kernels();
+  const std::size_t window = 2 * static_cast<std::size_t>(max_lag_) + 1;
+  const std::size_t rows = block_fft_ / 2 + 1;
+  const std::size_t coh_stride = coherence_blocks_ * 4;
+  const std::size_t coh_base = coherence_partials_.size();
+  coherence_partials_.resize(coh_base + pair_count_ * coh_stride, 0.0);
+  for (std::size_t first = 0; first < pair_count_; first += kLanes) {
+    const std::size_t count = std::min(kLanes, pair_count_ - first);
+    // A ragged group's spare lanes repeat a used pair; their results are
+    // dropped.
+    const dsp::LaneSpectrum* x_from[kLanes] = {};
+    const dsp::LaneSpectrum* y_from[kLanes] = {};
+    std::size_t x_lane[kLanes] = {}, y_lane[kLanes] = {};
+    for (std::size_t l = 0; l < count; ++l) {
+      const auto [i, j] = pairs_[first + l];
+      x_from[l] = &channel_spectra_[i / kLanes];
+      x_lane[l] = i % kLanes;
+      y_from[l] = &channel_spectra_[j / kLanes];
+      y_lane[l] = j % kLanes;
+    }
+    const dsp::LaneSelection x = dsp::select_lanes(x_from, x_lane, pair_x_);
+    const dsp::LaneSelection y = dsp::select_lanes(y_from, y_lane, pair_y_);
+    kernels.coherence_lanes(x.re, x.im, x.order, y.re, y.im, y.order, rows,
+                            kCoherenceStride, kCoherenceBlock, coherence_blocks_,
+                            coherence_sums_.data());
+    for (std::size_t l = 0; l < count; ++l) {
+      double* acc = coherence_partials_.data() + coh_base + (first + l) * coh_stride;
+      for (std::size_t i = 0; i < coh_stride; ++i) acc[i] += coherence_sums_[i * kLanes + l];
+    }
+    kernels.phat_lanes(x.re, x.im, x.order, y.re, y.im, y.order, cross_.re.data(),
+                       cross_.im.data(), rows, kPhatEpsilon);
+    dsp::irfft_lanes_window_into(cross_, max_lag_, lag_windows_, lane_scratch_);
+    gcc_blocks_.insert(gcc_blocks_.end(), lag_windows_.begin(),
+                       lag_windows_.begin() + static_cast<std::ptrdiff_t>(count * window));
+  }
+}
+
+void IncrementalExtractor::accumulate_directivity(std::size_t valid) {
+  // The truncated spectrum of the sliding mixdown window; only the bins the
+  // HLBR/banded features read are unpacked and stored per block.
+  for (std::size_t i = 0; i < valid; ++i) {
+    double mix = 0.0;
+    for (std::size_t c = 0; c < channels_; ++c) mix += block_[c * block_len_ + i];
+    mix_ring_[mixed_ % dir_fft_] = mix / static_cast<double>(channels_);
+    ++mixed_;
+  }
+  // The window holds the last min(mixed_, dir_fft_) samples, oldest first.
+  const std::size_t oldest = mixed_ > dir_fft_ ? mixed_ % dir_fft_ : 0;
+  const std::size_t held = std::min(mixed_, dir_fft_);
+  const std::span<const audio::Sample> ring(mix_ring_);
+  const std::size_t base = dir_blocks_.size();
+  dir_blocks_.resize(base + dir_bins_);
+  dsp::rfft_magnitudes_head(ring.subspan(oldest, held - oldest), ring.first(oldest),
+                            dir_fft_, dir_bins_, dir_blocks_.data() + base, lane_scratch_);
 }
 
 void IncrementalExtractor::feed_liveness(std::span<const audio::Sample> samples) {
@@ -325,8 +339,11 @@ void IncrementalExtractor::feed_liveness(std::span<const audio::Sample> samples)
       // Streaming form of the batch fast path: stateful anti-alias cascade
       // followed by phase-0 sample keeping (out[m] = filtered[m*step]).
       live_emitted_.clear();
-      for (const double x : samples) {
-        const double y = antialias_.process(x);
+      live_filtered_.resize(samples.size());
+      const audio::Sample* in = samples.data();
+      audio::Sample* out = live_filtered_.data();
+      antialias_.process(&in, &out, samples.size());
+      for (const double y : live_filtered_) {
         if (decimate_phase_ == 0) {
           live_emitted_.push_back(y);
           live_sum_ += y;
@@ -354,9 +371,11 @@ void IncrementalExtractor::drain_liveness_frames() {
 void IncrementalExtractor::finalize_shared() {
   if (finalized_) return;
   if (!open_) throw std::logic_error("IncrementalExtractor: finalize before begin");
-  blocks_.finish();
-  dsp::RollingStftFrame frame;
-  while (blocks_.pop(frame)) process_block(frame);
+  // The trailing partial block, zero-padded by the transforms.
+  if (block_fill_ > 0) {
+    process_block(block_fill_);
+    block_fill_ = 0;
+  }
   if (liveness_path_ == LivenessPath::kPassthrough ||
       liveness_path_ == LivenessPath::kDecimate) {
     live_stft_.finish();

@@ -12,6 +12,13 @@
 //     over the selected blocks at finalize);
 //   * per-block directivity spectra of a sliding mixdown window (HLBR and
 //     the banded low-band statistics);
+//
+// The block transforms ride in the four lanes of the dsp lane kernels:
+// each block's channels are transformed four at a time, the pairs are
+// gathered four at a time for the PHAT cross spectrum, coherence sums and
+// pruned inverse, and the directivity transform runs as four quarter
+// lanes. Every lane computes what a one-signal transform would, so the
+// features are the same at every SIMD level.
 //   * a streaming 16 kHz decimator feeding a rolling STFT plus running
 //     Σx/Σx² for the liveness normalization.
 //
@@ -147,9 +154,9 @@ class IncrementalExtractor {
  private:
   enum class LivenessPath { kOff, kPassthrough, kDecimate, kBuffered };
 
-  void process_block(const dsp::RollingStftFrame& frame);
-  void accumulate_pair_block(const dsp::HalfSpectrum& x, const dsp::HalfSpectrum& y,
-                             double* coherence_acc);
+  void process_block(std::size_t valid);
+  void accumulate_pairs(std::size_t valid);
+  void accumulate_directivity(std::size_t valid);
   void feed_liveness(std::span<const audio::Sample> samples);
   void drain_liveness_frames();
   void finalize_shared();
@@ -166,11 +173,13 @@ class IncrementalExtractor {
   bool finalized_ = false;
 
   // Preprocessing: the band-pass (one design, per-channel delay lines)
-  // and the block framer.
+  // and the block framer, which the band-pass writes into directly.
   dsp::MultichannelBiquadCascade bandpass_;
-  std::vector<audio::Sample> filter_scratch_;  ///< [channel][frame], <= one block
-  dsp::RollingStft blocks_;
+  std::vector<audio::Sample> block_;  ///< [channel][block_len_] open block
+  std::vector<const audio::Sample*> filter_in_;
+  std::vector<audio::Sample*> filter_out_;
   std::size_t block_len_ = 0;
+  std::size_t block_fill_ = 0;  ///< samples of the open block filled so far
   std::size_t pushed_ = 0;
 
   // Per-block envelope (RMS across channels), for the lazy trim.
@@ -187,20 +196,26 @@ class IncrementalExtractor {
   std::vector<double> pair_gcc_;      ///< finalized [pair][2*max_lag+1]
   std::vector<char> pair_pruned_;     ///< finalized, per pair
   std::vector<double> srp_;           ///< finalized [2*max_lag+1]
-  dsp::HalfSpectrum cross_;
-  std::vector<double> lag_window_;
-  dsp::FftScratch fft_scratch_;
+  std::size_t block_fft_ = 0;
+  std::vector<dsp::LaneSpectrum> channel_spectra_;  ///< per group of 4 channels
+  std::vector<std::pair<std::size_t, std::size_t>> pairs_;  ///< (i, j), pair order
+  dsp::LaneSpectrum pair_x_, pair_y_;  ///< gathered pair operands (> 4 channels)
+  dsp::LaneSpectrum cross_;            ///< PHAT cross spectra of one pair group
+  std::vector<double> coherence_sums_;  ///< [cblock][cr,ci,px,py][lane]
+  std::vector<double> lag_windows_;     ///< [lane][2*max_lag+1]
+  dsp::LaneScratch lane_scratch_;
 
   // Directivity: sliding mixdown window → per-block truncated spectrum.
   std::size_t dir_fft_ = 0;
   std::size_t dir_bins_ = 0;  ///< bins stored per block (covers the feature bands)
-  std::vector<audio::Sample> mix_history_;
-  dsp::HalfSpectrum dir_spectrum_;
+  std::vector<audio::Sample> mix_ring_;  ///< the last dir_fft_ mixdown samples
+  std::size_t mixed_ = 0;                ///< mixdown samples pushed so far
   std::vector<double> dir_blocks_;  ///< [block][dir_bins_]
 
   // Liveness accumulators.
   LivenessPath liveness_path_ = LivenessPath::kOff;
-  dsp::BiquadCascade antialias_;
+  dsp::MultichannelBiquadCascade antialias_;  ///< one channel
+  std::vector<audio::Sample> live_filtered_;  ///< kDecimate: one block filtered
   std::size_t decimate_step_ = 1;
   std::size_t decimate_phase_ = 0;
   dsp::RollingStft live_stft_;

@@ -73,8 +73,14 @@ void MultichannelBiquadCascade::process(const audio::MultiBuffer& chunk,
     in_[c] = chunk.channel(c).samples().data() + first;
     out_[c] = out.data() + c * frames;
   }
+  process(in_.data(), out_.data(), frames);
+}
+
+void MultichannelBiquadCascade::process(const audio::Sample* const* in,
+                                        audio::Sample* const* out,
+                                        std::size_t frames) noexcept {
   simd::kernels().biquad_cascade(coeffs_.data(), coeffs_.size() / 5, state_.data(),
-                                 channels, in_.data(), out_.data(), frames);
+                                 in_.size(), in, out, frames);
 }
 
 namespace {

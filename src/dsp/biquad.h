@@ -80,6 +80,11 @@ class MultichannelBiquadCascade {
   void process(const audio::MultiBuffer& chunk, std::size_t first, std::size_t frames,
                std::vector<audio::Sample>& out);
 
+  /// Filters `frames` samples of every channel c from in[c] into out[c]
+  /// (one pointer per channel), continuing the previous call's signal.
+  void process(const audio::Sample* const* in, audio::Sample* const* out,
+               std::size_t frames) noexcept;
+
  private:
   std::vector<double> coeffs_;  ///< [section][b0, b1, b2, a1, a2]
   std::vector<double> state_;   ///< [section][z1, z2][channel]

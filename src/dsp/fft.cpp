@@ -1,6 +1,7 @@
 #include "dsp/fft.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,6 +12,19 @@ namespace headtalk::dsp {
 namespace {
 
 bool is_pow2(std::size_t n) noexcept { return n != 0 && (n & (n - 1)) == 0; }
+
+// Interior bins k in [1, half) of the real-FFT unpack read packed slots k
+// and half - k (simd::Kernels::rfft_unpack); the two edge bins, k = 0 and
+// k = half, both read slot 0. Returns edge bin k from the packed slot z0
+// and pack twiddle w[k].
+Complex rfft_edge_bin(Complex z0, Complex w) noexcept {
+  const Complex zr = std::conj(z0);
+  const Complex even = 0.5 * (z0 + zr);
+  const Complex odd = Complex(0.0, -0.5) * (z0 - zr);
+  return even + w * odd;
+}
+
+static_assert(simd::kFftLanes == 4, "LaneSelection::order holds one entry per lane");
 
 }  // namespace
 
@@ -88,12 +102,66 @@ void rfft_half_into(std::span<const audio::Sample> x, std::size_t fft_size,
   simd::kernels().rfft_unpack(reinterpret_cast<const double*>(z.data()),
                               reinterpret_cast<const double*>(w.data()),
                               reinterpret_cast<double*>(out.bins.data()), half);
-  for (const std::size_t k : {std::size_t{0}, half}) {
-    const Complex zk = k < half ? z[k] : z[0];
-    const Complex zr = std::conj(z[(half - k) % half]);
-    const Complex even = 0.5 * (zk + zr);
-    const Complex odd = Complex(0.0, -0.5) * (zk - zr);
-    out.bins[k] = even + w[k] * odd;
+  for (const std::size_t k : {std::size_t{0}, half}) out.bins[k] = rfft_edge_bin(z[0], w[k]);
+}
+
+void rfft_lanes_into(std::span<const audio::Sample* const> signals, std::size_t count,
+                     std::size_t fft_size, LaneSpectrum& out, LaneScratch& scratch) {
+  constexpr std::size_t kLanes = simd::kFftLanes;
+  if (!is_pow2(fft_size) || fft_size < std::max<std::size_t>(2, count) ||
+      signals.size() > kLanes) {
+    throw std::invalid_argument(
+        "rfft_lanes: fft_size must be a power of two >= max(2, count), <= 4 signals");
+  }
+  const std::size_t half = fft_size / 2;
+  const auto plan = FftPlanCache::global().get(half);
+
+  // Pack even samples into the real part and odd into the imaginary part
+  // of each lane, scattering packed slot n to its bit-reversed row.
+  scratch.re.resize(half * kLanes);
+  scratch.im.resize(half * kLanes);
+  const auto bit_reverse = plan->bit_reverse();
+  const std::size_t pairs = std::min(half, count / 2);  // slots fully inside the signal
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    double* re = scratch.re.data() + l;
+    double* im = scratch.im.data() + l;
+    std::size_t n = 0;
+    if (l < signals.size()) {
+      const audio::Sample* x = signals[l];
+      for (; n < pairs; ++n) {
+        const std::size_t row = std::size_t{bit_reverse[n]} * kLanes;
+        re[row] = x[2 * n];
+        im[row] = x[2 * n + 1];
+      }
+      if (n < half && 2 * n < count) {  // an odd count ends mid-slot
+        const std::size_t row = std::size_t{bit_reverse[n]} * kLanes;
+        re[row] = x[2 * n];
+        im[row] = 0.0;
+        ++n;
+      }
+    }
+    for (; n < half; ++n) {
+      const std::size_t row = std::size_t{bit_reverse[n]} * kLanes;
+      re[row] = 0.0;
+      im[row] = 0.0;
+    }
+  }
+  plan->forward_lanes(scratch.re.data(), scratch.im.data());
+
+  out.fft_size = fft_size;
+  out.re.resize((half + 1) * kLanes);
+  out.im.resize((half + 1) * kLanes);
+  const auto w = plan->real_pack_twiddles();
+  simd::kernels().rfft_unpack_lanes(scratch.re.data(), scratch.im.data(),
+                                    reinterpret_cast<const double*>(w.data()),
+                                    out.re.data(), out.im.data(), half);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Complex z0(scratch.re[l], scratch.im[l]);
+    for (const std::size_t k : {std::size_t{0}, half}) {
+      const Complex bin = rfft_edge_bin(z0, w[k]);
+      out.re[k * kLanes + l] = bin.real();
+      out.im[k * kLanes + l] = bin.imag();
+    }
   }
 }
 
@@ -182,6 +250,145 @@ void irfft_half_window_into(const HalfSpectrum& spectrum, int max_lag,
     const std::size_t idx = m / 2;
     out[static_cast<std::size_t>(l + max_lag)] =
         (m % 2 == 0) ? z[idx].real() : z[idx].imag();
+  }
+}
+
+void irfft_lanes_window_into(const LaneSpectrum& spectrum, int max_lag,
+                             std::vector<double>& out, LaneScratch& scratch) {
+  constexpr std::size_t kLanes = simd::kFftLanes;
+  const std::size_t n = spectrum.fft_size;
+  const std::size_t half = n / 2;
+  if (n < 2 || !is_pow2(n) || spectrum.re.size() != (half + 1) * kLanes ||
+      spectrum.im.size() != spectrum.re.size()) {
+    throw std::invalid_argument("irfft_lanes_window: malformed spectrum");
+  }
+  if (max_lag < 0) throw std::invalid_argument("irfft_lanes_window: max_lag must be >= 0");
+  const std::size_t lag = static_cast<std::size_t>(max_lag);
+  const std::size_t window = 2 * lag + 1;
+  if (n < window) {
+    throw std::invalid_argument(
+        "irfft_lanes_window: fft_size must be >= 2*max_lag + 1");
+  }
+
+  const auto plan = FftPlanCache::global().get(half);
+  const auto w = plan->real_pack_twiddles();
+  scratch.re.resize(half * kLanes);
+  scratch.im.resize(half * kLanes);
+  simd::kernels().irfft_repack_lanes(spectrum.re.data(), spectrum.im.data(),
+                                     reinterpret_cast<const double*>(w.data()),
+                                     plan->bit_reverse().data(), scratch.re.data(),
+                                     scratch.im.data(), half);
+  // The same front/tail slots as irfft_half_window_into.
+  const std::size_t front = lag / 2 + 1;
+  const std::size_t tail = std::max<std::size_t>(1, (lag + 1) / 2);
+  plan->inverse_pruned_lanes(scratch.re.data(), scratch.im.data(), front, tail);
+
+  out.resize(kLanes * window);
+  for (int l = -max_lag; l <= max_lag; ++l) {
+    const std::size_t m =
+        l >= 0 ? static_cast<std::size_t>(l) : n - static_cast<std::size_t>(-l);
+    const auto& part = m % 2 == 0 ? scratch.re : scratch.im;
+    const double* row = part.data() + (m / 2) * kLanes;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      out[lane * window + static_cast<std::size_t>(l + max_lag)] = row[lane];
+    }
+  }
+}
+
+LaneSelection select_lanes(const LaneSpectrum* const* from, const std::size_t* from_lane,
+                           LaneSpectrum& scratch) {
+  constexpr std::size_t kLanes = simd::kFftLanes;
+  const LaneSpectrum* source = nullptr;
+  std::size_t spare = 0;
+  bool shared = true;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if (from[l] == nullptr) continue;
+    if (source == nullptr) {
+      source = from[l];
+      spare = from_lane[l];
+    }
+    shared = shared && from[l] == source;
+  }
+  if (source == nullptr) throw std::invalid_argument("select_lanes: no lane selected");
+  LaneSelection out;
+  if (shared) {
+    out.re = source->re.data();
+    out.im = source->im.data();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      out.order[l] = static_cast<std::uint32_t>(from[l] != nullptr ? from_lane[l] : spare);
+    }
+    return out;
+  }
+  const std::size_t rows = source->re.size() / kLanes;
+  scratch.fft_size = source->fft_size;
+  scratch.re.resize(rows * kLanes);
+  scratch.im.resize(rows * kLanes);
+  for (std::size_t k = 0; k < rows; ++k) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const LaneSpectrum& s = from[l] != nullptr ? *from[l] : *source;
+      const std::size_t lane = from[l] != nullptr ? from_lane[l] : spare;
+      scratch.re[k * kLanes + l] = s.re[k * kLanes + lane];
+      scratch.im[k * kLanes + l] = s.im[k * kLanes + lane];
+    }
+  }
+  out.re = scratch.re.data();
+  out.im = scratch.im.data();
+  return out;
+}
+
+void rfft_magnitudes_head(std::span<const audio::Sample> older,
+                          std::span<const audio::Sample> newer, std::size_t fft_size,
+                          std::size_t bins, double* out, LaneScratch& scratch) {
+  const std::size_t held = older.size() + newer.size();
+  if (!is_pow2(fft_size) || fft_size < 8 || fft_size < held || bins > fft_size / 2 + 1) {
+    throw std::invalid_argument(
+        "rfft_magnitudes_head: fft_size must be a power of two >= max(8, input), "
+        "bins <= fft_size/2 + 1");
+  }
+  const std::size_t half = fft_size / 2;
+  const auto plan = FftPlanCache::global().get(half);
+  const std::size_t rows = half / simd::kFftLanes;
+  const int shift = std::countr_zero(rows);
+  auto slot = [rows, shift](std::size_t p) {
+    return (p & (rows - 1)) * simd::kFftLanes + (p >> shift);
+  };
+
+  // Pack even samples into the real part and odd into the imaginary part,
+  // each packed slot at its bit-reversed position of the quartered layout.
+  auto& x = scratch.signal;
+  x.resize(fft_size);
+  std::copy(older.begin(), older.end(), x.begin());
+  std::copy(newer.begin(), newer.end(), x.begin() + static_cast<std::ptrdiff_t>(older.size()));
+  std::fill(x.begin() + static_cast<std::ptrdiff_t>(held), x.end(), 0.0);
+  scratch.re.resize(half);
+  scratch.im.resize(half);
+  const auto bit_reverse = plan->bit_reverse();
+  for (std::size_t n = 0; n < half; ++n) {
+    const std::size_t s = slot(bit_reverse[n]);
+    scratch.re[s] = x[2 * n];
+    scratch.im[s] = x[2 * n + 1];
+  }
+  plan->forward_quartered(scratch.re.data(), scratch.im.data());
+
+  // The unpack of rfft_half_into, bin by bin (the interior bins with the
+  // simd::Kernels::rfft_unpack formula).
+  const auto w = plan->real_pack_twiddles();
+  const double* re = scratch.re.data();
+  const double* im = scratch.im.data();
+  for (std::size_t k = 0; k < bins; ++k) {
+    if (k == 0 || k == half) {
+      out[k] = std::abs(rfft_edge_bin(Complex(re[0], im[0]), w[k]));
+      continue;
+    }
+    const std::size_t a = slot(k);
+    const std::size_t b = slot(half - k);
+    const double er = 0.5 * (re[a] + re[b]);
+    const double ei = 0.5 * (im[a] - im[b]);
+    const double odr = 0.5 * (im[a] + im[b]);
+    const double odi = -0.5 * (re[a] - re[b]);
+    const double wr = w[k].real();
+    const double wi = w[k].imag();
+    out[k] = std::abs(Complex(er + odr * wr - odi * wi, ei + odr * wi + odi * wr));
   }
 }
 

@@ -1,15 +1,18 @@
 // Radix-2 iterative FFT and helpers.
 //
-// Everything downstream (GCC-PHAT, SRP-PHAT, spectra, fast convolution)
-// funnels through this module: power-of-two complex transforms with a
-// real-input convenience wrapper. All transforms run off cached plans
-// (precomputed twiddle/bit-reversal tables, see fft_plan.h); the *_into
-// variants additionally reuse caller-owned scratch so hot loops allocate
-// nothing after warm-up.
+// Everything downstream (the operator's block STFT, pair GCC and
+// directivity spectra, the liveness STFT, spectral features) funnels
+// through this module: power-of-two complex transforms with a real-input
+// convenience wrapper, and lane variants that transform up to four real
+// signals at once. All transforms run off cached plans (precomputed
+// twiddle/bit-reversal tables, see fft_plan.h); the *_into variants
+// additionally reuse caller-owned scratch so hot loops allocate nothing
+// after warm-up.
 #pragma once
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -83,14 +86,67 @@ void irfft_half_into(const HalfSpectrum& spectrum, std::size_t out_size,
 /// [-max_lag, +max_lag] of the *circular* result: out[k] holds inverse
 /// sample (k - max_lag) mod fft_size, so out has 2*max_lag+1 entries in
 /// lag order. Uses an output-pruned inverse transform, so for windows much
-/// shorter than fft_size (the GCC-PHAT case: ±13 lags of a 16384-point
-/// transform) this skips over half of the butterfly work while computing
-/// the exact same butterflies as slicing a full irfft_half (bit-identical
-/// on scalar/SSE2; within 1 ulp on FMA builds, where compiler contraction
-/// of the scalar tail may differ between the two paths). Throws when
-/// fft_size < 2*max_lag + 1 (the window would alias).
+/// shorter than fft_size (the GCC-PHAT case: ±13 lags of the 1024-point
+/// block transform) this skips over half of the butterfly work while
+/// computing the exact same butterflies as slicing a full irfft_half (the
+/// two agree bit for bit). Throws when fft_size < 2*max_lag + 1 (the
+/// window would alias).
 void irfft_half_window_into(const HalfSpectrum& spectrum, int max_lag,
                             std::vector<double>& out, FftScratch& scratch);
+
+/// Half spectra of up to simd::kFftLanes real signals in the lane layout
+/// (simd/kernels.h): bin k of lane l at re/im[k * kFftLanes + l], bins
+/// 0 .. fft_size/2 inclusive.
+struct LaneSpectrum {
+  std::vector<double> re, im;
+  std::size_t fft_size = 0;
+};
+
+/// Workspace of the lane transforms: the packed lanes (fft_size/2 rows)
+/// and, for rfft_magnitudes_head, the linearized input.
+struct LaneScratch {
+  std::vector<double> re, im;
+  std::vector<audio::Sample> signal;
+};
+
+/// rfft_half_into of up to simd::kFftLanes signals at once: lane l is the
+/// spectrum of signals[l][0 .. count) zero-padded to fft_size (a power of
+/// two >= max(2, count)); lanes past signals.size() are zero. Every lane
+/// equals rfft_half_into of its signal bit for bit.
+void rfft_lanes_into(std::span<const audio::Sample* const> signals, std::size_t count,
+                     std::size_t fft_size, LaneSpectrum& out, LaneScratch& scratch);
+
+/// irfft_half_window_into on every lane of `spectrum`: lane l's lag window
+/// goes to out[l * (2*max_lag+1) .. (l+1) * (2*max_lag+1)), bit-identical
+/// to the one-spectrum call. Same preconditions.
+void irfft_lanes_window_into(const LaneSpectrum& spectrum, int max_lag,
+                             std::vector<double>& out, LaneScratch& scratch);
+
+/// Four lanes read through an order, as the pair kernels take them
+/// (simd::Kernels::phat_lanes): lane l is re/im[k * 4 + order[l]].
+struct LaneSelection {
+  const double* re = nullptr;
+  const double* im = nullptr;
+  std::uint32_t order[4] = {0, 1, 2, 3};
+};
+
+/// Selects lane from_lane[l] of *from[l] as lane l (a null from[l] is a
+/// spare lane, filled with some used lane). When the used lanes share one
+/// spectrum the selection reads it in place; otherwise the lanes are
+/// gathered into `scratch`. The selection is valid while its sources are.
+[[nodiscard]] LaneSelection select_lanes(const LaneSpectrum* const* from,
+                                         const std::size_t* from_lane,
+                                         LaneSpectrum& scratch);
+
+/// out[k] = |bin k| of rfft_half_into(x, fft_size) for k in [0, bins),
+/// where x = older ++ newer (a ring buffer's two runs, oldest first),
+/// zero-padded to fft_size (a power of two >= 8). The packed half-size
+/// transform runs as four quarter lanes (FftPlan::forward_quartered) and
+/// only the requested bins are unpacked; results are bit-identical to
+/// std::abs of the full rfft_half_into spectrum.
+void rfft_magnitudes_head(std::span<const audio::Sample> older,
+                          std::span<const audio::Sample> newer, std::size_t fft_size,
+                          std::size_t bins, double* out, LaneScratch& scratch);
 
 /// Magnitudes of the one-sided spectrum (bins 0 .. fft_size/2 inclusive).
 [[nodiscard]] std::vector<double> magnitude_spectrum(

@@ -1,5 +1,7 @@
 #include "dsp/fft_plan.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -57,28 +59,80 @@ FftPlan::FftPlan(std::size_t size) : size_(size) {
   }
 }
 
-void FftPlan::transform(std::vector<Complex>& x, bool inverse) const {
+void FftPlan::stages(double* re, double* im, std::size_t rows, bool inverse,
+                     std::size_t front, std::size_t tail) const {
+  // Output pruning by transform decomposition: the combine stage of size
+  // `len` computes outputs k and k+len/2 from butterfly k, so the needed
+  // output set {0..front-1} ∪ {size-tail..size-1} maps onto butterflies
+  // k in [0, front) ∪ [len/2 - tail, len/2) — and each half-size
+  // sub-transform needs exactly the same front/tail pattern of *its*
+  // outputs, recursively. Stages small enough that the two ranges overlap
+  // are computed in full; every skipped butterfly feeds only unneeded
+  // outputs, so the survivors are bit-identical to a full inverse.
+  const auto& kernels = simd::kernels();
+  const auto* table = reinterpret_cast<const double*>(twiddles_.data());
+  std::size_t len = 2;
+  // The leading whole in-lane stages in one call, so the kernel can fuse
+  // them in pairs.
+  std::size_t whole = 1;
+  while (2 * whole <= std::min(rows, size_) && front + tail >= whole) whole *= 2;
+  if (whole >= 2) {
+    kernels.fft_lane_stages(re, im, rows, 2, whole, 0, size_, table, inverse);
+    len = 2 * whole;
+  }
+  for (; len <= rows && len <= size_; len <<= 1) {
+    const std::size_t half = len / 2;
+    if (front + tail >= half) {
+      kernels.fft_lane_stages(re, im, rows, len, len, 0, half, table, inverse);
+    } else {
+      kernels.fft_lane_stages(re, im, rows, len, len, 0, front, table, inverse);
+      kernels.fft_lane_stages(re, im, rows, len, len, half - tail, half, table, inverse);
+    }
+  }
+  if (rows < size_) {
+    kernels.fft_cross_stages(re, im, rows, table, inverse, front, tail);
+  }
+}
+
+void FftPlan::transform(std::vector<Complex>& x, bool inverse, std::size_t front,
+                        std::size_t tail) const {
   if (x.size() != size_) {
     throw std::invalid_argument("FftPlan: buffer size does not match plan size");
   }
-  for (std::size_t i = 1; i < size_; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) std::swap(x[i], x[j]);
+  // One signal as four quarter lanes; sizes below 4 ride alone in lane 0
+  // of a size-row lane block (the other lanes stay zero). The bit reversal
+  // happens in the scatter.
+  const bool quartered = size_ >= 4;
+  const std::size_t rows = quartered ? size_ / simd::kFftLanes : size_;
+  thread_local std::vector<double> lanes;
+  lanes.resize(2 * simd::kFftLanes * rows);
+  if (!quartered) std::fill(lanes.begin(), lanes.end(), 0.0);
+  double* re = lanes.data();
+  double* im = re + simd::kFftLanes * rows;
+  const int shift = std::countr_zero(rows);
+  auto slot = [&](std::size_t p) {
+    return quartered ? (p & (rows - 1)) * simd::kFftLanes + (p >> shift)
+                     : p * simd::kFftLanes;
+  };
+  for (std::size_t n = 0; n < size_; ++n) {
+    const std::size_t s = slot(bit_reverse_[n]);
+    re[s] = x[n].real();
+    im[s] = x[n].imag();
   }
-
-  // std::complex guarantees the array layout is interleaved doubles, which
-  // is what the dispatched kernels operate on.
+  stages(re, im, rows, inverse, front, tail);
+  for (std::size_t p = 0; p < size_; ++p) {
+    const std::size_t s = slot(p);
+    x[p] = Complex(re[s], im[s]);
+  }
+  if (!inverse) return;
   const auto& kernels = simd::kernels();
   auto* data = reinterpret_cast<double*>(x.data());
-  const auto* stage = reinterpret_cast<const double*>(twiddles_.data());
-  for (std::size_t len = 2; len <= size_; len <<= 1) {
-    const std::size_t half = len / 2;
-    kernels.butterfly_stage(data, size_, len, 0, half, stage, inverse);
-    stage += 2 * half;
-  }
-
-  if (inverse) {
-    kernels.scale(data, 2 * size_, 1.0 / static_cast<double>(size_));
+  const double factor = 1.0 / static_cast<double>(size_);
+  if (front + tail >= size_) {
+    kernels.scale(data, 2 * size_, factor);
+  } else {
+    kernels.scale(data, 2 * front, factor);
+    kernels.scale(data + 2 * (size_ - tail), 2 * tail, factor);
   }
 }
 
@@ -90,42 +144,41 @@ void FftPlan::inverse_pruned(std::vector<Complex>& x, std::size_t front,
   if (front == 0 || tail == 0 || front + tail > size_) {
     throw std::invalid_argument("FftPlan: bad pruning window");
   }
-  for (std::size_t i = 1; i < size_; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-
-  // Output pruning by transform decomposition: the combine stage of size
-  // `len` computes outputs k and k+len/2 from butterfly k, so the needed
-  // output set {0..front-1} ∪ {size-tail..size-1} maps onto butterflies
-  // k in [0, front) ∪ [len/2 - tail, len/2) — and each half-size
-  // sub-transform needs exactly the same front/tail pattern of *its*
-  // outputs, recursively. Stages small enough that the two ranges overlap
-  // are computed in full; every skipped butterfly feeds only unneeded
-  // outputs, so the survivors are bit-identical to a full inverse.
-  const auto& kernels = simd::kernels();
-  auto* data = reinterpret_cast<double*>(x.data());
-  const auto* stage = reinterpret_cast<const double*>(twiddles_.data());
-  for (std::size_t len = 2; len <= size_; len <<= 1) {
-    const std::size_t half = len / 2;
-    if (front + tail >= half) {
-      kernels.butterfly_stage(data, size_, len, 0, half, stage, /*conjugate=*/true);
-    } else {
-      kernels.butterfly_stage(data, size_, len, 0, front, stage, /*conjugate=*/true);
-      kernels.butterfly_stage(data, size_, len, half - tail, half, stage,
-                              /*conjugate=*/true);
-    }
-    stage += 2 * half;
-  }
-
-  const double factor = 1.0 / static_cast<double>(size_);
-  kernels.scale(data, 2 * front, factor);
-  kernels.scale(data + 2 * (size_ - tail), 2 * tail, factor);
+  transform(x, /*inverse=*/true, front, tail);
 }
 
-void FftPlan::forward(std::vector<Complex>& x) const { transform(x, /*inverse=*/false); }
+void FftPlan::forward(std::vector<Complex>& x) const {
+  transform(x, /*inverse=*/false, size_, 0);
+}
 
-void FftPlan::inverse(std::vector<Complex>& x) const { transform(x, /*inverse=*/true); }
+void FftPlan::inverse(std::vector<Complex>& x) const {
+  transform(x, /*inverse=*/true, size_, 0);
+}
+
+void FftPlan::forward_lanes(double* re, double* im) const {
+  stages(re, im, size_, /*inverse=*/false, size_, 0);
+}
+
+void FftPlan::inverse_pruned_lanes(double* re, double* im, std::size_t front,
+                                   std::size_t tail) const {
+  if (front + tail >= size_) {
+    front = size_;
+    tail = 0;
+  }
+  stages(re, im, size_, /*inverse=*/true, front, tail);
+  const auto& kernels = simd::kernels();
+  const double factor = 1.0 / static_cast<double>(size_);
+  const std::size_t back = (size_ - tail) * simd::kFftLanes;
+  for (double* part : {re, im}) {
+    kernels.scale(part, front * simd::kFftLanes, factor);
+    kernels.scale(part + back, tail * simd::kFftLanes, factor);
+  }
+}
+
+void FftPlan::forward_quartered(double* re, double* im) const {
+  if (size_ < 4) throw std::invalid_argument("FftPlan: quartered transform needs size >= 4");
+  stages(re, im, size_ / simd::kFftLanes, /*inverse=*/false, size_, 0);
+}
 
 FftPlanCache& FftPlanCache::global() {
   static FftPlanCache cache;

@@ -26,7 +26,7 @@ const Kernels* table_for(Level level) noexcept {
 
 Level detect_max_supported() noexcept {
 #if defined(HEADTALK_SIMD_X86) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx2")) {
     return Level::kAvx2;
   }
   if (__builtin_cpu_supports("sse2")) return Level::kSse2;

@@ -1,11 +1,11 @@
 // Runtime SIMD dispatch for the DSP hot-path kernels.
 //
-// The scoring hot path (FFT butterflies, GCC-PHAT weighting, SRP
-// accumulation) runs the same few inner loops millions of times per
+// The scoring hot path (the lane FFT stages, GCC-PHAT weighting, the
+// band-pass cascade) runs the same few inner loops millions of times per
 // second. Each loop has one reference implementation (scalar, compiled
-// with vectorization disabled) and ISA-tuned variants (SSE2, AVX2+FMA)
-// built from the same source so every level computes the same algorithm.
-// The active level is picked once per process: the best level the CPU
+// with vectorization disabled) and ISA-tuned variants (SSE2, AVX2) built
+// from the same source so every level computes the same algorithm. The
+// active level is picked once per process: the best level the CPU
 // supports (CPUID), clamped by the HEADTALK_SIMD environment variable.
 //
 //   HEADTALK_SIMD=off|scalar   force the scalar reference kernels
@@ -13,14 +13,16 @@
 //   HEADTALK_SIMD=avx2         cap at AVX2 (errors down to best supported)
 //   unset / auto               best supported level
 //
-// Numerical contract: all levels agree bit-for-bit on element-wise kernels
-// (accumulate, scale) and on the biquad cascade (its lanes are channels,
-// and every level is built without FMA contraction, so each lane equals
-// dsp::BiquadCascade::process exactly), and to <= 1e-9 relative on
-// reduction/transform kernels (FMA contraction and vector-lane summation
-// reorder the roundings). The equivalence suite (tests/dsp/test_simd.cpp,
-// ctest label `simd-equivalence`) enforces this on every level the host
-// supports.
+// Numerical contract: all levels agree bit for bit on every kernel. No
+// level fuses a multiply and an add (the AVX2 TU is built without FMA and
+// with -ffp-contract=off), and vectors hold independent signals — the
+// channels of the biquad cascade, the channels / microphone pairs /
+// transform quarters of the lane FFT — or independent bins, never the
+// partial sums of one reduction. So each lane evaluates the scalar
+// expression tree, and every transform, GCC window and feature equals the
+// scalar reference exactly. The equivalence suites (tests/dsp/test_simd.cpp,
+// tests/dsp/test_fft_lanes.cpp, ctest label `simd-equivalence`) enforce
+// this on every level the host supports.
 #pragma once
 
 #include "dsp/simd/kernels.h"

@@ -5,30 +5,37 @@
 #include "dsp/simd/kernels.h"
 
 #if defined(HEADTALK_SIMD_X86)
-#include <emmintrin.h>  // biquad_lanes.inl declares its SSE2 policy on x86
+#include <emmintrin.h>  // lanes.inl declares its SSE2 policy on x86
 #endif
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace headtalk::dsp::simd {
 
 #define HEADTALK_SIMD_NS scalar_impl
 #include "dsp/simd/kernels_impl.inl"
-#include "dsp/simd/biquad_lanes.inl"
+#include "dsp/simd/lanes.inl"
 #undef HEADTALK_SIMD_NS
 
 const Kernels& scalar_kernels() noexcept {
+  using scalar_impl::ScalarLanes;
   static constexpr Kernels table{
       "scalar",
-      &scalar_impl::butterfly_stage_generic,
       &scalar_impl::scale_generic,
       &scalar_impl::accumulate_generic,
       &scalar_impl::cross_spectrum_generic,
       &scalar_impl::magnitudes_generic,
       &scalar_impl::rfft_unpack_generic,
       &scalar_impl::irfft_repack_generic,
-      &scalar_impl::biquad_cascade_lanes<scalar_impl::ScalarLanes>,
+      &scalar_impl::fft_lane_stages<ScalarLanes>,
+      &scalar_impl::cross_stages_generic,
+      &scalar_impl::rfft_unpack_lanes<ScalarLanes>,
+      &scalar_impl::irfft_repack_lanes<ScalarLanes>,
+      &scalar_impl::phat_lanes<ScalarLanes>,
+      &scalar_impl::coherence_lanes<ScalarLanes>,
+      &scalar_impl::biquad_cascade_lanes<ScalarLanes>,
   };
   return table;
 }

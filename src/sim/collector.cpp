@@ -221,7 +221,9 @@ std::string Collector::cache_key(const SampleSpec& spec, const char* kind) const
   // trim replace the one-shot preprocess, which shifts values at the
   // last-ulp-to-block-boundary level; cached entries from the batch
   // definition must not be mixed in. (v=8 was the SIMD kernel revision.)
-  key += "|v=9";  // bump to invalidate old cache entries on format changes
+  // v=10: the lane-batched FFT builds every level without FMA, so AVX2
+  // features move by rounding to the scalar reference's bits.
+  key += "|v=10";  // bump to invalidate old cache entries on format changes
   return key;
 }
 

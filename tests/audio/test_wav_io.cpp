@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 namespace headtalk::audio {
@@ -134,6 +135,46 @@ TEST_F(WavIoTest, TruncatedDataChunkErrorNamesFile) {
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("data chunk"), std::string::npos) << what;
+    EXPECT_NE(what.find(path_.string()), std::string::npos) << what;
+  }
+}
+
+TEST_F(WavIoTest, RejectsNonFiniteFloatSampleNamingFileAndIndex) {
+  auto capture = make_test_signal(2, 64);
+  capture.channel(1)[10] = std::numeric_limits<double>::quiet_NaN();
+  write_wav(path_, capture, WavEncoding::kFloat32);
+  try {
+    (void)read_wav(path_);
+    FAIL() << "expected read_wav to throw";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+    EXPECT_NE(what.find("index 21"), std::string::npos) << what;  // frame 10, channel 1
+    EXPECT_NE(what.find(path_.string()), std::string::npos) << what;
+  }
+  capture.channel(1)[10] = 0.0;
+  capture.channel(0)[63] = -std::numeric_limits<double>::infinity();
+  write_wav(path_, capture, WavEncoding::kFloat32);
+  EXPECT_THROW((void)read_wav(path_), std::runtime_error);
+}
+
+TEST_F(WavIoTest, HostileDataChunkSizeFailsBeforeAllocating) {
+  // A data chunk that claims ~4 GiB in a file of a few hundred bytes must
+  // be refused from the size field alone.
+  write_wav(path_, make_test_signal(1, 100), WavEncoding::kPcm16);
+  {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(40);  // the data chunk's size field in the canonical header
+    const std::uint32_t hostile = 0xFFFFFFF0u;
+    f.write(reinterpret_cast<const char*>(&hostile), 4);
+  }
+  try {
+    (void)read_wav(path_);
+    FAIL() << "expected read_wav to throw";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("data chunk"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967280 bytes"), std::string::npos) << what;
     EXPECT_NE(what.find(path_.string()), std::string::npos) << what;
   }
 }

@@ -11,7 +11,9 @@
 // `simd-equivalence`).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <random>
 #include <vector>
@@ -138,6 +140,26 @@ void sweep_verdict_chunks() {
   }
 }
 
+/// The batch orientation features for 2..6 channels and the pipeline's
+/// scores and feature vectors, at the active SIMD level.
+std::vector<ml::FeatureVector> features_at_active_level() {
+  static const HeadTalkPipeline pipeline = serve_test::make_test_pipeline();
+  std::vector<ml::FeatureVector> out;
+  for (const std::size_t channels : {2u, 3u, 4u, 5u, 6u}) {
+    const auto capture =
+        make_segment_capture(channels, 12000, audio::kDefaultSampleRate, /*seed=*/3);
+    out.push_back(OrientationFeatureExtractor{}.extract(capture));
+  }
+  const auto capture = make_segment_capture(4, 12000, audio::kDefaultSampleRate, /*seed=*/5);
+  FeatureCapture features;
+  const auto decision = pipeline.score_capture(capture, VaMode::kHeadTalk, /*followup=*/false,
+                                               /*session_active=*/false, nullptr, &features);
+  out.push_back(features.liveness);
+  out.push_back(features.orientation);
+  out.push_back({decision.liveness_score, decision.orientation_score});
+  return out;
+}
+
 }  // namespace
 
 TEST(IncrementalEquivalence, OrientationMatchesBatchAtAnyChunking) {
@@ -170,14 +192,34 @@ TEST(IncrementalEquivalence, PipelineVerdictMatchesScoreCapture) {
 }
 
 TEST(IncrementalEquivalence, HoldsAtEverySimdLevelInProcess) {
+  // Chunk invariance at every level, and the features themselves equal
+  // across levels bit for bit: every kernel rounds like the scalar
+  // reference (no fused multiply-add, signals in lanes instead of
+  // reordered sums).
   const dsp::simd::Level previous = dsp::simd::active_level();
   const auto max = static_cast<int>(dsp::simd::max_supported_level());
+  std::vector<ml::FeatureVector> reference;
   for (int l = 0; l <= max; ++l) {
     const auto level = static_cast<dsp::simd::Level>(l);
     dsp::simd::set_level(level);
     SCOPED_TRACE(dsp::simd::level_name(level));
     sweep_orientation_chunks();
     sweep_verdict_chunks();
+    const auto features = features_at_active_level();
+    if (l == 0) {
+      reference = features;
+      continue;
+    }
+    ASSERT_EQ(features.size(), reference.size());
+    for (std::size_t v = 0; v < features.size(); ++v) {
+      ASSERT_EQ(features[v].size(), reference[v].size()) << "vector " << v;
+      for (std::size_t i = 0; i < features[v].size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(features[v][i]),
+                  std::bit_cast<std::uint64_t>(reference[v][i]))
+            << "vector " << v << " feature " << i << ": " << features[v][i] << " vs "
+            << reference[v][i];
+      }
+    }
   }
   dsp::simd::set_level(previous);
 }

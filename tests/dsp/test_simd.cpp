@@ -1,13 +1,12 @@
 // Scalar-vs-SIMD equivalence suite (ctest label `simd-equivalence`).
 //
 // Every kernel-backed DSP entry point is swept across all dispatch levels
-// the host supports and compared against the scalar reference: transforms
-// and reductions must agree to <= 1e-9 relative (AVX2's FMA contraction
-// reorders roundings), discrete results — GCC/SRP peak lags — must be
-// identical, and the multichannel biquad cascade must equal a per-channel
-// BiquadCascade bit for bit. The suite is run twice by ctest: once under
-// HEADTALK_SIMD=off (scalar startup resolution) and once at the native best
-// level.
+// the host supports and compared against the scalar reference bit for bit:
+// no level fuses a multiply and an add, and the transforms put signals in
+// vector lanes instead of reordering any sum, so transforms, GCC/SRP
+// windows and the multichannel biquad cascade all give the scalar bits.
+// The suite is run twice by ctest: once under HEADTALK_SIMD=off (scalar
+// startup resolution) and once at the native best level.
 
 #include <gtest/gtest.h>
 
@@ -66,16 +65,6 @@ audio::MultiBuffer delayed_capture(std::size_t channels, std::size_t frames,
   return audio::MultiBuffer(std::move(bufs));
 }
 
-void expect_close(const std::vector<double>& got, const std::vector<double>& want,
-                  const char* what, simd::Level level) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    const double tol = 1e-9 * std::max(1.0, std::abs(want[k]));
-    EXPECT_NEAR(got[k], want[k], tol)
-        << what << " bin " << k << " at level " << simd::level_name(level);
-  }
-}
-
 /// Exact equality: the first differing element fails with both bit patterns.
 void expect_bits_equal(const std::vector<double>& got, const std::vector<double>& want,
                        const std::string& what) {
@@ -89,6 +78,16 @@ void expect_bits_equal(const std::vector<double>& got, const std::vector<double>
       return;
     }
   }
+}
+
+/// Interleaved re, im of a complex sequence, for exact comparison.
+std::vector<double> complex_parts(const std::vector<Complex>& values) {
+  std::vector<double> parts;
+  for (const Complex& v : values) {
+    parts.push_back(v.real());
+    parts.push_back(v.imag());
+  }
+  return parts;
 }
 
 TEST(SimdDispatch, ParsesAllSpellings) {
@@ -132,17 +131,11 @@ TEST(SimdEquivalence, ForwardInverseFftAcrossLevels) {
   const auto reference_inverse = irfft_half(reference, x.size());
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
+    const std::string at = std::string(" at level ") + simd::level_name(level);
     const HalfSpectrum spectrum = rfft_half(x, 2048);
-    ASSERT_EQ(spectrum.bins.size(), reference.bins.size());
-    for (std::size_t k = 0; k < spectrum.bins.size(); ++k) {
-      const double tol = 1e-9 * std::max(1.0, std::abs(reference.bins[k]));
-      EXPECT_NEAR(spectrum.bins[k].real(), reference.bins[k].real(), tol)
-          << "bin " << k << " at level " << simd::level_name(level);
-      EXPECT_NEAR(spectrum.bins[k].imag(), reference.bins[k].imag(), tol)
-          << "bin " << k << " at level " << simd::level_name(level);
-    }
-    const auto inverse = irfft_half(spectrum, x.size());
-    expect_close(inverse, reference_inverse, "irfft_half", level);
+    expect_bits_equal(complex_parts(spectrum.bins), complex_parts(reference.bins),
+                      "rfft_half" + at);
+    expect_bits_equal(irfft_half(spectrum, x.size()), reference_inverse, "irfft_half" + at);
   }
 }
 
@@ -152,22 +145,19 @@ TEST(SimdEquivalence, MagnitudeSpectrumAcrossLevels) {
   const auto reference = magnitude_spectrum(x, 1024);
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
-    expect_close(magnitude_spectrum(x, 1024), reference, "magnitude_spectrum", level);
+    expect_bits_equal(magnitude_spectrum(x, 1024), reference,
+                      std::string("magnitude_spectrum at level ") + simd::level_name(level));
   }
 }
 
 TEST(SimdEquivalence, PrunedInverseWindowMatchesFullSlice) {
-  // The lag-windowed inverse must agree with slicing the full inverse —
-  // for every level and for windows from tiny to nearly the whole
-  // transform (the pruning degenerates to a full inverse at the top end).
-  // Scalar and SSE2 are bit-identical; at AVX2 the compiler may or may not
-  // FMA-contract the scalar tail of each path depending on optimization
-  // flags (e.g. sanitizer builds), so that level is held to the 1e-9
-  // contract instead of exact equality.
+  // The lag-windowed inverse must agree with slicing the full inverse bit
+  // for bit — for every level and for windows from tiny to nearly the
+  // whole transform (the pruning degenerates to a full inverse at the top
+  // end).
   const auto x = random_signal(900, 13);
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
-    const bool exact = level != simd::Level::kAvx2;
     const HalfSpectrum spectrum = rfft_half(x, 1024);
     const auto full = irfft_half(spectrum, 0);
     FftScratch scratch;
@@ -175,22 +165,14 @@ TEST(SimdEquivalence, PrunedInverseWindowMatchesFullSlice) {
     for (const int max_lag : {1, 5, 13, 100, 511}) {
       irfft_half_window_into(spectrum, max_lag, window, scratch);
       ASSERT_EQ(window.size(), static_cast<std::size_t>(2 * max_lag + 1));
+      std::vector<double> want;
       for (int lag = -max_lag; lag <= max_lag; ++lag) {
-        const std::size_t wrapped =
-            lag >= 0 ? static_cast<std::size_t>(lag)
-                     : full.size() - static_cast<std::size_t>(-lag);
-        const double got = window[static_cast<std::size_t>(lag + max_lag)];
-        const double want = full[wrapped];
-        if (exact) {
-          EXPECT_DOUBLE_EQ(got, want)
-              << "lag " << lag << " max_lag " << max_lag << " at level "
-              << simd::level_name(level);
-        } else {
-          EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::abs(want)))
-              << "lag " << lag << " max_lag " << max_lag << " at level "
-              << simd::level_name(level);
-        }
+        want.push_back(full[lag >= 0 ? static_cast<std::size_t>(lag)
+                                     : full.size() - static_cast<std::size_t>(-lag)]);
       }
+      expect_bits_equal(window, want,
+                        "max_lag " + std::to_string(max_lag) + " at level " +
+                            simd::level_name(level));
     }
   }
 }
@@ -205,14 +187,15 @@ TEST(SimdEquivalence, GccPhatValuesAndPeakLagAcrossLevels) {
     const CorrelationSequence gcc = gcc_phat(x, y, 13);
     EXPECT_EQ(gcc.peak_lag(), reference.peak_lag())
         << "at level " << simd::level_name(level);
-    expect_close(gcc.values, reference.values, "gcc_phat", level);
+    expect_bits_equal(gcc.values, reference.values,
+                      std::string("gcc_phat at level ") + simd::level_name(level));
   }
 }
 
 TEST(SimdEquivalence, DenseSrpAcrossLevels) {
-  // The operator's finalized SRP and per-pair GCC windows: block spectra,
-  // PHAT cross spectra, pruned inverse transforms and the SRP sum all run
-  // through the dispatched kernels.
+  // The operator's finalized SRP and per-pair GCC windows: lane block
+  // spectra, PHAT cross spectra, pruned inverse transforms and the SRP sum
+  // all run through the dispatched kernels.
   const auto capture = delayed_capture(4, 2048, 15);
   core::IncrementalExtractorConfig config;
   config.orientation.max_lag = 13;
@@ -232,20 +215,18 @@ TEST(SimdEquivalence, DenseSrpAcrossLevels) {
     }
     return r;
   };
-  auto peak = [](const std::vector<double>& v) {
-    return std::distance(v.begin(), std::max_element(v.begin(), v.end()));
-  };
   ScopedLevel scalar(simd::Level::kScalar);
   const Result reference = run();
   ASSERT_EQ(reference.pairs.size(), 6u);
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
+    const std::string at = std::string(" at level ") + simd::level_name(level);
     const Result got = run();
-    EXPECT_EQ(peak(got.srp), peak(reference.srp)) << "at level " << simd::level_name(level);
-    expect_close(got.srp, reference.srp, "srp", level);
+    expect_bits_equal(got.srp, reference.srp, "srp" + at);
     ASSERT_EQ(got.pairs.size(), reference.pairs.size());
     for (std::size_t p = 0; p < got.pairs.size(); ++p) {
-      expect_close(got.pairs[p], reference.pairs[p], "pair gcc", level);
+      expect_bits_equal(got.pairs[p], reference.pairs[p],
+                        "pair " + std::to_string(p) + " gcc" + at);
     }
   }
 }
