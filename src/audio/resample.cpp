@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "dsp/biquad.h"
+#include "dsp/fir.h"
 
 namespace headtalk::audio {
 namespace {
@@ -12,26 +13,6 @@ double sinc(double x) {
   if (std::abs(x) < 1e-12) return 1.0;
   const double px = std::numbers::pi * x;
   return std::sin(px) / px;
-}
-
-// Zeroth-order modified Bessel function of the first kind (series expansion),
-// used by the Kaiser window.
-double bessel_i0(double x) {
-  double sum = 1.0;
-  double term = 1.0;
-  for (int k = 1; k < 32; ++k) {
-    term *= (x / (2.0 * k)) * (x / (2.0 * k));
-    sum += term;
-    if (term < 1e-14 * sum) break;
-  }
-  return sum;
-}
-
-double kaiser(double n, double length, double beta) {
-  const double r = 2.0 * n / (length - 1.0) - 1.0;
-  const double arg = 1.0 - r * r;
-  if (arg < 0.0) return 0.0;
-  return bessel_i0(beta * std::sqrt(arg)) / bessel_i0(beta);
 }
 
 }  // namespace
@@ -83,7 +64,7 @@ Buffer resample(const Buffer& input, double target_rate) {
     for (long k = std::max<long>(first, 0);
          k <= std::min<long>(last, static_cast<long>(input.size()) - 1); ++k) {
       const double u = t - static_cast<double>(k);  // source-sample offset
-      const double w = kaiser(u + half_span, 2.0 * half_span + 1.0, kBeta);
+      const double w = dsp::kaiser_weight(u + half_span, 2.0 * half_span + 1.0, kBeta);
       acc += input[static_cast<std::size_t>(k)] * cutoff * sinc(cutoff * u) * w;
     }
     out[m] = acc;

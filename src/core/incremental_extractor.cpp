@@ -28,9 +28,18 @@ constexpr std::size_t kCoherenceStride = 4;
 constexpr std::size_t kCoherenceBlock = 64;
 
 // Sliding directivity analysis window: ~85 ms of mixdown history per
-// block (4096 samples at 48 kHz → 11.7 Hz bins, comfortably finer than
-// the 15 Hz chunks of the 20-band low-band statistics).
+// block (4096 samples at 48 kHz, rounded up to a power of two at the full
+// rate → 11.7 Hz bins, comfortably finer than the 15 Hz chunks of the
+// 20-band low-band statistics). The transform runs on the decimated
+// mixdown: 1024 samples at 12 kHz span the same window with the same bins.
 constexpr double kDirectivityWindowSeconds = 0.08;
+// The decimated rate keeps at least this multiple of the top feature band
+// edge: the band [0, top] plus a transition band [top, rate/D - top] whose
+// aliases land above top.
+constexpr double kDirectivityOversampling = 3.0;
+// Anti-alias taps per unit of decimation (plus one, for an odd count):
+// 49 taps at D = 4 reach ~65 dB over the 4–8 kHz transition at 48 kHz.
+constexpr std::size_t kDirectivityTapsPerStep = 12;
 
 constexpr std::size_t kLanes = dsp::simd::kFftLanes;
 
@@ -55,6 +64,25 @@ std::size_t coherence_block_count(std::size_t bins) {
   return blocks;
 }
 
+// The directivity window at the full rate, rounded up to a power of two.
+std::size_t directivity_window(double sample_rate) {
+  return std::max<std::size_t>(
+      2, dsp::next_pow2(static_cast<std::size_t>(sample_rate * kDirectivityWindowSeconds)));
+}
+
+// The directivity decimation factor: the largest power of two D with
+// rate / D >= kDirectivityOversampling * top_hz whose window keeps at
+// least 8 points (rfft_magnitudes_head's minimum).
+std::size_t directivity_step(double sample_rate, double top_hz) {
+  const std::size_t window = directivity_window(sample_rate);
+  std::size_t step = 1;
+  while (top_hz > 0.0 && window / (2 * step) >= 8 &&
+         sample_rate / static_cast<double>(2 * step) >= kDirectivityOversampling * top_hz) {
+    step *= 2;
+  }
+  return step;
+}
+
 // First-maximum argmax over the lag window, as CorrelationSequence::peak_lag.
 int window_peak_lag(std::span<const double> values, int max_lag) {
   if (values.empty()) return 0;
@@ -63,6 +91,21 @@ int window_peak_lag(std::span<const double> values, int max_lag) {
 }
 
 }  // namespace
+
+dsp::FirDecimator directivity_decimator(double sample_rate, std::size_t channels,
+                                        double top_hz) {
+  // Pass band to top_hz, stop band from rate/D - top_hz (everything that
+  // aliases below top_hz), the mixdown's 1/channels as the gain.
+  const std::size_t step = directivity_step(sample_rate, top_hz);
+  const double gain = 1.0 / static_cast<double>(channels);
+  const double rate = sample_rate / static_cast<double>(step);
+  dsp::FirDecimator decimator;
+  decimator.reset(step == 1 ? std::vector<double>{gain}
+                            : dsp::kaiser_lowpass(kDirectivityTapsPerStep * step + 1, top_hz,
+                                                  rate - top_hz, sample_rate, gain),
+                  step);
+  return decimator;
+}
 
 void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
                                  std::size_t channels, double sample_rate) {
@@ -131,16 +174,31 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   cross_.im.assign((block_fft / 2 + 1) * kLanes, 0.0);
   coherence_sums_.assign(coherence_blocks_ * 4 * kLanes, 0.0);
 
-  dir_fft_ = std::max<std::size_t>(
-      2, dsp::next_pow2(static_cast<std::size_t>(sample_rate * kDirectivityWindowSeconds)));
+  // Directivity: the window is sized at the full rate and divided by the
+  // power-of-two decimation, so its duration and bin spacing do not depend
+  // on D.
   const double top_hz =
       std::max(config_.orientation.high_band_hi, config_.orientation.low_band_hi);
+  dir_step_ = directivity_step(sample_rate, top_hz);
+  dir_rate_ = sample_rate / static_cast<double>(dir_step_);
+  dir_fft_ = directivity_window(sample_rate) / dir_step_;
   dir_bins_ = std::min(dir_fft_ / 2 + 1,
                        static_cast<std::size_t>(
-                           std::ceil(top_hz * static_cast<double>(dir_fft_) / sample_rate)) +
+                           std::ceil(top_hz * static_cast<double>(dir_fft_) / dir_rate_)) +
                            2);
-  mix_ring_.assign(dir_fft_, 0.0);
-  mixed_ = 0;
+  if (orientation_on_) {
+    // One design per (rate, channels, band); a later segment only clears
+    // the history.
+    const DirectivityDesign design{sample_rate, channels, top_hz};
+    if (design != dir_design_) {
+      decimator_ = directivity_decimator(sample_rate, channels, top_hz);
+      dir_design_ = design;
+    } else {
+      decimator_.restart();
+    }
+    dir_ring_.assign(dir_fft_, 0.0);
+  }
+  decimated_ = 0;
   dir_blocks_.clear();
 
   // Liveness: pick the resampling path once per stream. Integer decimation
@@ -171,6 +229,8 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
       liveness_path_ = LivenessPath::kDecimate;
       decimate_step_ = static_cast<std::size_t>(rounded);
       antialias_.reset(dsp::butterworth_lowpass(10, 0.45 * target, sample_rate), 1);
+      live_filtered_.resize(block_len_);
+      live_emitted_.resize(block_len_ / decimate_step_ + 1);
     } else {
       liveness_path_ = LivenessPath::kBuffered;
     }
@@ -302,18 +362,29 @@ void IncrementalExtractor::accumulate_pairs(std::size_t valid) {
 }
 
 void IncrementalExtractor::accumulate_directivity(std::size_t valid) {
-  // The truncated spectrum of the sliding mixdown window; only the bins the
-  // HLBR/banded features read are unpacked and stored per block.
-  for (std::size_t i = 0; i < valid; ++i) {
-    double mix = 0.0;
-    for (std::size_t c = 0; c < channels_; ++c) mix += block_[c * block_len_ + i];
-    mix_ring_[mixed_ % dir_fft_] = mix / static_cast<double>(channels_);
-    ++mixed_;
+  // Mixdown, channel by channel into the decimator's input (its taps carry
+  // the 1/channels of the average).
+  const auto& accumulate = dsp::simd::kernels().accumulate;
+  double* mix = decimator_.append(valid);
+  std::copy_n(block_.data(), valid, mix);
+  for (std::size_t c = 1; c < channels_; ++c) {
+    accumulate(mix, block_.data() + c * block_len_, valid);
   }
-  // The window holds the last min(mixed_, dir_fft_) samples, oldest first.
-  const std::size_t oldest = mixed_ > dir_fft_ ? mixed_ % dir_fft_ : 0;
-  const std::size_t held = std::min(mixed_, dir_fft_);
-  const std::span<const audio::Sample> ring(mix_ring_);
+  // Every decimated sample the block completes goes into the ring.
+  const std::size_t mask = dir_fft_ - 1;
+  for (std::size_t ready = decimator_.ready(); ready > 0;) {
+    const std::size_t at = decimated_ & mask;
+    const std::size_t take = std::min(ready, dir_fft_ - at);
+    decimator_.emit(dir_ring_.data() + at, take);
+    decimated_ += take;
+    ready -= take;
+  }
+  // The truncated spectrum of the window, which holds the last
+  // min(decimated_, dir_fft_) samples, oldest first; only the bins the
+  // HLBR/banded features read are unpacked and stored per block.
+  const std::size_t oldest = decimated_ > dir_fft_ ? decimated_ & mask : 0;
+  const std::size_t held = std::min(decimated_, dir_fft_);
+  const std::span<const audio::Sample> ring(dir_ring_);
   const std::size_t base = dir_blocks_.size();
   dir_blocks_.resize(base + dir_bins_);
   dsp::rfft_magnitudes_head(ring.subspan(oldest, held - oldest), ring.first(oldest),
@@ -337,22 +408,23 @@ void IncrementalExtractor::feed_liveness(std::span<const audio::Sample> samples)
       break;
     case LivenessPath::kDecimate: {
       // Streaming form of the batch fast path: stateful anti-alias cascade
-      // followed by phase-0 sample keeping (out[m] = filtered[m*step]).
-      live_emitted_.clear();
-      live_filtered_.resize(samples.size());
+      // followed by phase-0 sample keeping (out[m] = filtered[m*step]),
+      // a strided walk from the block's first phase-0 sample.
+      const std::size_t n = samples.size();
       const audio::Sample* in = samples.data();
       audio::Sample* out = live_filtered_.data();
-      antialias_.process(&in, &out, samples.size());
-      for (const double y : live_filtered_) {
-        if (decimate_phase_ == 0) {
-          live_emitted_.push_back(y);
-          live_sum_ += y;
-          live_sum_sq_ += y * y;
-        }
-        decimate_phase_ = (decimate_phase_ + 1) % decimate_step_;
+      antialias_.process(&in, &out, n);
+      std::size_t kept = 0;
+      for (std::size_t i = (decimate_step_ - decimate_phase_) % decimate_step_; i < n;
+           i += decimate_step_) {
+        const double y = live_filtered_[i];
+        live_emitted_[kept++] = y;
+        live_sum_ += y;
+        live_sum_sq_ += y * y;
       }
-      live_count_ += live_emitted_.size();
-      live_stft_.push(0, live_emitted_);
+      decimate_phase_ = (decimate_phase_ + n) % decimate_step_;
+      live_count_ += kept;
+      live_stft_.push(0, std::span<const audio::Sample>(live_emitted_).first(kept));
       break;
     }
   }
@@ -494,7 +566,8 @@ ml::FeatureVector IncrementalExtractor::finalize_orientation() {
   }
 
   // Directivity from the mean of the per-block sliding-window spectra,
-  // normalized to the speech-band mean level exactly as the batch path.
+  // normalized to the speech-band mean level; the bins sit at the
+  // decimated rate.
   std::vector<double> magnitude(dir_fft_ / 2 + 1, 0.0);
   if (count > 0) {
     for (std::size_t b = active_begin_; b < active_end_; ++b) {
@@ -505,18 +578,18 @@ ml::FeatureVector IncrementalExtractor::finalize_orientation() {
     for (std::size_t k = 0; k < dir_bins_; ++k) magnitude[k] *= inv;
   }
   const double reference =
-      dsp::band_mean_magnitude(magnitude, dir_fft_, sample_rate_,
+      dsp::band_mean_magnitude(magnitude, dir_fft_, dir_rate_,
                                config_.orientation.low_band_lo,
                                config_.orientation.high_band_hi);
   if (reference > 0.0) {
     for (auto& m : magnitude) m /= reference;
   }
   features.push_back(dsp::high_low_band_ratio(
-      magnitude, dir_fft_, sample_rate_, config_.orientation.low_band_lo,
+      magnitude, dir_fft_, dir_rate_, config_.orientation.low_band_lo,
       config_.orientation.low_band_hi, config_.orientation.high_band_lo,
       config_.orientation.high_band_hi));
   const auto banded = dsp::banded_statistics(
-      magnitude, dir_fft_, sample_rate_, config_.orientation.low_band_lo,
+      magnitude, dir_fft_, dir_rate_, config_.orientation.low_band_lo,
       config_.orientation.low_band_hi, config_.orientation.low_band_chunks);
   features.insert(features.end(), banded.begin(), banded.end());
 

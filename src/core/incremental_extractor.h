@@ -10,17 +10,22 @@
 //   * per-block GCC-PHAT lag windows and cross-spectral coherence partial
 //     sums for every microphone pair (SRP and the pair features are means
 //     over the selected blocks at finalize);
-//   * per-block directivity spectra of a sliding mixdown window (HLBR and
-//     the banded low-band statistics);
+//   * per-block directivity spectra of a sliding ~85 ms mixdown window
+//     (HLBR and the banded low-band statistics). Those features read
+//     100 Hz – 4 kHz only, so the mixdown is low-passed and decimated by a
+//     power of two D first (D = 4 at 48 kHz: a 1024-point transform at
+//     12 kHz over the window a 4096-point one covered at 48 kHz, with the
+//     same 11.7 Hz bins);
+//   * a streaming 16 kHz decimator feeding a rolling STFT plus running
+//     Σx/Σx² for the liveness normalization.
 //
 // The block transforms ride in the four lanes of the dsp lane kernels:
 // each block's channels are transformed four at a time, the pairs are
 // gathered four at a time for the PHAT cross spectrum, coherence sums and
-// pruned inverse, and the directivity transform runs as four quarter
-// lanes. Every lane computes what a one-signal transform would, so the
-// features are the same at every SIMD level.
-//   * a streaming 16 kHz decimator feeding a rolling STFT plus running
-//     Σx/Σx² for the liveness normalization.
+// pruned inverse, the directivity decimator computes four outputs at once,
+// and the directivity transform runs as four quarter lanes. Every lane
+// computes what a one-signal computation would, so the features are the
+// same at every SIMD level.
 //
 // Silence trimming happens lazily: every block also records its RMS
 // envelope, and finalize selects the active block span (see
@@ -48,6 +53,7 @@
 #include "core/orientation_features.h"
 #include "dsp/biquad.h"
 #include "dsp/fft.h"
+#include "dsp/fir.h"
 #include "dsp/rolling_stft.h"
 #include "ml/dataset.h"
 
@@ -91,6 +97,15 @@ struct IncrementalExtractorConfig {
   double block_ms = 20.0;
 };
 
+/// The directivity path's mixdown decimator for `channels` microphones at
+/// `sample_rate` when the directivity bands end at `top_hz`: decimation by
+/// the largest power of two D with sample_rate / D >= 3 × top_hz (D = 4 at
+/// 48 kHz for the 4 kHz bands), through a 12·D + 1-tap Kaiser low-pass with
+/// pass band to top_hz and stop band from sample_rate / D − top_hz, its
+/// gain the mixdown's 1 / channels. D = 1 is the single tap 1 / channels.
+[[nodiscard]] dsp::FirDecimator directivity_decimator(double sample_rate,
+                                                      std::size_t channels, double top_hz);
+
 class IncrementalExtractor {
  public:
   IncrementalExtractor() = default;
@@ -132,6 +147,13 @@ class IncrementalExtractor {
   [[nodiscard]] std::pair<std::size_t, std::size_t> active_blocks() const noexcept {
     return {active_begin_, active_end_};
   }
+  /// The directivity mixdown's decimation factor D: the largest power of
+  /// two that keeps sample_rate() / D >= 3 × the top feature band edge
+  /// (4, 2 and 1 at 48, 44.1 and 16 kHz for the default bands).
+  [[nodiscard]] std::size_t directivity_decimation() const noexcept { return dir_step_; }
+  /// Points of the directivity transform, at sample_rate() / D: the ~80 ms
+  /// window rounded up to a power of two at the full rate, divided by D.
+  [[nodiscard]] std::size_t directivity_fft_size() const noexcept { return dir_fft_; }
 
   // Correlation results of the last finalize_orientation(), cleared by
   // begin(); a returned span is valid until the next begin() or
@@ -205,11 +227,22 @@ class IncrementalExtractor {
   std::vector<double> lag_windows_;     ///< [lane][2*max_lag+1]
   dsp::LaneScratch lane_scratch_;
 
-  // Directivity: sliding mixdown window → per-block truncated spectrum.
+  // Directivity: mixdown → low-pass decimator → ring of the last dir_fft_
+  // decimated samples → per-block truncated spectrum.
+  struct DirectivityDesign {
+    double sample_rate = 0.0;
+    std::size_t channels = 0;
+    double top_hz = 0.0;
+    bool operator==(const DirectivityDesign&) const = default;
+  };
+  DirectivityDesign dir_design_{};  ///< what decimator_'s taps were designed for
+  dsp::FirDecimator decimator_;     ///< the mixdown's 1/channels folded into its taps
+  std::size_t dir_step_ = 1;        ///< decimation factor D
+  double dir_rate_ = 0.0;           ///< sample_rate_ / D
   std::size_t dir_fft_ = 0;
   std::size_t dir_bins_ = 0;  ///< bins stored per block (covers the feature bands)
-  std::vector<audio::Sample> mix_ring_;  ///< the last dir_fft_ mixdown samples
-  std::size_t mixed_ = 0;                ///< mixdown samples pushed so far
+  std::vector<audio::Sample> dir_ring_;  ///< the last dir_fft_ decimated samples
+  std::size_t decimated_ = 0;            ///< decimated samples produced so far
   std::vector<double> dir_blocks_;  ///< [block][dir_bins_]
 
   // Liveness accumulators.
@@ -217,7 +250,7 @@ class IncrementalExtractor {
   dsp::MultichannelBiquadCascade antialias_;  ///< one channel
   std::vector<audio::Sample> live_filtered_;  ///< kDecimate: one block filtered
   std::size_t decimate_step_ = 1;
-  std::size_t decimate_phase_ = 0;
+  std::size_t decimate_phase_ = 0;  ///< position of the next sample within its step
   dsp::RollingStft live_stft_;
   std::size_t live_bins_ = 0;
   std::vector<dsp::Complex> live_spectra_;  ///< [frame][live_bins_]

@@ -371,13 +371,16 @@ void rfft_magnitudes_head(std::span<const audio::Sample> older,
   plan->forward_quartered(scratch.re.data(), scratch.im.data());
 
   // The unpack of rfft_half_into, bin by bin (the interior bins with the
-  // simd::Kernels::rfft_unpack formula).
+  // simd::Kernels::rfft_unpack formula), and the magnitudes as
+  // simd::Kernels::magnitudes takes them.
   const auto w = plan->real_pack_twiddles();
   const double* re = scratch.re.data();
   const double* im = scratch.im.data();
+  auto magnitude = [](double r, double i) { return std::sqrt(r * r + i * i); };
   for (std::size_t k = 0; k < bins; ++k) {
     if (k == 0 || k == half) {
-      out[k] = std::abs(rfft_edge_bin(Complex(re[0], im[0]), w[k]));
+      const Complex bin = rfft_edge_bin(Complex(re[0], im[0]), w[k]);
+      out[k] = magnitude(bin.real(), bin.imag());
       continue;
     }
     const std::size_t a = slot(k);
@@ -388,7 +391,7 @@ void rfft_magnitudes_head(std::span<const audio::Sample> older,
     const double odi = -0.5 * (re[a] - re[b]);
     const double wr = w[k].real();
     const double wi = w[k].imag();
-    out[k] = std::abs(Complex(er + odr * wr - odi * wi, ei + odr * wi + odi * wr));
+    out[k] = magnitude(er + odr * wr - odi * wi, ei + odr * wi + odi * wr);
   }
 }
 

@@ -142,8 +142,9 @@ struct LaneSelection {
 /// where x = older ++ newer (a ring buffer's two runs, oldest first),
 /// zero-padded to fft_size (a power of two >= 8). The packed half-size
 /// transform runs as four quarter lanes (FftPlan::forward_quartered) and
-/// only the requested bins are unpacked; results are bit-identical to
-/// std::abs of the full rfft_half_into spectrum.
+/// only the requested bins are unpacked; the magnitudes are
+/// sqrt(re^2 + im^2), so results are bit-identical to rfft_half_into
+/// followed by simd::Kernels::magnitudes (magnitude_spectrum_into).
 void rfft_magnitudes_head(std::span<const audio::Sample> older,
                           std::span<const audio::Sample> newer, std::size_t fft_size,
                           std::size_t bins, double* out, LaneScratch& scratch);

@@ -1,12 +1,13 @@
 // Runtime SIMD dispatch for the DSP hot-path kernels.
 //
 // The scoring hot path (the lane FFT stages, GCC-PHAT weighting, the
-// band-pass cascade) runs the same few inner loops millions of times per
-// second. Each loop has one reference implementation (scalar, compiled
-// with vectorization disabled) and ISA-tuned variants (SSE2, AVX2) built
-// from the same source so every level computes the same algorithm. The
-// active level is picked once per process: the best level the CPU
-// supports (CPUID), clamped by the HEADTALK_SIMD environment variable.
+// band-pass cascade, the directivity decimator) runs the same few inner
+// loops millions of times per second. Each loop has one reference
+// implementation (scalar, compiled with vectorization disabled) and
+// ISA-tuned variants (SSE2, AVX2) built from the same source so every
+// level computes the same algorithm. The active level is picked once per
+// process: the best level the CPU supports (CPUID), clamped by the
+// HEADTALK_SIMD environment variable.
 //
 //   HEADTALK_SIMD=off|scalar   force the scalar reference kernels
 //   HEADTALK_SIMD=sse2         cap at SSE2
@@ -17,12 +18,13 @@
 // level fuses a multiply and an add (the AVX2 TU is built without FMA and
 // with -ffp-contract=off), and vectors hold independent signals — the
 // channels of the biquad cascade, the channels / microphone pairs /
-// transform quarters of the lane FFT — or independent bins, never the
+// transform quarters of the lane FFT, the outputs of the FIR decimator
+// (each summing its taps in tap order) — or independent bins, never the
 // partial sums of one reduction. So each lane evaluates the scalar
 // expression tree, and every transform, GCC window and feature equals the
 // scalar reference exactly. The equivalence suites (tests/dsp/test_simd.cpp,
-// tests/dsp/test_fft_lanes.cpp, ctest label `simd-equivalence`) enforce
-// this on every level the host supports.
+// tests/dsp/test_fft_lanes.cpp, tests/dsp/test_fir.cpp, ctest label
+// `simd-equivalence`) enforce this on every level the host supports.
 #pragma once
 
 #include "dsp/simd/kernels.h"

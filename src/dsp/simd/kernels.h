@@ -35,7 +35,8 @@ struct Kernels {
   void (*accumulate)(double* acc, const double* src, std::size_t count);
 
   /// out[k] = x[k] * conj(y[k]) over `bins` complexes; when `phat`, the
-  /// product is normalized to unit magnitude (zero when |c| <= epsilon).
+  /// product c is normalized to unit magnitude by one reciprocal,
+  /// c * (1 / sqrt(cr^2 + ci^2)) (zero when |c| <= epsilon).
   /// `out` may alias neither input.
   void (*cross_spectrum)(const double* x, const double* y, double* out,
                          std::size_t bins, bool phat, double epsilon);
@@ -109,7 +110,9 @@ struct Kernels {
   // channel group are read straight from its spectrum, one permute per row.
 
   /// cross_spectrum with PHAT weighting on every lane of `rows` rows:
-  /// out = x * conj(y) / |x * conj(y)|, or 0 when |.| <= epsilon.
+  /// c = x * conj(y), mag = sqrt(cr^2 + ci^2), inv = 1 / mag, and
+  /// out = (cr * inv, ci * inv), or 0 when mag <= epsilon. One division
+  /// per bin, as in cross_spectrum.
   void (*phat_lanes)(const double* x_re, const double* x_im, const std::uint32_t* x_order,
                      const double* y_re, const double* y_im, const std::uint32_t* y_order,
                      double* out_re, double* out_im, std::size_t rows, double epsilon);
@@ -144,6 +147,20 @@ struct Kernels {
                          double* state, std::size_t lanes,
                          const double* const* in, double* const* out,
                          std::size_t frames);
+
+  /// FIR decimation that computes only the kept outputs, from the input's
+  /// polyphase rows: row p (at rows + p * row_stride) holds input samples
+  /// p, p + step, p + 2 * step, …, so input[n] = rows[(n % step) *
+  /// row_stride + n / step]. For m in [0, count)
+  ///   out[m] = sum over t in [0, tap_count) of taps[t] * input[m * step + t],
+  /// accumulated from zero in tap order t = 0, 1, …, tap_count - 1, one
+  /// rounding per multiply and per add. Lanes are outputs (AVX2 computes 4
+  /// consecutive ones per register, a contiguous load per tap), so every
+  /// output sums the same products in the same order at every level.
+  /// `out` may not overlap the rows.
+  void (*fir_decimate)(const double* taps, std::size_t tap_count, const double* rows,
+                       std::size_t row_stride, std::size_t step, double* out,
+                       std::size_t count);
 };
 
 /// Reference kernels — compiled with vectorization disabled.

@@ -141,9 +141,9 @@ void cross_spectrum_avx2(const double* x, const double* y, double* out,
       const __m256d mag2 = _mm256_add_pd(sq, _mm256_permute_pd(sq, 0b0101));
       const __m256d mag = _mm256_sqrt_pd(mag2);
       const __m256d keep = _mm256_cmp_pd(mag, eps, _CMP_GT_OQ);
-      // Lanes with |c| <= eps divide by ~0 (inf/NaN) and are masked to 0.
-      _mm256_storeu_pd(out + 2 * k,
-                       _mm256_and_pd(keep, _mm256_div_pd(c, mag)));
+      // Lanes with |c| <= eps scale by 1/~0 (inf/NaN) and are masked to 0.
+      const __m256d inv = _mm256_div_pd(_mm256_set1_pd(1.0), mag);
+      _mm256_storeu_pd(out + 2 * k, _mm256_and_pd(keep, _mm256_mul_pd(c, inv)));
     } else {
       _mm256_storeu_pd(out + 2 * k, c);
     }
@@ -199,6 +199,7 @@ const Kernels& avx2_kernels() noexcept {
       &avx2_impl::phat_lanes<Avx2Lanes>,
       &avx2_impl::coherence_lanes<Avx2Lanes>,
       &avx2_impl::biquad_cascade_lanes<Avx2Lanes, Sse2Lanes, ScalarLanes>,
+      &avx2_impl::fir_decimate_lanes<Avx2Lanes>,
   };
   return table;
 }

@@ -36,6 +36,7 @@ const Kernels& scalar_kernels() noexcept {
       &scalar_impl::phat_lanes<ScalarLanes>,
       &scalar_impl::coherence_lanes<ScalarLanes>,
       &scalar_impl::biquad_cascade_lanes<ScalarLanes>,
+      &scalar_impl::fir_decimate_lanes<ScalarLanes>,
   };
   return table;
 }

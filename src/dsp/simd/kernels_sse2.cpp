@@ -38,6 +38,7 @@ const Kernels& sse2_kernels() noexcept {
       &sse2_impl::phat_lanes<Sse2Lanes>,
       &sse2_impl::coherence_lanes<Sse2Lanes>,
       &sse2_impl::biquad_cascade_lanes<Sse2Lanes, ScalarLanes>,
+      &sse2_impl::fir_decimate_lanes<Sse2Lanes>,
   };
   return table;
 }

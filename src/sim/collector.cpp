@@ -223,7 +223,10 @@ std::string Collector::cache_key(const SampleSpec& spec, const char* kind) const
   // definition must not be mixed in. (v=8 was the SIMD kernel revision.)
   // v=10: the lane-batched FFT builds every level without FMA, so AVX2
   // features move by rounding to the scalar reference's bits.
-  key += "|v=10";  // bump to invalidate old cache entries on format changes
+  // v=11: directivity spectra come from the decimated mixdown (a 1024-point
+  // transform at 12 kHz instead of 4096 points at 48 kHz) with sqrt
+  // magnitudes, and PHAT normalizes by one reciprocal.
+  key += "|v=11";  // bump to invalidate old cache entries on format changes
   return key;
 }
 

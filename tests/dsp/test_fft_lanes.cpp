@@ -269,6 +269,52 @@ TEST(SimdFftLanes, RealLaneWrappersEqualOneSignalTransforms) {
   }
 }
 
+TEST(SimdFftLanes, MagnitudesHeadEqualsHalfSpectrumMagnitudes) {
+  // rfft_magnitudes_head over a ring's two runs is rfft_half_into of the
+  // linearized window followed by the magnitudes kernel, bit for bit, for
+  // any older/newer split, any partial fill and any bin count.
+  for (const simd::Level level : supported_levels()) {
+    ScopedLevel scoped(level);
+    LaneScratch scratch;
+    FftScratch fft_scratch;
+    HalfSpectrum spectrum;
+    for (const std::size_t fft_size : {8u, 64u, 1024u}) {
+      const std::size_t half = fft_size / 2;
+      for (const std::size_t held : {fft_size, fft_size - 3, fft_size / 2 + 1, std::size_t{5}}) {
+        const auto x = random_values(held, 700 + static_cast<unsigned>(fft_size + held));
+        rfft_half_into(x, fft_size, spectrum, fft_scratch);
+        std::vector<double> want(half + 1);
+        simd::kernels().magnitudes(reinterpret_cast<const double*>(spectrum.bins.data()),
+                                   half + 1, want.data());
+        for (const std::size_t split : {std::size_t{0}, std::size_t{1}, held / 3, held}) {
+          const std::span<const double> all(x);
+          for (const std::size_t bins : {std::size_t{1}, half / 2, half, half + 1}) {
+            std::vector<double> got(bins, -1.0);
+            rfft_magnitudes_head(all.first(split), all.subspan(split), fft_size, bins,
+                                 got.data(), scratch);
+            for (std::size_t k = 0; k < bins; ++k) {
+              ASSERT_TRUE(same_bits(got[k], want[k]))
+                  << "fft " << fft_size << " held " << held << " split " << split << " bins "
+                  << bins << " bin " << k << " at " << simd::level_name(level);
+            }
+          }
+        }
+      }
+    }
+  }
+  LaneScratch scratch;
+  std::vector<double> x(64, 0.0), out(64);
+  const std::span<const double> all(x);
+  EXPECT_THROW(rfft_magnitudes_head(all, {}, 48, 8, out.data(), scratch),
+               std::invalid_argument);  // not a power of two
+  EXPECT_THROW(rfft_magnitudes_head(all.first(4), {}, 4, 2, out.data(), scratch),
+               std::invalid_argument);  // below 8 points
+  EXPECT_THROW(rfft_magnitudes_head(all, all.first(1), 64, 8, out.data(), scratch),
+               std::invalid_argument);  // more input than points
+  EXPECT_THROW(rfft_magnitudes_head(all, {}, 64, 34, out.data(), scratch),
+               std::invalid_argument);  // more bins than half + 1
+}
+
 TEST(SimdFftLanes, SelectedPairsMatchPerPairPhat) {
   // Pairs read in place from one channel group (a permute per row) and
   // pairs gathered across two groups give the per-pair cross_spectrum.
