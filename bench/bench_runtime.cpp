@@ -110,11 +110,13 @@ const core::OrientationClassifier& trained_orientation() { return pipeline().ori
 const core::LivenessDetector& trained_liveness() { return pipeline().liveness(); }
 
 void BM_LivenessDetection(benchmark::State& state) {
-  // One channel -> features -> network score (the paper's 42 ms stage).
+  // Capture -> features -> network score (the paper's 42 ms stage). As in
+  // serving, every channel is band-passed for the trim envelope; the
+  // features come from channel 0.
   core::LivenessFeatureExtractor extractor;
   auto& detector = trained_liveness();
   for (auto _ : state) {
-    const auto features = extractor.extract(capture().channel(0));
+    const auto features = extractor.extract(capture());
     benchmark::DoNotOptimize(detector.score(features));
   }
 }
@@ -400,9 +402,9 @@ bool run_plan_cache_record() {
   const double orientation_cold_ms = time_ms_per_iter(iters, [&] {
     benchmark::DoNotOptimize(orientation_extractor.extract(capture()));
   });
-  const auto liveness_cold = liveness_extractor.extract(capture().channel(0));
+  const auto liveness_cold = liveness_extractor.extract(capture());
   const double liveness_cold_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(liveness_extractor.extract(capture().channel(0)));
+    benchmark::DoNotOptimize(liveness_extractor.extract(capture()));
   });
 
   // --- Warm: cached plans + per-thread workspace, one warm-up call ---
@@ -414,9 +416,9 @@ bool run_plan_cache_record() {
   const double orientation_warm_ms = time_ms_per_iter(iters, [&] {
     benchmark::DoNotOptimize(orientation_extractor.extract(capture(), &workspace));
   });
-  const auto liveness_warm = liveness_extractor.extract(capture().channel(0), &workspace);
+  const auto liveness_warm = liveness_extractor.extract(capture(), &workspace);
   const double liveness_warm_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(liveness_extractor.extract(capture().channel(0), &workspace));
+    benchmark::DoNotOptimize(liveness_extractor.extract(capture(), &workspace));
   });
   const auto stats_after = cache.stats();
 

@@ -60,7 +60,7 @@ core::HeadTalkPipeline train_for_device(const room::Scene& scene) {
             record_at(scene, mouth, toward + room::deg_to_rad(angle), seed++);
         orientation_data.add(orientation_features.extract(cap),
                              core::kLabelFacing);
-        liveness_data.add(liveness_features.extract(cap.channel(0)),
+        liveness_data.add(liveness_features.extract(cap),
                           core::kLabelLive);
       }
       for (double angle : {120.0, -120.0, 180.0}) {
@@ -71,7 +71,7 @@ core::HeadTalkPipeline train_for_device(const room::Scene& scene) {
         // Liveness needs a second class; use a crude replay stand-in by
         // reusing live samples is not valid, so train liveness on live +
         // synthetic replays below.
-        liveness_data.add(liveness_features.extract(cap.channel(0)),
+        liveness_data.add(liveness_features.extract(cap),
                           core::kLabelLive);
       }
     }
@@ -90,7 +90,7 @@ core::HeadTalkPipeline train_for_device(const room::Scene& scene) {
     options.channels = room::DeviceSpec::d2().default_channels;
     const room::Vec3 tv{center.x + front.x * 2.5, center.y + front.y * 2.5 + 0.5, 1.0};
     const auto cap = scene.render(dry, {tv, 0.0}, directivity, options);
-    liveness_data.add(liveness_features.extract(cap.channel(0)),
+    liveness_data.add(liveness_features.extract(cap),
                       core::kLabelReplay);
   }
 

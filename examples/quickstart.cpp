@@ -68,19 +68,19 @@ int main() {
       const auto cap = record_wake_word(angle, false, seed++);
       orientation_data.add(orientation_features.extract(cap),
                            core::kLabelFacing);
-      liveness_data.add(liveness_features.extract(cap.channel(0)),
+      liveness_data.add(liveness_features.extract(cap),
                         core::kLabelLive);
     }
     for (double angle : {110.0, -110.0, 180.0}) {  // non-facing examples
       const auto cap = record_wake_word(angle, false, seed++);
       orientation_data.add(orientation_features.extract(cap),
                            core::kLabelNonFacing);
-      liveness_data.add(liveness_features.extract(cap.channel(0)),
+      liveness_data.add(liveness_features.extract(cap),
                         core::kLabelLive);
     }
     for (double angle : {0.0, 90.0}) {  // replay examples
       const auto cap = record_wake_word(angle, true, seed++);
-      liveness_data.add(liveness_features.extract(cap.channel(0)),
+      liveness_data.add(liveness_features.extract(cap),
                         core::kLabelReplay);
     }
   }

@@ -34,7 +34,6 @@ core::HeadTalkPipeline make_trained_pipeline(const sim::Collector& collector) {
   replay.angles = {0.0, 90.0};
 
   core::PipelineConfig config;
-  core::LivenessFeatureExtractor liveness_features(config.liveness_features);
 
   ml::Dataset orientation_data, liveness_data;
   for (const auto& spec : live.build()) {

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "audio/gain.h"
-#include "audio/resample.h"
 #include "dsp/simd/dispatch.h"
 #include "dsp/spectral.h"
 #include "dsp/srp.h"
 #include "dsp/stats.h"
-#include "dsp/stft.h"
 #include "obs/metrics.h"
 
 namespace headtalk::core {
@@ -92,6 +91,14 @@ int window_peak_lag(std::span<const double> values, int max_lag) {
 
 }  // namespace
 
+std::size_t liveness_decimation(double sample_rate, double model_rate) noexcept {
+  if (!(sample_rate > 0.0) || !(model_rate > 0.0)) return 0;
+  const double factor = sample_rate / model_rate;
+  const double rounded = std::round(factor);
+  if (rounded < 1.0 || std::abs(factor - rounded) >= 1e-9) return 0;
+  return static_cast<std::size_t>(rounded);
+}
+
 dsp::FirDecimator directivity_decimator(double sample_rate, std::size_t channels,
                                         double top_hz) {
   // Pass band to top_hz, stop band from rate/D - top_hz (everything that
@@ -114,6 +121,15 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   }
   if (sample_rate <= 0.0) {
     throw std::invalid_argument("IncrementalExtractor: bad sample rate");
+  }
+  const double live_rate = config.liveness.model_sample_rate;
+  if (config.enable_liveness && liveness_decimation(sample_rate, live_rate) == 0) {
+    char message[160];
+    std::snprintf(message, sizeof message,
+                  "IncrementalExtractor: sample rate %g Hz is not a whole multiple of the "
+                  "%g Hz liveness rate",
+                  sample_rate, live_rate);
+    throw std::invalid_argument(message);
   }
   config_ = config;
   channels_ = channels;
@@ -201,12 +217,9 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   decimated_ = 0;
   dir_blocks_.clear();
 
-  // Liveness: pick the resampling path once per stream. Integer decimation
-  // (the pipeline's 48 kHz → 16 kHz hop) and the passthrough stream
-  // sample-by-sample; exotic ratios fall back to buffering the filtered
-  // channel and resampling once at finalize.
-  liveness_path_ = LivenessPath::kOff;
-  decimate_step_ = 1;
+  // Liveness: channel 0 decimated by an integer step to the model rate
+  // (step 1 streams the band-passed samples as they are).
+  live_step_ = 0;
   decimate_phase_ = 0;
   live_sum_ = live_sum_sq_ = 0.0;
   live_count_ = 0;
@@ -215,40 +228,26 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   resampled_upto_.clear();
   live_cum_sum_.clear();
   live_cum_sum_sq_.clear();
-  live_raw_.clear();
   if (config_.enable_liveness) {
-    const double target = config_.liveness.model_sample_rate;
-    if (target <= 0.0) {
-      throw std::invalid_argument("IncrementalExtractor: bad liveness sample rate");
-    }
-    const double factor = sample_rate / target;
-    const double rounded = std::round(factor);
-    if (sample_rate == target) {
-      liveness_path_ = LivenessPath::kPassthrough;
-    } else if (factor > 1.0 && std::abs(factor - rounded) < 1e-9) {
-      liveness_path_ = LivenessPath::kDecimate;
-      decimate_step_ = static_cast<std::size_t>(rounded);
-      antialias_.reset(dsp::butterworth_lowpass(10, 0.45 * target, sample_rate), 1);
+    live_step_ = liveness_decimation(sample_rate, live_rate);
+    if (live_step_ > 1) {
+      antialias_.reset(dsp::butterworth_lowpass(10, 0.45 * live_rate, sample_rate), 1);
       live_filtered_.resize(block_len_);
-      live_emitted_.resize(block_len_ / decimate_step_ + 1);
-    } else {
-      liveness_path_ = LivenessPath::kBuffered;
+      live_emitted_.resize(block_len_ / live_step_ + 1);
     }
-    if (liveness_path_ != LivenessPath::kBuffered) {
-      dsp::RollingStft::Config stft;
-      stft.channels = 1;
-      stft.frame_size = config_.liveness.stft_frame;
-      stft.hop_size = config_.liveness.stft_hop;
-      stft.window = dsp::WindowType::kHann;
-      live_stft_.reset(stft);
-      live_bins_ = live_stft_.fft_size() / 2 + 1;
-      // FFT of the analysis window itself: finalize subtracts the segment
-      // mean from every stored frame spectrum as mu * W(f) (linearity), so
-      // normalization can happen after the fact without reprocessing.
-      live_window_spectrum_ = dsp::rfft_half(
-          dsp::shared_window(dsp::WindowType::kHann, config_.liveness.stft_frame),
-          live_stft_.fft_size());
-    }
+    dsp::RollingStft::Config stft;
+    stft.channels = 1;
+    stft.frame_size = config_.liveness.stft_frame;
+    stft.hop_size = config_.liveness.stft_hop;
+    stft.window = dsp::WindowType::kHann;
+    live_stft_.reset(stft);
+    live_bins_ = live_stft_.fft_size() / 2 + 1;
+    // FFT of the analysis window itself: finalize subtracts the segment
+    // mean from every stored frame spectrum as mu * W(f) (linearity), so
+    // normalization can happen after the fact without reprocessing.
+    live_window_spectrum_ = dsp::rfft_half(
+        dsp::shared_window(dsp::WindowType::kHann, config_.liveness.stft_frame),
+        live_stft_.fft_size());
   }
 }
 
@@ -298,13 +297,11 @@ void IncrementalExtractor::process_block(std::size_t valid) {
     accumulate_directivity(valid);
   }
 
-  if (liveness_path_ != LivenessPath::kOff) {
+  if (live_step_ != 0) {
     feed_liveness({block_.data(), valid});
-    if (liveness_path_ != LivenessPath::kBuffered) {
-      resampled_upto_.push_back(live_count_);
-      live_cum_sum_.push_back(live_sum_);
-      live_cum_sum_sq_.push_back(live_sum_sq_);
-    }
+    resampled_upto_.push_back(live_count_);
+    live_cum_sum_.push_back(live_sum_);
+    live_cum_sum_sq_.push_back(live_sum_sq_);
   }
 }
 
@@ -392,42 +389,29 @@ void IncrementalExtractor::accumulate_directivity(std::size_t valid) {
 }
 
 void IncrementalExtractor::feed_liveness(std::span<const audio::Sample> samples) {
-  switch (liveness_path_) {
-    case LivenessPath::kOff:
-      return;
-    case LivenessPath::kBuffered:
-      live_raw_.insert(live_raw_.end(), samples.begin(), samples.end());
-      return;
-    case LivenessPath::kPassthrough:
-      for (const double x : samples) {
-        live_sum_ += x;
-        live_sum_sq_ += x * x;
-      }
-      live_count_ += samples.size();
-      live_stft_.push(0, samples);
-      break;
-    case LivenessPath::kDecimate: {
-      // Streaming form of the batch fast path: stateful anti-alias cascade
-      // followed by phase-0 sample keeping (out[m] = filtered[m*step]),
-      // a strided walk from the block's first phase-0 sample.
-      const std::size_t n = samples.size();
-      const audio::Sample* in = samples.data();
-      audio::Sample* out = live_filtered_.data();
-      antialias_.process(&in, &out, n);
-      std::size_t kept = 0;
-      for (std::size_t i = (decimate_step_ - decimate_phase_) % decimate_step_; i < n;
-           i += decimate_step_) {
-        const double y = live_filtered_[i];
-        live_emitted_[kept++] = y;
-        live_sum_ += y;
-        live_sum_sq_ += y * y;
-      }
-      decimate_phase_ = (decimate_phase_ + n) % decimate_step_;
-      live_count_ += kept;
-      live_stft_.push(0, std::span<const audio::Sample>(live_emitted_).first(kept));
-      break;
+  std::span<const audio::Sample> emitted = samples;
+  if (live_step_ > 1) {
+    // Stateful anti-alias cascade, then phase-0 sample keeping
+    // (out[m] = filtered[m*step]), a strided walk from the block's first
+    // phase-0 sample.
+    const std::size_t n = samples.size();
+    const audio::Sample* in = samples.data();
+    audio::Sample* out = live_filtered_.data();
+    antialias_.process(&in, &out, n);
+    std::size_t kept = 0;
+    for (std::size_t i = (live_step_ - decimate_phase_) % live_step_; i < n;
+         i += live_step_) {
+      live_emitted_[kept++] = live_filtered_[i];
     }
+    decimate_phase_ = (decimate_phase_ + n) % live_step_;
+    emitted = std::span<const audio::Sample>(live_emitted_).first(kept);
   }
+  for (const double x : emitted) {
+    live_sum_ += x;
+    live_sum_sq_ += x * x;
+  }
+  live_count_ += emitted.size();
+  live_stft_.push(0, emitted);
   drain_liveness_frames();
 }
 
@@ -448,8 +432,7 @@ void IncrementalExtractor::finalize_shared() {
     process_block(block_fill_);
     block_fill_ = 0;
   }
-  if (liveness_path_ == LivenessPath::kPassthrough ||
-      liveness_path_ == LivenessPath::kDecimate) {
+  if (live_step_ != 0) {
     live_stft_.finish();
     drain_liveness_frames();
   }
@@ -614,14 +597,9 @@ int IncrementalExtractor::pair_tdoa(std::size_t pair) const {
 
 ml::FeatureVector IncrementalExtractor::finalize_liveness() {
   finalize_shared();
-  if (liveness_path_ == LivenessPath::kOff) {
+  if (live_step_ == 0) {
     throw std::logic_error("IncrementalExtractor: liveness stage disabled");
   }
-  return liveness_path_ == LivenessPath::kBuffered ? liveness_from_buffered()
-                                                   : liveness_from_streamed();
-}
-
-ml::FeatureVector IncrementalExtractor::liveness_from_streamed() const {
   const std::size_t bins = live_bins_;
   std::vector<double> mean_mag(bins, 0.0);
 
@@ -638,15 +616,15 @@ ml::FeatureVector IncrementalExtractor::liveness_from_streamed() const {
   if (n > 0) {
     const double mu = sum / static_cast<double>(n);
     const double var = sum_sq / static_cast<double>(n) - mu * mu;
-    // var <= 0 keeps the zero spectrum, matching the batch convention of
-    // zeroing a constant signal in normalize_zero_mean_unit_variance.
+    // var <= 0 keeps the zero spectrum, as normalizing a constant signal
+    // to zero mean / unit variance zeroes it.
     if (var > 0.0) {
       const double inv_sigma = 1.0 / std::sqrt(var);
       const std::size_t frame = live_stft_.frame_size();
       const std::size_t hop = live_stft_.hop_size();
       // Frames fully inside the trimmed span; the zero-padded tail frames
-      // only count when the span runs to the stream end (where the batch
-      // framing would have produced them too).
+      // only count when the span runs to the stream end (where framing the
+      // span alone would have produced them too).
       std::vector<std::size_t> selected;
       for (std::size_t f = 0; f < live_valid_.size(); ++f) {
         const std::size_t start = f * hop;
@@ -688,34 +666,6 @@ ml::FeatureVector IncrementalExtractor::liveness_from_streamed() const {
 
   ml::FeatureVector features;
   liveness_features_from(mean_mag, live_stft_.fft_size(), features);
-  return features;
-}
-
-ml::FeatureVector IncrementalExtractor::liveness_from_buffered() const {
-  // Non-integer resampling ratios have no streaming decimator; the
-  // filtered channel was buffered, so finalize runs the batch-style chain
-  // on the trimmed span in one shot. Chunk invariance still holds — the
-  // buffer contents never depend on push() boundaries.
-  const std::size_t t0 = std::min(live_raw_.size(), active_begin_ * block_len_);
-  const std::size_t t1 = std::min(live_raw_.size(), active_end_ * block_len_);
-  audio::Buffer segment(
-      std::vector<audio::Sample>(live_raw_.begin() + static_cast<std::ptrdiff_t>(t0),
-                                 live_raw_.begin() + static_cast<std::ptrdiff_t>(t1)),
-      sample_rate_);
-  audio::Buffer x = audio::resample(segment, config_.liveness.model_sample_rate);
-  audio::normalize_zero_mean_unit_variance(x);
-  dsp::StftConfig stft_config;
-  stft_config.frame_size = config_.liveness.stft_frame;
-  stft_config.hop_size = config_.liveness.stft_hop;
-  const auto spectrogram = dsp::stft(x, stft_config);
-  auto mean_mag = spectrogram.mean_magnitude();
-  const std::size_t nfft =
-      spectrogram.fft_size != 0
-          ? spectrogram.fft_size
-          : std::max<std::size_t>(2, dsp::next_pow2(config_.liveness.stft_frame));
-  if (mean_mag.size() != nfft / 2 + 1) mean_mag.assign(nfft / 2 + 1, 0.0);
-  ml::FeatureVector features;
-  liveness_features_from(mean_mag, nfft, features);
   return features;
 }
 

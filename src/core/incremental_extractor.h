@@ -16,8 +16,11 @@
 //     power of two D first (D = 4 at 48 kHz: a 1024-point transform at
 //     12 kHz over the window a 4096-point one covered at 48 kHz, with the
 //     same 11.7 Hz bins);
-//   * a streaming 16 kHz decimator feeding a rolling STFT plus running
-//     Σx/Σx² for the liveness normalization.
+//   * channel 0 decimated to the liveness rate by an integer step (an
+//     anti-alias low-pass first unless the step is 1) feeding a rolling
+//     STFT plus running Σx/Σx² for the liveness normalization. Only rates
+//     that are integer multiples of the liveness rate are accepted (see
+//     liveness_decimation()).
 //
 // The block transforms ride in the four lanes of the dsp lane kernels:
 // each block's channels are transformed four at a time, the pairs are
@@ -97,6 +100,22 @@ struct IncrementalExtractorConfig {
   double block_ms = 20.0;
 };
 
+/// Revision of the feature definitions this operator computes. Anything
+/// that stores features (the collector's disk cache) keys on it, so bump
+/// it whenever a change moves any feature value.
+///   9: extraction moved into this operator (stateful band-pass, block trim).
+///  10: every SIMD level built without FMA (AVX2 rounds like scalar).
+///  11: directivity from the decimated mixdown (1024 points at 12 kHz),
+///      sqrt magnitudes, PHAT by one reciprocal.
+///  12: training liveness trims on the all-channel envelope, as serving does.
+inline constexpr int kFeatureVersion = 12;
+
+/// The liveness stage's decimation step from `sample_rate` to `model_rate`:
+/// sample_rate / model_rate when that is a whole number >= 1 (1 at 16 kHz,
+/// 3 at 48 kHz, 6 at 96 kHz), and 0 — unsupported — for any other rate
+/// (44.1 kHz, 8 kHz). begin() and the server's HELLO both apply it.
+[[nodiscard]] std::size_t liveness_decimation(double sample_rate, double model_rate) noexcept;
+
 /// The directivity path's mixdown decimator for `channels` microphones at
 /// `sample_rate` when the directivity bands end at `top_hz`: decimation by
 /// the largest power of two D with sample_rate / D >= 3 × top_hz (D = 4 at
@@ -111,6 +130,8 @@ class IncrementalExtractor {
   IncrementalExtractor() = default;
 
   /// Starts a new segment. Resets all accumulators and filter state.
+  /// Throws std::invalid_argument when the liveness stage is enabled and
+  /// liveness_decimation() rejects the sample rate.
   void begin(const IncrementalExtractorConfig& config, std::size_t channels,
              double sample_rate);
 
@@ -174,8 +195,6 @@ class IncrementalExtractor {
   [[nodiscard]] std::span<const double> srp() const noexcept { return srp_; }
 
  private:
-  enum class LivenessPath { kOff, kPassthrough, kDecimate, kBuffered };
-
   void process_block(std::size_t valid);
   void accumulate_pairs(std::size_t valid);
   void accumulate_directivity(std::size_t valid);
@@ -183,8 +202,6 @@ class IncrementalExtractor {
   void drain_liveness_frames();
   void finalize_shared();
   void select_active_blocks();
-  [[nodiscard]] ml::FeatureVector liveness_from_streamed() const;
-  [[nodiscard]] ml::FeatureVector liveness_from_buffered() const;
   void liveness_features_from(std::span<const double> mean_magnitude,
                               std::size_t fft_size, ml::FeatureVector& out) const;
 
@@ -246,10 +263,9 @@ class IncrementalExtractor {
   std::vector<double> dir_blocks_;  ///< [block][dir_bins_]
 
   // Liveness accumulators.
-  LivenessPath liveness_path_ = LivenessPath::kOff;
-  dsp::MultichannelBiquadCascade antialias_;  ///< one channel
-  std::vector<audio::Sample> live_filtered_;  ///< kDecimate: one block filtered
-  std::size_t decimate_step_ = 1;
+  std::size_t live_step_ = 0;  ///< decimation to the liveness rate; 0 = stage off
+  dsp::MultichannelBiquadCascade antialias_;  ///< one channel, step > 1 only
+  std::vector<audio::Sample> live_filtered_;  ///< step > 1: one block filtered
   std::size_t decimate_phase_ = 0;  ///< position of the next sample within its step
   dsp::RollingStft live_stft_;
   std::size_t live_bins_ = 0;
@@ -259,8 +275,7 @@ class IncrementalExtractor {
   std::size_t live_count_ = 0;  ///< resampled samples emitted so far
   std::vector<std::size_t> resampled_upto_;  ///< cumulative live_count_ per block
   std::vector<double> live_cum_sum_, live_cum_sum_sq_;  ///< cumulative per block
-  std::vector<audio::Sample> live_raw_;  ///< kBuffered: filtered channel 0
-  std::vector<audio::Sample> live_emitted_;  ///< kDecimate: one block's output
+  std::vector<audio::Sample> live_emitted_;  ///< step > 1: one block's output
   dsp::HalfSpectrum live_window_spectrum_;  ///< FFT of the full analysis window
 };
 

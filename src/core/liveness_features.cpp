@@ -5,11 +5,12 @@
 
 namespace headtalk::core {
 
-ml::FeatureVector LivenessFeatureExtractor::extract(const audio::Buffer& channel,
+ml::FeatureVector LivenessFeatureExtractor::extract(const audio::MultiBuffer& capture,
                                                     ScoringWorkspace* workspace) const {
-  // One definition for batch and streamed extraction: the whole channel
-  // goes through the incremental operator in a single push (chunk
-  // invariance makes this bit-identical to frame-by-frame streaming).
+  // One definition for training and serving: the whole capture goes
+  // through the incremental operator in a single push (chunk invariance
+  // makes this bit-identical to frame-by-frame streaming). The orientation
+  // stage is off; it never touches the trim or the liveness chain.
   IncrementalExtractorConfig op_config;
   op_config.liveness = config_;
   op_config.enable_orientation = false;
@@ -19,9 +20,8 @@ ml::FeatureVector LivenessFeatureExtractor::extract(const audio::Buffer& channel
     workspace->note_use();
     op = &workspace->incremental();
   }
-  audio::MultiBuffer wrapped(std::vector<audio::Buffer>{channel});
-  op->begin(op_config, 1, channel.sample_rate());
-  op->push(wrapped);
+  op->begin(op_config, capture.channel_count(), capture.sample_rate());
+  op->push(capture);
   return op->finalize_liveness();
 }
 

@@ -3,10 +3,12 @@
 // The discriminative physics (Fig. 3): live speech has genuine high-band
 // (> 4 kHz) energy with an exponential decay around 4 kHz, while replayed
 // audio has a weaker, flatter high band made of distortion products. We
-// summarize a single preprocessed channel — downsampled to 16 kHz and
+// summarize one preprocessed channel — downsampled to 16 kHz and
 // normalized to zero mean / unit variance, exactly the wav2vec2 input
 // convention the paper uses — into log band energies plus spectral shape
-// measures that carry that signature.
+// measures that carry that signature. The preprocessing trim is decided on
+// the whole capture, so every caller (training, enrollment, serving) passes
+// the multichannel capture and gets the features serving scores.
 #pragma once
 
 #include "audio/sample_buffer.h"
@@ -30,13 +32,15 @@ class LivenessFeatureExtractor {
   explicit LivenessFeatureExtractor(LivenessFeatureConfig config = {})
       : config_(config) {}
 
-  /// Extracts features from one raw channel of a capture (any sample rate;
-  /// the channel is band-passed, silence-trimmed with a default
-  /// PreprocessConfig, and resampled internally by the incremental
-  /// operator this call delegates to — identical to streaming the channel
-  /// frame by frame). `workspace` (optional) supplies reusable scratch;
-  /// it never changes the result.
-  [[nodiscard]] ml::FeatureVector extract(const audio::Buffer& channel,
+  /// Extracts features from a raw capture through the incremental operator
+  /// (default PreprocessConfig): every channel is band-passed and feeds the
+  /// trim envelope, and band-passed channel 0, decimated to the liveness
+  /// rate over the trimmed span, gives the features — what score_capture()
+  /// and finalize_segment() compute. The sample rate must be a whole
+  /// multiple of config().model_sample_rate (16, 32, 48, 96 kHz, ...);
+  /// any other throws std::invalid_argument. `workspace` (optional)
+  /// supplies reusable scratch; it never changes the result.
+  [[nodiscard]] ml::FeatureVector extract(const audio::MultiBuffer& capture,
                                           ScoringWorkspace* workspace = nullptr) const;
 
   [[nodiscard]] std::size_t dimension() const noexcept {

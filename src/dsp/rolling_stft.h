@@ -1,9 +1,9 @@
 // Rolling multichannel STFT: hop-aligned block processing for streaming
 // feature extraction.
 //
-// The batch dsp::stft sees the whole signal at once; RollingStft consumes
-// it in arbitrary chunks and emits exactly the same frames — each analysis
-// frame becomes available the moment its last sample arrives, so per-frame
+// RollingStft consumes a signal in arbitrary chunks and emits the frames a
+// whole-signal framing would (the final partial frame zero-padded) — each
+// analysis frame becomes available the moment its last sample arrives, so per-frame
 // work can interleave with capture I/O instead of piling up behind the
 // endpointer. State (the partial frame spanning a chunk boundary) is
 // carried across push() calls, making the emitted frame sequence invariant

@@ -94,6 +94,18 @@ void Session::handle_hello(const Frame& frame) {
              std::to_string(limits_.max_channels));
     return;
   }
+  // HeadTalk feeds every chunk to the operator, whose liveness stage takes
+  // only whole multiples of its rate: refuse any other rate up front.
+  const double live_rate = pipeline_.incremental_config().liveness.model_sample_rate;
+  if (limits_.mode == core::VaMode::kHeadTalk &&
+      core::liveness_decimation(hello.sample_rate_hz, live_rate) == 0) {
+    fail(ErrorCode::kBadRequest,
+         "sample rate " + std::to_string(hello.sample_rate_hz) +
+             " Hz: HeadTalk mode takes only whole multiples of the " +
+             std::to_string(static_cast<long long>(live_rate)) +
+             " Hz liveness rate");
+    return;
+  }
   channels_ = hello.channels;
   sample_rate_ = static_cast<double>(hello.sample_rate_hz);
   chunk_ = audio::MultiBuffer(channels_, 0, sample_rate_);

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "audio/gain.h"
+#include "core/incremental_extractor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "room/scene.h"
@@ -216,17 +217,8 @@ std::string Collector::cache_key(const SampleSpec& spec, const char* kind) const
   if (spec.room == RoomId::kHome) {
     key += "|dyn=2";  // dynamic-clutter movable fraction revision
   }
-  // v=9: feature extraction moved into the frame-incremental operator —
-  // stateful per-channel band-pass cascades and block-granular silence
-  // trim replace the one-shot preprocess, which shifts values at the
-  // last-ulp-to-block-boundary level; cached entries from the batch
-  // definition must not be mixed in. (v=8 was the SIMD kernel revision.)
-  // v=10: the lane-batched FFT builds every level without FMA, so AVX2
-  // features move by rounding to the scalar reference's bits.
-  // v=11: directivity spectra come from the decimated mixdown (a 1024-point
-  // transform at 12 kHz instead of 4096 points at 48 kHz) with sqrt
-  // magnitudes, and PHAT normalizes by one reciprocal.
-  key += "|v=11";  // bump to invalidate old cache entries on format changes
+  // The operator's feature revision (its history lives beside it).
+  key += "|v=" + std::to_string(core::kFeatureVersion);
   return key;
 }
 
@@ -248,9 +240,9 @@ ml::FeatureVector Collector::liveness_features(const SampleSpec& spec,
   obs::ScopedSpan span("sim.liveness_features");
   const auto key = cache_key(spec, "live");
   if (auto hit = cache_.load(key)) return *hit;
-  const auto raw = capture(spec);
-  const auto features = core::LivenessFeatureExtractor(config_.liveness)
-                            .extract(raw.channel(0), workspace);
+  // The whole capture, so the trim is the one serving decides.
+  const auto features =
+      core::LivenessFeatureExtractor(config_.liveness).extract(capture(spec), workspace);
   cache_.store(key, features);
   return features;
 }

@@ -78,8 +78,8 @@ class Collector {
   [[nodiscard]] ml::FeatureVector orientation_features(
       const SampleSpec& spec, core::ScoringWorkspace* workspace = nullptr) const;
 
-  /// Liveness feature vector from channel 0 (disk-cached). `workspace` as
-  /// for orientation_features().
+  /// Liveness feature vector of the capture (disk-cached): what serving
+  /// scores for it, bit for bit. `workspace` as for orientation_features().
   [[nodiscard]] ml::FeatureVector liveness_features(
       const SampleSpec& spec, core::ScoringWorkspace* workspace = nullptr) const;
 

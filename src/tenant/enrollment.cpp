@@ -117,8 +117,7 @@ SpeakerProfile enroll_profile(const core::PipelineConfig& pipeline_config,
     // config, so enrolled profiles match what streamed scoring computes at
     // match time.
     core::FeatureCapture extracted;
-    extracted.liveness =
-        liveness_extractor.extract(capture.channel(0));
+    extracted.liveness = liveness_extractor.extract(capture);
     // Orientation needs inter-channel structure; a single-channel capture
     // enrolls on liveness features alone.
     if (channels > 1) {

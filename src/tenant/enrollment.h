@@ -49,7 +49,8 @@ struct EnrollmentConfig {
     const EnrollmentConfig& config = {});
 
 /// Full enrollment path: preprocess + extract (orientation over all
-/// channels, liveness over channel 0) with extractors built from
+/// channels, liveness from channel 0 over the all-channel trim, as
+/// serving computes them) with extractors built from
 /// `pipeline_config`, then enroll_from_features. All captures must share
 /// one channel count.
 [[nodiscard]] SpeakerProfile enroll_profile(

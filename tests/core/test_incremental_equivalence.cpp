@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <numbers>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "audio/sample_buffer.h"
@@ -167,23 +168,31 @@ TEST(IncrementalEquivalence, OrientationMatchesBatchAtAnyChunking) {
 }
 
 TEST(IncrementalEquivalence, LivenessMatchesBatchAtAnyChunkingAndSampleRate) {
-  // 48 kHz exercises the stateful integer decimator, 16 kHz the
-  // passthrough, 44.1 kHz the buffered fallback for non-integer ratios.
-  for (const double rate : {48000.0, 16000.0, 44100.0}) {
-    const auto capture = make_segment_capture(1, static_cast<std::size_t>(rate / 4),
+  // 16 kHz streams the band-passed channel as it is; 48 and 96 kHz run the
+  // stateful integer decimator (steps 3 and 6). Four channels, so the trim
+  // is the all-channel one serving applies.
+  for (const double rate : {48000.0, 16000.0, 96000.0}) {
+    SCOPED_TRACE(testing::Message() << rate << " Hz");
+    const auto capture = make_segment_capture(4, static_cast<std::size_t>(rate / 4),
                                               rate, /*seed=*/7);
     const LivenessFeatureExtractor extractor;
-    const auto batch = extractor.extract(capture.channel(0));
+    const auto batch = extractor.extract(capture);
 
     IncrementalExtractorConfig config;
     config.liveness = extractor.config();
     config.enable_orientation = false;
     for (const std::size_t chunk : kChunks) {
       IncrementalExtractor op;
-      op.begin(config, 1, rate);
+      op.begin(config, capture.channel_count(), rate);
       push_chunked(op, capture, chunk);
       expect_identical(op.finalize_liveness(), batch, chunk);
     }
+  }
+  // Rates that are not a whole multiple of 16 kHz have no liveness path.
+  for (const double rate : {44100.0, 8000.0}) {
+    IncrementalExtractor op;
+    EXPECT_THROW(op.begin(IncrementalExtractorConfig{}, 4, rate), std::invalid_argument)
+        << rate << " Hz";
   }
 }
 

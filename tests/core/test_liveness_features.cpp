@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "speech/loudspeaker.h"
 #include "speech/synthesizer.h"
@@ -16,21 +17,26 @@ audio::Buffer live_utterance(unsigned seed) {
   return speech::synthesize_wake_word(speech::WakeWord::kComputer, profile, seed);
 }
 
+/// A one-microphone capture of `x`.
+audio::MultiBuffer mono(audio::Buffer x) {
+  return audio::MultiBuffer(std::vector<audio::Buffer>{std::move(x)});
+}
+
 TEST(LivenessFeatures, DimensionMatchesExtraction) {
   LivenessFeatureExtractor e;
-  const auto f = e.extract(live_utterance(1));
+  const auto f = e.extract(mono(live_utterance(1)));
   EXPECT_EQ(f.size(), e.dimension());
 }
 
 TEST(LivenessFeatures, DeterministicForSameInput) {
   LivenessFeatureExtractor e;
-  const auto x = live_utterance(2);
+  const auto x = mono(live_utterance(2));
   EXPECT_EQ(e.extract(x), e.extract(x));
 }
 
 TEST(LivenessFeatures, FiniteOnSilence) {
   LivenessFeatureExtractor e;
-  audio::Buffer silent(16000, 48000.0);
+  const audio::MultiBuffer silent(1, 16000, 48000.0);
   for (double v : e.extract(silent)) EXPECT_TRUE(std::isfinite(v));
 }
 
@@ -41,8 +47,8 @@ TEST(LivenessFeatures, SeparatesLiveFromReplay) {
   const auto live = live_utterance(3);
   const auto replay =
       speech::replay_through(live, speech::LoudspeakerModel::smartphone(), 7);
-  const auto fl = e.extract(live);
-  const auto fr = e.extract(replay);
+  const auto fl = e.extract(mono(live));
+  const auto fr = e.extract(mono(replay));
   ASSERT_EQ(fl.size(), fr.size());
   // Compare the top third of the log band energies (high bands).
   const std::size_t bands = e.config().log_bands;
@@ -56,9 +62,9 @@ TEST(LivenessFeatures, SeparatesLiveFromReplay) {
 
 TEST(LivenessFeatures, AcceptsAnyInputRate) {
   LivenessFeatureExtractor e;
-  audio::Buffer at16k(8000, 16000.0);
-  for (std::size_t i = 0; i < at16k.size(); ++i) {
-    at16k[i] = std::sin(0.3 * static_cast<double>(i));
+  audio::MultiBuffer at16k(1, 8000, 16000.0);
+  for (std::size_t i = 0; i < at16k.frames(); ++i) {
+    at16k.channel(0)[i] = std::sin(0.3 * static_cast<double>(i));
   }
   const auto f = e.extract(at16k);  // no resampling needed, still works
   EXPECT_EQ(f.size(), e.dimension());
@@ -69,7 +75,7 @@ TEST(LivenessFeatures, ConfigurableBandCount) {
   cfg.log_bands = 16;
   LivenessFeatureExtractor e(cfg);
   EXPECT_EQ(e.dimension(), 16u + 6u);
-  EXPECT_EQ(e.extract(live_utterance(4)).size(), 22u);
+  EXPECT_EQ(e.extract(mono(live_utterance(4))).size(), 22u);
 }
 
 }  // namespace

@@ -61,16 +61,16 @@ struct PipelineFixture : ::testing::Test {
       for (double angle : {0.0, 20.0, -20.0}) {
         const auto cap = render(angle, false, seed++);
         orientation_data.add(ofe.extract(cap), kLabelFacing);
-        liveness_data.add(lfe.extract(cap.channel(0)), kLabelLive);
+        liveness_data.add(lfe.extract(cap), kLabelLive);
       }
       for (double angle : {120.0, -120.0, 180.0}) {
         const auto cap = render(angle, false, seed++);
         orientation_data.add(ofe.extract(cap), kLabelNonFacing);
-        liveness_data.add(lfe.extract(cap.channel(0)), kLabelLive);
+        liveness_data.add(lfe.extract(cap), kLabelLive);
       }
       for (double angle : {0.0, 90.0}) {
         const auto cap = render(angle, true, seed++);
-        liveness_data.add(lfe.extract(cap.channel(0)), kLabelReplay);
+        liveness_data.add(lfe.extract(cap), kLabelReplay);
       }
     }
     OrientationClassifier orientation;

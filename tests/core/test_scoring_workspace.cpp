@@ -46,9 +46,9 @@ TEST(ScoringWorkspace, OrientationExtractionIsBitIdentical) {
 TEST(ScoringWorkspace, LivenessExtractionIsBitIdentical) {
   const LivenessFeatureExtractor extractor;
   const auto capture = make_capture(12000, 2);
-  const auto without = extractor.extract(capture.channel(0));
+  const auto without = extractor.extract(capture);
   ScoringWorkspace workspace;
-  const auto with = extractor.extract(capture.channel(0), &workspace);
+  const auto with = extractor.extract(capture, &workspace);
   ASSERT_EQ(without.size(), with.size());
   for (std::size_t i = 0; i < without.size(); ++i) {
     EXPECT_EQ(without[i], with[i]) << "feature " << i;
@@ -80,7 +80,7 @@ TEST(ScoringWorkspace, CountsUses) {
   EXPECT_EQ(workspace.uses(), 0u);
   (void)orientation.extract(capture, &workspace);
   EXPECT_EQ(workspace.uses(), 1u);
-  (void)liveness.extract(capture.channel(0), &workspace);
+  (void)liveness.extract(capture, &workspace);
   EXPECT_EQ(workspace.uses(), 2u);
 }
 

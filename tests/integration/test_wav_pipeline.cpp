@@ -74,7 +74,7 @@ TEST_F(WavPipelineTest, TrainSaveLoadInferRoundTrip) {
     const auto path = dir_ / ("c" + std::to_string(orientation_data.size() + liveness_data.size()) + ".wav");
     audio::write_wav(path, collector.capture(spec), audio::WavEncoding::kFloat32);
     const auto raw = audio::read_wav(path);
-    liveness_data.add(liveness_features.extract(raw.channel(0)),
+    liveness_data.add(liveness_features.extract(raw),
                       replay == sim::ReplaySource::kNone ? core::kLabelLive
                                                          : core::kLabelReplay);
     if (replay == sim::ReplaySource::kNone) {
@@ -119,7 +119,7 @@ TEST_F(WavPipelineTest, TrainSaveLoadInferRoundTrip) {
     const auto path = dir_ / "probe.wav";
     audio::write_wav(path, collector.capture(spec), audio::WavEncoding::kFloat32);
     const auto raw = audio::read_wav(path);
-    const bool live = liveness2.is_live(liveness_features.extract(raw.channel(0)));
+    const bool live = liveness2.is_live(liveness_features.extract(raw));
     const bool facing =
         orientation2.is_facing(collector.orientation_extractor(spec).extract(raw));
     return std::pair{live, facing};

@@ -271,4 +271,69 @@ TEST(ServeSession, HeadTalkModeScoresRealCaptures) {
   }
 }
 
+TEST(ServeSession, HeadTalkModeRefusesRateWithoutLivenessPath) {
+  // 44.1 and 8 kHz are not whole multiples of the 16 kHz liveness rate:
+  // HELLO itself is refused, before HELLO_OK and before any audio.
+  for (const std::uint32_t rate : {44100u, 8000u}) {
+    SCOPED_TRACE(std::to_string(rate) + " Hz");
+    Session session(test_pipeline(), SessionLimits{});  // default kHeadTalk
+    Hello hello;
+    hello.sample_rate_hz = rate;
+    feed(session, encode_hello(hello), false);
+    const auto frames = drain(session);
+    ASSERT_EQ(frames.size(), 1u);
+    const ErrorFrame error = parse_error(frames[0]);
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+    EXPECT_NE(error.message.find(std::to_string(rate)), std::string::npos) << error.message;
+    EXPECT_NE(error.message.find("16000 Hz liveness rate"), std::string::npos)
+        << error.message;
+    EXPECT_FALSE(session.hello_done());
+    EXPECT_TRUE(session.finished());
+  }
+}
+
+TEST(ServeSession, NormalModeAcceptsAnyRate) {
+  // Normal and Mute verdicts never feed the operator, so no rate rule.
+  Session session(test_pipeline(), normal_mode_limits());
+  Hello hello;
+  hello.sample_rate_hz = 44100;
+  std::vector<std::uint8_t> bytes = encode_hello(hello);
+  const auto chunk = encode_audio_chunk(std::vector<float>(441 * 4, 0.1f), 4);
+  const auto end = encode_end_of_utterance(false);
+  bytes.insert(bytes.end(), chunk.begin(), chunk.end());
+  bytes.insert(bytes.end(), end.begin(), end.end());
+  feed(session, bytes, true);
+  const auto frames = drain(session);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, FrameType::kHelloOk);
+  EXPECT_EQ(parse_decision(frames[1]).decision,
+            static_cast<std::uint8_t>(core::Decision::kAccepted));
+}
+
+TEST(ServeSession, HeadTalkModeAccepts96kHz) {
+  // 96 kHz decimates by 6 to the liveness rate: HELLO_OK, and every chunk
+  // of the utterance accumulates in the operator without an error.
+  Session session(test_pipeline(), SessionLimits{});  // default kHeadTalk
+  Hello hello;
+  hello.sample_rate_hz = 96000;
+  std::vector<std::uint8_t> bytes = encode_hello(hello);
+  const auto capture = serve_test::make_capture(4, 9600);
+  std::vector<float> interleaved(capture.frames() * 4);
+  for (std::size_t f = 0; f < capture.frames(); ++f) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      interleaved[f * 4 + c] = static_cast<float>(capture.channel(c)[f]);
+    }
+  }
+  for (int i = 0; i < 3; ++i) {
+    const auto chunk = encode_audio_chunk(interleaved, 4);
+    bytes.insert(bytes.end(), chunk.begin(), chunk.end());
+  }
+  feed(session, bytes, true);
+  const auto frames = drain(session);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, FrameType::kHelloOk);
+  EXPECT_TRUE(session.hello_done());
+  EXPECT_FALSE(session.idle());  // the utterance is in flight, not refused
+}
+
 }  // namespace

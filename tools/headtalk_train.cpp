@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
       // one the pipeline scores with), keeping the training definition
       // identical to streamed inference.
       auto& out = extracted[i];
-      out.liveness = liveness_features.extract(raw.channel(0));
+      out.liveness = liveness_features.extract(raw);
       out.liveness_label = entry.source == sim::ReplaySource::kNone ? core::kLabelLive
                                                                     : core::kLabelReplay;
       if (entry.source == sim::ReplaySource::kNone) {

@@ -8,14 +8,7 @@
 #
 #   tools/run_tsan_tests.sh [build-dir]     # default: build-tsan
 #
-# For an AddressSanitizer + UndefinedBehaviorSanitizer sweep of the whole
-# suite, configure HEADTALK_SANITIZE=address (it adds
-# -fsanitize=address,undefined -fno-sanitize-recover=undefined) and run
-# every test:
-#   cmake -B build-asan -S . -DHEADTALK_SANITIZE=address \
-#     -DHEADTALK_BUILD_BENCHES=OFF -DHEADTALK_BUILD_EXAMPLES=OFF
-#   cmake --build build-asan -j "$(nproc)"
-#   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
+# tools/run_asan_tests.sh runs the whole suite under ASan + UBSan.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
