@@ -184,11 +184,12 @@ BENCHMARK(BM_Bandpass)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicro
 // The operator's per-block transforms on one 20 ms block of the capture
 // (D2: 4 channels, 960 samples, 1024-point block FFT, lag window ±13).
 // lanes:0 runs one transform per call, the layout the lane kernels
-// replaced; lanes:1 runs the lane path the operator uses.
+// replaced; lanes:1 runs the lane path the operator uses (float32, 8 lanes
+// per AVX2 register); lanes:2 is the float64 4-lane path it replaced,
+// kept here as the reference for lanes:1.
 constexpr std::size_t kBlockLen = 960;
 constexpr std::size_t kBlockFft = 1024;
 constexpr int kBlockMaxLag = 13;
-constexpr std::size_t kLanes = dsp::simd::kFftLanes;
 
 std::vector<const audio::Sample*> block_channels() {
   std::vector<const audio::Sample*> channels;
@@ -207,6 +208,36 @@ std::vector<std::pair<std::size_t, std::size_t>> channel_pairs(std::size_t chann
   return pairs;
 }
 
+const char* lane_type_label(std::size_t lanes_arg) {
+  return lanes_arg == 1 ? "float32 x8" : "float64 x4";
+}
+
+/// The block STFT of every channel, kLanes<T> channels per call.
+template <class T>
+void block_spectra(const std::vector<const audio::Sample*>& channels,
+                   std::vector<dsp::BasicLaneSpectrum<T>>& spectra,
+                   dsp::BasicLaneScratch<T>& scratch) {
+  constexpr std::size_t kLanes = dsp::simd::kLanes<T>;
+  spectra.resize((channels.size() + kLanes - 1) / kLanes);
+  for (std::size_t g = 0; g < spectra.size(); ++g) {
+    const std::size_t count = std::min(kLanes, channels.size() - g * kLanes);
+    dsp::rfft_lanes_into<T>({channels.data() + g * kLanes, count}, kBlockLen, kBlockFft,
+                            spectra[g], scratch);
+  }
+}
+
+template <class T>
+void block_stft_lanes(benchmark::State& state) {
+  const auto channels = block_channels();
+  std::vector<dsp::BasicLaneSpectrum<T>> spectra;
+  dsp::BasicLaneScratch<T> scratch;
+  for (auto _ : state) {
+    block_spectra(channels, spectra, scratch);
+    benchmark::DoNotOptimize(spectra.front().re.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_BlockStft(benchmark::State& state) {
   const auto channels = block_channels();
   if (state.range(0) == 0) {
@@ -220,22 +251,55 @@ void BM_BlockStft(benchmark::State& state) {
       benchmark::ClobberMemory();
     }
     state.SetLabel("rfft_half_into per channel");
+    return;
+  }
+  if (state.range(0) == 1) {
+    block_stft_lanes<float>(state);
   } else {
-    std::vector<dsp::LaneSpectrum> spectra((channels.size() + kLanes - 1) / kLanes);
-    dsp::LaneScratch scratch;
-    for (auto _ : state) {
-      for (std::size_t g = 0; g < spectra.size(); ++g) {
-        const std::size_t count = std::min(kLanes, channels.size() - g * kLanes);
-        dsp::rfft_lanes_into({channels.data() + g * kLanes, count}, kBlockLen, kBlockFft,
-                             spectra[g], scratch);
-        benchmark::DoNotOptimize(spectra[g].re.data());
+    block_stft_lanes<double>(state);
+  }
+  state.SetLabel(std::string("rfft_lanes_into ") + lane_type_label(state.range(0)) + ", " +
+                 dsp::simd::kernels().name);
+}
+BENCHMARK(BM_BlockStft)->ArgName("lanes")->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+template <class T>
+void pair_gcc_lanes(benchmark::State& state) {
+  constexpr std::size_t kLanes = dsp::simd::kLanes<T>;
+  const auto channels = block_channels();
+  const auto pairs = channel_pairs(channels.size());
+  std::vector<dsp::BasicLaneSpectrum<T>> spectra;
+  dsp::BasicLaneScratch<T> scratch;
+  block_spectra(channels, spectra, scratch);
+  dsp::BasicLaneSpectrum<T> x, y, cross;
+  cross.fft_size = kBlockFft;
+  cross.lanes = kLanes;
+  cross.re.resize((kBlockFft / 2 + 1) * kLanes);
+  cross.im.resize((kBlockFft / 2 + 1) * kLanes);
+  std::vector<double> windows;
+  const auto& kernels = dsp::simd::kernels().lanes<T>();
+  for (auto _ : state) {
+    for (std::size_t first = 0; first < pairs.size(); first += kLanes) {
+      const dsp::BasicLaneSpectrum<T>* x_from[kLanes] = {};
+      const dsp::BasicLaneSpectrum<T>* y_from[kLanes] = {};
+      std::size_t x_lane[kLanes] = {}, y_lane[kLanes] = {};
+      for (std::size_t l = 0; l < kLanes && first + l < pairs.size(); ++l) {
+        const auto [i, j] = pairs[first + l];
+        x_from[l] = &spectra[i / kLanes];
+        x_lane[l] = i % kLanes;
+        y_from[l] = &spectra[j / kLanes];
+        y_lane[l] = j % kLanes;
       }
-      benchmark::ClobberMemory();
+      const auto xs = dsp::select_lanes(x_from, x_lane, x);
+      const auto ys = dsp::select_lanes(y_from, y_lane, y);
+      kernels.phat_lanes(xs.re, xs.im, xs.order, xs.width, ys.re, ys.im, ys.order, ys.width,
+                         cross.re.data(), cross.im.data(), kBlockFft / 2 + 1, T(1e-12));
+      dsp::irfft_lanes_window_into(cross, kBlockMaxLag, windows, scratch);
+      benchmark::DoNotOptimize(windows.data());
     }
-    state.SetLabel(std::string("rfft_lanes_into, ") + dsp::simd::kernels().name);
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_BlockStft)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_PairGcc(benchmark::State& state) {
   // PHAT cross spectrum and pruned inverse over the lag window for every
@@ -259,42 +323,48 @@ void BM_PairGcc(benchmark::State& state) {
       benchmark::ClobberMemory();
     }
     state.SetLabel("gcc_phat_from_spectra_into per pair");
+    return;
+  }
+  if (state.range(0) == 1) {
+    pair_gcc_lanes<float>(state);
   } else {
-    std::vector<dsp::LaneSpectrum> spectra((channels.size() + kLanes - 1) / kLanes);
-    dsp::LaneScratch scratch;
-    for (std::size_t g = 0; g < spectra.size(); ++g) {
-      const std::size_t count = std::min(kLanes, channels.size() - g * kLanes);
-      dsp::rfft_lanes_into({channels.data() + g * kLanes, count}, kBlockLen, kBlockFft,
-                           spectra[g], scratch);
+    pair_gcc_lanes<double>(state);
+  }
+  state.SetLabel(std::string("phat_lanes + irfft_lanes_window_into ") +
+                 lane_type_label(state.range(0)) + ", " + dsp::simd::kernels().name);
+}
+BENCHMARK(BM_PairGcc)->ArgName("lanes")->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+template <class T>
+void directivity_lanes(benchmark::State& state, const std::vector<const audio::Sample*>& block,
+                       std::size_t block_len, std::size_t bins, double* magnitudes) {
+  const audio::MultiBuffer& x = capture();
+  const std::size_t channels = block.size();
+  dsp::FirDecimator decimator = core::directivity_decimator(x.sample_rate(), channels, 4000.0);
+  const std::size_t fft = 4096 / decimator.step();
+  std::vector<audio::Sample> ring(fft, 0.0);
+  std::size_t decimated = 0;
+  dsp::BasicLaneScratch<T> scratch;
+  const auto& accumulate = dsp::simd::kernels().accumulate;
+  for (auto _ : state) {
+    double* mix = decimator.append(block_len);
+    std::copy_n(block[0], block_len, mix);
+    for (std::size_t c = 1; c < channels; ++c) accumulate(mix, block[c], block_len);
+    for (std::size_t ready = decimator.ready(); ready > 0;) {
+      const std::size_t at = decimated % fft;
+      const std::size_t take = std::min(ready, fft - at);
+      decimator.emit(ring.data() + at, take);
+      decimated += take;
+      ready -= take;
     }
-    dsp::LaneSpectrum x = spectra[0], y = spectra[0], cross = spectra[0];
-    std::vector<double> windows;
-    const auto& kernels = dsp::simd::kernels();
-    for (auto _ : state) {
-      for (std::size_t first = 0; first < pairs.size(); first += kLanes) {
-        const dsp::LaneSpectrum* x_from[kLanes] = {};
-        const dsp::LaneSpectrum* y_from[kLanes] = {};
-        std::size_t x_lane[kLanes] = {}, y_lane[kLanes] = {};
-        for (std::size_t l = 0; l < kLanes && first + l < pairs.size(); ++l) {
-          const auto [i, j] = pairs[first + l];
-          x_from[l] = &spectra[i / kLanes];
-          x_lane[l] = i % kLanes;
-          y_from[l] = &spectra[j / kLanes];
-          y_lane[l] = j % kLanes;
-        }
-        const dsp::LaneSelection xs = dsp::select_lanes(x_from, x_lane, x);
-        const dsp::LaneSelection ys = dsp::select_lanes(y_from, y_lane, y);
-        kernels.phat_lanes(xs.re, xs.im, xs.order, ys.re, ys.im, ys.order, cross.re.data(),
-                           cross.im.data(), kBlockFft / 2 + 1, 1e-12);
-        dsp::irfft_lanes_window_into(cross, kBlockMaxLag, windows, scratch);
-        benchmark::DoNotOptimize(windows.data());
-      }
-      benchmark::ClobberMemory();
-    }
-    state.SetLabel(std::string("phat_lanes + irfft_lanes_window_into, ") + kernels.name);
+    const std::span<const audio::Sample> held(ring);
+    const std::size_t oldest = decimated % fft;
+    dsp::rfft_magnitudes_head<T>(held.subspan(oldest), held.first(oldest), fft, bins,
+                                 magnitudes, scratch);
+    benchmark::DoNotOptimize(magnitudes);
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_PairGcc)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_DirectivityFft(benchmark::State& state) {
   // The directivity work of one 20 ms block at 48 kHz: mix the 4 channels
@@ -305,7 +375,9 @@ void BM_DirectivityFft(benchmark::State& state) {
   //             rfft_half_into of the window and std::abs per bin;
   //   lanes:1 — the operator's path: channel-major mixdown, its 49-tap
   //             decimator by 4 (fir_decimate) into a 1024-sample ring at
-  //             12 kHz, and the 1024-point rfft_magnitudes_head.
+  //             12 kHz, and the 1024-point rfft_magnitudes_head in float32
+  //             (one signal as eight parts);
+  //   lanes:2 — the same in float64 (four parts), the path lanes:1 replaced.
   constexpr std::size_t kBlock = 960;
   constexpr std::size_t kBins = 344;
   const audio::MultiBuffer& x = capture();
@@ -337,37 +409,22 @@ void BM_DirectivityFft(benchmark::State& state) {
       benchmark::ClobberMemory();
     }
     state.SetLabel("48 kHz mixdown + 4096-point rfft_half_into + std::abs");
-  } else {
-    dsp::FirDecimator decimator =
-        core::directivity_decimator(x.sample_rate(), channels, 4000.0);
-    const std::size_t fft = 4096 / decimator.step();
-    std::vector<audio::Sample> ring(fft, 0.0);
-    std::size_t decimated = 0;
-    dsp::LaneScratch scratch;
-    const auto& accumulate = dsp::simd::kernels().accumulate;
-    for (auto _ : state) {
-      double* mix = decimator.append(kBlock);
-      std::copy_n(block[0], kBlock, mix);
-      for (std::size_t c = 1; c < channels; ++c) accumulate(mix, block[c], kBlock);
-      for (std::size_t ready = decimator.ready(); ready > 0;) {
-        const std::size_t at = decimated % fft;
-        const std::size_t take = std::min(ready, fft - at);
-        decimator.emit(ring.data() + at, take);
-        decimated += take;
-        ready -= take;
-      }
-      const std::span<const audio::Sample> held(ring);
-      const std::size_t oldest = decimated % fft;
-      dsp::rfft_magnitudes_head(held.subspan(oldest), held.first(oldest), fft, kBins,
-                                magnitudes.data(), scratch);
-      benchmark::DoNotOptimize(magnitudes.data());
-      benchmark::ClobberMemory();
-    }
-    state.SetLabel(std::string("fir_decimate x4 + 1024-point rfft_magnitudes_head, ") +
-                   dsp::simd::kernels().name);
+    return;
   }
+  if (state.range(0) == 1) {
+    directivity_lanes<float>(state, block, kBlock, kBins, magnitudes.data());
+  } else {
+    directivity_lanes<double>(state, block, kBlock, kBins, magnitudes.data());
+  }
+  state.SetLabel(std::string("fir_decimate x4 + 1024-point rfft_magnitudes_head ") +
+                 lane_type_label(state.range(0)) + ", " + dsp::simd::kernels().name);
 }
-BENCHMARK(BM_DirectivityFft)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DirectivityFft)
+    ->ArgName("lanes")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 int env_int(const char* name, int fallback) {
   const char* value = std::getenv(name);

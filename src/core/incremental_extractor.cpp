@@ -16,7 +16,7 @@ namespace headtalk::core {
 namespace {
 
 // Same PHAT regularizer as gcc_phat's default.
-constexpr double kPhatEpsilon = 1e-12;
+constexpr float kPhatEpsilon = 1e-12f;
 // Pair coherence is block-averaged magnitude-squared coherence
 // |Σxy*|²/(Σ|x|²Σ|y|²) over groups of kCoherenceBlock bins sampled every
 // kCoherenceStride-th bin. Single-bin coherence is identically 1, so the
@@ -40,7 +40,8 @@ constexpr double kDirectivityOversampling = 3.0;
 // 49 taps at D = 4 reach ~65 dB over the 4–8 kHz transition at 48 kHz.
 constexpr std::size_t kDirectivityTapsPerStep = 12;
 
-constexpr std::size_t kLanes = dsp::simd::kFftLanes;
+// The operator's transforms run in float32: 8 lanes per AVX2 register.
+constexpr std::size_t kLanes = dsp::simd::kLanes<float>;
 
 obs::Counter& pruned_counter() {
   static obs::Counter& c = obs::Registry::global().counter("dsp.srp.pairs_pruned");
@@ -186,8 +187,9 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   pair_pruned_.clear();
   srp_.clear();
   cross_.fft_size = block_fft;
-  cross_.re.assign((block_fft / 2 + 1) * kLanes, 0.0);
-  cross_.im.assign((block_fft / 2 + 1) * kLanes, 0.0);
+  cross_.lanes = kLanes;
+  cross_.re.assign((block_fft / 2 + 1) * kLanes, 0.0f);
+  cross_.im.assign((block_fft / 2 + 1) * kLanes, 0.0f);
   coherence_sums_.assign(coherence_blocks_ * 4 * kLanes, 0.0);
 
   // Directivity: the window is sized at the full rate and divided by the
@@ -306,22 +308,24 @@ void IncrementalExtractor::process_block(std::size_t valid) {
 }
 
 void IncrementalExtractor::accumulate_pairs(std::size_t valid) {
-  // Block STFT: the channels' zero-padded blocks, four per lane group.
+  // Block STFT: the channels' zero-padded blocks, converted to float32 as
+  // they are packed, up to 8 per lane group (4 channels fill the group as
+  // two parts each).
   const audio::Sample* signals[kLanes] = {};
   for (std::size_t g = 0; g < channel_spectra_.size(); ++g) {
     const std::size_t count = std::min(kLanes, channels_ - g * kLanes);
     for (std::size_t l = 0; l < count; ++l) {
       signals[l] = block_.data() + (g * kLanes + l) * block_len_;
     }
-    dsp::rfft_lanes_into({signals, count}, valid, block_fft_, channel_spectra_[g],
-                         lane_scratch_);
+    dsp::rfft_lanes_into<float>({signals, count}, valid, block_fft_, channel_spectra_[g],
+                                lane_scratch_);
   }
 
-  // Pair GCC, four pairs per lane group: coherence partial sums of the raw
-  // spectra (finalize forms |Σxy*|²/(Σ|x|²Σ|y|²) from the per-segment sums,
-  // Welch-averaged over the selected blocks), then the PHAT cross spectrum
-  // and its pruned inverse over the lag window.
-  const auto& kernels = dsp::simd::kernels();
+  // Pair GCC, eight pairs per lane group: coherence partial sums of the raw
+  // spectra in float64 (finalize forms |Σxy*|²/(Σ|x|²Σ|y|²) from the
+  // per-segment sums, Welch-averaged over the selected blocks), then the
+  // PHAT cross spectrum and its pruned inverse over the lag window.
+  const auto& kernels = dsp::simd::kernels().f32;
   const std::size_t window = 2 * static_cast<std::size_t>(max_lag_) + 1;
   const std::size_t rows = block_fft_ / 2 + 1;
   const std::size_t coh_stride = coherence_blocks_ * 4;
@@ -331,8 +335,8 @@ void IncrementalExtractor::accumulate_pairs(std::size_t valid) {
     const std::size_t count = std::min(kLanes, pair_count_ - first);
     // A ragged group's spare lanes repeat a used pair; their results are
     // dropped.
-    const dsp::LaneSpectrum* x_from[kLanes] = {};
-    const dsp::LaneSpectrum* y_from[kLanes] = {};
+    const dsp::LaneSpectrumF* x_from[kLanes] = {};
+    const dsp::LaneSpectrumF* y_from[kLanes] = {};
     std::size_t x_lane[kLanes] = {}, y_lane[kLanes] = {};
     for (std::size_t l = 0; l < count; ++l) {
       const auto [i, j] = pairs_[first + l];
@@ -341,17 +345,17 @@ void IncrementalExtractor::accumulate_pairs(std::size_t valid) {
       y_from[l] = &channel_spectra_[j / kLanes];
       y_lane[l] = j % kLanes;
     }
-    const dsp::LaneSelection x = dsp::select_lanes(x_from, x_lane, pair_x_);
-    const dsp::LaneSelection y = dsp::select_lanes(y_from, y_lane, pair_y_);
-    kernels.coherence_lanes(x.re, x.im, x.order, y.re, y.im, y.order, rows,
+    const dsp::LaneSelectionF x = dsp::select_lanes(x_from, x_lane, pair_x_);
+    const dsp::LaneSelectionF y = dsp::select_lanes(y_from, y_lane, pair_y_);
+    kernels.coherence_lanes(x.re, x.im, x.order, x.width, y.re, y.im, y.order, y.width, rows,
                             kCoherenceStride, kCoherenceBlock, coherence_blocks_,
                             coherence_sums_.data());
     for (std::size_t l = 0; l < count; ++l) {
       double* acc = coherence_partials_.data() + coh_base + (first + l) * coh_stride;
       for (std::size_t i = 0; i < coh_stride; ++i) acc[i] += coherence_sums_[i * kLanes + l];
     }
-    kernels.phat_lanes(x.re, x.im, x.order, y.re, y.im, y.order, cross_.re.data(),
-                       cross_.im.data(), rows, kPhatEpsilon);
+    kernels.phat_lanes(x.re, x.im, x.order, x.width, y.re, y.im, y.order, y.width,
+                       cross_.re.data(), cross_.im.data(), rows, kPhatEpsilon);
     dsp::irfft_lanes_window_into(cross_, max_lag_, lag_windows_, lane_scratch_);
     gcc_blocks_.insert(gcc_blocks_.end(), lag_windows_.begin(),
                        lag_windows_.begin() + static_cast<std::ptrdiff_t>(count * window));
@@ -384,8 +388,9 @@ void IncrementalExtractor::accumulate_directivity(std::size_t valid) {
   const std::span<const audio::Sample> ring(dir_ring_);
   const std::size_t base = dir_blocks_.size();
   dir_blocks_.resize(base + dir_bins_);
-  dsp::rfft_magnitudes_head(ring.subspan(oldest, held - oldest), ring.first(oldest),
-                            dir_fft_, dir_bins_, dir_blocks_.data() + base, lane_scratch_);
+  dsp::rfft_magnitudes_head<float>(ring.subspan(oldest, held - oldest), ring.first(oldest),
+                                   dir_fft_, dir_bins_, dir_blocks_.data() + base,
+                                   lane_scratch_);
 }
 
 void IncrementalExtractor::feed_liveness(std::span<const audio::Sample> samples) {

@@ -22,13 +22,17 @@
 //     that are integer multiples of the liveness rate are accepted (see
 //     liveness_decimation()).
 //
-// The block transforms ride in the four lanes of the dsp lane kernels:
-// each block's channels are transformed four at a time, the pairs are
-// gathered four at a time for the PHAT cross spectrum, coherence sums and
-// pruned inverse, the directivity decimator computes four outputs at once,
-// and the directivity transform runs as four quarter lanes. Every lane
-// computes what a one-signal computation would, so the features are the
-// same at every SIMD level.
+// The block transforms run in float32, in the eight lanes of the dsp lane
+// kernels per AVX2 register: each block's 4 channels fill them as two
+// parts each (up to 8 channels as one part), the pairs are read eight at a
+// time for the PHAT cross spectrum, coherence sums and pruned inverse (the
+// 6 pairs of a 4-microphone array in one group), and the directivity
+// transform runs as eight parts of one signal. The band-pass, the
+// directivity decimator (four outputs at once), the coherence partial
+// sums, the per-block GCC windows and spectra, every finalize reduction
+// and the whole liveness path stay float64. Every lane computes what a
+// one-signal computation would, so the features are the same at every
+// SIMD level.
 //
 // Silence trimming happens lazily: every block also records its RMS
 // envelope, and finalize selects the active block span (see
@@ -108,7 +112,8 @@ struct IncrementalExtractorConfig {
 ///  11: directivity from the decimated mixdown (1024 points at 12 kHz),
 ///      sqrt magnitudes, PHAT by one reciprocal.
 ///  12: training liveness trims on the all-channel envelope, as serving does.
-inline constexpr int kFeatureVersion = 12;
+///  13: block STFT, pair PHAT and inverse, and directivity spectrum in float32.
+inline constexpr int kFeatureVersion = 13;
 
 /// The liveness stage's decimation step from `sample_rate` to `model_rate`:
 /// sample_rate / model_rate when that is a whole number >= 1 (1 at 16 kHz,
@@ -236,13 +241,13 @@ class IncrementalExtractor {
   std::vector<char> pair_pruned_;     ///< finalized, per pair
   std::vector<double> srp_;           ///< finalized [2*max_lag+1]
   std::size_t block_fft_ = 0;
-  std::vector<dsp::LaneSpectrum> channel_spectra_;  ///< per group of 4 channels
+  std::vector<dsp::LaneSpectrumF> channel_spectra_;  ///< per group of 8 channels
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;  ///< (i, j), pair order
-  dsp::LaneSpectrum pair_x_, pair_y_;  ///< gathered pair operands (> 4 channels)
-  dsp::LaneSpectrum cross_;            ///< PHAT cross spectra of one pair group
+  dsp::LaneSpectrumF pair_x_, pair_y_;  ///< gathered pair operands (> 8 channels)
+  dsp::LaneSpectrumF cross_;            ///< PHAT cross spectra of one pair group
   std::vector<double> coherence_sums_;  ///< [cblock][cr,ci,px,py][lane]
   std::vector<double> lag_windows_;     ///< [lane][2*max_lag+1]
-  dsp::LaneScratch lane_scratch_;
+  dsp::LaneScratchF lane_scratch_;
 
   // Directivity: mixdown → low-pass decimator → ring of the last dir_fft_
   // decimated samples → per-block truncated spectrum.

@@ -1,7 +1,6 @@
 #include "dsp/fft.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,14 +16,20 @@ bool is_pow2(std::size_t n) noexcept { return n != 0 && (n & (n - 1)) == 0; }
 // and half - k (simd::Kernels::rfft_unpack); the two edge bins, k = 0 and
 // k = half, both read slot 0. Returns edge bin k from the packed slot z0
 // and pack twiddle w[k].
-Complex rfft_edge_bin(Complex z0, Complex w) noexcept {
-  const Complex zr = std::conj(z0);
-  const Complex even = 0.5 * (z0 + zr);
-  const Complex odd = Complex(0.0, -0.5) * (z0 - zr);
+template <class T>
+std::complex<T> rfft_edge_bin(std::complex<T> z0, std::complex<T> w) noexcept {
+  const std::complex<T> zr = std::conj(z0);
+  const std::complex<T> even = T(0.5) * (z0 + zr);
+  const std::complex<T> odd = std::complex<T>(T(0), T(-0.5)) * (z0 - zr);
   return even + w * odd;
 }
 
-static_assert(simd::kFftLanes == 4, "LaneSelection::order holds one entry per lane");
+// Lanes per spectrum row of rfft_lanes_into for `signals` signals: at
+// least 4, so the stages across the parts run on rows of 4 or more lanes.
+template <class T>
+std::size_t lane_group_width(std::size_t signals) {
+  return std::min(simd::kLanes<T>, std::max<std::size_t>(4, next_pow2(signals)));
+}
 
 }  // namespace
 
@@ -102,68 +107,74 @@ void rfft_half_into(std::span<const audio::Sample> x, std::size_t fft_size,
   simd::kernels().rfft_unpack(reinterpret_cast<const double*>(z.data()),
                               reinterpret_cast<const double*>(w.data()),
                               reinterpret_cast<double*>(out.bins.data()), half);
-  for (const std::size_t k : {std::size_t{0}, half}) out.bins[k] = rfft_edge_bin(z[0], w[k]);
+  for (const std::size_t k : {std::size_t{0}, half}) {
+    out.bins[k] = rfft_edge_bin<double>(z[0], w[k]);
+  }
 }
 
+template <class T>
 void rfft_lanes_into(std::span<const audio::Sample* const> signals, std::size_t count,
-                     std::size_t fft_size, LaneSpectrum& out, LaneScratch& scratch) {
-  constexpr std::size_t kLanes = simd::kFftLanes;
+                     std::size_t fft_size, BasicLaneSpectrum<T>& out,
+                     BasicLaneScratch<T>& scratch) {
+  constexpr std::size_t kLanes = simd::kLanes<T>;
   if (!is_pow2(fft_size) || fft_size < std::max<std::size_t>(2, count) ||
       signals.size() > kLanes) {
     throw std::invalid_argument(
-        "rfft_lanes: fft_size must be a power of two >= max(2, count), <= 4 signals");
+        "rfft_lanes: fft_size must be a power of two >= max(2, count), at most one "
+        "signal per lane");
   }
   const std::size_t half = fft_size / 2;
   const auto plan = FftPlanCache::global().get(half);
+  // Each signal as `parts` parts of `rows` rows when a row has room.
+  std::size_t width = lane_group_width<T>(signals.size());
+  std::size_t parts = kLanes / width;
+  if (parts > half) {
+    parts = 1;
+    width = kLanes;
+  }
+  const std::size_t rows = half / parts;
 
   // Pack even samples into the real part and odd into the imaginary part
-  // of each lane, scattering packed slot n to its bit-reversed row.
+  // of each lane, each packed slot at its bit-reversed position.
   scratch.re.resize(half * kLanes);
   scratch.im.resize(half * kLanes);
-  const auto bit_reverse = plan->bit_reverse();
-  const std::size_t pairs = std::min(half, count / 2);  // slots fully inside the signal
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    double* re = scratch.re.data() + l;
-    double* im = scratch.im.data() + l;
-    std::size_t n = 0;
-    if (l < signals.size()) {
-      const audio::Sample* x = signals[l];
-      for (; n < pairs; ++n) {
-        const std::size_t row = std::size_t{bit_reverse[n]} * kLanes;
-        re[row] = x[2 * n];
-        im[row] = x[2 * n + 1];
-      }
-      if (n < half && 2 * n < count) {  // an odd count ends mid-slot
-        const std::size_t row = std::size_t{bit_reverse[n]} * kLanes;
-        re[row] = x[2 * n];
-        im[row] = 0.0;
-        ++n;
-      }
-    }
-    for (; n < half; ++n) {
-      const std::size_t row = std::size_t{bit_reverse[n]} * kLanes;
-      re[row] = 0.0;
-      im[row] = 0.0;
-    }
+  const auto& kernels = simd::kernels().lanes<T>();
+  kernels.pack_lanes(signals.data(), signals.size(), count, plan->bit_reverse().data(), rows,
+                     parts, scratch.re.data(), scratch.im.data());
+  const T* z_re = scratch.re.data();
+  const T* z_im = scratch.im.data();
+  if (parts == 1) {
+    plan->forward_lanes(scratch.re.data(), scratch.im.data());
+  } else {
+    scratch.natural_re.resize(half * width);
+    scratch.natural_im.resize(half * width);
+    plan->forward_parted(scratch.re.data(), scratch.im.data(), parts,
+                         scratch.natural_re.data(), scratch.natural_im.data());
+    z_re = scratch.natural_re.data();
+    z_im = scratch.natural_im.data();
   }
-  plan->forward_lanes(scratch.re.data(), scratch.im.data());
 
   out.fft_size = fft_size;
-  out.re.resize((half + 1) * kLanes);
-  out.im.resize((half + 1) * kLanes);
-  const auto w = plan->real_pack_twiddles();
-  simd::kernels().rfft_unpack_lanes(scratch.re.data(), scratch.im.data(),
-                                    reinterpret_cast<const double*>(w.data()),
-                                    out.re.data(), out.im.data(), half);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    const Complex z0(scratch.re[l], scratch.im[l]);
+  out.lanes = width;
+  out.re.resize((half + 1) * width);
+  out.im.resize((half + 1) * width);
+  const auto w = plan->template pack_twiddles<T>();
+  kernels.rfft_unpack_lanes(z_re, z_im, width, reinterpret_cast<const T*>(w.data()),
+                            out.re.data(), out.im.data(), half, half);
+  for (std::size_t l = 0; l < width; ++l) {
+    const std::complex<T> z0(z_re[l], z_im[l]);
     for (const std::size_t k : {std::size_t{0}, half}) {
-      const Complex bin = rfft_edge_bin(z0, w[k]);
-      out.re[k * kLanes + l] = bin.real();
-      out.im[k * kLanes + l] = bin.imag();
+      const std::complex<T> bin = rfft_edge_bin(z0, w[k]);
+      out.re[k * width + l] = bin.real();
+      out.im[k * width + l] = bin.imag();
     }
   }
 }
+
+template void rfft_lanes_into<double>(std::span<const audio::Sample* const>, std::size_t,
+                                      std::size_t, LaneSpectrum&, LaneScratch&);
+template void rfft_lanes_into<float>(std::span<const audio::Sample* const>, std::size_t,
+                                     std::size_t, LaneSpectrumF&, LaneScratchF&);
 
 HalfSpectrum rfft_half(std::span<const audio::Sample> x, std::size_t fft_size) {
   HalfSpectrum out;
@@ -253,13 +264,14 @@ void irfft_half_window_into(const HalfSpectrum& spectrum, int max_lag,
   }
 }
 
-void irfft_lanes_window_into(const LaneSpectrum& spectrum, int max_lag,
-                             std::vector<double>& out, LaneScratch& scratch) {
-  constexpr std::size_t kLanes = simd::kFftLanes;
+template <class T>
+void irfft_lanes_window_into(const BasicLaneSpectrum<T>& spectrum, int max_lag,
+                             std::vector<double>& out, BasicLaneScratch<T>& scratch) {
+  constexpr std::size_t kLanes = simd::kLanes<T>;
   const std::size_t n = spectrum.fft_size;
   const std::size_t half = n / 2;
-  if (n < 2 || !is_pow2(n) || spectrum.re.size() != (half + 1) * kLanes ||
-      spectrum.im.size() != spectrum.re.size()) {
+  if (n < 2 || !is_pow2(n) || spectrum.lanes != kLanes ||
+      spectrum.re.size() != (half + 1) * kLanes || spectrum.im.size() != spectrum.re.size()) {
     throw std::invalid_argument("irfft_lanes_window: malformed spectrum");
   }
   if (max_lag < 0) throw std::invalid_argument("irfft_lanes_window: max_lag must be >= 0");
@@ -271,13 +283,12 @@ void irfft_lanes_window_into(const LaneSpectrum& spectrum, int max_lag,
   }
 
   const auto plan = FftPlanCache::global().get(half);
-  const auto w = plan->real_pack_twiddles();
+  const auto w = plan->template pack_twiddles<T>();
   scratch.re.resize(half * kLanes);
   scratch.im.resize(half * kLanes);
-  simd::kernels().irfft_repack_lanes(spectrum.re.data(), spectrum.im.data(),
-                                     reinterpret_cast<const double*>(w.data()),
-                                     plan->bit_reverse().data(), scratch.re.data(),
-                                     scratch.im.data(), half);
+  simd::kernels().lanes<T>().irfft_repack_lanes(
+      spectrum.re.data(), spectrum.im.data(), reinterpret_cast<const T*>(w.data()),
+      plan->bit_reverse().data(), scratch.re.data(), scratch.im.data(), half);
   // The same front/tail slots as irfft_half_window_into.
   const std::size_t front = lag / 2 + 1;
   const std::size_t tail = std::max<std::size_t>(1, (lag + 1) / 2);
@@ -288,17 +299,24 @@ void irfft_lanes_window_into(const LaneSpectrum& spectrum, int max_lag,
     const std::size_t m =
         l >= 0 ? static_cast<std::size_t>(l) : n - static_cast<std::size_t>(-l);
     const auto& part = m % 2 == 0 ? scratch.re : scratch.im;
-    const double* row = part.data() + (m / 2) * kLanes;
+    const T* row = part.data() + (m / 2) * kLanes;
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       out[lane * window + static_cast<std::size_t>(l + max_lag)] = row[lane];
     }
   }
 }
 
-LaneSelection select_lanes(const LaneSpectrum* const* from, const std::size_t* from_lane,
-                           LaneSpectrum& scratch) {
-  constexpr std::size_t kLanes = simd::kFftLanes;
-  const LaneSpectrum* source = nullptr;
+template void irfft_lanes_window_into<double>(const LaneSpectrum&, int, std::vector<double>&,
+                                              LaneScratch&);
+template void irfft_lanes_window_into<float>(const LaneSpectrumF&, int, std::vector<double>&,
+                                             LaneScratchF&);
+
+template <class T>
+BasicLaneSelection<T> select_lanes(const BasicLaneSpectrum<T>* const* from,
+                                   const std::size_t* from_lane,
+                                   BasicLaneSpectrum<T>& scratch) {
+  constexpr std::size_t kLanes = simd::kLanes<T>;
+  const BasicLaneSpectrum<T>* source = nullptr;
   std::size_t spare = 0;
   bool shared = true;
   for (std::size_t l = 0; l < kLanes; ++l) {
@@ -310,35 +328,46 @@ LaneSelection select_lanes(const LaneSpectrum* const* from, const std::size_t* f
     shared = shared && from[l] == source;
   }
   if (source == nullptr) throw std::invalid_argument("select_lanes: no lane selected");
-  LaneSelection out;
+  BasicLaneSelection<T> out;
   if (shared) {
     out.re = source->re.data();
     out.im = source->im.data();
+    out.width = source->lanes;
     for (std::size_t l = 0; l < kLanes; ++l) {
       out.order[l] = static_cast<std::uint32_t>(from[l] != nullptr ? from_lane[l] : spare);
     }
     return out;
   }
-  const std::size_t rows = source->re.size() / kLanes;
+  const std::size_t rows = source->re.size() / source->lanes;
   scratch.fft_size = source->fft_size;
+  scratch.lanes = kLanes;
   scratch.re.resize(rows * kLanes);
   scratch.im.resize(rows * kLanes);
   for (std::size_t k = 0; k < rows; ++k) {
     for (std::size_t l = 0; l < kLanes; ++l) {
-      const LaneSpectrum& s = from[l] != nullptr ? *from[l] : *source;
+      const BasicLaneSpectrum<T>& s = from[l] != nullptr ? *from[l] : *source;
       const std::size_t lane = from[l] != nullptr ? from_lane[l] : spare;
-      scratch.re[k * kLanes + l] = s.re[k * kLanes + lane];
-      scratch.im[k * kLanes + l] = s.im[k * kLanes + lane];
+      scratch.re[k * kLanes + l] = s.re[k * s.lanes + lane];
+      scratch.im[k * kLanes + l] = s.im[k * s.lanes + lane];
     }
   }
   out.re = scratch.re.data();
   out.im = scratch.im.data();
+  out.width = kLanes;
+  for (std::size_t l = 0; l < kLanes; ++l) out.order[l] = static_cast<std::uint32_t>(l);
   return out;
 }
 
+template LaneSelection select_lanes<double>(const LaneSpectrum* const*, const std::size_t*,
+                                            LaneSpectrum&);
+template LaneSelectionF select_lanes<float>(const LaneSpectrumF* const*, const std::size_t*,
+                                            LaneSpectrumF&);
+
+template <class T>
 void rfft_magnitudes_head(std::span<const audio::Sample> older,
                           std::span<const audio::Sample> newer, std::size_t fft_size,
-                          std::size_t bins, double* out, LaneScratch& scratch) {
+                          std::size_t bins, double* out, BasicLaneScratch<T>& scratch) {
+  constexpr std::size_t kLanes = simd::kLanes<T>;
   const std::size_t held = older.size() + newer.size();
   if (!is_pow2(fft_size) || fft_size < 8 || fft_size < held || bins > fft_size / 2 + 1) {
     throw std::invalid_argument(
@@ -347,53 +376,56 @@ void rfft_magnitudes_head(std::span<const audio::Sample> older,
   }
   const std::size_t half = fft_size / 2;
   const auto plan = FftPlanCache::global().get(half);
-  const std::size_t rows = half / simd::kFftLanes;
-  const int shift = std::countr_zero(rows);
-  auto slot = [rows, shift](std::size_t p) {
-    return (p & (rows - 1)) * simd::kFftLanes + (p >> shift);
-  };
+  // The one signal in lane 0 of each of `parts` parts (a row too wide for
+  // the parts leaves the other lanes zero).
+  const std::size_t parts = std::min(kLanes, half);
+  const std::size_t width = kLanes / parts;
+  const std::size_t rows = half / parts;
 
-  // Pack even samples into the real part and odd into the imaginary part,
-  // each packed slot at its bit-reversed position of the quartered layout.
+  // The ring's two runs in order, packed like rfft_lanes_into's signals
+  // (the pack zero-pads past `held`).
   auto& x = scratch.signal;
-  x.resize(fft_size);
+  x.resize(held);
   std::copy(older.begin(), older.end(), x.begin());
   std::copy(newer.begin(), newer.end(), x.begin() + static_cast<std::ptrdiff_t>(older.size()));
-  std::fill(x.begin() + static_cast<std::ptrdiff_t>(held), x.end(), 0.0);
-  scratch.re.resize(half);
-  scratch.im.resize(half);
-  const auto bit_reverse = plan->bit_reverse();
-  for (std::size_t n = 0; n < half; ++n) {
-    const std::size_t s = slot(bit_reverse[n]);
-    scratch.re[s] = x[2 * n];
-    scratch.im[s] = x[2 * n + 1];
-  }
-  plan->forward_quartered(scratch.re.data(), scratch.im.data());
+  scratch.re.resize(half * kLanes);
+  scratch.im.resize(half * kLanes);
+  const auto& kernels = simd::kernels().lanes<T>();
+  const audio::Sample* signal = x.data();
+  kernels.pack_lanes(&signal, 1, held, plan->bit_reverse().data(), rows, parts,
+                     scratch.re.data(), scratch.im.data());
+  scratch.natural_re.resize(half * width);
+  scratch.natural_im.resize(half * width);
+  const T* z_re = scratch.natural_re.data();
+  const T* z_im = scratch.natural_im.data();
+  plan->forward_parted(scratch.re.data(), scratch.im.data(), parts, scratch.natural_re.data(),
+                       scratch.natural_im.data());
 
-  // The unpack of rfft_half_into, bin by bin (the interior bins with the
-  // simd::Kernels::rfft_unpack formula), and the magnitudes as
-  // simd::Kernels::magnitudes takes them.
-  const auto w = plan->real_pack_twiddles();
-  const double* re = scratch.re.data();
-  const double* im = scratch.im.data();
-  auto magnitude = [](double r, double i) { return std::sqrt(r * r + i * i); };
+  // The unpack of rfft_half_into on the requested bins, into the parted
+  // buffers (free again), and the magnitudes as simd::Kernels::magnitudes
+  // takes them.
+  const auto w = plan->template pack_twiddles<T>();
+  T* spec_re = scratch.re.data();
+  T* spec_im = scratch.im.data();
+  kernels.rfft_unpack_lanes(z_re, z_im, width, reinterpret_cast<const T*>(w.data()), spec_re,
+                            spec_im, half, bins);
+  auto magnitude = [](T r, T i) { return static_cast<double>(std::sqrt(r * r + i * i)); };
   for (std::size_t k = 0; k < bins; ++k) {
     if (k == 0 || k == half) {
-      const Complex bin = rfft_edge_bin(Complex(re[0], im[0]), w[k]);
+      const std::complex<T> bin = rfft_edge_bin(std::complex<T>(z_re[0], z_im[0]), w[k]);
       out[k] = magnitude(bin.real(), bin.imag());
-      continue;
+    } else {
+      out[k] = magnitude(spec_re[k * width], spec_im[k * width]);
     }
-    const std::size_t a = slot(k);
-    const std::size_t b = slot(half - k);
-    const double er = 0.5 * (re[a] + re[b]);
-    const double ei = 0.5 * (im[a] - im[b]);
-    const double odr = 0.5 * (im[a] + im[b]);
-    const double odi = -0.5 * (re[a] - re[b]);
-    const double wr = w[k].real();
-    const double wi = w[k].imag();
-    out[k] = magnitude(er + odr * wr - odi * wi, ei + odr * wi + odi * wr);
   }
 }
+
+template void rfft_magnitudes_head<double>(std::span<const audio::Sample>,
+                                           std::span<const audio::Sample>, std::size_t,
+                                           std::size_t, double*, LaneScratch&);
+template void rfft_magnitudes_head<float>(std::span<const audio::Sample>,
+                                          std::span<const audio::Sample>, std::size_t,
+                                          std::size_t, double*, LaneScratchF&);
 
 void magnitude_spectrum_into(std::span<const audio::Sample> x, std::size_t fft_size,
                              std::vector<double>& out, FftScratch& scratch) {

@@ -3,8 +3,8 @@
 // Everything downstream (the operator's block STFT, pair GCC and
 // directivity spectra, the liveness STFT, spectral features) funnels
 // through this module: power-of-two complex transforms with a real-input
-// convenience wrapper, and lane variants that transform up to four real
-// signals at once. All transforms run off cached plans (precomputed
+// convenience wrapper, and lane variants that transform up to a register
+// of real signals at once, in float64 or float32. All transforms run off cached plans (precomputed
 // twiddle/bit-reversal tables, see fft_plan.h); the *_into variants
 // additionally reuse caller-owned scratch so hot loops allocate nothing
 // after warm-up.
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "audio/sample_buffer.h"
+#include "dsp/simd/kernels.h"
 
 namespace headtalk::dsp {
 
@@ -94,60 +95,89 @@ void irfft_half_into(const HalfSpectrum& spectrum, std::size_t out_size,
 void irfft_half_window_into(const HalfSpectrum& spectrum, int max_lag,
                             std::vector<double>& out, FftScratch& scratch);
 
-/// Half spectra of up to simd::kFftLanes real signals in the lane layout
-/// (simd/kernels.h): bin k of lane l at re/im[k * kFftLanes + l], bins
-/// 0 .. fft_size/2 inclusive.
-struct LaneSpectrum {
-  std::vector<double> re, im;
-  std::size_t fft_size = 0;
-};
+// Lane transforms of real signals, in float64 or float32 (T). The float32
+// ones run twice the lanes per register; the float64 ones equal the
+// one-signal transforms above bit for bit.
 
-/// Workspace of the lane transforms: the packed lanes (fft_size/2 rows)
-/// and, for rfft_magnitudes_head, the linearized input.
-struct LaneScratch {
-  std::vector<double> re, im;
+/// Half spectra of up to simd::kLanes<T> real signals in the lane layout
+/// (simd/kernels.h) with `lanes` lanes per row: bin k of lane l at
+/// re/im[k * lanes + l], bins 0 .. fft_size/2 inclusive.
+template <class T>
+struct BasicLaneSpectrum {
+  std::vector<T> re, im;
+  std::size_t fft_size = 0;
+  std::size_t lanes = 0;
+};
+using LaneSpectrum = BasicLaneSpectrum<double>;
+using LaneSpectrumF = BasicLaneSpectrum<float>;
+
+/// Workspace of the lane transforms: the packed lanes (fft_size/2 rows),
+/// the natural-order result of a parted transform and, for
+/// rfft_magnitudes_head, the linearized input.
+template <class T>
+struct BasicLaneScratch {
+  std::vector<T> re, im;
+  std::vector<T> natural_re, natural_im;
   std::vector<audio::Sample> signal;
 };
+using LaneScratch = BasicLaneScratch<double>;
+using LaneScratchF = BasicLaneScratch<float>;
 
-/// rfft_half_into of up to simd::kFftLanes signals at once: lane l is the
-/// spectrum of signals[l][0 .. count) zero-padded to fft_size (a power of
-/// two >= max(2, count)); lanes past signals.size() are zero. Every lane
-/// equals rfft_half_into of its signal bit for bit.
+/// rfft_half_into of up to simd::kLanes<T> signals at once: lane l is the
+/// spectrum of signals[l][0 .. count) (converted to T) zero-padded to
+/// fft_size (a power of two >= max(2, count)). The spectrum has rows of
+/// max(4, next_pow2(signals.size())) lanes, so 4 signals fill a float64
+/// row, and a float32 row — twice as wide — holds each of them as two
+/// parts (FftPlan::forward_parted). Lanes past signals.size() are zero.
+/// The float64 lanes equal rfft_half_into of their signals bit for bit.
+template <class T>
 void rfft_lanes_into(std::span<const audio::Sample* const> signals, std::size_t count,
-                     std::size_t fft_size, LaneSpectrum& out, LaneScratch& scratch);
+                     std::size_t fft_size, BasicLaneSpectrum<T>& out,
+                     BasicLaneScratch<T>& scratch);
 
-/// irfft_half_window_into on every lane of `spectrum`: lane l's lag window
-/// goes to out[l * (2*max_lag+1) .. (l+1) * (2*max_lag+1)), bit-identical
-/// to the one-spectrum call. Same preconditions.
-void irfft_lanes_window_into(const LaneSpectrum& spectrum, int max_lag,
-                             std::vector<double>& out, LaneScratch& scratch);
+/// irfft_half_window_into on every lane of a spectrum with full rows
+/// (simd::kLanes<T> lanes): lane l's lag window goes to
+/// out[l * (2*max_lag+1) .. (l+1) * (2*max_lag+1)); the float64 lanes are
+/// bit-identical to the one-spectrum call. Same preconditions.
+template <class T>
+void irfft_lanes_window_into(const BasicLaneSpectrum<T>& spectrum, int max_lag,
+                             std::vector<double>& out, BasicLaneScratch<T>& scratch);
 
-/// Four lanes read through an order, as the pair kernels take them
-/// (simd::Kernels::phat_lanes): lane l is re/im[k * 4 + order[l]].
-struct LaneSelection {
-  const double* re = nullptr;
-  const double* im = nullptr;
-  std::uint32_t order[4] = {0, 1, 2, 3};
+/// A full row of lanes read through an order, as the pair kernels take
+/// them (simd::LaneKernels::phat_lanes): lane l is
+/// re/im[k * width + order[l]].
+template <class T>
+struct BasicLaneSelection {
+  const T* re = nullptr;
+  const T* im = nullptr;
+  std::uint32_t order[simd::kLanes<T>] = {};
+  std::size_t width = 0;
 };
+using LaneSelection = BasicLaneSelection<double>;
+using LaneSelectionF = BasicLaneSelection<float>;
 
-/// Selects lane from_lane[l] of *from[l] as lane l (a null from[l] is a
-/// spare lane, filled with some used lane). When the used lanes share one
-/// spectrum the selection reads it in place; otherwise the lanes are
-/// gathered into `scratch`. The selection is valid while its sources are.
-[[nodiscard]] LaneSelection select_lanes(const LaneSpectrum* const* from,
-                                         const std::size_t* from_lane,
-                                         LaneSpectrum& scratch);
+/// Selects lane from_lane[l] of *from[l] as lane l, for the
+/// simd::kLanes<T> lanes of a row (a null from[l] is a spare lane, filled
+/// with some used lane). When the used lanes share one spectrum the
+/// selection reads it in place; otherwise the lanes are gathered into
+/// `scratch`. The selection is valid while its sources are.
+template <class T>
+[[nodiscard]] BasicLaneSelection<T> select_lanes(const BasicLaneSpectrum<T>* const* from,
+                                                 const std::size_t* from_lane,
+                                                 BasicLaneSpectrum<T>& scratch);
 
-/// out[k] = |bin k| of rfft_half_into(x, fft_size) for k in [0, bins),
-/// where x = older ++ newer (a ring buffer's two runs, oldest first),
-/// zero-padded to fft_size (a power of two >= 8). The packed half-size
-/// transform runs as four quarter lanes (FftPlan::forward_quartered) and
-/// only the requested bins are unpacked; the magnitudes are
-/// sqrt(re^2 + im^2), so results are bit-identical to rfft_half_into
-/// followed by simd::Kernels::magnitudes (magnitude_spectrum_into).
+/// out[k] = |bin k| of the real transform of x = older ++ newer (a ring
+/// buffer's two runs, oldest first), converted to T and zero-padded to
+/// fft_size (a power of two >= 8), for k in [0, bins). The packed
+/// half-size transform runs as min(kLanes<T>, fft_size/2) parts of one
+/// signal (FftPlan::forward_parted) and only the requested bins are
+/// unpacked; the magnitudes are sqrt(re^2 + im^2) in T. The float64
+/// results are bit-identical to rfft_half_into followed by
+/// simd::Kernels::magnitudes (magnitude_spectrum_into).
+template <class T>
 void rfft_magnitudes_head(std::span<const audio::Sample> older,
                           std::span<const audio::Sample> newer, std::size_t fft_size,
-                          std::size_t bins, double* out, LaneScratch& scratch);
+                          std::size_t bins, double* out, BasicLaneScratch<T>& scratch);
 
 /// Magnitudes of the one-sided spectrum (bins 0 .. fft_size/2 inclusive).
 [[nodiscard]] std::vector<double> magnitude_spectrum(

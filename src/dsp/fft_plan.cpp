@@ -57,10 +57,24 @@ FftPlan::FftPlan(std::size_t size) : size_(size) {
   for (std::size_t k = 0; k <= size; ++k) {
     pack_twiddles_[k] = std::polar(1.0, pack_step * static_cast<double>(k));
   }
+
+  twiddles_f_.assign(twiddles_.begin(), twiddles_.end());
+  pack_twiddles_f_.assign(pack_twiddles_.begin(), pack_twiddles_.end());
 }
 
-void FftPlan::stages(double* re, double* im, std::size_t rows, bool inverse,
-                     std::size_t front, std::size_t tail) const {
+template <>
+const double* FftPlan::twiddle_table<double>() const noexcept {
+  return reinterpret_cast<const double*>(twiddles_.data());
+}
+
+template <>
+const float* FftPlan::twiddle_table<float>() const noexcept {
+  return reinterpret_cast<const float*>(twiddles_f_.data());
+}
+
+template <class T>
+void FftPlan::stages(T* re, T* im, std::size_t rows, std::size_t parts, bool inverse,
+                     std::size_t front, std::size_t tail, T* out_re, T* out_im) const {
   // Output pruning by transform decomposition: the combine stage of size
   // `len` computes outputs k and k+len/2 from butterfly k, so the needed
   // output set {0..front-1} ∪ {size-tail..size-1} maps onto butterflies
@@ -69,8 +83,8 @@ void FftPlan::stages(double* re, double* im, std::size_t rows, bool inverse,
   // outputs, recursively. Stages small enough that the two ranges overlap
   // are computed in full; every skipped butterfly feeds only unneeded
   // outputs, so the survivors are bit-identical to a full inverse.
-  const auto& kernels = simd::kernels();
-  const auto* table = reinterpret_cast<const double*>(twiddles_.data());
+  const auto& kernels = simd::kernels().lanes<T>();
+  const T* table = twiddle_table<T>();
   std::size_t len = 2;
   // The leading whole in-lane stages in one call, so the kernel can fuse
   // them in pairs.
@@ -89,8 +103,8 @@ void FftPlan::stages(double* re, double* im, std::size_t rows, bool inverse,
       kernels.fft_lane_stages(re, im, rows, len, len, half - tail, half, table, inverse);
     }
   }
-  if (rows < size_) {
-    kernels.fft_cross_stages(re, im, rows, table, inverse, front, tail);
+  if (parts > 1) {
+    kernels.fft_cross_stages(re, im, rows, parts, table, inverse, front, tail, out_re, out_im);
   }
 }
 
@@ -99,30 +113,29 @@ void FftPlan::transform(std::vector<Complex>& x, bool inverse, std::size_t front
   if (x.size() != size_) {
     throw std::invalid_argument("FftPlan: buffer size does not match plan size");
   }
-  // One signal as four quarter lanes; sizes below 4 ride alone in lane 0
+  // One signal as one part per lane; sizes below that ride alone in lane 0
   // of a size-row lane block (the other lanes stay zero). The bit reversal
   // happens in the scatter.
-  const bool quartered = size_ >= 4;
-  const std::size_t rows = quartered ? size_ / simd::kFftLanes : size_;
+  constexpr std::size_t kLanes = simd::kFftLanes;
+  const bool parted = size_ >= kLanes;
+  const std::size_t rows = parted ? size_ / kLanes : size_;
   thread_local std::vector<double> lanes;
-  lanes.resize(2 * simd::kFftLanes * rows);
-  if (!quartered) std::fill(lanes.begin(), lanes.end(), 0.0);
+  lanes.resize(2 * kLanes * rows + (parted ? 2 * size_ : 0));
+  if (!parted) std::fill(lanes.begin(), lanes.end(), 0.0);
   double* re = lanes.data();
-  double* im = re + simd::kFftLanes * rows;
+  double* im = re + kLanes * rows;
+  double* out_re = im + kLanes * rows;
+  double* out_im = out_re + size_;
   const int shift = std::countr_zero(rows);
-  auto slot = [&](std::size_t p) {
-    return quartered ? (p & (rows - 1)) * simd::kFftLanes + (p >> shift)
-                     : p * simd::kFftLanes;
-  };
   for (std::size_t n = 0; n < size_; ++n) {
-    const std::size_t s = slot(bit_reverse_[n]);
+    const std::size_t p = bit_reverse_[n];
+    const std::size_t s = parted ? (p & (rows - 1)) * kLanes + (p >> shift) : p * kLanes;
     re[s] = x[n].real();
     im[s] = x[n].imag();
   }
-  stages(re, im, rows, inverse, front, tail);
+  stages(re, im, rows, parted ? kLanes : 1, inverse, front, tail, out_re, out_im);
   for (std::size_t p = 0; p < size_; ++p) {
-    const std::size_t s = slot(p);
-    x[p] = Complex(re[s], im[s]);
+    x[p] = parted ? Complex(out_re[p], out_im[p]) : Complex(re[p * kLanes], im[p * kLanes]);
   }
   if (!inverse) return;
   const auto& kernels = simd::kernels();
@@ -155,30 +168,45 @@ void FftPlan::inverse(std::vector<Complex>& x) const {
   transform(x, /*inverse=*/true, size_, 0);
 }
 
-void FftPlan::forward_lanes(double* re, double* im) const {
-  stages(re, im, size_, /*inverse=*/false, size_, 0);
+template <class T>
+void FftPlan::forward_lanes(T* re, T* im) const {
+  stages<T>(re, im, size_, 1, /*inverse=*/false, size_, 0, nullptr, nullptr);
 }
 
-void FftPlan::inverse_pruned_lanes(double* re, double* im, std::size_t front,
-                                   std::size_t tail) const {
+template <class T>
+void FftPlan::inverse_pruned_lanes(T* re, T* im, std::size_t front, std::size_t tail) const {
   if (front + tail >= size_) {
     front = size_;
     tail = 0;
   }
-  stages(re, im, size_, /*inverse=*/true, front, tail);
-  const auto& kernels = simd::kernels();
-  const double factor = 1.0 / static_cast<double>(size_);
-  const std::size_t back = (size_ - tail) * simd::kFftLanes;
-  for (double* part : {re, im}) {
-    kernels.scale(part, front * simd::kFftLanes, factor);
-    kernels.scale(part + back, tail * simd::kFftLanes, factor);
+  stages<T>(re, im, size_, 1, /*inverse=*/true, front, tail, nullptr, nullptr);
+  constexpr std::size_t kLanes = simd::kLanes<T>;
+  const T factor = T(1) / static_cast<T>(size_);
+  const std::size_t back = (size_ - tail) * kLanes;
+  for (T* part : {re, im}) {
+    for (std::size_t i = 0; i < front * kLanes; ++i) part[i] *= factor;
+    for (std::size_t i = back; i < size_ * kLanes; ++i) part[i] *= factor;
   }
 }
 
-void FftPlan::forward_quartered(double* re, double* im) const {
-  if (size_ < 4) throw std::invalid_argument("FftPlan: quartered transform needs size >= 4");
-  stages(re, im, size_ / simd::kFftLanes, /*inverse=*/false, size_, 0);
+template <class T>
+void FftPlan::forward_parted(T* re, T* im, std::size_t parts, T* out_re, T* out_im) const {
+  if (parts < 2 || parts > simd::kLanes<T> || (parts & (parts - 1)) != 0 || parts > size_) {
+    throw std::invalid_argument("FftPlan: parts must be a power of two in [2, lanes], <= size");
+  }
+  stages<T>(re, im, size_ / parts, parts, /*inverse=*/false, size_, 0, out_re, out_im);
 }
+
+template void FftPlan::forward_lanes<double>(double*, double*) const;
+template void FftPlan::forward_lanes<float>(float*, float*) const;
+template void FftPlan::inverse_pruned_lanes<double>(double*, double*, std::size_t,
+                                                    std::size_t) const;
+template void FftPlan::inverse_pruned_lanes<float>(float*, float*, std::size_t,
+                                                   std::size_t) const;
+template void FftPlan::forward_parted<double>(double*, double*, std::size_t, double*,
+                                              double*) const;
+template void FftPlan::forward_parted<float>(float*, float*, std::size_t, float*,
+                                             float*) const;
 
 FftPlanCache& FftPlanCache::global() {
   static FftPlanCache cache;

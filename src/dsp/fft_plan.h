@@ -9,12 +9,15 @@
 // a transform is in flight.
 //
 // Every transform runs on the lane kernels of dsp/simd/kernels.h: a plan
-// either transforms kFftLanes independent signals at once (one per lane),
-// or holds one signal as four lanes of size/4 points — the first
-// log2(size/4) radix-2 stages never mix the quarters — and finishes with
-// the two cross-lane stages. Either way each output is computed by the
-// same butterflies, in the same order, as a textbook in-place radix-2
-// transform, so results are identical at every SIMD level.
+// either transforms a full row of independent signals at once (one per
+// lane), or holds each of fewer signals as several *parts* of size/parts
+// points — the first log2(size/parts) radix-2 stages never mix the parts —
+// and finishes with the stages across them (one signal in four float64
+// parts for forward()/inverse(); the operator's float32 transforms use two
+// or eight). Either way each output is computed by the same butterflies,
+// in the same order, as a textbook in-place radix-2 transform, so results
+// are identical at every SIMD level. A plan holds its tables in float64
+// and, rounded once, in float32.
 //
 // Plans are pure lookup tables: forward()/inverse() keep all mutable state
 // in the caller's buffer, so one plan may be used from any number of
@@ -24,10 +27,12 @@
 #pragma once
 
 #include <atomic>
+#include <complex>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -63,23 +68,34 @@ class FftPlan {
   void inverse_pruned(std::vector<Complex>& x, std::size_t front,
                       std::size_t tail) const;
 
-  // Lane transforms: kFftLanes independent size() transforms held in the
-  // lane layout of simd/kernels.h (re/im[row * kFftLanes + lane], size()
-  // rows), input rows in bit-reversed order (row bit_reverse()[n] holds
-  // input n), output rows in natural order. Each lane equals forward() /
-  // inverse_pruned() of its own signal bit for bit.
+  // Lane transforms, in float64 or float32 (T), with the lane kernels of
+  // that type (simd::LaneKernels<T>). Each output equals the textbook
+  // radix-2 transform of its signal computed in T, bit for bit, at every
+  // SIMD level.
+  //
+  // forward_lanes / inverse_pruned_lanes: simd::kLanes<T> independent
+  // size() transforms held in the lane layout of simd/kernels.h
+  // (re/im[row * kLanes<T> + lane], size() rows), input rows in
+  // bit-reversed order (row bit_reverse()[n] holds input n), output rows
+  // in natural order. The float64 lanes equal forward() /
+  // inverse_pruned() of their signals.
 
-  void forward_lanes(double* re, double* im) const;
+  template <class T>
+  void forward_lanes(T* re, T* im) const;
   /// Output rows [0, front) and [size - tail, size) of the inverse, with
   /// their 1/N scaling; front + tail >= size() computes the full inverse.
-  void inverse_pruned_lanes(double* re, double* im, std::size_t front,
-                            std::size_t tail) const;
+  template <class T>
+  void inverse_pruned_lanes(T* re, T* im, std::size_t front, std::size_t tail) const;
 
-  /// One forward transform held as four lanes of size()/4 rows (size() >=
-  /// 4): position p at re/im[(p % (size/4)) * kFftLanes + p / (size/4)],
-  /// input positions bit-reversed, output positions natural. Equals
-  /// forward() bit for bit.
-  void forward_quartered(double* re, double* im) const;
+  /// G = kLanes<T> / parts forward transforms, each held as `parts` lanes
+  /// of size() / parts rows (parts a power of two in [2, kLanes<T>], at
+  /// most size()): position p of signal g at re/im[(p % rows) * kLanes<T>
+  /// + (p / rows) * G + g], input positions bit-reversed. The stages within
+  /// the parts run in place; the ones across them write the result to
+  /// out_re/out_im in natural order, position p of signal g at
+  /// [p * G + g]. `re`/`im` are clobbered.
+  template <class T>
+  void forward_parted(T* re, T* im, std::size_t parts, T* out_re, T* out_im) const;
 
   /// The bit-reversal permutation of this size (an involution).
   [[nodiscard]] std::span<const std::uint32_t> bit_reverse() const noexcept {
@@ -93,20 +109,36 @@ class FftPlan {
   [[nodiscard]] std::span<const Complex> real_pack_twiddles() const noexcept {
     return pack_twiddles_;
   }
+  /// real_pack_twiddles() in T (float32: each entry rounded to nearest).
+  template <class T>
+  [[nodiscard]] std::span<const std::complex<T>> pack_twiddles() const noexcept {
+    if constexpr (std::is_same_v<T, float>) {
+      return pack_twiddles_f_;
+    } else {
+      return pack_twiddles_;
+    }
+  }
 
  private:
   void transform(std::vector<Complex>& x, bool inverse, std::size_t front,
                  std::size_t tail) const;
   /// The radix-2 stages over data in the lane layout: stages len <= rows
-  /// run within lanes, longer ones across the quarters. Stage butterflies
-  /// are pruned to the [0, front) ∪ [size - tail, size) outputs.
-  void stages(double* re, double* im, std::size_t rows, bool inverse,
-              std::size_t front, std::size_t tail) const;
+  /// run within lanes; with parts > 1 the longer ones run across the
+  /// parts, in natural order into out_re/out_im. Stage butterflies are
+  /// pruned to the [0, front) ∪ [size - tail, size) outputs.
+  template <class T>
+  void stages(T* re, T* im, std::size_t rows, std::size_t parts, bool inverse,
+              std::size_t front, std::size_t tail, T* out_re, T* out_im) const;
+  /// The interleaved stage twiddles in T.
+  template <class T>
+  [[nodiscard]] const T* twiddle_table() const noexcept;
 
   std::size_t size_;
   std::vector<std::uint32_t> bit_reverse_;  ///< permutation, size entries
   std::vector<Complex> twiddles_;  ///< forward stage tables, packed len=2..N
   std::vector<Complex> pack_twiddles_;  ///< size+1 real-pack factors
+  std::vector<std::complex<float>> twiddles_f_;       ///< twiddles_ in float32
+  std::vector<std::complex<float>> pack_twiddles_f_;  ///< pack_twiddles_ in float32
 };
 
 /// Snapshot of cache traffic since process start (or the last clear() does

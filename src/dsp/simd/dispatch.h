@@ -14,12 +14,14 @@
 //   HEADTALK_SIMD=avx2         cap at AVX2 (errors down to best supported)
 //   unset / auto               best supported level
 //
-// Numerical contract: all levels agree bit for bit on every kernel. No
-// level fuses a multiply and an add (the AVX2 TU is built without FMA and
-// with -ffp-contract=off), and vectors hold independent signals — the
+// Numerical contract: all levels agree bit for bit on every kernel, in
+// both element types of the lane kernels — float64 (4 lanes per AVX2
+// register) and float32 (8 lanes per AVX2 register, 4 per SSE2 register).
+// No level fuses a multiply and an add (the AVX2 TU is built without FMA
+// and with -ffp-contract=off), and vectors hold independent signals — the
 // channels of the biquad cascade, the channels / microphone pairs /
-// transform quarters of the lane FFT, the outputs of the FIR decimator
-// (each summing its taps in tap order) — or independent bins, never the
+// transform parts of the lane FFT, the outputs of the FIR decimator (each
+// summing its taps in tap order) — or independent bins or rows, never the
 // partial sums of one reduction. So each lane evaluates the scalar
 // expression tree, and every transform, GCC window and feature equals the
 // scalar reference exactly. The equivalence suites (tests/dsp/test_simd.cpp,

@@ -4,11 +4,16 @@
 //   * interleaved complex (`double*` viewing a `std::complex<double>`
 //     array: re0, im0, re1, im1, …) for the one-spectrum kernels; sizes
 //     are in *complex elements* unless a parameter says otherwise;
-//   * the lane layout of the transforms: kFftLanes independent signals
-//     (channels, microphone pairs, or the quarters of one transform) held
-//     as separate re/im arrays indexed [row * kFftLanes + lane]. Every
+//   * the lane layout of the transforms: independent signals (channels,
+//     microphone pairs, or the parts of one transform) held as separate
+//     re/im arrays indexed [row * lanes + lane]. A full row holds
+//     kLanes<T> lanes — one AVX2 register: 4 doubles or 8 floats. Every
 //     lane kernel applies one scalar formula to each lane, so each lane
 //     equals the one-signal reference bit for bit.
+// The lane kernels come in two element types (LaneKernels<T>): float32, 8
+// lanes per row, for the operator's transforms, and float64, 4 lanes per
+// row, for FftPlan's one-signal transforms. Both are instantiated from the
+// same kernel bodies (lanes.inl).
 // The biquad cascade works on real per-channel sample buffers, one channel
 // per vector lane. Each level (scalar / SSE2 / AVX2) provides one
 // immutable table; dispatch.h selects between them at runtime. No level
@@ -18,11 +23,106 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace headtalk::dsp::simd {
 
-/// Lanes per row of the lane layout: one AVX2 register of doubles.
-inline constexpr std::size_t kFftLanes = 4;
+/// Lanes per full row of the lane layout: one AVX2 register of T.
+template <class T>
+inline constexpr std::size_t kLanes = 32 / sizeof(T);
+
+/// Lanes per row of the float64 transforms.
+inline constexpr std::size_t kFftLanes = kLanes<double>;
+
+/// The lane kernels of one element type. Rows hold `N` lanes unless a
+/// parameter gives a narrower row; the partial sums of coherence_lanes are
+/// float64 in both instantiations.
+template <class T, std::size_t N = kLanes<T>>
+struct LaneKernels {
+  /// Radix-2 decimation-in-time stages over `rows` full rows of the lane
+  /// layout (bit-reversed row order on entry). For every stage length
+  /// len = first_len, 2*first_len, …, last_len and every block of `len`
+  /// rows, runs the butterflies k in [k_begin, min(k_end, len/2)) on each
+  /// lane:
+  ///   w = twiddles of stage len, entry k (conjugated when `conjugate`)
+  ///   u = x[i+k]; v = x[i+k+len/2] * w   (vr = br*wr - bi*wi,
+  ///                                       vi = br*wi + bi*wr)
+  ///   x[i+k] = u + v; x[i+k+len/2] = u - v
+  /// `twiddles` is the FftPlan table: stages len = 2, 4, … packed back to
+  /// back as interleaved complexes, stage len starting at entry len/2 - 1.
+  /// A k-range narrower than a stage is the pruned inverse's partial
+  /// stage; whole stages may be fused in pairs into one pass over memory,
+  /// which keeps every operation and its operands unchanged.
+  void (*fft_lane_stages)(T* re, T* im, std::size_t rows, std::size_t first_len,
+                          std::size_t last_len, std::size_t k_begin, std::size_t k_end,
+                          const T* twiddles, bool conjugate);
+
+  /// The stages of a *parted* transform that pair its parts. G = N / parts
+  /// signals of parts * `rows` points each sit in the parted layout:
+  /// position p of signal g at row p % rows, lane (p / rows) * G + g, after
+  /// the in-lane stages (len <= rows). The kernel moves them to natural
+  /// order — position p of signal g at out[p * G + g], rows of G lanes —
+  /// and there runs the stages len = 2*rows … parts*rows with
+  /// fft_lane_stages' butterflies, pruned like FftPlan::inverse_pruned to
+  /// the outputs [0, front) and [parts*rows - tail, parts*rows) (front +
+  /// tail >= parts*rows keeps every stage whole). parts is a power of two
+  /// in [2, N]; `out` may not overlap the input.
+  void (*fft_cross_stages)(const T* re, const T* im, std::size_t rows, std::size_t parts,
+                           const T* twiddles, bool conjugate, std::size_t front,
+                           std::size_t tail, T* out_re, T* out_im);
+
+  /// Packs real signals for a parted transform (see fft_cross_stages;
+  /// parts in [1, N], G = N / parts): row r, part q, lane g receives
+  /// packed slot n = bit_reverse[q * rows + r] of signal g, re = x_g[2n]
+  /// and im = x_g[2n + 1] converted to T, or zero past `count` samples
+  /// and for g >= `used`. Rows are written in order.
+  void (*pack_lanes)(const double* const* signals, std::size_t used, std::size_t count,
+                     const std::uint32_t* bit_reverse, std::size_t rows, std::size_t parts,
+                     T* re, T* im);
+
+  /// The real-FFT unpack (Kernels::rfft_unpack's formula) on every lane:
+  /// z is the forward transform of the packed signals in natural order,
+  /// `half` rows of `lanes` lanes (a power of two <= N), w the interleaved
+  /// pack twiddles; writes rows k in [1, min(bins, half)) of the lane
+  /// spectrum (rows of `lanes` lanes).
+  void (*rfft_unpack_lanes)(const T* z_re, const T* z_im, std::size_t lanes, const T* w,
+                            T* out_re, T* out_im, std::size_t half, std::size_t bins);
+
+  /// irfft_repack on every lane of full rows: from spectrum rows 0..half
+  /// builds packed row k in [0, half) and stores it at row bit_reverse[k],
+  /// ready for the inverse stages.
+  void (*irfft_repack_lanes)(const T* bins_re, const T* bins_im, const T* w,
+                             const std::uint32_t* bit_reverse, T* z_re, T* z_im,
+                             std::size_t half);
+
+  // The two pair kernels read their operands through a lane order: lane l
+  // of x is x[k * x_width + x_order[l]] (likewise y; a width is the row
+  // length of its operand, at most N), so the pairs of a channel group are
+  // read straight from its spectrum, one permute per row. They write full
+  // rows.
+
+  /// cross_spectrum with PHAT weighting on every lane of `rows` rows:
+  /// c = x * conj(y), mag = sqrt(cr^2 + ci^2), inv = 1 / mag, and
+  /// out = (cr * inv, ci * inv), or 0 when mag <= epsilon. One division
+  /// per bin, as in cross_spectrum.
+  void (*phat_lanes)(const T* x_re, const T* x_im, const std::uint32_t* x_order,
+                     std::size_t x_width, const T* y_re, const T* y_im,
+                     const std::uint32_t* y_order, std::size_t y_width, T* out_re,
+                     T* out_im, std::size_t rows, T epsilon);
+
+  /// Coherence partial sums on every lane, in float64: for group g in
+  /// [0, groups) the rows k = g*stride*block + stride*i, i < block,
+  /// k < rows, summed in that order from zero:
+  ///   cr += xr*yr + xi*yi; ci += xi*yr - xr*yi;
+  ///   px += xr*xr + xi*xi; py += yr*yr + yi*yi
+  /// (every operand widened to double first) and written to
+  /// sums[((g * 4) + s) * N + lane] for s = cr, ci, px, py.
+  void (*coherence_lanes)(const T* x_re, const T* x_im, const std::uint32_t* x_order,
+                          std::size_t x_width, const T* y_re, const T* y_im,
+                          const std::uint32_t* y_order, std::size_t y_width,
+                          std::size_t rows, std::size_t stride, std::size_t block,
+                          std::size_t groups, double* sums);
+};
 
 struct Kernels {
   /// Display name ("scalar", "sse2", "avx2").
@@ -62,74 +162,6 @@ struct Kernels {
   void (*irfft_repack)(const double* bins, const double* w, double* z,
                        std::size_t half);
 
-  /// Radix-2 decimation-in-time stages over `rows` rows of the lane
-  /// layout (bit-reversed row order on entry). For every stage length
-  /// len = first_len, 2*first_len, …, last_len and every block of `len`
-  /// rows, runs the butterflies k in [k_begin, min(k_end, len/2)) on each
-  /// lane:
-  ///   w = twiddles of stage len, entry k (conjugated when `conjugate`)
-  ///   u = x[i+k]; v = x[i+k+len/2] * w   (vr = br*wr - bi*wi,
-  ///                                       vi = br*wi + bi*wr)
-  ///   x[i+k] = u + v; x[i+k+len/2] = u - v
-  /// `twiddles` is the FftPlan table: stages len = 2, 4, … packed back to
-  /// back as interleaved complexes, stage len starting at entry len/2 - 1.
-  /// A k-range narrower than a stage is the pruned inverse's partial
-  /// stage; whole stages may be fused in pairs into one pass over memory,
-  /// which keeps every operation and its operands unchanged.
-  void (*fft_lane_stages)(double* re, double* im, std::size_t rows,
-                          std::size_t first_len, std::size_t last_len,
-                          std::size_t k_begin, std::size_t k_end,
-                          const double* twiddles, bool conjugate);
-
-  /// The last two stages (len = 2*rows and 4*rows) of a *quartered*
-  /// transform: one signal of 4 * `rows` points whose position p sits at
-  /// row p % rows, lane p / rows, after its in-lane stages. Their
-  /// butterflies pair lanes within a row. The same butterflies as
-  /// fft_lane_stages, pruned like FftPlan::inverse_pruned to the outputs
-  /// [0, front) and [4*rows - tail, 4*rows) (front + tail >= 2*rows keeps
-  /// both stages whole).
-  void (*fft_cross_stages)(double* re, double* im, std::size_t rows,
-                           const double* twiddles, bool conjugate, std::size_t front,
-                           std::size_t tail);
-
-  /// rfft_unpack on every lane: z is the forward transform of the packed
-  /// lanes (`half` rows), w the interleaved pack twiddles; writes rows
-  /// k in [1, half) of the lane spectrum (half + 1 rows).
-  void (*rfft_unpack_lanes)(const double* z_re, const double* z_im, const double* w,
-                            double* out_re, double* out_im, std::size_t half);
-
-  /// irfft_repack on every lane: from spectrum rows 0..half builds packed
-  /// row k in [0, half) and stores it at row bit_reverse[k], ready for the
-  /// inverse stages.
-  void (*irfft_repack_lanes)(const double* bins_re, const double* bins_im,
-                             const double* w, const std::uint32_t* bit_reverse,
-                             double* z_re, double* z_im, std::size_t half);
-
-  // The two pair kernels read their operands through a lane order: lane l
-  // of x is x[k * kFftLanes + x_order[l]] (likewise y), so the pairs of a
-  // channel group are read straight from its spectrum, one permute per row.
-
-  /// cross_spectrum with PHAT weighting on every lane of `rows` rows:
-  /// c = x * conj(y), mag = sqrt(cr^2 + ci^2), inv = 1 / mag, and
-  /// out = (cr * inv, ci * inv), or 0 when mag <= epsilon. One division
-  /// per bin, as in cross_spectrum.
-  void (*phat_lanes)(const double* x_re, const double* x_im, const std::uint32_t* x_order,
-                     const double* y_re, const double* y_im, const std::uint32_t* y_order,
-                     double* out_re, double* out_im, std::size_t rows, double epsilon);
-
-  /// Coherence partial sums on every lane: for group g in [0, groups) the
-  /// rows k = g*stride*block + stride*i, i < block, k < rows, summed in
-  /// that order from zero:
-  ///   cr += xr*yr + xi*yi; ci += xi*yr - xr*yi;
-  ///   px += xr*xr + xi*xi; py += yr*yr + yi*yi
-  /// and written to sums[((g * 4) + s) * kFftLanes + lane] for
-  /// s = cr, ci, px, py.
-  void (*coherence_lanes)(const double* x_re, const double* x_im,
-                          const std::uint32_t* x_order, const double* y_re,
-                          const double* y_im, const std::uint32_t* y_order,
-                          std::size_t rows, std::size_t stride, std::size_t block,
-                          std::size_t groups, double* sums);
-
   /// Direct-form-II-transposed biquad cascade over `lanes` channels that
   /// share one coefficient set. `coeffs` holds `sections` rows of
   /// {b0, b1, b2, a1, a2}; `state` holds the delay lines as
@@ -161,6 +193,21 @@ struct Kernels {
   void (*fir_decimate)(const double* taps, std::size_t tap_count, const double* rows,
                        std::size_t row_stride, std::size_t step, double* out,
                        std::size_t count);
+
+  /// The transforms' lane kernels: float64 (FftPlan's one-signal
+  /// transforms) and float32 (the operator's block STFT, pair PHAT and
+  /// inverse, and directivity spectrum).
+  LaneKernels<double> f64;
+  LaneKernels<float> f32;
+
+  template <class T>
+  [[nodiscard]] const LaneKernels<T>& lanes() const noexcept {
+    if constexpr (std::is_same_v<T, float>) {
+      return f32;
+    } else {
+      return f64;
+    }
+  }
 };
 
 /// Reference kernels — compiled with vectorization disabled.
@@ -169,11 +216,13 @@ const Kernels& scalar_kernels() noexcept;
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || defined(_M_IX86)
 #define HEADTALK_SIMD_X86 1
 /// Same source as scalar, compiled for the SSE2 baseline with the
-/// autovectorizer on; the biquad cascade runs two channels per register.
+/// autovectorizer on; the lane kernels run 2 doubles or 4 floats per
+/// register, the biquad cascade two channels.
 const Kernels& sse2_kernels() noexcept;
-/// AVX2 without FMA: four lanes per register for the lane kernels and the
-/// biquad cascade, hand-written intrinsics for the interleaved PHAT /
-/// magnitude / accumulate loops, autovectorized code for the rest.
+/// AVX2 without FMA: 4 doubles or 8 floats per register for the lane
+/// kernels, four channels for the biquad cascade, hand-written intrinsics
+/// for the interleaved PHAT / magnitude / accumulate loops, autovectorized
+/// code for the rest.
 const Kernels& avx2_kernels() noexcept;
 #endif
 

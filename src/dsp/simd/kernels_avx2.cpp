@@ -1,9 +1,9 @@
-// AVX2 kernels. The lane kernels and the biquad cascade run four lanes
-// per register (lanes.inl with the policy below); the interleaved PHAT /
-// magnitude / accumulate loops are hand-written intrinsics (the
-// complex-multiply shuffle pattern defeats the autovectorizer's cost
-// model); the rest reuse the generic bodies, which this TU's -mavx2 flag
-// lets the compiler vectorize.
+// AVX2 kernels. The lane kernels run 4 doubles or 8 floats per register
+// and the biquad cascade four channels (lanes.inl with the policies
+// below); the interleaved PHAT / magnitude / accumulate loops are
+// hand-written intrinsics (the complex-multiply shuffle pattern defeats the
+// autovectorizer's cost model); the rest reuse the generic bodies, which
+// this TU's -mavx2 flag lets the compiler vectorize.
 //
 // Numerics: this TU is built with -mavx2 alone and -ffp-contract=off (see
 // src/dsp/CMakeLists.txt): no multiply and add are ever fused into one
@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace headtalk::dsp::simd {
 
@@ -28,23 +29,36 @@ namespace headtalk::dsp::simd {
 namespace {
 
 struct Avx2Lanes {
+  using T = double;
   using Vec = __m256d;
   static constexpr std::size_t kWidth = 4;
   static Vec load(const double* p) { return _mm256_loadu_pd(p); }
   static void store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
   static Vec broadcast(double x) { return _mm256_set1_pd(x); }
-  /// The order as 32-bit word indices: each double is a pair of words, so
-  /// one cross-lane permute reads a whole row through it.
-  using Order = __m256i;
-  static Order prepare(const std::uint32_t* o) {
-    return _mm256_setr_epi32(static_cast<int>(2 * o[0]), static_cast<int>(2 * o[0] + 1),
-                             static_cast<int>(2 * o[1]), static_cast<int>(2 * o[1] + 1),
-                             static_cast<int>(2 * o[2]), static_cast<int>(2 * o[2] + 1),
-                             static_cast<int>(2 * o[3]), static_cast<int>(2 * o[3] + 1));
+  /// The order as 32-bit word indices (each double is a pair of words), so
+  /// one cross-lane permute reads a whole row through it; rows narrower
+  /// than the register are broadcast first.
+  struct Order {
+    __m256i index;
+    std::size_t width;
+  };
+  static Order prepare(const std::uint32_t* o, std::size_t width) {
+    return {_mm256_setr_epi32(static_cast<int>(2 * o[0]), static_cast<int>(2 * o[0] + 1),
+                              static_cast<int>(2 * o[1]), static_cast<int>(2 * o[1] + 1),
+                              static_cast<int>(2 * o[2]), static_cast<int>(2 * o[2] + 1),
+                              static_cast<int>(2 * o[3]), static_cast<int>(2 * o[3] + 1)),
+            width};
   }
-  static Vec load_ordered(const double* row, Order order, std::size_t /*l*/) {
-    return _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row)), order));
+  static Vec load_ordered(const double* row, const Order& order, std::size_t /*l*/) {
+    __m256i v;
+    if (order.width >= 4) {
+      v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+    } else if (order.width == 2) {
+      v = _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(row)));
+    } else {
+      v = _mm256_castpd_si256(_mm256_broadcast_sd(row));
+    }
+    return _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(v, order.index));
   }
   static Vec gather(const double* const* src, std::size_t i) {
     return _mm256_set_pd(src[3][i], src[2][i], src[1][i], src[0][i]);
@@ -65,58 +79,130 @@ struct Avx2Lanes {
   static Vec keep_gt(Vec mag, Vec eps, Vec value) {
     return _mm256_and_pd(_mm256_cmp_pd(mag, eps, _CMP_GT_OQ), value);
   }
+  template <std::size_t G>
+  static void twiddles(const double* w, Vec& wr, Vec& wi) {
+    if constexpr (G >= kWidth) {
+      wr = broadcast(w[0]);
+      wi = broadcast(w[1]);
+    } else if constexpr (G == 2) {
+      const Vec a = load(w);  // r0 i0 r1 i1
+      wr = _mm256_permute4x64_pd(a, _MM_SHUFFLE(2, 2, 0, 0));
+      wi = _mm256_permute4x64_pd(a, _MM_SHUFFLE(3, 3, 1, 1));
+    } else {
+      const Vec a = load(w), b = load(w + 4);  // r0 i0 r1 i1, r2 i2 r3 i3
+      constexpr int kOrder = _MM_SHUFFLE(3, 1, 2, 0);
+      wr = _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), kOrder);
+      wi = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), kOrder);
+    }
+  }
+  template <std::size_t G>
+  static Vec reverse_rows(Vec v) {
+    if constexpr (G >= kWidth) {
+      return v;
+    } else if constexpr (G == 2) {
+      return _mm256_permute2f128_pd(v, v, 1);
+    } else {
+      return _mm256_permute4x64_pd(v, _MM_SHUFFLE(0, 1, 2, 3));
+    }
+  }
+  using Wide = Avx2Lanes;
+  static constexpr std::size_t kWideParts = 1;
+  template <class W>
+  static void widen(Vec v, W* parts) {
+    parts[0] = v;
+  }
+};
+
+/// Eight floats per register.
+struct Avx2LanesF {
+  using T = float;
+  using Vec = __m256;
+  static constexpr std::size_t kWidth = 8;
+  static Vec load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static Vec broadcast(float x) { return _mm256_set1_ps(x); }
+  /// The order as a permute index; rows narrower than the register are
+  /// broadcast first.
+  struct Order {
+    __m256i index;
+    std::size_t width;
+  };
+  static Order prepare(const std::uint32_t* o, std::size_t width) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(o)), width};
+  }
+  static Vec load_ordered(const float* row, const Order& order, std::size_t /*l*/) {
+    Vec v;
+    if (order.width >= 8) {
+      v = _mm256_loadu_ps(row);
+    } else if (order.width == 4) {
+      v = _mm256_broadcast_ps(reinterpret_cast<const __m128*>(row));
+    } else if (order.width == 2) {
+      const __m128i pair = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row));
+      v = _mm256_castsi256_ps(_mm256_broadcastq_epi64(pair));
+    } else {
+      v = _mm256_broadcast_ss(row);
+    }
+    return _mm256_permutevar8x32_ps(v, order.index);
+  }
+  static Vec add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+  static Vec div(Vec a, Vec b) { return _mm256_div_ps(a, b); }
+  static Vec sqrt(Vec a) { return _mm256_sqrt_ps(a); }
+  static Vec keep_gt(Vec mag, Vec eps, Vec value) {
+    return _mm256_and_ps(_mm256_cmp_ps(mag, eps, _CMP_GT_OQ), value);
+  }
+  template <std::size_t G>
+  static void twiddles(const float* w, Vec& wr, Vec& wi) {
+    if constexpr (G >= kWidth) {
+      wr = broadcast(w[0]);
+      wi = broadcast(w[1]);
+    } else if constexpr (G == 4) {
+      const Vec a = _mm256_castps128_ps256(_mm_loadu_ps(w));  // r0 i0 r1 i1
+      wr = _mm256_permutevar8x32_ps(a, _mm256_setr_epi32(0, 0, 0, 0, 2, 2, 2, 2));
+      wi = _mm256_permutevar8x32_ps(a, _mm256_setr_epi32(1, 1, 1, 1, 3, 3, 3, 3));
+    } else if constexpr (G == 2) {
+      const Vec a = load(w);  // r0 i0 … r3 i3
+      wr = _mm256_permutevar8x32_ps(a, _mm256_setr_epi32(0, 0, 2, 2, 4, 4, 6, 6));
+      wi = _mm256_permutevar8x32_ps(a, _mm256_setr_epi32(1, 1, 3, 3, 5, 5, 7, 7));
+    } else {
+      // [r0 r1 r4 r5 | r2 r3 r6 r7] pairs, put in order by 64-bit chunk.
+      const Vec a = load(w), b = load(w + 8);
+      constexpr int kOrder = _MM_SHUFFLE(3, 1, 2, 0);
+      wr = _mm256_castpd_ps(_mm256_permute4x64_pd(
+          _mm256_castps_pd(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0))), kOrder));
+      wi = _mm256_castpd_ps(_mm256_permute4x64_pd(
+          _mm256_castps_pd(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1))), kOrder));
+    }
+  }
+  template <std::size_t G>
+  static Vec reverse_rows(Vec v) {
+    if constexpr (G >= kWidth) {
+      return v;
+    } else if constexpr (G == 4) {
+      return _mm256_permute2f128_ps(v, v, 1);
+    } else if constexpr (G == 2) {
+      return _mm256_permutevar8x32_ps(v, _mm256_setr_epi32(6, 7, 4, 5, 2, 3, 0, 1));
+    } else {
+      return _mm256_permutevar8x32_ps(v, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
+    }
+  }
+  using Wide = Avx2Lanes;
+  static constexpr std::size_t kWideParts = 2;
+  template <class W>
+  static void widen(Vec v, W* parts) {
+    parts[0] = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+    parts[1] = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+  }
+  static void pack4(const double* const* x, std::size_t i, float* re, float* im) {
+    avx2_impl::sse_pack4(x, i, re, im);
+  }
 };
 
 // Sign mask that negates the imaginary (odd) lanes of an interleaved
 // complex vector. _mm256_set_pd lists lanes high-to-low.
 inline __m256d odd_lane_sign_mask() {
   return _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-}
-
-// Both cross stages, two rows per iteration: unpack the rows into the
-// stage-2R butterfly operands (lanes 0,2 against 1,3), swap halves into the
-// stage-4R operands (lanes 0,1 against 2,3), and permute back to rows.
-void cross_stages_avx2(double* re, double* im, std::size_t rows, const double* twiddles,
-                       bool conjugate, std::size_t front, std::size_t tail) {
-  if (front + tail < 2 * rows || rows % 2 != 0) {
-    avx2_impl::cross_stages_generic(re, im, rows, twiddles, conjugate, front, tail);
-    return;
-  }
-  using avx2_impl::butterfly;
-  const __m256d sign = _mm256_set1_pd(conjugate ? -1.0 : 1.0);
-  const double* tw1 = twiddles + 2 * (rows - 1);
-  const double* tw2 = twiddles + 2 * (2 * rows - 1);
-  for (std::size_t r = 0; r < rows; r += 2) {
-    double* pr = re + r * kFftLanes;
-    double* pi = im + r * kFftLanes;
-    const __m256d r0 = _mm256_loadu_pd(pr), r1 = _mm256_loadu_pd(pr + kFftLanes);
-    const __m256d i0 = _mm256_loadu_pd(pi), i1 = _mm256_loadu_pd(pi + kFftLanes);
-    // Stage 2R: [x0 x0' x2 x2'] against [x1 x1' x3 x3'] (' = row r+1).
-    __m256d ar = _mm256_unpacklo_pd(r0, r1), br = _mm256_unpackhi_pd(r0, r1);
-    __m256d ai = _mm256_unpacklo_pd(i0, i1), bi = _mm256_unpackhi_pd(i0, i1);
-    const __m128d t0 = _mm_loadu_pd(tw1 + 2 * r), t1 = _mm_loadu_pd(tw1 + 2 * r + 2);
-    const __m128d w1r = _mm_unpacklo_pd(t0, t1), w1i = _mm_unpackhi_pd(t0, t1);
-    butterfly<Avx2Lanes>(ar, ai, br, bi, _mm256_set_m128d(w1r, w1r),
-                         _mm256_mul_pd(sign, _mm256_set_m128d(w1i, w1i)));
-    // Stage 4R: [y0 y0' y1 y1'] against [y2 y2' y3 y3'], twiddles k = r, r+1
-    // for lanes 0/2 and k = r+R, r+1+R for lanes 1/3.
-    __m256d cr = _mm256_permute2f128_pd(ar, br, 0x20), dr = _mm256_permute2f128_pd(ar, br, 0x31);
-    __m256d ci = _mm256_permute2f128_pd(ai, bi, 0x20), di = _mm256_permute2f128_pd(ai, bi, 0x31);
-    const __m128d u0 = _mm_loadu_pd(tw2 + 2 * r), u1 = _mm_loadu_pd(tw2 + 2 * r + 2);
-    const __m128d v0 = _mm_loadu_pd(tw2 + 2 * (r + rows));
-    const __m128d v1 = _mm_loadu_pd(tw2 + 2 * (r + rows) + 2);
-    butterfly<Avx2Lanes>(
-        cr, ci, dr, di,
-        _mm256_set_m128d(_mm_unpacklo_pd(v0, v1), _mm_unpacklo_pd(u0, u1)),
-        _mm256_mul_pd(sign, _mm256_set_m128d(_mm_unpackhi_pd(v0, v1),
-                                             _mm_unpackhi_pd(u0, u1))));
-    // [z0 z2 z1 z3] per row → [z0 z1 z2 z3].
-    constexpr int kOrder = _MM_SHUFFLE(3, 1, 2, 0);
-    _mm256_storeu_pd(pr, _mm256_permute4x64_pd(_mm256_unpacklo_pd(cr, dr), kOrder));
-    _mm256_storeu_pd(pr + kFftLanes, _mm256_permute4x64_pd(_mm256_unpackhi_pd(cr, dr), kOrder));
-    _mm256_storeu_pd(pi, _mm256_permute4x64_pd(_mm256_unpacklo_pd(ci, di), kOrder));
-    _mm256_storeu_pd(pi + kFftLanes, _mm256_permute4x64_pd(_mm256_unpackhi_pd(ci, di), kOrder));
-  }
 }
 
 void cross_spectrum_avx2(const double* x, const double* y, double* out,
@@ -192,14 +278,10 @@ const Kernels& avx2_kernels() noexcept {
       &magnitudes_avx2,
       &avx2_impl::rfft_unpack_generic,
       &avx2_impl::irfft_repack_generic,
-      &avx2_impl::fft_lane_stages<Avx2Lanes>,
-      &cross_stages_avx2,
-      &avx2_impl::rfft_unpack_lanes<Avx2Lanes>,
-      &avx2_impl::irfft_repack_lanes<Avx2Lanes>,
-      &avx2_impl::phat_lanes<Avx2Lanes>,
-      &avx2_impl::coherence_lanes<Avx2Lanes>,
-      &avx2_impl::biquad_cascade_lanes<Avx2Lanes, Sse2Lanes, ScalarLanes>,
+      &avx2_impl::biquad_cascade_lanes<Avx2Lanes, Sse2Lanes, ScalarLanes<double>>,
       &avx2_impl::fir_decimate_lanes<Avx2Lanes>,
+      avx2_impl::lane_kernels<Avx2Lanes>(),
+      avx2_impl::lane_kernels<Avx2LanesF>(),
   };
   return table;
 }

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace headtalk::dsp::simd {
 
@@ -29,14 +30,10 @@ const Kernels& scalar_kernels() noexcept {
       &scalar_impl::magnitudes_generic,
       &scalar_impl::rfft_unpack_generic,
       &scalar_impl::irfft_repack_generic,
-      &scalar_impl::fft_lane_stages<ScalarLanes>,
-      &scalar_impl::cross_stages_generic,
-      &scalar_impl::rfft_unpack_lanes<ScalarLanes>,
-      &scalar_impl::irfft_repack_lanes<ScalarLanes>,
-      &scalar_impl::phat_lanes<ScalarLanes>,
-      &scalar_impl::coherence_lanes<ScalarLanes>,
-      &scalar_impl::biquad_cascade_lanes<ScalarLanes>,
-      &scalar_impl::fir_decimate_lanes<ScalarLanes>,
+      &scalar_impl::biquad_cascade_lanes<ScalarLanes<double>>,
+      &scalar_impl::fir_decimate_lanes<ScalarLanes<double>>,
+      scalar_impl::lane_kernels<ScalarLanes<double>>(),
+      scalar_impl::lane_kernels<ScalarLanes<float>>(),
   };
   return table;
 }

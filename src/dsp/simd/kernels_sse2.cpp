@@ -1,8 +1,8 @@
 // SSE2-level kernels: the shared generic bodies compiled at the x86-64
 // SSE2 baseline with the autovectorizer enabled (default -O2 flags, no
-// extra ISA options), and the lane kernels two lanes per register. No FMA
-// at this level, so every rounding matches the scalar reference
-// bit-for-bit; only instruction selection differs.
+// extra ISA options), and the lane kernels 2 doubles or 4 floats per
+// register. No FMA at this level, so every rounding matches the scalar
+// reference bit-for-bit; only instruction selection differs.
 #include "dsp/simd/kernels.h"
 
 #if defined(HEADTALK_SIMD_X86)
@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace headtalk::dsp::simd {
 
@@ -23,6 +24,7 @@ namespace headtalk::dsp::simd {
 const Kernels& sse2_kernels() noexcept {
   using sse2_impl::ScalarLanes;
   using sse2_impl::Sse2Lanes;
+  using sse2_impl::Sse2LanesF;
   static constexpr Kernels table{
       "sse2",
       &sse2_impl::scale_generic,
@@ -31,14 +33,10 @@ const Kernels& sse2_kernels() noexcept {
       &sse2_impl::magnitudes_generic,
       &sse2_impl::rfft_unpack_generic,
       &sse2_impl::irfft_repack_generic,
-      &sse2_impl::fft_lane_stages<Sse2Lanes>,
-      &sse2_impl::cross_stages_generic,
-      &sse2_impl::rfft_unpack_lanes<Sse2Lanes>,
-      &sse2_impl::irfft_repack_lanes<Sse2Lanes>,
-      &sse2_impl::phat_lanes<Sse2Lanes>,
-      &sse2_impl::coherence_lanes<Sse2Lanes>,
-      &sse2_impl::biquad_cascade_lanes<Sse2Lanes, ScalarLanes>,
+      &sse2_impl::biquad_cascade_lanes<Sse2Lanes, ScalarLanes<double>>,
       &sse2_impl::fir_decimate_lanes<Sse2Lanes>,
+      sse2_impl::lane_kernels<Sse2Lanes>(),
+      sse2_impl::lane_kernels<Sse2LanesF>(),
   };
   return table;
 }

@@ -72,19 +72,6 @@ class ByteCursor {
   std::uint64_t read_u64() { return read_le<std::uint64_t>(); }
   double read_f64() { return std::bit_cast<double>(read_le<std::uint64_t>()); }
 
-  void read_f32_array(float* out, std::size_t count) {
-    require(count * sizeof(float));
-    if constexpr (kLittleEndianHost) {
-      std::memcpy(out, bytes_.data() + offset_, count * sizeof(float));
-    } else {
-      for (std::size_t i = 0; i < count; ++i) {
-        out[i] = std::bit_cast<float>(
-            load_le<std::uint32_t>(bytes_.data() + offset_ + i * sizeof(float)));
-      }
-    }
-    offset_ += count * sizeof(float);
-  }
-
   std::string read_chars(std::size_t count) {
     require(count);
     std::string text(reinterpret_cast<const char*>(bytes_.data() + offset_), count);
@@ -431,26 +418,29 @@ HelloOk parse_hello_ok(const Frame& frame) {
   return ok;
 }
 
-AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels) {
+std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels) {
   expect_type(frame, FrameType::kAudioChunk, "AUDIO_CHUNK");
   if (channels == 0) throw ProtocolError("AUDIO_CHUNK: zero channel count");
   ByteCursor in(frame.payload, "AUDIO_CHUNK");
-  AudioChunk chunk;
-  chunk.frames = in.read_u32();
-  if (chunk.frames == 0) throw ProtocolError("AUDIO_CHUNK: zero frames");
-  const std::size_t samples = static_cast<std::size_t>(chunk.frames) * channels;
+  const std::uint32_t frames = in.read_u32();
+  if (frames == 0) throw ProtocolError("AUDIO_CHUNK: zero frames");
+  const std::size_t samples = static_cast<std::size_t>(frames) * channels;
   if (in.remaining() != samples * sizeof(float)) {
     throw ProtocolError("AUDIO_CHUNK: payload length does not match frames * "
                         "channels");
   }
-  chunk.interleaved.resize(samples);
-  in.read_f32_array(chunk.interleaved.data(), samples);
-  in.finish();
-  // One NaN or Inf would poison every feature of the utterance it lands in
-  // (and the classifiers' verdicts only by accident of NaN comparisons).
-  for (const float sample : chunk.interleaved) {
-    if (!std::isfinite(sample)) throw ProtocolError("AUDIO_CHUNK: non-finite sample");
-  }
+  return frames;
+}
+
+AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels) {
+  AudioChunk chunk;
+  chunk.frames = audio_chunk_frames(frame, channels);
+  chunk.interleaved.resize(static_cast<std::size_t>(chunk.frames) * channels);
+  float* out = chunk.interleaved.data();
+  decode_audio_samples(frame, channels,
+                       [out, channels](std::size_t f, std::size_t c, float sample) {
+                         out[f * channels + c] = sample;
+                       });
   return chunk;
 }
 

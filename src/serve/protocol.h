@@ -30,6 +30,8 @@
 // daemon into an undefined state.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -241,8 +243,38 @@ struct ErrorFrame {
 [[nodiscard]] Hello parse_hello(const Frame& frame);
 [[nodiscard]] HelloOk parse_hello_ok(const Frame& frame);
 /// `channels` comes from the session's HELLO; the chunk length must match,
-/// and every sample must be finite (NaN / ±Inf throw).
+/// and every sample must be finite (NaN / ±Inf throw). Decodes through
+/// audio_chunk_frames and decode_audio_samples.
 [[nodiscard]] AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels);
+
+/// An AUDIO_CHUNK's frame count, after checking the frame type, the
+/// channel and frame counts and that the payload holds exactly
+/// frames * channels samples (each violation throws ProtocolError).
+[[nodiscard]] std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels);
+
+/// The AUDIO_CHUNK sample decoder, in one pass over a payload that
+/// audio_chunk_frames accepted: each little-endian f32 sample is decoded,
+/// checked to be finite (NaN / ±Inf throw ProtocolError) and handed to
+/// put(frame, channel, sample), frames in order and channels in order
+/// within a frame. A throw leaves the samples before it delivered.
+template <class Put>
+void decode_audio_samples(const Frame& frame, std::uint16_t channels, Put&& put) {
+  const std::uint8_t* p = frame.payload.data() + sizeof(std::uint32_t);
+  const std::size_t frames = (frame.payload.size() - sizeof(std::uint32_t)) /
+                             (sizeof(float) * std::size_t{channels});
+  for (std::size_t f = 0; f < frames; ++f) {
+    for (std::size_t c = 0; c < channels; ++c, p += sizeof(float)) {
+      const std::uint32_t bits = std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                 std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+      const float sample = std::bit_cast<float>(bits);
+      // One NaN or Inf would poison every feature of the utterance it lands
+      // in (and the classifiers' verdicts only by accident of NaN
+      // comparisons).
+      if (!std::isfinite(sample)) throw ProtocolError("AUDIO_CHUNK: non-finite sample");
+      put(f, c, sample);
+    }
+  }
+}
 [[nodiscard]] EndOfUtterance parse_end_of_utterance(const Frame& frame);
 [[nodiscard]] DecisionFrame parse_decision(const Frame& frame);
 [[nodiscard]] ErrorFrame parse_error(const Frame& frame);

@@ -109,6 +109,7 @@ void Session::handle_hello(const Frame& frame) {
   channels_ = hello.channels;
   sample_rate_ = static_cast<double>(hello.sample_rate_hz);
   chunk_ = audio::MultiBuffer(channels_, 0, sample_rate_);
+  chunk_samples_.assign(channels_, nullptr);
   state_ = State::kStreaming;
 
   HelloOk ok;
@@ -208,14 +209,9 @@ void Session::handle_chunk(const Frame& frame) {
     fail(ErrorCode::kBadRequest, "AUDIO_CHUNK before HELLO");
     return;
   }
-  const AudioChunk chunk = parse_audio_chunk(frame, channels_);
-  if (chunk.frames > limits_.max_chunk_frames) {
-    fail(ErrorCode::kTooLarge,
-         "chunk of " + std::to_string(chunk.frames) + " frames exceeds limit " +
-             std::to_string(limits_.max_chunk_frames));
-    return;
-  }
   if (stream_mode_) {
+    const AudioChunk chunk = parse_audio_chunk(frame, channels_);
+    if (!chunk_fits(chunk.frames)) return;
     // Auto-endpoint path: the detector owns segmentation; a chunk may close
     // zero or more segments, each answered with a STREAM_DECISION.
     try {
@@ -226,14 +222,33 @@ void Session::handle_chunk(const Frame& frame) {
     }
     return;
   }
-  if (utterance_frames_ + chunk.frames > limits_.max_utterance_frames) {
+  // Normal/Mute verdicts read no features: only HeadTalk feeds the operator,
+  // which takes the samples decoded straight into its per-channel input.
+  // The other modes still decode, to reject non-finite samples alike. A
+  // bad sample throws ProtocolError (bad-request) before the operator sees
+  // any of the chunk.
+  const std::uint32_t frames = audio_chunk_frames(frame, channels_);
+  const bool feed = limits_.mode == core::VaMode::kHeadTalk;
+  if (feed) {
+    for (std::size_t c = 0; c < channels_; ++c) {
+      chunk_.channel(c).resize(frames);
+      chunk_samples_[c] = chunk_.channel(c).samples().data();
+    }
+    audio::Sample* const* out = chunk_samples_.data();
+    decode_audio_samples(frame, channels_, [out](std::size_t f, std::size_t c, float sample) {
+      out[c][f] = static_cast<audio::Sample>(sample);
+    });
+  } else {
+    decode_audio_samples(frame, channels_, [](std::size_t, std::size_t, float) {});
+  }
+  if (!chunk_fits(frames)) return;
+  if (utterance_frames_ + frames > limits_.max_utterance_frames) {
     fail(ErrorCode::kTooLarge,
-         "utterance of " + std::to_string(utterance_frames_ + chunk.frames) +
+         "utterance of " + std::to_string(utterance_frames_ + frames) +
              " frames exceeds limit " + std::to_string(limits_.max_utterance_frames));
     return;
   }
-  // Normal/Mute verdicts read no features: only HeadTalk feeds the operator.
-  if (limits_.mode == core::VaMode::kHeadTalk) {
+  if (feed) {
     // Shared with the streaming detector's per-frame feed: one instrument
     // for all time spent pushing samples through the operator.
     static obs::Histogram& accumulate_seconds = core::pipeline_stage_histogram(
@@ -245,20 +260,20 @@ void Session::handle_chunk(const Frame& frame) {
         if (workspace_ != nullptr) workspace_->note_use();
         extractor.begin(pipeline_.incremental_config(), channels_, sample_rate_);
       }
-      for (std::size_t c = 0; c < channels_; ++c) {
-        audio::Buffer& channel = chunk_.channel(c);
-        channel.resize(chunk.frames);
-        for (std::size_t f = 0; f < chunk.frames; ++f) {
-          channel[f] = static_cast<audio::Sample>(chunk.interleaved[f * channels_ + c]);
-        }
-      }
       extractor.push(chunk_);
     } catch (const std::exception& error) {
       fail(ErrorCode::kInternal, std::string("accumulation failed: ") + error.what());
       return;
     }
   }
-  utterance_frames_ += chunk.frames;
+  utterance_frames_ += frames;
+}
+
+bool Session::chunk_fits(std::uint32_t frames) {
+  if (frames <= limits_.max_chunk_frames) return true;
+  fail(ErrorCode::kTooLarge, "chunk of " + std::to_string(frames) + " frames exceeds limit " +
+                                 std::to_string(limits_.max_chunk_frames));
+  return false;
 }
 
 void Session::handle_end_of_utterance(const Frame& frame) {

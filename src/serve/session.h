@@ -102,6 +102,9 @@ class Session {
   void handle_hello(const Frame& frame);
   void handle_auth(const Frame& frame);
   void handle_chunk(const Frame& frame);
+  /// False (after failing the session with ERROR too-large) when a chunk
+  /// of `frames` exceeds max_chunk_frames.
+  bool chunk_fits(std::uint32_t frames);
   void handle_end_of_utterance(const Frame& frame);
   void handle_stream_start(const Frame& frame);
   void handle_stream_end(const Frame& frame);
@@ -124,7 +127,8 @@ class Session {
   FrameReader reader_;
   std::vector<std::uint8_t> output_;
   core::IncrementalExtractor own_op_;  ///< used only without a workspace
-  audio::MultiBuffer chunk_;           ///< reused deinterleave scratch
+  audio::MultiBuffer chunk_;           ///< the operator's input, decoded chunk by chunk
+  std::vector<audio::Sample*> chunk_samples_;  ///< chunk_'s channel data, per chunk
   /// Frames per channel received for the utterance in flight (per-utterance
   /// mode); 0 between END_OF_UTTERANCE and the next AUDIO_CHUNK.
   std::uint64_t utterance_frames_ = 0;

@@ -4,6 +4,9 @@
 // against a textbook per-lane radix-2 reference, the real-FFT lane
 // wrappers against rfft_half_into / irfft_half_window_into, and the
 // operator's features across levels for ragged channel and pair counts.
+// The float32 instantiation (SimdFloatLanes) is held to the same textbook
+// reference computed in float, and every float kernel to the scalar
+// level's bits.
 
 #include <gtest/gtest.h>
 
@@ -57,12 +60,14 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// Textbook in-place radix-2 DIT transform of one signal: bit reversal,
-/// then stages len = 2 .. n with twiddles exp(-2*pi*i*k/len) (conjugated
-/// for the inverse), butterflies evaluated as vr = br*wr - bi*wi,
-/// vi = br*wi + bi*wr. The pruned variant skips the butterflies that feed
-/// only outputs outside [0, front) ∪ [n - tail, n).
-void reference_fft(std::vector<std::complex<double>>& x, bool inverse, std::size_t front,
+/// Textbook in-place radix-2 DIT transform of one signal in T: bit
+/// reversal, then stages len = 2 .. n with twiddles exp(-2*pi*i*k/len)
+/// (computed in double, rounded to T; conjugated for the inverse),
+/// butterflies evaluated as vr = br*wr - bi*wi, vi = br*wi + bi*wr. The
+/// pruned variant skips the butterflies that feed only outputs outside
+/// [0, front) ∪ [n - tail, n).
+template <class T>
+void reference_fft(std::vector<std::complex<T>>& x, bool inverse, std::size_t front,
                    std::size_t tail) {
   const std::size_t n = x.size();
   for (std::size_t i = 1, j = 0; i < n; ++i) {
@@ -71,7 +76,7 @@ void reference_fft(std::vector<std::complex<double>>& x, bool inverse, std::size
     j ^= bit;
     if (i < j) std::swap(x[i], x[j]);
   }
-  const double sign = inverse ? -1.0 : 1.0;
+  const T sign = inverse ? T(-1) : T(1);
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
     const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
@@ -79,12 +84,12 @@ void reference_fft(std::vector<std::complex<double>>& x, bool inverse, std::size
       for (std::size_t i = 0; i < n; i += len) {
         for (std::size_t k = k_begin; k < k_end; ++k) {
           const auto w = std::polar(1.0, angle * static_cast<double>(k));
-          const double wr = w.real();
-          const double wi = sign * w.imag();
-          const double br = x[i + k + half].real();
-          const double bi = x[i + k + half].imag();
-          const double vr = br * wr - bi * wi;
-          const double vi = br * wi + bi * wr;
+          const T wr = static_cast<T>(w.real());
+          const T wi = sign * static_cast<T>(w.imag());
+          const T br = x[i + k + half].real();
+          const T bi = x[i + k + half].imag();
+          const T vr = br * wr - bi * wi;
+          const T vi = br * wi + bi * wr;
           const auto u = x[i + k];
           x[i + k] = {u.real() + vr, u.imag() + vi};
           x[i + k + half] = {u.real() - vr, u.imag() - vi};
@@ -99,7 +104,7 @@ void reference_fft(std::vector<std::complex<double>>& x, bool inverse, std::size
     }
   }
   if (inverse) {
-    const double factor = 1.0 / static_cast<double>(n);
+    const T factor = T(1) / static_cast<T>(n);
     for (std::size_t p = 0; p < n; ++p) {
       if (p < front || p >= n - tail || front + tail >= n) {
         x[p] = {x[p].real() * factor, x[p].imag() * factor};
@@ -352,8 +357,8 @@ TEST(SimdFftLanes, SelectedPairsMatchPerPairPhat) {
       const LaneSelection x = select_lanes(x_from, x_lane, x_scratch);
       const LaneSelection y = select_lanes(y_from, y_lane, y_scratch);
       std::vector<double> out_re(rows * kLanes), out_im(rows * kLanes);
-      simd::kernels().phat_lanes(x.re, x.im, x.order, y.re, y.im, y.order, out_re.data(),
-                                 out_im.data(), rows, 1e-12);
+      simd::kernels().f64.phat_lanes(x.re, x.im, x.order, x.width, y.re, y.im, y.order,
+                                     y.width, out_re.data(), out_im.data(), rows, 1e-12);
       for (std::size_t l = 0; l < pairs.size(); ++l) {
         std::vector<Complex> want(rows);
         simd::kernels().cross_spectrum(
@@ -416,6 +421,349 @@ TEST(SimdFftLanes, OperatorFeaturesIdenticalAtEveryLevelForRaggedChannelCounts) 
             << channels << " channels, feature " << i << ": " << got[i] << " vs "
             << reference[i] << " at " << simd::level_name(level);
       }
+    }
+  }
+}
+
+// ---- float32 lanes ---------------------------------------------------------
+
+constexpr std::size_t kLanesF = simd::kLanes<float>;
+
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+std::vector<float> random_floats(std::size_t n, unsigned seed) {
+  const auto values = random_values(n, seed);
+  return {values.begin(), values.end()};
+}
+
+std::vector<std::vector<std::complex<float>>> random_signals_f(std::size_t count, std::size_t n,
+                                                               unsigned seed) {
+  std::vector<std::vector<std::complex<float>>> signals(count);
+  for (std::size_t l = 0; l < count; ++l) {
+    const auto values = random_floats(2 * n, seed + static_cast<unsigned>(l));
+    for (std::size_t i = 0; i < n; ++i) signals[l].emplace_back(values[2 * i], values[2 * i + 1]);
+  }
+  return signals;
+}
+
+TEST(SimdFloatLanes, ForwardAndPrunedInverseEqualFloatReference) {
+  for (const simd::Level level : supported_levels()) {
+    ScopedLevel scoped(level);
+    auto check = [&](std::size_t n, std::size_t front, std::size_t tail, bool inverse) {
+      const auto signals = random_signals_f(kLanesF, n, 40 + static_cast<unsigned>(n + front));
+      const auto plan = FftPlanCache::global().get(n);
+      std::vector<float> re(n * kLanesF), im(n * kLanesF);
+      const auto bit_reverse = plan->bit_reverse();
+      for (std::size_t l = 0; l < kLanesF; ++l) {
+        for (std::size_t i = 0; i < n; ++i) {
+          re[bit_reverse[i] * kLanesF + l] = signals[l][i].real();
+          im[bit_reverse[i] * kLanesF + l] = signals[l][i].imag();
+        }
+      }
+      if (inverse) {
+        plan->inverse_pruned_lanes(re.data(), im.data(), front, tail);
+      } else {
+        plan->forward_lanes(re.data(), im.data());
+      }
+      for (std::size_t l = 0; l < kLanesF; ++l) {
+        auto want = signals[l];
+        reference_fft(want, inverse, front, tail);
+        for (std::size_t p = 0; p < n; ++p) {
+          if (p >= front && p < n - tail) continue;  // pruned output
+          ASSERT_TRUE(same_bits(re[p * kLanesF + l], want[p].real()) &&
+                      same_bits(im[p * kLanesF + l], want[p].imag()))
+              << (inverse ? "inverse" : "forward") << " n " << n << " lane " << l << " out "
+              << p << " at " << simd::level_name(level);
+        }
+      }
+    };
+    for (const std::size_t n : {1u, 2u, 4u, 8u, 64u, 512u}) check(n, n, 0, false);
+    for (const auto& [front, tail] :
+         std::vector<std::pair<std::size_t, std::size_t>>{{1, 1}, {7, 7}, {3, 60}, {256, 256}}) {
+      check(512, front, tail, true);
+    }
+  }
+}
+
+TEST(SimdFloatLanes, PartedTransformsEqualFloatReference) {
+  // 8 / parts signals, each held as `parts` parts: the stages within the
+  // parts in place, then the ones across them in natural order.
+  for (const simd::Level level : supported_levels()) {
+    ScopedLevel scoped(level);
+    for (const std::size_t parts : {2u, 4u, 8u}) {
+      const std::size_t signals_per_row = kLanesF / parts;
+      for (const std::size_t n : {8u, 64u, 512u}) {
+        const std::size_t rows = n / parts;
+        const auto signals = random_signals_f(signals_per_row, n, 60 + static_cast<unsigned>(n));
+        const auto plan = FftPlanCache::global().get(n);
+        const auto bit_reverse = plan->bit_reverse();
+        std::vector<float> re(rows * kLanesF), im(rows * kLanesF);
+        for (std::size_t g = 0; g < signals_per_row; ++g) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t p = bit_reverse[i];
+            const std::size_t at = (p % rows) * kLanesF + (p / rows) * signals_per_row + g;
+            re[at] = signals[g][i].real();
+            im[at] = signals[g][i].imag();
+          }
+        }
+        std::vector<float> out_re(n * signals_per_row), out_im(n * signals_per_row);
+        plan->forward_parted(re.data(), im.data(), parts, out_re.data(), out_im.data());
+        for (std::size_t g = 0; g < signals_per_row; ++g) {
+          auto want = signals[g];
+          reference_fft(want, false, n, 0);
+          for (std::size_t p = 0; p < n; ++p) {
+            ASSERT_TRUE(same_bits(out_re[p * signals_per_row + g], want[p].real()) &&
+                        same_bits(out_im[p * signals_per_row + g], want[p].imag()))
+                << parts << " parts, n " << n << " signal " << g << " bin " << p << " at "
+                << simd::level_name(level);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdFloatLanes, UnpackAndRepackEqualOneLaneFormulas) {
+  // rfft_unpack_lanes on rows of 1, 2, 4 and 8 lanes, with bin limits that
+  // end mid-vector, and irfft_repack_lanes, against Kernels::rfft_unpack /
+  // irfft_repack's formulas evaluated in float one lane at a time.
+  const std::size_t half = 64;
+  const auto plan = FftPlanCache::global().get(half);
+  const auto w = plan->pack_twiddles<float>();
+  const auto* wf = reinterpret_cast<const float*>(w.data());
+  constexpr float kUntouched = 7.0f;
+  for (const simd::Level level : supported_levels()) {
+    ScopedLevel scoped(level);
+    const auto& kernels = simd::kernels().f32;
+    for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+      const auto z_re = random_floats(half * lanes, 80 + static_cast<unsigned>(lanes));
+      const auto z_im = random_floats(half * lanes, 90 + static_cast<unsigned>(lanes));
+      for (const std::size_t bins : {half + 1, half, half - 1, std::size_t{13}, std::size_t{2}}) {
+        std::vector<float> out_re((half + 1) * lanes, kUntouched), out_im = out_re;
+        kernels.rfft_unpack_lanes(z_re.data(), z_im.data(), lanes, wf, out_re.data(),
+                                  out_im.data(), half, bins);
+        for (std::size_t k = 0; k <= half; ++k) {
+          for (std::size_t l = 0; l < lanes; ++l) {
+            const std::size_t at = k * lanes + l;
+            if (k == 0 || k >= std::min(bins, half)) {
+              ASSERT_TRUE(out_re[at] == kUntouched && out_im[at] == kUntouched)
+                  << "row " << k << " written, bins " << bins;
+              continue;
+            }
+            const std::size_t b = (half - k) * lanes + l;
+            const float er = 0.5f * (z_re[at] + z_re[b]);
+            const float ei = 0.5f * (z_im[at] - z_im[b]);
+            const float odr = 0.5f * (z_im[at] + z_im[b]);
+            const float odi = -0.5f * (z_re[at] - z_re[b]);
+            const float want_re = er + odr * w[k].real() - odi * w[k].imag();
+            const float want_im = ei + odr * w[k].imag() + odi * w[k].real();
+            ASSERT_TRUE(same_bits(out_re[at], want_re) && same_bits(out_im[at], want_im))
+                << lanes << " lanes, bins " << bins << ", bin " << k << " lane " << l << " at "
+                << simd::level_name(level);
+          }
+        }
+      }
+    }
+    const auto b_re = random_floats((half + 1) * kLanesF, 100);
+    const auto b_im = random_floats((half + 1) * kLanesF, 101);
+    std::vector<float> z_re(half * kLanesF), z_im(half * kLanesF);
+    kernels.irfft_repack_lanes(b_re.data(), b_im.data(), wf, plan->bit_reverse().data(),
+                               z_re.data(), z_im.data(), half);
+    for (std::size_t k = 0; k < half; ++k) {
+      for (std::size_t l = 0; l < kLanesF; ++l) {
+        const std::size_t a = k * kLanesF + l, b = (half - k) * kLanesF + l;
+        const float er = 0.5f * (b_re[a] + b_re[b]);
+        const float ei = 0.5f * (b_im[a] - b_im[b]);
+        const float dr = 0.5f * (b_re[a] - b_re[b]);
+        const float di = 0.5f * (b_im[a] + b_im[b]);
+        const float wr = w[k].real(), wi = -w[k].imag();
+        const float odr = dr * wr - di * wi;
+        const float odi = dr * wi + di * wr;
+        const std::size_t at = plan->bit_reverse()[k] * kLanesF + l;
+        ASSERT_TRUE(same_bits(z_re[at], er - odi) && same_bits(z_im[at], ei + odr))
+            << "repack row " << k << " lane " << l << " at " << simd::level_name(level);
+      }
+    }
+  }
+}
+
+TEST(SimdFloatLanes, PairKernelsMatchScalarAndCoherenceSumsInDouble) {
+  // phat_lanes and coherence_lanes on operands read in place from rows of
+  // 2, 4 and 8 lanes (spare lanes repeating a used one): every level gives
+  // the scalar level's bits. The coherence sums are float64: they equal
+  // the float64 kernel run on the widened operands, bit for bit.
+  const std::size_t rows = 129;
+  struct Operand {
+    std::size_t width;
+    std::uint32_t order[kLanesF];
+  };
+  const Operand operands[] = {{4, {0, 0, 0, 1, 1, 2, 0, 0}},
+                              {4, {1, 2, 3, 2, 3, 3, 1, 1}},
+                              {2, {1, 0, 1, 0, 0, 1, 1, 1}},
+                              {8, {7, 6, 5, 4, 3, 2, 1, 0}}};
+  const std::size_t groups = 2, stride = 4, block = 16;
+  for (const auto& xo : operands) {
+    for (const auto& yo : operands) {
+      const auto x_re = random_floats(rows * xo.width, 110), x_im = random_floats(rows * xo.width, 111);
+      const auto y_re = random_floats(rows * yo.width, 112), y_im = random_floats(rows * yo.width, 113);
+      auto run = [&](std::vector<float>& out_re, std::vector<float>& out_im,
+                     std::vector<double>& sums) {
+        const auto& kernels = simd::kernels().f32;
+        out_re.assign(rows * kLanesF, 0.0f);
+        out_im.assign(rows * kLanesF, 0.0f);
+        sums.assign(groups * 4 * kLanesF, 0.0);
+        kernels.phat_lanes(x_re.data(), x_im.data(), xo.order, xo.width, y_re.data(),
+                           y_im.data(), yo.order, yo.width, out_re.data(), out_im.data(), rows,
+                           1e-12f);
+        kernels.coherence_lanes(x_re.data(), x_im.data(), xo.order, xo.width, y_re.data(),
+                                y_im.data(), yo.order, yo.width, rows, stride, block, groups,
+                                sums.data());
+      };
+      std::vector<float> want_re, want_im;
+      std::vector<double> want_sums;
+      {
+        ScopedLevel scalar(simd::Level::kScalar);
+        run(want_re, want_im, want_sums);
+      }
+      for (const simd::Level level : supported_levels()) {
+        ScopedLevel scoped(level);
+        std::vector<float> got_re, got_im;
+        std::vector<double> got_sums;
+        run(got_re, got_im, got_sums);
+        for (std::size_t i = 0; i < got_re.size(); ++i) {
+          ASSERT_TRUE(same_bits(got_re[i], want_re[i]) && same_bits(got_im[i], want_im[i]))
+              << "phat widths " << xo.width << "/" << yo.width << " entry " << i << " at "
+              << simd::level_name(level);
+        }
+        for (std::size_t i = 0; i < got_sums.size(); ++i) {
+          ASSERT_TRUE(same_bits(got_sums[i], want_sums[i]))
+              << "coherence widths " << xo.width << "/" << yo.width << " sum " << i << " at "
+              << simd::level_name(level);
+        }
+        if (xo.width > simd::kFftLanes || yo.width > simd::kFftLanes) continue;
+        // The float64 kernel on the same values, four lanes at a time.
+        const std::vector<double> dx_re(x_re.begin(), x_re.end()), dx_im(x_im.begin(), x_im.end());
+        const std::vector<double> dy_re(y_re.begin(), y_re.end()), dy_im(y_im.begin(), y_im.end());
+        for (std::size_t half = 0; half < 2; ++half) {
+          std::vector<double> sums(groups * 4 * simd::kFftLanes);
+          simd::kernels().f64.coherence_lanes(
+              dx_re.data(), dx_im.data(), xo.order + half * simd::kFftLanes, xo.width,
+              dy_re.data(), dy_im.data(), yo.order + half * simd::kFftLanes, yo.width, rows,
+              stride, block, groups, sums.data());
+          for (std::size_t r = 0; r < groups * 4; ++r) {
+            for (std::size_t l = 0; l < simd::kFftLanes; ++l) {
+              ASSERT_TRUE(same_bits(got_sums[r * kLanesF + half * simd::kFftLanes + l],
+                                    sums[r * simd::kFftLanes + l]))
+                  << "float64 coherence, sum row " << r << " lane " << l << " at "
+                  << simd::level_name(level);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdFloatLanes, RealLaneWrappersAcrossLevelsAndNearFloat64) {
+  // rfft_lanes_into<float> for 1..8 signals (rows of 4 lanes as two parts,
+  // or of 8 lanes), irfft_lanes_window_into<float> on their PHAT cross
+  // spectra and rfft_magnitudes_head<float> give the scalar level's bits
+  // at every level, and stay within float rounding of the float64 path.
+  const std::size_t fft_size = 1024;
+  const int max_lag = 13;
+  const std::size_t window = 2 * max_lag + 1;
+  auto run = [&](std::size_t count, std::size_t valid, auto tag, std::vector<double>& spectrum,
+                 std::vector<double>& windows, std::vector<double>& magnitudes) {
+    using T = decltype(tag);
+    constexpr std::size_t kN = simd::kLanes<T>;
+    std::vector<std::vector<double>> signals;
+    std::vector<const audio::Sample*> pointers;
+    for (std::size_t l = 0; l < count; ++l) {
+      signals.push_back(random_values(valid, 120 + static_cast<unsigned>(l + valid)));
+    }
+    for (const auto& x : signals) pointers.push_back(x.data());
+    BasicLaneScratch<T> scratch;
+    spectrum.clear();
+    windows.clear();
+    // Groups of at most kN signals, as the operator forms them.
+    std::vector<BasicLaneSpectrum<T>> groups((count + kN - 1) / kN);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::size_t n = std::min(kN, count - g * kN);
+      rfft_lanes_into<T>({pointers.data() + g * kN, n}, valid, fft_size, groups[g], scratch);
+    }
+    for (std::size_t c = 0; c < count; ++c) {  // signal by signal
+      const auto& group = groups[c / kN];
+      for (std::size_t k = 0; k <= fft_size / 2; ++k) {
+        spectrum.push_back(group.re[k * group.lanes + c % kN]);
+        spectrum.push_back(group.im[k * group.lanes + c % kN]);
+      }
+    }
+    // Signal 0 against every signal (itself too), kN pairs at a time.
+    BasicLaneSpectrum<T> cross, x_scratch, y_scratch;
+    cross.fft_size = fft_size;
+    cross.lanes = kN;
+    cross.re.resize((fft_size / 2 + 1) * kN);
+    cross.im.resize((fft_size / 2 + 1) * kN);
+    std::vector<double> lag_windows;
+    for (std::size_t first = 0; first < count; first += kN) {
+      const BasicLaneSpectrum<T>* x_from[kN] = {};
+      const BasicLaneSpectrum<T>* y_from[kN] = {};
+      std::size_t x_lane[kN] = {}, y_lane[kN] = {};
+      const std::size_t n = std::min(kN, count - first);
+      for (std::size_t l = 0; l < n; ++l) {
+        x_from[l] = &groups[0];
+        y_from[l] = &groups[(first + l) / kN];
+        y_lane[l] = (first + l) % kN;
+      }
+      const auto xs = select_lanes(x_from, x_lane, x_scratch);
+      const auto ys = select_lanes(y_from, y_lane, y_scratch);
+      simd::kernels().lanes<T>().phat_lanes(xs.re, xs.im, xs.order, xs.width, ys.re, ys.im,
+                                            ys.order, ys.width, cross.re.data(),
+                                            cross.im.data(), fft_size / 2 + 1, T(1e-12));
+      irfft_lanes_window_into(cross, max_lag, lag_windows, scratch);
+      windows.insert(windows.end(), lag_windows.begin(),
+                     lag_windows.begin() + static_cast<std::ptrdiff_t>(n * window));
+    }
+    const std::span<const double> ring(signals[0]);
+    magnitudes.assign(300, 0.0);
+    rfft_magnitudes_head<T>(ring.subspan(valid / 3), ring.first(valid / 3), fft_size, 300,
+                            magnitudes.data(), scratch);
+  };
+  for (const std::size_t count : {1u, 3u, 4u, 6u, 8u, 11u}) {
+    for (const std::size_t valid : {960u, 331u}) {
+      std::vector<double> want_spectrum, want_windows, want_magnitudes;
+      {
+        ScopedLevel scalar(simd::Level::kScalar);
+        run(count, valid, 0.0f, want_spectrum, want_windows, want_magnitudes);
+      }
+      for (const simd::Level level : supported_levels()) {
+        ScopedLevel scoped(level);
+        std::vector<double> spectrum, windows, magnitudes;
+        run(count, valid, 0.0f, spectrum, windows, magnitudes);
+        ASSERT_EQ(spectrum, want_spectrum) << count << " signals at " << simd::level_name(level);
+        ASSERT_EQ(windows, want_windows) << count << " signals at " << simd::level_name(level);
+        ASSERT_EQ(magnitudes, want_magnitudes)
+            << count << " signals at " << simd::level_name(level);
+      }
+      // Float rounding against the float64 path, relative to each result's
+      // largest magnitude.
+      std::vector<double> spectrum, windows, magnitudes;
+      run(count, valid, 0.0, spectrum, windows, magnitudes);
+      auto max_abs = [](const std::vector<double>& v) {
+        double m = 0.0;
+        for (const double x : v) m = std::max(m, std::abs(x));
+        return m;
+      };
+      auto max_diff = [](const std::vector<double>& a, const std::vector<double>& b) {
+        double m = 0.0;
+        for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::abs(a[i] - b[i]));
+        return m;
+      };
+      EXPECT_LE(max_diff(want_spectrum, spectrum), 1e-5 * max_abs(spectrum)) << count;
+      EXPECT_LE(max_diff(want_windows, windows), 1e-5 * max_abs(windows)) << count;
+      EXPECT_LE(max_diff(want_magnitudes, magnitudes), 1e-5 * max_abs(magnitudes)) << count;
     }
   }
 }

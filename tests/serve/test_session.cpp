@@ -189,6 +189,37 @@ TEST(ServeSession, NonFiniteSampleIsABadRequest) {
   EXPECT_EQ(session.decisions_sent(), 0u);
 }
 
+TEST(ServeSession, NonFiniteSampleMidChunkNeverReachesTheOperator) {
+  // HeadTalk mode decodes each chunk straight into the operator's
+  // per-channel input. A NaN halfway through a chunk still ends the
+  // connection with ERROR bad-request, and the operator has accumulated
+  // none of that chunk.
+  core::ScoringWorkspace workspace;
+  Session session(test_pipeline(), SessionLimits{});  // default kHeadTalk
+  session.set_workspace(&workspace);
+  feed(session, encode_hello(Hello{}), true);
+  (void)drain(session);
+  const auto capture = serve_test::make_capture(4, 960);
+  std::vector<float> interleaved(capture.frames() * 4);
+  for (std::size_t f = 0; f < capture.frames(); ++f) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      interleaved[f * 4 + c] = static_cast<float>(capture.channel(c)[f]);
+    }
+  }
+  feed(session, encode_audio_chunk(interleaved, 4), true);
+  EXPECT_EQ(workspace.incremental().samples_pushed(), 960u);
+
+  auto poisoned = interleaved;
+  poisoned[poisoned.size() / 2 + 1] = std::numeric_limits<float>::quiet_NaN();
+  feed(session, encode_audio_chunk(poisoned, 4), false);
+  const auto frames = drain(session);
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].type, FrameType::kError);
+  EXPECT_EQ(parse_error(frames[0]).code, ErrorCode::kBadRequest);
+  EXPECT_EQ(workspace.incremental().samples_pushed(), 960u);
+  EXPECT_EQ(session.decisions_sent(), 0u);
+}
+
 TEST(ServeSession, ScoresUtterancesBackToBack) {
   Session session(test_pipeline(), normal_mode_limits());
   std::vector<std::uint8_t> stream = encode_hello(Hello{});

@@ -11,8 +11,11 @@
 // extractors the scoring pipeline uses, summarized into a SpeakerProfile
 // (tenant/enrollment.h), and published atomically into --store:
 //
-//   headtalk_train --enroll --tenant alice --store store \
-//       --wavs a.wav,b.wav,c.wav --policy enrolled_live_facing --quota 0
+//   headtalk_train --enroll --tenant alice --store store
+//                  --wavs a.wav,b.wav,c.wav --policy enrolled_live_facing
+//                  --quota 0
+//
+// (one command line, wrapped here).
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
