@@ -35,8 +35,8 @@ int main() {
     const auto mag = dsp::magnitude_spectrum(x.samples(), n);
     return audio::power_to_db(dsp::band_energy(mag, n, x.sample_rate(), lo, hi));
   };
-  for (const auto [lo, hi] : {std::pair{100.0, 400.0}, {400.0, 1000.0},
-                              {1000.0, 4000.0}, {4000.0, 8000.0}}) {
+  for (const auto& [lo, hi] : {std::pair{100.0, 400.0}, {400.0, 1000.0},
+                               {1000.0, 4000.0}, {4000.0, 8000.0}}) {
     char label[40];
     std::snprintf(label, sizeof label, "band %0.0f-%0.0f Hz (dB)", lo, hi);
     std::printf("%-28s %10.1f %10.1f\n", label, band_db(mono_f, lo, hi),

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <span>
 
 #include <algorithm>
 #include <cmath>
@@ -180,6 +181,44 @@ void BM_Bandpass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Bandpass)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_AntiAlias(benchmark::State& state) {
+  // The liveness stage's anti-alias low-pass (10th order, 5 sections) on
+  // channel 0 of the capture, in the operator's 960-frame calls: through
+  // a one-channel MultichannelBiquadCascade (lanes:1, the sections across
+  // vector lanes at the active level) and as one BiquadCascade (lanes:0).
+  const auto x = capture().channel(0).samples();
+  const dsp::BiquadCascade design =
+      dsp::butterworth_lowpass(10, 0.45 * 16000.0, capture().sample_rate());
+  constexpr std::size_t kCall = 960;
+  std::vector<audio::Sample> out(x.size());
+  if (state.range(0) == 0) {
+    dsp::BiquadCascade cascade = design;
+    for (auto _ : state) {
+      std::copy(x.begin(), x.end(), out.begin());
+      for (std::size_t i = 0; i < out.size(); i += kCall) {
+        cascade.process(std::span(out).subspan(i, std::min(kCall, out.size() - i)));
+      }
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel("BiquadCascade");
+  } else {
+    dsp::MultichannelBiquadCascade lanes;
+    lanes.reset(design, 1);
+    for (auto _ : state) {
+      for (std::size_t i = 0; i < x.size(); i += kCall) {
+        const audio::Sample* in = x.data() + i;
+        audio::Sample* dst = out.data() + i;
+        lanes.process(&in, &dst, std::min(kCall, x.size() - i));
+      }
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string("simd biquad_cascade, ") + dsp::simd::kernels().name);
+  }
+}
+BENCHMARK(BM_AntiAlias)->ArgName("lanes")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // The operator's per-block transforms on one 20 ms block of the capture
 // (D2: 4 channels, 960 samples, 1024-point block FFT, lag window ±13).

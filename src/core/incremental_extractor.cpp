@@ -158,10 +158,7 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   pair_count_ = 0;
   std::size_t block_fft = std::max<std::size_t>(2, dsp::next_pow2(block_len_));
   if (orientation_on_) {
-    max_lag_ = config_.orientation.max_lag > 0
-                   ? config_.orientation.max_lag
-                   : dsp::srp_max_lag(config_.orientation.max_mic_distance_m,
-                                      sample_rate, config_.orientation.speed_of_sound);
+    max_lag_ = OrientationFeatureExtractor(config_.orientation).effective_max_lag(sample_rate);
     pair_count_ = channels * (channels - 1) / 2;
     // The per-block transform covers the linear-correlation padding and the
     // full lag window (negative lags wrap to the tail).

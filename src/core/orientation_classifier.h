@@ -39,6 +39,8 @@ class OrientationClassifier {
   void train(const ml::Dataset& data);
 
   [[nodiscard]] bool trained() const noexcept { return model_ != nullptr; }
+  /// The feature dimension the model scores (0 before training).
+  [[nodiscard]] std::size_t input_dimension() const noexcept { return scaler_.dimension(); }
 
   /// Predicted label (kLabelFacing or kLabelNonFacing).
   [[nodiscard]] int predict(const ml::FeatureVector& features) const;

@@ -15,10 +15,13 @@ int OrientationFeatureExtractor::effective_max_lag(double sample_rate) const {
 }
 
 std::size_t OrientationFeatureExtractor::dimension(std::size_t channels) const {
+  return dimension(channels, audio::kDefaultSampleRate);
+}
+
+std::size_t OrientationFeatureExtractor::dimension(std::size_t channels,
+                                                   double sample_rate) const {
   const std::size_t pairs = channels * (channels - 1) / 2;
-  // Lag-window length is only known with a sample rate; assume the default
-  // capture rate, which every prototype device uses.
-  const auto lag = static_cast<std::size_t>(effective_max_lag(audio::kDefaultSampleRate));
+  const auto lag = static_cast<std::size_t>(effective_max_lag(sample_rate));
   const std::size_t seq_len = 2 * lag + 1;
   return config_.srp_peaks + 5        // SRP peaks + SRP summary stats
          + pairs * seq_len + pairs    // GCC sequences + TDoAs

@@ -64,8 +64,13 @@ class OrientationFeatureExtractor {
   [[nodiscard]] ml::FeatureVector extract(const audio::MultiBuffer& capture,
                                           ScoringWorkspace* workspace = nullptr) const;
 
-  /// Feature dimension for a given channel count.
+  /// Feature dimension for a given channel count at the default capture
+  /// rate.
   [[nodiscard]] std::size_t dimension(std::size_t channels) const;
+  /// Feature dimension for a given channel count and sample rate (the lag
+  /// window, and so the GCC sequence length, scales with the rate unless
+  /// config().max_lag fixes it).
+  [[nodiscard]] std::size_t dimension(std::size_t channels, double sample_rate) const;
 
   [[nodiscard]] int effective_max_lag(double sample_rate) const;
 

@@ -64,7 +64,8 @@ class BiquadCascade {
 /// One cascade design run over every channel of a capture at once. The
 /// channels share one coefficient table and each carries its own delay
 /// lines; process() is one call of the dispatched
-/// simd::Kernels::biquad_cascade, which packs channels into vector lanes.
+/// simd::Kernels::biquad_cascade, which packs channels into vector lanes
+/// (one channel: its sections).
 /// At every SIMD level each channel's output equals what its own copy of
 /// the design's BiquadCascade::process would produce, bit for bit.
 class MultichannelBiquadCascade {

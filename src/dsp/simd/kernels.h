@@ -15,7 +15,7 @@
 // row, for FftPlan's one-signal transforms. Both are instantiated from the
 // same kernel bodies (lanes.inl).
 // The biquad cascade works on real per-channel sample buffers, one channel
-// per vector lane. Each level (scalar / SSE2 / AVX2) provides one
+// per vector lane, or one channel's sections across the lanes. Each level (scalar / SSE2 / AVX2) provides one
 // immutable table; dispatch.h selects between them at runtime. No level
 // fuses a multiply and an add, so every kernel gives the same bits at
 // every level.
@@ -172,9 +172,20 @@ struct Kernels {
   ///   z2 = b2*v - a2*y; v = y;  then out[l][i] = v
   /// — dsp::Biquad::process's arithmetic, evaluated without FMA
   /// contraction, so every level equals BiquadCascade::process on each
-  /// channel bit for bit. Lanes are channels: SSE2 packs 2 per vector,
-  /// AVX2 4, and a ragged tail drops to narrower groups. No output buffer
-  /// may overlap an input or another output.
+  /// channel bit for bit. The cascade runs in passes of at most 8
+  /// sections, each over all frames (section s reads only section s-1's
+  /// output, so a pass boundary changes no operation), and a pass keeps
+  /// every section's delay line in registers for the whole call. Two
+  /// layouts:
+  ///   * several channels: lanes are channels (SSE2 2 per vector, AVX2 4),
+  ///     loaded and stored a vector's width of frames at a time through a
+  ///     transpose; a ragged tail drops to narrower groups;
+  ///   * one channel: lanes are sections. Lane s filters sample t - s at
+  ///     step t, fed by lane s-1's output of step t-1 (the registers shift
+  ///     up one lane per step), so the sections advance together; the
+  ///     S-1 steps that fill and the S-1 that drain this diagonal run one
+  ///     section at a time.
+  /// No output buffer may overlap an input or another output.
   void (*biquad_cascade)(const double* coeffs, std::size_t sections,
                          double* state, std::size_t lanes,
                          const double* const* in, double* const* out,
@@ -217,12 +228,12 @@ const Kernels& scalar_kernels() noexcept;
 #define HEADTALK_SIMD_X86 1
 /// Same source as scalar, compiled for the SSE2 baseline with the
 /// autovectorizer on; the lane kernels run 2 doubles or 4 floats per
-/// register, the biquad cascade two channels.
+/// register, the biquad cascade two channels or sections.
 const Kernels& sse2_kernels() noexcept;
 /// AVX2 without FMA: 4 doubles or 8 floats per register for the lane
-/// kernels, four channels for the biquad cascade, hand-written intrinsics
-/// for the interleaved PHAT / magnitude / accumulate loops, autovectorized
-/// code for the rest.
+/// kernels, four channels or sections for the biquad cascade, hand-written
+/// intrinsics for the interleaved PHAT / magnitude / accumulate loops,
+/// autovectorized code for the rest.
 const Kernels& avx2_kernels() noexcept;
 #endif
 

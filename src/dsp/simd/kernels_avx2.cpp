@@ -1,6 +1,6 @@
 // AVX2 kernels. The lane kernels run 4 doubles or 8 floats per register
-// and the biquad cascade four channels (lanes.inl with the policies
-// below); the interleaved PHAT / magnitude / accumulate loops are
+// and the biquad cascade four channels or sections (lanes.inl with the
+// policies below); the interleaved PHAT / magnitude / accumulate loops are
 // hand-written intrinsics (the complex-multiply shuffle pattern defeats the
 // autovectorizer's cost model); the rest reuse the generic bodies, which
 // this TU's -mavx2 flag lets the compiler vectorize.
@@ -70,6 +70,36 @@ struct Avx2Lanes {
     _mm_storeh_pd(dst[1] + i, lo);
     _mm_storel_pd(dst[2] + i, hi);
     _mm_storeh_pd(dst[3] + i, hi);
+  }
+  /// The 4 × 4 transpose: out[j] = lane j of a, b, c, d.
+  static void transpose(Vec a, Vec b, Vec c, Vec d, Vec* out) {
+    const Vec ab0 = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+    const Vec ab1 = _mm256_unpackhi_pd(a, b);  // a1 b1 a3 b3
+    const Vec cd0 = _mm256_unpacklo_pd(c, d);
+    const Vec cd1 = _mm256_unpackhi_pd(c, d);
+    out[0] = _mm256_permute2f128_pd(ab0, cd0, 0x20);
+    out[1] = _mm256_permute2f128_pd(ab1, cd1, 0x20);
+    out[2] = _mm256_permute2f128_pd(ab0, cd0, 0x31);
+    out[3] = _mm256_permute2f128_pd(ab1, cd1, 0x31);
+  }
+  static void load_block(const double* const* src, std::size_t i, Vec* v) {
+    transpose(load(src[0] + i), load(src[1] + i), load(src[2] + i), load(src[3] + i), v);
+  }
+  static void store_block(double* const* dst, std::size_t i, const Vec* v) {
+    Vec rows[4];
+    transpose(v[0], v[1], v[2], v[3], rows);
+    for (std::size_t j = 0; j < 4; ++j) store(dst[j] + i, rows[j]);
+  }
+  static Vec shift_up(Vec v, Vec& carry) {
+    const Vec rotated = _mm256_permute4x64_pd(v, _MM_SHUFFLE(2, 1, 0, 3));  // v3 v0 v1 v2
+    const Vec shifted = _mm256_blend_pd(rotated, carry, 0b0001);
+    carry = rotated;
+    return shifted;
+  }
+  template <std::size_t l>
+  static double lane(Vec v) {
+    const __m128d half = l < 2 ? _mm256_castpd256_pd128(v) : _mm256_extractf128_pd(v, 1);
+    return _mm_cvtsd_f64(l % 2 == 0 ? half : _mm_unpackhi_pd(half, half));
   }
   static Vec add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }

@@ -14,6 +14,8 @@ class StandardScaler {
   void fit(const Dataset& data);
 
   [[nodiscard]] bool fitted() const noexcept { return !mean_.empty(); }
+  /// The fitted feature dimension (0 before fit).
+  [[nodiscard]] std::size_t dimension() const noexcept { return mean_.size(); }
 
   /// Standardizes one feature vector (must match the fitted dimension).
   [[nodiscard]] FeatureVector transform(const FeatureVector& x) const;

@@ -434,14 +434,20 @@ std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels) {
 
 AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels) {
   AudioChunk chunk;
-  chunk.frames = audio_chunk_frames(frame, channels);
-  chunk.interleaved.resize(static_cast<std::size_t>(chunk.frames) * channels);
-  float* out = chunk.interleaved.data();
+  chunk.frames = parse_audio_chunk_into(frame, channels, chunk.interleaved);
+  return chunk;
+}
+
+std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
+                                     std::vector<float>& interleaved) {
+  const std::uint32_t frames = audio_chunk_frames(frame, channels);
+  interleaved.resize(static_cast<std::size_t>(frames) * channels);
+  float* out = interleaved.data();
   decode_audio_samples(frame, channels,
                        [out, channels](std::size_t f, std::size_t c, float sample) {
                          out[f * channels + c] = sample;
                        });
-  return chunk;
+  return frames;
 }
 
 EndOfUtterance parse_end_of_utterance(const Frame& frame) {

@@ -246,6 +246,11 @@ struct ErrorFrame {
 /// and every sample must be finite (NaN / ±Inf throw). Decodes through
 /// audio_chunk_frames and decode_audio_samples.
 [[nodiscard]] AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels);
+/// parse_audio_chunk into a caller-owned buffer: `interleaved` becomes
+/// frames × channels samples (its capacity reused); returns the frame
+/// count. A bad sample throws with the samples before it decoded.
+std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
+                                     std::vector<float>& interleaved);
 
 /// An AUDIO_CHUNK's frame count, after checking the frame type, the
 /// channel and frame counts and that the payload holds exactly

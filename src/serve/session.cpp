@@ -106,6 +106,23 @@ void Session::handle_hello(const Frame& frame) {
              " Hz liveness rate");
     return;
   }
+  // The orientation model scores one feature length, fixed by the channel
+  // count and the rate's lag window: a geometry that yields another length
+  // could only fail at END_OF_UTTERANCE, after the whole utterance.
+  if (limits_.mode == core::VaMode::kHeadTalk) {
+    const std::size_t model_dim = pipeline_.orientation().input_dimension();
+    const std::size_t dim =
+        core::OrientationFeatureExtractor(pipeline_.incremental_config().orientation)
+            .dimension(hello.channels, static_cast<double>(hello.sample_rate_hz));
+    if (model_dim != 0 && dim != model_dim) {
+      fail(ErrorCode::kBadRequest,
+           std::to_string(hello.channels) + " channels at " +
+               std::to_string(hello.sample_rate_hz) + " Hz give " + std::to_string(dim) +
+               " orientation features; the loaded orientation model scores " +
+               std::to_string(model_dim));
+      return;
+    }
+  }
   channels_ = hello.channels;
   sample_rate_ = static_cast<double>(hello.sample_rate_hz);
   chunk_ = audio::MultiBuffer(channels_, 0, sample_rate_);
@@ -210,12 +227,15 @@ void Session::handle_chunk(const Frame& frame) {
     return;
   }
   if (stream_mode_) {
-    const AudioChunk chunk = parse_audio_chunk(frame, channels_);
-    if (!chunk_fits(chunk.frames)) return;
+    // Decoded into the session's buffer, reused chunk after chunk; a bad
+    // sample throws ProtocolError (bad-request) before the size check and
+    // before the detector sees any of the chunk.
+    const std::uint32_t frames = parse_audio_chunk_into(frame, channels_, stream_samples_);
+    if (!chunk_fits(frames)) return;
     // Auto-endpoint path: the detector owns segmentation; a chunk may close
     // zero or more segments, each answered with a STREAM_DECISION.
     try {
-      const auto events = detector_->push_interleaved(chunk.interleaved);
+      const auto events = detector_->push_interleaved(stream_samples_);
       for (const auto& event : events) emit_stream_decision(event);
     } catch (const std::exception& error) {
       fail(ErrorCode::kInternal, std::string("stream scoring failed: ") + error.what());

@@ -90,6 +90,11 @@ class Session {
   /// segmentation, so the connection may legitimately sit silent between
   /// utterances (the server's deadline handling keys off this).
   [[nodiscard]] bool stream_mode() const noexcept { return stream_mode_; }
+  /// Frames per channel the open stream's detector has taken (the
+  /// STREAM_SUMMARY count so far); 0 outside streaming mode.
+  [[nodiscard]] std::uint64_t stream_frames() const noexcept {
+    return detector_ ? detector_->frames_streamed() : 0;
+  }
   [[nodiscard]] const SessionLimits& limits() const noexcept { return limits_; }
   /// Tenant this connection AUTH'd as (empty = tenant-less).
   [[nodiscard]] const std::string& tenant_id() const noexcept { return tenant_id_; }
@@ -129,6 +134,7 @@ class Session {
   core::IncrementalExtractor own_op_;  ///< used only without a workspace
   audio::MultiBuffer chunk_;           ///< the operator's input, decoded chunk by chunk
   std::vector<audio::Sample*> chunk_samples_;  ///< chunk_'s channel data, per chunk
+  std::vector<float> stream_samples_;  ///< a streaming chunk, interleaved, reused
   /// Frames per channel received for the utterance in flight (per-utterance
   /// mode); 0 between END_OF_UTTERANCE and the next AUDIO_CHUNK.
   std::uint64_t utterance_frames_ = 0;

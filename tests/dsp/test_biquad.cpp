@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 namespace headtalk::dsp {
@@ -134,6 +135,31 @@ TEST(MultichannelBiquadCascade, MatchesPerChannelCascadeAcrossCalls) {
   EXPECT_THROW(lanes.process(chunk, 400, 101, tail), std::invalid_argument);
   lanes.reset(design, 2);
   EXPECT_THROW(lanes.process(chunk, 0, 1, tail), std::invalid_argument);
+
+  // One channel (the liveness anti-alias) runs its sections across vector
+  // lanes: calls shorter than the 5-section diagonal, and a call that
+  // starts on another call's carried state, filter like one cascade.
+  const BiquadCascade lowpass = butterworth_lowpass(10, 7200.0, kFs);
+  audio::MultiBuffer mono(1, kFrames, kFs);
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    mono.channel(0)[f] = chunk.channel(0)[f] + 0.5 * chunk.channel(2)[f];
+  }
+  MultichannelBiquadCascade one;
+  one.reset(lowpass, 1);
+  std::vector<audio::Sample> got;
+  for (const auto& [first, frames] : {std::pair<std::size_t, std::size_t>{0, 3},
+                                     {3, 4},
+                                     {7, kSplit},
+                                     {7 + kSplit, kFrames - 7 - kSplit}}) {
+    std::vector<audio::Sample> part;
+    one.process(mono, first, frames, part);
+    got.insert(got.end(), part.begin(), part.end());
+  }
+  ASSERT_EQ(got.size(), kFrames);
+  BiquadCascade cascade = lowpass;
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    EXPECT_EQ(got[f], cascade.process(mono.channel(0)[f])) << "mono frame " << f;
+  }
 }
 
 }  // namespace

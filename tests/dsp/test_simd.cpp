@@ -232,56 +232,78 @@ TEST(SimdEquivalence, DenseSrpAcrossLevels) {
 }
 
 TEST(SimdEquivalence, BiquadLanesMatchCascadeAcrossLevels) {
-  // The band-pass kernel packs channels into vector lanes; every lane's
-  // output and carried delay line must equal a per-channel
-  // BiquadCascade::process bit for bit, at every level, for full and
-  // ragged lane groups, with state carried across calls of any size.
-  const BiquadCascade design = butterworth_bandpass(5, 100.0, 16000.0, 48000.0);
-  std::vector<double> coeffs;
-  for (const Biquad& s : design.sections()) {
-    coeffs.insert(coeffs.end(), {s.b0, s.b1, s.b2, s.a1, s.a2});
-  }
-  const std::size_t sections = design.section_count();
+  // The cascade kernel keeps channels in vector lanes and one channel's
+  // sections across lanes (ramp and drain one section at a time), in
+  // passes of at most 8 sections. Every lane's output and carried delay
+  // line must equal a per-channel BiquadCascade::process bit for bit, at
+  // every level, for 1 to 12 sections (the band-pass is 6, the liveness
+  // anti-alias 5), full and ragged lane groups, and calls of any size —
+  // shorter than the diagonal, exactly it, and ending mid transposed block.
+  const std::vector<BiquadCascade> designs = {
+      butterworth_lowpass(1, 4000.0, 48000.0),          // 1 (first order)
+      butterworth_highpass(4, 100.0, 48000.0),          // 2
+      butterworth_highpass(5, 100.0, 48000.0),          // 3
+      butterworth_lowpass(10, 7200.0, 48000.0),         // 5: liveness anti-alias
+      butterworth_bandpass(5, 100.0, 16000.0, 48000.0), // 6: the band-pass
+      butterworth_bandpass(8, 100.0, 16000.0, 48000.0), // 8
+      butterworth_lowpass(17, 7200.0, 48000.0),         // 9: two passes
+      butterworth_bandpass(11, 100.0, 16000.0, 48000.0) // 12: two passes
+  };
   constexpr std::size_t kFrames = 2000;
-  for (const std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 8u}) {
-    std::vector<std::vector<double>> in;
-    std::vector<std::vector<double>> want;
-    std::vector<double> want_state(2 * sections * lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      in.push_back(random_signal(kFrames, static_cast<unsigned>(100 + 10 * lanes + l)));
-      BiquadCascade cascade = design;
-      want.push_back(in.back());
-      cascade.process(want.back());
-      for (std::size_t s = 0; s < sections; ++s) {
-        want_state[2 * s * lanes + l] = cascade.sections()[s].z1();
-        want_state[(2 * s + 1) * lanes + l] = cascade.sections()[s].z2();
-      }
+  for (const BiquadCascade& design : designs) {
+    std::vector<double> coeffs;
+    for (const Biquad& s : design.sections()) {
+      coeffs.insert(coeffs.end(), {s.b0, s.b1, s.b2, s.a1, s.a2});
     }
-    for (const simd::Level level : supported_levels()) {
-      ScopedLevel scoped(level);
-      for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{960},
-                                      kFrames}) {
-        const std::string what = std::string(simd::level_name(level)) + " lanes " +
-                                 std::to_string(lanes) + " chunk " +
-                                 std::to_string(chunk);
-        std::vector<std::vector<double>> out(lanes, std::vector<double>(kFrames));
-        std::vector<double> state(2 * sections * lanes, 0.0);
-        std::vector<const double*> in_ptrs(lanes);
-        std::vector<double*> out_ptrs(lanes);
-        for (std::size_t offset = 0; offset < kFrames; offset += chunk) {
-          for (std::size_t l = 0; l < lanes; ++l) {
-            in_ptrs[l] = in[l].data() + offset;
-            out_ptrs[l] = out[l].data() + offset;
+    const std::size_t sections = design.section_count();
+    // Call sizes around the diagonal of the whole cascade and of its
+    // first pass.
+    std::vector<std::size_t> chunks{1, 7, 960, kFrames};
+    for (const std::size_t d : {sections, std::min<std::size_t>(sections, 8)}) {
+      chunks.insert(chunks.end(), {std::max<std::size_t>(d - 1, 1), d, 2 * d - 1});
+    }
+    std::sort(chunks.begin(), chunks.end());
+    chunks.erase(std::unique(chunks.begin(), chunks.end()), chunks.end());
+    for (const std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 8u}) {
+      std::vector<std::vector<double>> in;
+      std::vector<std::vector<double>> want;
+      std::vector<double> want_state(2 * sections * lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        in.push_back(random_signal(kFrames, static_cast<unsigned>(100 + 10 * lanes + l)));
+        BiquadCascade cascade = design;
+        want.push_back(in.back());
+        cascade.process(want.back());
+        for (std::size_t s = 0; s < sections; ++s) {
+          want_state[2 * s * lanes + l] = cascade.sections()[s].z1();
+          want_state[(2 * s + 1) * lanes + l] = cascade.sections()[s].z2();
+        }
+      }
+      for (const simd::Level level : supported_levels()) {
+        ScopedLevel scoped(level);
+        for (const std::size_t chunk : chunks) {
+          const std::string what = std::string(simd::level_name(level)) + " sections " +
+                                   std::to_string(sections) + " lanes " +
+                                   std::to_string(lanes) + " chunk " +
+                                   std::to_string(chunk);
+          std::vector<std::vector<double>> out(lanes, std::vector<double>(kFrames));
+          std::vector<double> state(2 * sections * lanes, 0.0);
+          std::vector<const double*> in_ptrs(lanes);
+          std::vector<double*> out_ptrs(lanes);
+          for (std::size_t offset = 0; offset < kFrames; offset += chunk) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+              in_ptrs[l] = in[l].data() + offset;
+              out_ptrs[l] = out[l].data() + offset;
+            }
+            simd::kernels().biquad_cascade(coeffs.data(), sections, state.data(), lanes,
+                                           in_ptrs.data(), out_ptrs.data(),
+                                           std::min(chunk, kFrames - offset));
           }
-          simd::kernels().biquad_cascade(coeffs.data(), sections, state.data(), lanes,
-                                         in_ptrs.data(), out_ptrs.data(),
-                                         std::min(chunk, kFrames - offset));
+          for (std::size_t l = 0; l < lanes; ++l) {
+            expect_bits_equal(out[l], want[l],
+                              what + " output of lane " + std::to_string(l));
+          }
+          expect_bits_equal(state, want_state, what + " state");
         }
-        for (std::size_t l = 0; l < lanes; ++l) {
-          expect_bits_equal(out[l], want[l],
-                            what + " output of lane " + std::to_string(l));
-        }
-        expect_bits_equal(state, want_state, what + " state");
       }
     }
   }

@@ -139,7 +139,9 @@ TEST(Spectral, LogBandEnergiesPeakAtToneBand) {
   const double width = (7900.0 - 100.0) / 26.0;
   const auto tone_band = static_cast<std::size_t>((3000.0 - 100.0) / width);
   for (std::size_t b = 0; b < bands.size(); ++b) {
-    if (b != tone_band) EXPECT_LE(bands[b], bands[tone_band]);
+    if (b != tone_band) {
+      EXPECT_LE(bands[b], bands[tone_band]);
+    }
   }
 }
 

@@ -12,9 +12,11 @@
 
 namespace headtalk::serve_test {
 
-inline core::HeadTalkPipeline make_test_pipeline() {
-  core::OrientationFeatureExtractor orientation_extractor;
-  core::LivenessFeatureExtractor liveness_extractor;
+/// Models for 4-channel captures at the default rate, or at any rate whose
+/// lag window `config` fixes (orientation_features.max_lag).
+inline core::HeadTalkPipeline make_test_pipeline(core::PipelineConfig config = {}) {
+  core::OrientationFeatureExtractor orientation_extractor(config.orientation_features);
+  core::LivenessFeatureExtractor liveness_extractor(config.liveness_features);
   std::mt19937 rng(7);
   std::normal_distribution<double> g(0.0, 1.0);
 
@@ -46,7 +48,7 @@ inline core::HeadTalkPipeline make_test_pipeline() {
   core::LivenessDetector liveness;
   liveness.train(liveness_data);
 
-  return core::HeadTalkPipeline(std::move(orientation), std::move(liveness));
+  return core::HeadTalkPipeline(std::move(orientation), std::move(liveness), config);
 }
 
 /// Deterministic noisy capture loud enough to survive preprocessing.

@@ -421,6 +421,9 @@ TEST(ServeProtocol, CorruptedBuffersNeverYieldUnvalidatedFrames) {
           case FrameType::kStreamDecision: (void)parse_stream_decision(*frame); break;
           case FrameType::kStreamEnd: parse_stream_end(*frame); break;
           case FrameType::kStreamSummary: (void)parse_stream_summary(*frame); break;
+          case FrameType::kAuth: (void)parse_auth(*frame); break;
+          case FrameType::kAuthOk: (void)parse_auth_ok(*frame); break;
+          case FrameType::kAuthReject: (void)parse_auth_reject(*frame); break;
         }
         ++parsed;
       }

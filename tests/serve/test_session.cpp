@@ -342,9 +342,14 @@ TEST(ServeSession, NormalModeAcceptsAnyRate) {
 }
 
 TEST(ServeSession, HeadTalkModeAccepts96kHz) {
-  // 96 kHz decimates by 6 to the liveness rate: HELLO_OK, and every chunk
-  // of the utterance accumulates in the operator without an error.
-  Session session(test_pipeline(), SessionLimits{});  // default kHeadTalk
+  // 96 kHz decimates by 6 to the liveness rate. Models whose lag window is
+  // fixed in samples (max_lag 13, the 48 kHz window) score 4-channel
+  // features of one length at any rate: HELLO_OK, every chunk accumulates
+  // in the operator, and END_OF_UTTERANCE answers a DECISION.
+  core::PipelineConfig config;
+  config.orientation_features.max_lag = 13;
+  const core::HeadTalkPipeline pipeline = serve_test::make_test_pipeline(config);
+  Session session(pipeline, SessionLimits{});  // default kHeadTalk
   Hello hello;
   hello.sample_rate_hz = 96000;
   std::vector<std::uint8_t> bytes = encode_hello(hello);
@@ -360,11 +365,54 @@ TEST(ServeSession, HeadTalkModeAccepts96kHz) {
     bytes.insert(bytes.end(), chunk.begin(), chunk.end());
   }
   feed(session, bytes, true);
-  const auto frames = drain(session);
+  auto frames = drain(session);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, FrameType::kHelloOk);
   EXPECT_TRUE(session.hello_done());
   EXPECT_FALSE(session.idle());  // the utterance is in flight, not refused
+
+  feed(session, encode_end_of_utterance(false), true);
+  frames = drain(session);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, FrameType::kDecision);
+  EXPECT_EQ(session.decisions_sent(), 1u);
+}
+
+TEST(ServeSession, HeadTalkModeRefusesGeometryTheModelsCannotScore) {
+  // The test models score 4-channel features at 48 kHz (lag window ±13).
+  // Three channels give fewer pairs, and 96 kHz a ±26 window: either HELLO
+  // is refused with bad-request naming both lengths, before any audio.
+  struct Case {
+    std::uint16_t channels;
+    std::uint32_t rate;
+  };
+  const std::size_t model_dim = test_pipeline().orientation().input_dimension();
+  ASSERT_GT(model_dim, 0u);
+  for (const Case c : {Case{3, 48000}, Case{4, 96000}}) {
+    SCOPED_TRACE(std::to_string(c.channels) + " channels at " + std::to_string(c.rate));
+    Session session(test_pipeline(), SessionLimits{});  // default kHeadTalk
+    Hello hello;
+    hello.channels = c.channels;
+    hello.sample_rate_hz = c.rate;
+    feed(session, encode_hello(hello), false);
+    const auto frames = drain(session);
+    ASSERT_EQ(frames.size(), 1u);
+    const ErrorFrame error = parse_error(frames[0]);
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+    const std::size_t dim =
+        core::OrientationFeatureExtractor().dimension(c.channels, static_cast<double>(c.rate));
+    EXPECT_NE(dim, model_dim);
+    EXPECT_NE(error.message.find(std::to_string(dim)), std::string::npos) << error.message;
+    EXPECT_NE(error.message.find(std::to_string(model_dim)), std::string::npos)
+        << error.message;
+    EXPECT_FALSE(session.hello_done());
+    EXPECT_TRUE(session.finished());
+  }
+  // Normal mode scores no features: the same 3-channel HELLO is accepted.
+  Session normal(test_pipeline(), normal_mode_limits());
+  Hello hello;
+  hello.channels = 3;
+  feed(normal, encode_hello(hello), true);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // END_OF_UTTERANCE ban while streaming, and the STREAM_END summary that
 // returns the connection to per-utterance mode.
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <random>
 
@@ -197,6 +198,41 @@ TEST(ServeStreamMode, StreamEndSummarizesAndReturnsToPerUtteranceMode) {
   frames = drain(session);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, FrameType::kDecision);
+}
+
+TEST(ServeStreamMode, NonFiniteSampleMidChunkFeedsNothingToTheDetector) {
+  // A streaming chunk is decoded whole before the detector sees any of it:
+  // a NaN halfway through ends the connection with ERROR bad-request, and
+  // the detector keeps the frames of the chunks before it and nothing more.
+  Session session = hello_session(stream_limits());
+  feed(session, encode_stream_start(), true);
+  const std::size_t frame_len = parse_stream_ok(drain(session).at(0)).vad_frame_length;
+  const auto speech = speech_chunk(30 * frame_len, 4);
+  feed(session, encode_audio_chunk(speech, 4), true);
+  EXPECT_EQ(session.stream_frames(), 30u * frame_len);
+
+  auto poisoned = speech;
+  poisoned[poisoned.size() / 2 + 1] = std::numeric_limits<float>::quiet_NaN();
+  feed(session, encode_audio_chunk(poisoned, 4), false);
+  const auto frames = drain(session);
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].type, FrameType::kError);
+  EXPECT_EQ(parse_error(frames[0]).code, ErrorCode::kBadRequest);
+  EXPECT_EQ(session.stream_frames(), 30u * frame_len);
+  EXPECT_EQ(session.decisions_sent(), 0u);
+
+  // The sample check comes before the size check: an oversized chunk with
+  // a bad sample is a bad request, not too large.
+  SessionLimits small = stream_limits();
+  small.max_chunk_frames = static_cast<std::uint32_t>(frame_len);
+  Session strict = hello_session(small);
+  feed(strict, encode_stream_start(), true);
+  (void)drain(strict);
+  feed(strict, encode_audio_chunk(poisoned, 4), false);
+  const auto refused = drain(strict);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(parse_error(refused[0]).code, ErrorCode::kBadRequest);
+  EXPECT_EQ(strict.stream_frames(), 0u);
 }
 
 TEST(ServeStreamMode, StreamEndOutsideStreamModeFails) {

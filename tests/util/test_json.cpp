@@ -64,7 +64,7 @@ TEST(JsonParse, WhitespaceTolerantButStrictOtherwise) {
 
 TEST(JsonParse, ErrorsCarryOffsets) {
   try {
-    JsonValue::parse("[1, oops]");
+    (void)JsonValue::parse("[1, oops]");
     FAIL() << "expected JsonError";
   } catch (const JsonError& error) {
     EXPECT_EQ(error.offset(), 4u);
