@@ -343,7 +343,9 @@ void pair_gcc_lanes(benchmark::State& state) {
 void BM_PairGcc(benchmark::State& state) {
   // PHAT cross spectrum and pruned inverse over the lag window for every
   // microphone pair, from the block spectra (coherence sums excluded: the
-  // per-transform path has no counterpart).
+  // per-transform path has no counterpart). lanes:0 is
+  // gcc_phat_from_spectra_into per pair: a plain-loop cross spectrum and
+  // the one-signal lag-window inverse.
   const auto channels = block_channels();
   const auto pairs = channel_pairs(channels.size());
   if (state.range(0) == 0) {
@@ -464,6 +466,64 @@ BENCHMARK(BM_DirectivityFft)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
+
+// The one-signal transforms of dsp/fft.h, run as one signal in up to
+// four float64 parts of the lane path: the liveness STFT frame (512
+// points) and the VAD flatness frame (1024 points) forward, as a half
+// spectrum (rfft_half_into) and as magnitudes (magnitude_spectrum_into),
+// and the room simulator's convolution inverse at 65536 points (a 0.8 s
+// capture plus its RIR at 48 kHz, irfft_half_into).
+std::span<const audio::Sample> one_signal(std::size_t points) {
+  const auto x = capture().channel(0).samples();
+  const std::size_t first = std::min(x.size() / 2, x.size() - std::min(x.size(), points));
+  return x.subspan(first, std::min(points, x.size()));
+}
+
+void BM_RfftHalf(benchmark::State& state) {
+  const auto points = static_cast<std::size_t>(state.range(0));
+  const auto x = one_signal(points);
+  dsp::HalfSpectrum spectrum;
+  dsp::FftScratch scratch;
+  for (auto _ : state) {
+    dsp::rfft_half_into(x, points, spectrum, scratch);
+    benchmark::DoNotOptimize(spectrum.bins.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string("rfft_half_into, ") + dsp::simd::kernels().name);
+}
+BENCHMARK(BM_RfftHalf)->ArgName("points")->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+void BM_MagnitudeSpectrum(benchmark::State& state) {
+  const auto points = static_cast<std::size_t>(state.range(0));
+  const auto x = one_signal(points);
+  std::vector<double> magnitudes;
+  dsp::FftScratch scratch;
+  for (auto _ : state) {
+    dsp::magnitude_spectrum_into(x, points, magnitudes, scratch);
+    benchmark::DoNotOptimize(magnitudes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string("magnitude_spectrum_into, ") + dsp::simd::kernels().name);
+}
+BENCHMARK(BM_MagnitudeSpectrum)
+    ->ArgName("points")
+    ->Arg(512)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_IrfftHalf(benchmark::State& state) {
+  const auto points = static_cast<std::size_t>(state.range(0));
+  const dsp::HalfSpectrum spectrum = dsp::rfft_half(one_signal(points), points);
+  std::vector<audio::Sample> out;
+  dsp::FftScratch scratch;
+  for (auto _ : state) {
+    dsp::irfft_half_into(spectrum, 0, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string("irfft_half_into, ") + dsp::simd::kernels().name);
+}
+BENCHMARK(BM_IrfftHalf)->ArgName("points")->Arg(65536)->Unit(benchmark::kMicrosecond);
 
 int env_int(const char* name, int fallback) {
   const char* value = std::getenv(name);

@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include <sstream>
 #include <stdexcept>
 
 #include "core/scoring_workspace.h"
@@ -138,6 +139,25 @@ void HeadTalkPipeline::set_mode(VaMode mode) noexcept {
   session_active_ = false;
 }
 
+std::string HeadTalkPipeline::geometry_error(std::size_t channels, double sample_rate) const {
+  std::ostringstream why;
+  const double live_rate = incremental_config_.liveness.model_sample_rate;
+  if (incremental_config_.enable_liveness && liveness_decimation(sample_rate, live_rate) == 0) {
+    why << "sample rate " << sample_rate
+        << " Hz: HeadTalk mode takes only whole multiples of the "
+        << static_cast<long long>(live_rate) << " Hz liveness rate";
+    return why.str();
+  }
+  const std::size_t model_dim = orientation_.input_dimension();
+  const std::size_t dim = OrientationFeatureExtractor(incremental_config_.orientation)
+                              .dimension(channels, sample_rate);
+  if (model_dim != 0 && dim != model_dim) {
+    why << channels << " channels at " << sample_rate << " Hz give " << dim
+        << " orientation features; the loaded orientation model scores " << model_dim;
+  }
+  return why.str();
+}
+
 PipelineResult HeadTalkPipeline::evaluate(const audio::MultiBuffer& capture,
                                           bool followup) {
   const PipelineResult result =
@@ -188,6 +208,12 @@ PipelineResult HeadTalkPipeline::evaluate_stages(const audio::MultiBuffer& captu
   }
 
   // --- HeadTalk mode ---
+  // A geometry the models cannot score fails here, whatever the liveness
+  // verdict would have been, instead of after the whole accumulation.
+  if (const std::string why = geometry_error(capture.channel_count(), capture.sample_rate());
+      !why.empty()) {
+    throw std::invalid_argument("HeadTalkPipeline::score_capture: " + why);
+  }
   // The capture runs through the same incremental operator the streaming
   // layer feeds frame by frame (here in one push); the decision then comes
   // from the shared finalize ladder, so batch and streamed scoring cannot

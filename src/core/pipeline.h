@@ -11,6 +11,7 @@
 //              for the remaining session").
 #pragma once
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -127,6 +128,15 @@ class HeadTalkPipeline {
                                                 VaMode mode, bool followup,
                                                 bool session_active,
                                                 FeatureCapture* features_out = nullptr) const;
+
+  /// Why HeadTalk mode cannot score captures of `channels` channels at
+  /// `sample_rate` Hz, or an empty string when it can. Two rules: the
+  /// liveness stage takes only whole multiples of its model rate, and the
+  /// orientation model scores one feature length, fixed by the channel
+  /// count and the rate's lag window (the message names both lengths).
+  /// A serving session refuses such a HELLO; score_capture throws
+  /// std::invalid_argument with this message before it accumulates.
+  [[nodiscard]] std::string geometry_error(std::size_t channels, double sample_rate) const;
 
   /// The extractor configuration score_capture itself accumulates with —
   /// feed an IncrementalExtractor with this and finalize_segment() agrees

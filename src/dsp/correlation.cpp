@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "dsp/fft.h"
-#include "dsp/simd/dispatch.h"
 
 namespace headtalk::dsp {
 namespace {
@@ -28,16 +27,23 @@ void correlate_spectra_into(const HalfSpectrum& xs, const HalfSpectrum& ys,
     throw std::invalid_argument(
         "correlate: fft_size must be >= 2*max_lag + 1 to cover the lag window");
   }
+  // c = x * conj(y), PHAT-normalized by one reciprocal (zero when
+  // |c| <= epsilon) as the operator's phat_lanes kernel does; the inverse
+  // transform computes only the ±max_lag window.
   ws.cross.fft_size = n;
   ws.cross.bins.resize(xs.bins.size());
-  // Cross spectrum and PHAT weighting run through the dispatched kernel
-  // (the per-bin normalize is one of the three dominant scoring loops);
-  // the inverse transform computes only the ±max_lag window.
-  simd::kernels().cross_spectrum(
-      reinterpret_cast<const double*>(xs.bins.data()),
-      reinterpret_cast<const double*>(ys.bins.data()),
-      reinterpret_cast<double*>(ws.cross.bins.data()), ws.cross.bins.size(),
-      phat, epsilon);
+  for (std::size_t k = 0; k < xs.bins.size(); ++k) {
+    const double xr = xs.bins[k].real(), xi = xs.bins[k].imag();
+    const double yr = ys.bins[k].real(), yi = ys.bins[k].imag();
+    const double cr = xr * yr + xi * yi;
+    const double ci = xi * yr - xr * yi;
+    Complex c(cr, ci);
+    if (phat) {
+      const double mag = std::sqrt(cr * cr + ci * ci);
+      c = mag > epsilon ? Complex(cr * (1.0 / mag), ci * (1.0 / mag)) : Complex();
+    }
+    ws.cross.bins[k] = c;
+  }
   out.max_lag = max_lag;
   irfft_half_window_into(ws.cross, max_lag, out.values, ws.fft);
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "dsp/fft_plan.h"
 #include "dsp/simd/dispatch.h"
@@ -13,9 +15,9 @@ namespace {
 bool is_pow2(std::size_t n) noexcept { return n != 0 && (n & (n - 1)) == 0; }
 
 // Interior bins k in [1, half) of the real-FFT unpack read packed slots k
-// and half - k (simd::Kernels::rfft_unpack); the two edge bins, k = 0 and
-// k = half, both read slot 0. Returns edge bin k from the packed slot z0
-// and pack twiddle w[k].
+// and half - k (simd::LaneKernels::rfft_unpack_lanes); the two edge bins,
+// k = 0 and k = half, both read slot 0. Returns edge bin k from the packed
+// slot z0 and pack twiddle w[k].
 template <class T>
 std::complex<T> rfft_edge_bin(std::complex<T> z0, std::complex<T> w) noexcept {
   const std::complex<T> zr = std::conj(z0);
@@ -31,37 +33,213 @@ std::size_t lane_group_width(std::size_t signals) {
   return std::min(simd::kLanes<T>, std::max<std::size_t>(4, next_pow2(signals)));
 }
 
+/// Rows of the lane layout: `width` lanes per row.
+template <class T>
+struct LaneRows {
+  const T* re;
+  const T* im;
+  std::size_t width;
+};
+
+/// Packs `used` signals of `count` samples as `parts` parts of the packed
+/// plan.size()-point transform (zero-padded) and runs it forward. Returns
+/// the natural-order result: rows of kLanes<T> / parts lanes, in
+/// scratch.re/im when parts == 1, else in scratch.natural_re/im.
+template <class T>
+LaneRows<T> forward_packed(const FftPlan& plan, const audio::Sample* const* signals,
+                           std::size_t used, std::size_t count, std::size_t parts,
+                           BasicLaneScratch<T>& scratch) {
+  const std::size_t half = plan.size();
+  const std::size_t width = simd::kLanes<T> / parts;
+  // One row more than the pack fills: rfft_one unpacks its spectrum here.
+  scratch.re.resize((half + 1) * width);
+  scratch.im.resize((half + 1) * width);
+  simd::kernels().lanes<T>().pack_lanes(signals, used, count, plan.bit_reverse().data(),
+                                        half / parts, parts, scratch.re.data(),
+                                        scratch.im.data());
+  if (parts == 1) {
+    plan.forward_lanes(scratch.re.data(), scratch.im.data());
+    return {scratch.re.data(), scratch.im.data(), width};
+  }
+  scratch.natural_re.resize(half * width);
+  scratch.natural_im.resize(half * width);
+  plan.forward_parted(scratch.re.data(), scratch.im.data(), parts, scratch.natural_re.data(),
+                      scratch.natural_im.data());
+  return {scratch.natural_re.data(), scratch.natural_im.data(), width};
+}
+
+/// The real-FFT unpack of every lane of forward_packed's result z: spectrum
+/// bins [0, bins), the edge bins included, into out (rows of z.width
+/// lanes), which may not overlap z.
+template <class T>
+void unpack(const FftPlan& plan, LaneRows<T> z, std::size_t bins, T* out_re, T* out_im) {
+  const std::size_t half = plan.size();
+  const auto w = plan.template pack_twiddles<T>();
+  simd::kernels().lanes<T>().rfft_unpack_lanes(z.re, z.im, z.width,
+                                               reinterpret_cast<const T*>(w.data()), out_re,
+                                               out_im, half, bins);
+  for (std::size_t l = 0; l < z.width; ++l) {
+    const std::complex<T> z0(z.re[l], z.im[l]);
+    for (const std::size_t k : {std::size_t{0}, half}) {
+      if (k >= bins) continue;
+      const std::complex<T> bin = rfft_edge_bin(z0, w[k]);
+      out_re[k * z.width + l] = bin.real();
+      out_im[k * z.width + l] = bin.imag();
+    }
+  }
+}
+
+/// The forward body of the one-signal transforms: x = older ++ newer
+/// zero-padded to fft_size (a power of two >= max(2, x.size())) as
+/// min(kLanes<T>, fft_size/2) parts of one transform. Returns spectrum
+/// bins [0, bins) in lane 0 of the rows.
+template <class T>
+LaneRows<T> rfft_one(std::span<const audio::Sample> older, std::span<const audio::Sample> newer,
+                     std::size_t fft_size, std::size_t bins, BasicLaneScratch<T>& scratch) {
+  const std::size_t half = fft_size / 2;
+  const auto plan = FftPlanCache::global().get(half);
+  const std::size_t held = older.size() + newer.size();
+  const audio::Sample* signal = older.empty() ? newer.data() : older.data();
+  if (!older.empty() && !newer.empty()) {  // a ring's two runs, in order
+    scratch.signal.resize(held);
+    std::copy(older.begin(), older.end(), scratch.signal.begin());
+    std::copy(newer.begin(), newer.end(),
+              scratch.signal.begin() + static_cast<std::ptrdiff_t>(older.size()));
+    signal = scratch.signal.data();
+  }
+  const std::size_t parts = std::min(simd::kLanes<T>, half);
+  const LaneRows<T> z = forward_packed(*plan, &signal, 1, held, parts, scratch);
+  // Unpack into the buffers the result is not in.
+  auto& out_re = parts > 1 ? scratch.re : scratch.natural_re;
+  auto& out_im = parts > 1 ? scratch.im : scratch.natural_im;
+  out_re.resize((half + 1) * z.width);
+  out_im.resize((half + 1) * z.width);
+  unpack(*plan, z, bins, out_re.data(), out_im.data());
+  return {out_re.data(), out_im.data(), z.width};
+}
+
+/// The inverse body of the real transforms: repacks spectra (rows of
+/// kLanes<T> / parts lanes, bins 0 .. plan.size()) into `parts` parts and
+/// runs the inverse pruned to packed slots [0, front) and
+/// [size - tail, size), with the 1/size scaling. Returns those slots in
+/// natural order, rows of kLanes<T> / parts lanes. The spectra may lie in
+/// scratch.natural_re/im: they are read before those are written.
+template <class T>
+LaneRows<T> inverse_packed(const FftPlan& plan, const T* bins_re, const T* bins_im,
+                           std::size_t parts, std::size_t front, std::size_t tail,
+                           BasicLaneScratch<T>& scratch) {
+  const std::size_t half = plan.size();
+  const std::size_t width = simd::kLanes<T> / parts;
+  const auto w = plan.template pack_twiddles<T>();
+  scratch.re.resize(half * width);
+  scratch.im.resize(half * width);
+  simd::kernels().lanes<T>().irfft_repack_lanes(
+      bins_re, bins_im, reinterpret_cast<const T*>(w.data()), plan.bit_reverse().data(),
+      half / parts, parts, scratch.re.data(), scratch.im.data());
+  if (parts == 1) {
+    plan.inverse_pruned_lanes(scratch.re.data(), scratch.im.data(), front, tail);
+    return {scratch.re.data(), scratch.im.data(), width};
+  }
+  scratch.natural_re.resize(half * width);
+  scratch.natural_im.resize(half * width);
+  plan.inverse_parted(scratch.re.data(), scratch.im.data(), parts, front, tail,
+                      scratch.natural_re.data(), scratch.natural_im.data());
+  return {scratch.natural_re.data(), scratch.natural_im.data(), width};
+}
+
+/// inverse_packed of one spectrum, as min(4, fft_size/2) float64 parts.
+LaneRows<double> irfft_one(const HalfSpectrum& spectrum, std::size_t front, std::size_t tail,
+                           FftScratch& scratch) {
+  const std::size_t half = spectrum.fft_size / 2;
+  const auto plan = FftPlanCache::global().get(half);
+  const std::size_t parts = std::min(simd::kLanes<double>, half);
+  const std::size_t width = simd::kLanes<double> / parts;
+  // The bins in lane 0 of rows of `width` lanes, the other lanes zero.
+  scratch.natural_re.resize((half + 1) * width);
+  scratch.natural_im.resize((half + 1) * width);
+  for (std::size_t k = 0; k <= half; ++k) {
+    scratch.natural_re[k * width] = spectrum.bins[k].real();
+    scratch.natural_im[k * width] = spectrum.bins[k].imag();
+    for (std::size_t l = 1; l < width; ++l) {
+      scratch.natural_re[k * width + l] = 0.0;
+      scratch.natural_im[k * width + l] = 0.0;
+    }
+  }
+  return inverse_packed(*plan, scratch.natural_re.data(), scratch.natural_im.data(), parts,
+                        front, tail, scratch);
+}
+
+/// Throws unless `spectrum` is a well-formed half spectrum.
+void check_spectrum(const HalfSpectrum& spectrum, const char* message) {
+  const std::size_t n = spectrum.fft_size;
+  if (n < 2 || !is_pow2(n) || spectrum.bins.size() != n / 2 + 1) {
+    throw std::invalid_argument(message);
+  }
+}
+
+/// The packed slots the lag window [-lag, lag] reads: window sample m
+/// lives in slot m/2 (even samples in the real part, odd in the imaginary
+/// part), so the window needs only the first lag/2+1 and the last
+/// (lag+1)/2 slots of the inverse. Throws when fft_size < 2*lag + 1 (the
+/// window would alias).
+std::pair<std::size_t, std::size_t> window_slots(std::size_t fft_size, int max_lag,
+                                                 const char* name) {
+  if (max_lag < 0) throw std::invalid_argument(std::string(name) + ": max_lag must be >= 0");
+  const std::size_t lag = static_cast<std::size_t>(max_lag);
+  if (fft_size < 2 * lag + 1) {
+    throw std::invalid_argument(std::string(name) + ": fft_size must be >= 2*max_lag + 1");
+  }
+  return {lag / 2 + 1, std::max<std::size_t>(1, (lag + 1) / 2)};
+}
+
+/// The lag window [-max_lag, max_lag] of lanes [0, lanes) of an inverse's
+/// packed slots z (fft_size samples each): lane l's window at
+/// out[l * (2*max_lag+1) ...], in lag order.
+template <class T>
+void read_window(LaneRows<T> z, std::size_t fft_size, int max_lag, std::size_t lanes,
+                 std::vector<double>& out) {
+  const std::size_t window = 2 * static_cast<std::size_t>(max_lag) + 1;
+  out.resize(lanes * window);
+  for (int l = -max_lag; l <= max_lag; ++l) {
+    const std::size_t m =
+        l >= 0 ? static_cast<std::size_t>(l) : fft_size - static_cast<std::size_t>(-l);
+    const T* row = (m % 2 == 0 ? z.re : z.im) + (m / 2) * z.width;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      out[lane * window + static_cast<std::size_t>(l + max_lag)] = row[lane];
+    }
+  }
+}
+
+/// The fft_size of a one-signal forward transform of `count` samples (0 =
+/// next_pow2(count), at least 2); throws unless it is a power of two >=
+/// max(2, count).
+std::size_t checked_fft_size(std::size_t count, std::size_t fft_size) {
+  if (fft_size == 0) fft_size = std::max<std::size_t>(2, next_pow2(count));
+  if (!is_pow2(fft_size) || fft_size < count || fft_size < 2) {
+    throw std::invalid_argument("rfft_half: fft_size must be a power of two >= max(2, input size)");
+  }
+  return fft_size;
+}
+
+/// out[k] = sqrt(re^2 + im^2) in T of bins [0, bins) of rfft_one.
+template <class T>
+void magnitudes_into(std::span<const audio::Sample> older, std::span<const audio::Sample> newer,
+                     std::size_t fft_size, std::size_t bins, double* out,
+                     BasicLaneScratch<T>& scratch) {
+  const LaneRows<T> spectrum = rfft_one(older, newer, fft_size, bins, scratch);
+  for (std::size_t k = 0; k < bins; ++k) {
+    const T r = spectrum.re[k * spectrum.width];
+    const T i = spectrum.im[k * spectrum.width];
+    out[k] = static_cast<double>(std::sqrt(r * r + i * i));
+  }
+}
+
 }  // namespace
 
 std::size_t next_pow2(std::size_t n) noexcept {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-void fft(std::vector<Complex>& x) { FftPlanCache::global().get(x.size())->forward(x); }
-
-void ifft(std::vector<Complex>& x) { FftPlanCache::global().get(x.size())->inverse(x); }
-
-std::vector<Complex> rfft(std::span<const audio::Sample> x, std::size_t fft_size) {
-  if (fft_size == 0) fft_size = next_pow2(x.size());
-  if (!is_pow2(fft_size) || fft_size < x.size()) {
-    throw std::invalid_argument("rfft: fft_size must be a power of two >= input size");
-  }
-  std::vector<Complex> spec(fft_size, Complex{});
-  for (std::size_t i = 0; i < x.size(); ++i) spec[i] = Complex(x[i], 0.0);
-  fft(spec);
-  return spec;
-}
-
-std::vector<audio::Sample> irfft(std::vector<Complex> spectrum, std::size_t out_size) {
-  ifft(spectrum);
-  if (out_size == 0) out_size = spectrum.size();
-  std::vector<audio::Sample> out(out_size);
-  for (std::size_t i = 0; i < out_size && i < spectrum.size(); ++i) {
-    out[i] = spectrum[i].real();
-  }
-  return out;
 }
 
 void HalfSpectrum::multiply(const HalfSpectrum& other) {
@@ -71,44 +249,15 @@ void HalfSpectrum::multiply(const HalfSpectrum& other) {
   for (std::size_t i = 0; i < bins.size(); ++i) bins[i] *= other.bins[i];
 }
 
-void HalfSpectrum::add_product(const HalfSpectrum& a, const HalfSpectrum& b) {
-  if (a.fft_size != fft_size || b.fft_size != fft_size) {
-    throw std::invalid_argument("HalfSpectrum::add_product: size mismatch");
-  }
-  for (std::size_t i = 0; i < bins.size(); ++i) bins[i] += a.bins[i] * b.bins[i];
-}
-
 void rfft_half_into(std::span<const audio::Sample> x, std::size_t fft_size,
                     HalfSpectrum& out, FftScratch& scratch) {
-  if (fft_size == 0) fft_size = std::max<std::size_t>(2, next_pow2(x.size()));
-  if (next_pow2(fft_size) != fft_size || fft_size < x.size() || fft_size < 2) {
-    throw std::invalid_argument("rfft_half: fft_size must be a power of two >= max(2, input size)");
-  }
+  fft_size = checked_fft_size(x.size(), fft_size);
   const std::size_t half = fft_size / 2;
-  const auto plan = FftPlanCache::global().get(half);
-
-  // Pack even samples into the real part, odd into the imaginary part.
-  auto& z = scratch.packed;
-  z.resize(half);  // every entry is written below
-  for (std::size_t n = 0; n < half; ++n) {
-    const double re = 2 * n < x.size() ? x[2 * n] : 0.0;
-    const double im = 2 * n + 1 < x.size() ? x[2 * n + 1] : 0.0;
-    z[n] = Complex(re, im);
-  }
-  plan->forward(z);
-
+  const LaneRows<double> spectrum = rfft_one<double>(x, {}, fft_size, half + 1, scratch);
   out.fft_size = fft_size;
   out.bins.resize(half + 1);
-  // Plan entry k for a packed transform of size `half` is exp(-i*pi*k/half)
-  // = exp(-2*pi*i*k/fft_size), exactly the unpack rotation needed here.
-  const auto w = plan->real_pack_twiddles();
-  // Interior bins through the dispatched kernel; the k=0 and k=half edges
-  // both fold onto z[0] and stay scalar.
-  simd::kernels().rfft_unpack(reinterpret_cast<const double*>(z.data()),
-                              reinterpret_cast<const double*>(w.data()),
-                              reinterpret_cast<double*>(out.bins.data()), half);
-  for (const std::size_t k : {std::size_t{0}, half}) {
-    out.bins[k] = rfft_edge_bin<double>(z[0], w[k]);
+  for (std::size_t k = 0; k <= half; ++k) {
+    out.bins[k] = Complex(spectrum.re[k * spectrum.width], spectrum.im[k * spectrum.width]);
   }
 }
 
@@ -125,50 +274,16 @@ void rfft_lanes_into(std::span<const audio::Sample* const> signals, std::size_t 
   }
   const std::size_t half = fft_size / 2;
   const auto plan = FftPlanCache::global().get(half);
-  // Each signal as `parts` parts of `rows` rows when a row has room.
-  std::size_t width = lane_group_width<T>(signals.size());
-  std::size_t parts = kLanes / width;
-  if (parts > half) {
-    parts = 1;
-    width = kLanes;
-  }
-  const std::size_t rows = half / parts;
-
-  // Pack even samples into the real part and odd into the imaginary part
-  // of each lane, each packed slot at its bit-reversed position.
-  scratch.re.resize(half * kLanes);
-  scratch.im.resize(half * kLanes);
-  const auto& kernels = simd::kernels().lanes<T>();
-  kernels.pack_lanes(signals.data(), signals.size(), count, plan->bit_reverse().data(), rows,
-                     parts, scratch.re.data(), scratch.im.data());
-  const T* z_re = scratch.re.data();
-  const T* z_im = scratch.im.data();
-  if (parts == 1) {
-    plan->forward_lanes(scratch.re.data(), scratch.im.data());
-  } else {
-    scratch.natural_re.resize(half * width);
-    scratch.natural_im.resize(half * width);
-    plan->forward_parted(scratch.re.data(), scratch.im.data(), parts,
-                         scratch.natural_re.data(), scratch.natural_im.data());
-    z_re = scratch.natural_re.data();
-    z_im = scratch.natural_im.data();
-  }
-
+  // Each signal as kLanes / width parts when a row has room.
+  std::size_t parts = kLanes / lane_group_width<T>(signals.size());
+  if (parts > half) parts = 1;
+  const LaneRows<T> z =
+      forward_packed(*plan, signals.data(), signals.size(), count, parts, scratch);
   out.fft_size = fft_size;
-  out.lanes = width;
-  out.re.resize((half + 1) * width);
-  out.im.resize((half + 1) * width);
-  const auto w = plan->template pack_twiddles<T>();
-  kernels.rfft_unpack_lanes(z_re, z_im, width, reinterpret_cast<const T*>(w.data()),
-                            out.re.data(), out.im.data(), half, half);
-  for (std::size_t l = 0; l < width; ++l) {
-    const std::complex<T> z0(z_re[l], z_im[l]);
-    for (const std::size_t k : {std::size_t{0}, half}) {
-      const std::complex<T> bin = rfft_edge_bin(z0, w[k]);
-      out.re[k * width + l] = bin.real();
-      out.im[k * width + l] = bin.imag();
-    }
-  }
+  out.lanes = z.width;
+  out.re.resize((half + 1) * z.width);
+  out.im.resize((half + 1) * z.width);
+  unpack(*plan, z, half + 1, out.re.data(), out.im.data());
 }
 
 template void rfft_lanes_into<double>(std::span<const audio::Sample* const>, std::size_t,
@@ -185,29 +300,13 @@ HalfSpectrum rfft_half(std::span<const audio::Sample> x, std::size_t fft_size) {
 
 void irfft_half_into(const HalfSpectrum& spectrum, std::size_t out_size,
                      std::vector<audio::Sample>& out, FftScratch& scratch) {
+  check_spectrum(spectrum, "irfft_half: malformed spectrum");
   const std::size_t n = spectrum.fft_size;
-  const std::size_t half = n / 2;
-  if (n < 2 || !is_pow2(n) || spectrum.bins.size() != half + 1) {
-    throw std::invalid_argument("irfft_half: malformed spectrum");
-  }
   if (out_size == 0) out_size = n;
-
-  // Repack the one-sided spectrum into the half-size complex transform.
-  const auto plan = FftPlanCache::global().get(half);
-  const auto w = plan->real_pack_twiddles();
-  auto& z = scratch.packed;
-  z.resize(half);
-  simd::kernels().irfft_repack(
-      reinterpret_cast<const double*>(spectrum.bins.data()),
-      reinterpret_cast<const double*>(w.data()),
-      reinterpret_cast<double*>(z.data()), half);
-  plan->inverse(z);
-
+  const LaneRows<double> z = irfft_one(spectrum, n / 2, 0, scratch);
   out.assign(out_size, 0.0);
-  for (std::size_t m = 0; m < out_size; ++m) {
-    const std::size_t idx = m / 2;
-    if (idx >= half) break;
-    out[m] = (m % 2 == 0) ? z[idx].real() : z[idx].imag();
+  for (std::size_t m = 0; m < std::min(out_size, n); ++m) {
+    out[m] = (m % 2 == 0 ? z.re : z.im)[(m / 2) * z.width];
   }
 }
 
@@ -220,48 +319,9 @@ std::vector<audio::Sample> irfft_half(const HalfSpectrum& spectrum, std::size_t 
 
 void irfft_half_window_into(const HalfSpectrum& spectrum, int max_lag,
                             std::vector<double>& out, FftScratch& scratch) {
-  const std::size_t n = spectrum.fft_size;
-  const std::size_t half = n / 2;
-  if (n < 2 || !is_pow2(n) || spectrum.bins.size() != half + 1) {
-    throw std::invalid_argument("irfft_half_window: malformed spectrum");
-  }
-  if (max_lag < 0) throw std::invalid_argument("irfft_half_window: max_lag must be >= 0");
-  const std::size_t lag = static_cast<std::size_t>(max_lag);
-  const std::size_t window = 2 * lag + 1;
-  if (n < window) {
-    throw std::invalid_argument(
-        "irfft_half_window: fft_size must be >= 2*max_lag + 1");
-  }
-
-  const auto plan = FftPlanCache::global().get(half);
-  const auto w = plan->real_pack_twiddles();
-  auto& z = scratch.packed;
-  z.resize(half);
-  simd::kernels().irfft_repack(
-      reinterpret_cast<const double*>(spectrum.bins.data()),
-      reinterpret_cast<const double*>(w.data()),
-      reinterpret_cast<double*>(z.data()), half);
-
-  // Window sample m lives in packed slot m/2 (even samples in the real
-  // part, odd in the imaginary part), so the ±max_lag window needs only the
-  // first lag/2+1 and last (lag+1)/2 slots of the inverse — the pruned
-  // transform computes exactly those, bit-identical to a full inverse.
-  const std::size_t front = lag / 2 + 1;
-  const std::size_t tail = std::max<std::size_t>(1, (lag + 1) / 2);
-  if (front + tail > half) {
-    plan->inverse(z);
-  } else {
-    plan->inverse_pruned(z, front, tail);
-  }
-
-  out.resize(window);
-  for (int l = -max_lag; l <= max_lag; ++l) {
-    const std::size_t m =
-        l >= 0 ? static_cast<std::size_t>(l) : n - static_cast<std::size_t>(-l);
-    const std::size_t idx = m / 2;
-    out[static_cast<std::size_t>(l + max_lag)] =
-        (m % 2 == 0) ? z[idx].real() : z[idx].imag();
-  }
+  check_spectrum(spectrum, "irfft_half_window: malformed spectrum");
+  const auto [front, tail] = window_slots(spectrum.fft_size, max_lag, "irfft_half_window");
+  read_window(irfft_one(spectrum, front, tail, scratch), spectrum.fft_size, max_lag, 1, out);
 }
 
 template <class T>
@@ -274,36 +334,11 @@ void irfft_lanes_window_into(const BasicLaneSpectrum<T>& spectrum, int max_lag,
       spectrum.re.size() != (half + 1) * kLanes || spectrum.im.size() != spectrum.re.size()) {
     throw std::invalid_argument("irfft_lanes_window: malformed spectrum");
   }
-  if (max_lag < 0) throw std::invalid_argument("irfft_lanes_window: max_lag must be >= 0");
-  const std::size_t lag = static_cast<std::size_t>(max_lag);
-  const std::size_t window = 2 * lag + 1;
-  if (n < window) {
-    throw std::invalid_argument(
-        "irfft_lanes_window: fft_size must be >= 2*max_lag + 1");
-  }
-
+  const auto [front, tail] = window_slots(n, max_lag, "irfft_lanes_window");
   const auto plan = FftPlanCache::global().get(half);
-  const auto w = plan->template pack_twiddles<T>();
-  scratch.re.resize(half * kLanes);
-  scratch.im.resize(half * kLanes);
-  simd::kernels().lanes<T>().irfft_repack_lanes(
-      spectrum.re.data(), spectrum.im.data(), reinterpret_cast<const T*>(w.data()),
-      plan->bit_reverse().data(), scratch.re.data(), scratch.im.data(), half);
-  // The same front/tail slots as irfft_half_window_into.
-  const std::size_t front = lag / 2 + 1;
-  const std::size_t tail = std::max<std::size_t>(1, (lag + 1) / 2);
-  plan->inverse_pruned_lanes(scratch.re.data(), scratch.im.data(), front, tail);
-
-  out.resize(kLanes * window);
-  for (int l = -max_lag; l <= max_lag; ++l) {
-    const std::size_t m =
-        l >= 0 ? static_cast<std::size_t>(l) : n - static_cast<std::size_t>(-l);
-    const auto& part = m % 2 == 0 ? scratch.re : scratch.im;
-    const T* row = part.data() + (m / 2) * kLanes;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      out[lane * window + static_cast<std::size_t>(l + max_lag)] = row[lane];
-    }
-  }
+  read_window(inverse_packed(*plan, spectrum.re.data(), spectrum.im.data(), 1, front, tail,
+                             scratch),
+              n, max_lag, kLanes, out);
 }
 
 template void irfft_lanes_window_into<double>(const LaneSpectrum&, int, std::vector<double>&,
@@ -367,57 +402,13 @@ template <class T>
 void rfft_magnitudes_head(std::span<const audio::Sample> older,
                           std::span<const audio::Sample> newer, std::size_t fft_size,
                           std::size_t bins, double* out, BasicLaneScratch<T>& scratch) {
-  constexpr std::size_t kLanes = simd::kLanes<T>;
   const std::size_t held = older.size() + newer.size();
   if (!is_pow2(fft_size) || fft_size < 8 || fft_size < held || bins > fft_size / 2 + 1) {
     throw std::invalid_argument(
         "rfft_magnitudes_head: fft_size must be a power of two >= max(8, input), "
         "bins <= fft_size/2 + 1");
   }
-  const std::size_t half = fft_size / 2;
-  const auto plan = FftPlanCache::global().get(half);
-  // The one signal in lane 0 of each of `parts` parts (a row too wide for
-  // the parts leaves the other lanes zero).
-  const std::size_t parts = std::min(kLanes, half);
-  const std::size_t width = kLanes / parts;
-  const std::size_t rows = half / parts;
-
-  // The ring's two runs in order, packed like rfft_lanes_into's signals
-  // (the pack zero-pads past `held`).
-  auto& x = scratch.signal;
-  x.resize(held);
-  std::copy(older.begin(), older.end(), x.begin());
-  std::copy(newer.begin(), newer.end(), x.begin() + static_cast<std::ptrdiff_t>(older.size()));
-  scratch.re.resize(half * kLanes);
-  scratch.im.resize(half * kLanes);
-  const auto& kernels = simd::kernels().lanes<T>();
-  const audio::Sample* signal = x.data();
-  kernels.pack_lanes(&signal, 1, held, plan->bit_reverse().data(), rows, parts,
-                     scratch.re.data(), scratch.im.data());
-  scratch.natural_re.resize(half * width);
-  scratch.natural_im.resize(half * width);
-  const T* z_re = scratch.natural_re.data();
-  const T* z_im = scratch.natural_im.data();
-  plan->forward_parted(scratch.re.data(), scratch.im.data(), parts, scratch.natural_re.data(),
-                       scratch.natural_im.data());
-
-  // The unpack of rfft_half_into on the requested bins, into the parted
-  // buffers (free again), and the magnitudes as simd::Kernels::magnitudes
-  // takes them.
-  const auto w = plan->template pack_twiddles<T>();
-  T* spec_re = scratch.re.data();
-  T* spec_im = scratch.im.data();
-  kernels.rfft_unpack_lanes(z_re, z_im, width, reinterpret_cast<const T*>(w.data()), spec_re,
-                            spec_im, half, bins);
-  auto magnitude = [](T r, T i) { return static_cast<double>(std::sqrt(r * r + i * i)); };
-  for (std::size_t k = 0; k < bins; ++k) {
-    if (k == 0 || k == half) {
-      const std::complex<T> bin = rfft_edge_bin(std::complex<T>(z_re[0], z_im[0]), w[k]);
-      out[k] = magnitude(bin.real(), bin.imag());
-    } else {
-      out[k] = magnitude(spec_re[k * width], spec_im[k * width]);
-    }
-  }
+  magnitudes_into(older, newer, fft_size, bins, out, scratch);
 }
 
 template void rfft_magnitudes_head<double>(std::span<const audio::Sample>,
@@ -429,14 +420,9 @@ template void rfft_magnitudes_head<float>(std::span<const audio::Sample>,
 
 void magnitude_spectrum_into(std::span<const audio::Sample> x, std::size_t fft_size,
                              std::vector<double>& out, FftScratch& scratch) {
-  rfft_half_into(x, fft_size, scratch.half, scratch);
-  out.resize(scratch.half.bins.size());
-  // sqrt(re^2 + im^2) via the dispatched kernel — last-ulp different from
-  // the previous std::abs (hypot) but ~6x faster and level-identical
-  // (IEEE sqrt is correctly rounded on every dispatch level).
-  simd::kernels().magnitudes(
-      reinterpret_cast<const double*>(scratch.half.bins.data()), out.size(),
-      out.data());
+  fft_size = checked_fft_size(x.size(), fft_size);
+  out.resize(fft_size / 2 + 1);
+  magnitudes_into<double>(x, {}, fft_size, out.size(), out.data(), scratch);
 }
 
 std::vector<double> magnitude_spectrum(std::span<const audio::Sample> x,

@@ -1,10 +1,13 @@
-// Radix-2 iterative FFT and helpers.
+// Real-input radix-2 FFTs and helpers.
 //
 // Everything downstream (the operator's block STFT, pair GCC and
-// directivity spectra, the liveness STFT, spectral features) funnels
-// through this module: power-of-two complex transforms with a real-input
-// convenience wrapper, and lane variants that transform up to a register
-// of real signals at once, in float64 or float32. All transforms run off cached plans (precomputed
+// directivity spectra, the liveness STFT, spectral features, the room
+// simulator's convolution) funnels through this module. There is one
+// transform layout: the lane layout of simd/kernels.h, in which up to a
+// register of real signals is transformed at once, in float64 or float32.
+// The one-signal API (rfft_half*, irfft_half*, magnitude_spectrum*) is a
+// one-lane caller of it: the signal rides as up to four float64 parts of
+// one transform. All transforms run off cached plans (precomputed
 // twiddle/bit-reversal tables, see fft_plan.h); the *_into variants
 // additionally reuse caller-owned scratch so hot loops allocate nothing
 // after warm-up.
@@ -26,24 +29,6 @@ using Complex = std::complex<double>;
 /// Smallest power of two >= n (returns 1 for n == 0).
 [[nodiscard]] std::size_t next_pow2(std::size_t n) noexcept;
 
-/// In-place forward FFT. `x.size()` must be a power of two.
-/// Throws std::invalid_argument otherwise.
-void fft(std::vector<Complex>& x);
-
-/// In-place inverse FFT (includes the 1/N scaling).
-void ifft(std::vector<Complex>& x);
-
-/// Forward FFT of a real signal, zero-padded to `fft_size` (power of two,
-/// defaults to next_pow2(x.size())). Returns the full complex spectrum of
-/// length fft_size (conjugate-symmetric).
-[[nodiscard]] std::vector<Complex> rfft(std::span<const audio::Sample> x,
-                                        std::size_t fft_size = 0);
-
-/// Inverse of rfft: returns the real part of the inverse transform,
-/// truncated to `out_size` samples (0 = full fft length).
-[[nodiscard]] std::vector<audio::Sample> irfft(std::vector<Complex> spectrum,
-                                               std::size_t out_size = 0);
-
 /// One-sided ("half") spectrum of a real signal: bins 0..N/2 inclusive.
 /// Produced by rfft_half; multiply element-wise and invert with irfft_half.
 struct HalfSpectrum {
@@ -52,26 +37,48 @@ struct HalfSpectrum {
 
   /// Element-wise product (sizes must match).
   void multiply(const HalfSpectrum& other);
-  /// Element-wise accumulate of a*b into this.
-  void add_product(const HalfSpectrum& a, const HalfSpectrum& b);
 };
 
-/// Real-input FFT via the packed N/2 complex transform — ~2x faster than
-/// rfft for the same input. fft_size must be a power of two >= 2.
+/// Half spectra of up to simd::kLanes<T> real signals in the lane layout
+/// (simd/kernels.h) with `lanes` lanes per row: bin k of lane l at
+/// re/im[k * lanes + l], bins 0 .. fft_size/2 inclusive.
+template <class T>
+struct BasicLaneSpectrum {
+  std::vector<T> re, im;
+  std::size_t fft_size = 0;
+  std::size_t lanes = 0;
+};
+using LaneSpectrum = BasicLaneSpectrum<double>;
+using LaneSpectrumF = BasicLaneSpectrum<float>;
+
+/// Workspace of the lane transforms: the packed lanes (fft_size/2 slots),
+/// the natural-order result of a parted transform and, for input in two
+/// runs (rfft_magnitudes_head), the linearized signal. Reusing one across
+/// calls keeps the hot path allocation-free once the buffers reach their
+/// steady-state sizes. Not thread-safe: one scratch per thread.
+template <class T>
+struct BasicLaneScratch {
+  std::vector<T> re, im;
+  std::vector<T> natural_re, natural_im;
+  std::vector<audio::Sample> signal;
+};
+using LaneScratch = BasicLaneScratch<double>;
+using LaneScratchF = BasicLaneScratch<float>;
+
+/// Caller-owned scratch for the one-signal transforms: the float64 lane
+/// workspace they run in.
+using FftScratch = LaneScratch;
+
+/// Real-input FFT via the packed N/2 complex transform, the signal
+/// zero-padded to fft_size (a power of two >= max(2, x.size()); 0 =
+/// next_pow2(x.size()), at least 2).
 [[nodiscard]] HalfSpectrum rfft_half(std::span<const audio::Sample> x,
                                      std::size_t fft_size = 0);
 
-/// Inverse of rfft_half; returns `out_size` real samples (0 = fft_size).
+/// Inverse of rfft_half; returns `out_size` real samples (0 = fft_size),
+/// zero past fft_size.
 [[nodiscard]] std::vector<audio::Sample> irfft_half(const HalfSpectrum& spectrum,
                                                     std::size_t out_size = 0);
-
-/// Caller-owned scratch for the packed real transforms. Reusing one across
-/// calls keeps the hot path allocation-free once the buffers reach their
-/// steady-state sizes. Not thread-safe: one scratch per thread.
-struct FftScratch {
-  std::vector<Complex> packed;  ///< N/2 packed complex workspace
-  HalfSpectrum half;            ///< spectrum scratch for magnitude_spectrum_into
-};
 
 /// rfft_half writing into caller-owned output/scratch. Results are
 /// bit-identical to the value-returning overload.
@@ -98,30 +105,6 @@ void irfft_half_window_into(const HalfSpectrum& spectrum, int max_lag,
 // Lane transforms of real signals, in float64 or float32 (T). The float32
 // ones run twice the lanes per register; the float64 ones equal the
 // one-signal transforms above bit for bit.
-
-/// Half spectra of up to simd::kLanes<T> real signals in the lane layout
-/// (simd/kernels.h) with `lanes` lanes per row: bin k of lane l at
-/// re/im[k * lanes + l], bins 0 .. fft_size/2 inclusive.
-template <class T>
-struct BasicLaneSpectrum {
-  std::vector<T> re, im;
-  std::size_t fft_size = 0;
-  std::size_t lanes = 0;
-};
-using LaneSpectrum = BasicLaneSpectrum<double>;
-using LaneSpectrumF = BasicLaneSpectrum<float>;
-
-/// Workspace of the lane transforms: the packed lanes (fft_size/2 rows),
-/// the natural-order result of a parted transform and, for
-/// rfft_magnitudes_head, the linearized input.
-template <class T>
-struct BasicLaneScratch {
-  std::vector<T> re, im;
-  std::vector<T> natural_re, natural_im;
-  std::vector<audio::Sample> signal;
-};
-using LaneScratch = BasicLaneScratch<double>;
-using LaneScratchF = BasicLaneScratch<float>;
 
 /// rfft_half_into of up to simd::kLanes<T> signals at once: lane l is the
 /// spectrum of signals[l][0 .. count) (converted to T) zero-padded to
@@ -171,15 +154,17 @@ template <class T>
 /// fft_size (a power of two >= 8), for k in [0, bins). The packed
 /// half-size transform runs as min(kLanes<T>, fft_size/2) parts of one
 /// signal (FftPlan::forward_parted) and only the requested bins are
-/// unpacked; the magnitudes are sqrt(re^2 + im^2) in T. The float64
-/// results are bit-identical to rfft_half_into followed by
-/// simd::Kernels::magnitudes (magnitude_spectrum_into).
+/// unpacked; the magnitudes are sqrt(re^2 + im^2) in T. This is the
+/// forward body of every one-signal transform: the float64 results are
+/// the magnitudes of rfft_half_into's bins, bit for bit
+/// (magnitude_spectrum_into).
 template <class T>
 void rfft_magnitudes_head(std::span<const audio::Sample> older,
                           std::span<const audio::Sample> newer, std::size_t fft_size,
                           std::size_t bins, double* out, BasicLaneScratch<T>& scratch);
 
-/// Magnitudes of the one-sided spectrum (bins 0 .. fft_size/2 inclusive).
+/// Magnitudes sqrt(re^2 + im^2) of the one-sided spectrum (bins 0 ..
+/// fft_size/2 inclusive); fft_size as for rfft_half.
 [[nodiscard]] std::vector<double> magnitude_spectrum(
     std::span<const audio::Sample> x, std::size_t fft_size = 0);
 

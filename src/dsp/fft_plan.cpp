@@ -1,7 +1,6 @@
 #include "dsp/fft_plan.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -23,6 +22,26 @@ obs::Counter& hit_counter() {
 obs::Counter& miss_counter() {
   static obs::Counter& c = obs::Registry::global().counter("dsp.fft_plan.miss");
   return c;
+}
+
+template <class T>
+void check_parts(std::size_t parts, std::size_t size) {
+  if (parts < 2 || parts > simd::kLanes<T> || !is_pow2(parts) || parts > size) {
+    throw std::invalid_argument("FftPlan: parts must be a power of two in [2, lanes], <= size");
+  }
+}
+
+/// The inverse's 1/size scaling on output rows [0, front) and
+/// [size - tail, size) of `width` lanes.
+template <class T>
+void scale_outputs(T* re, T* im, std::size_t size, std::size_t width, std::size_t front,
+                   std::size_t tail) {
+  const T factor = T(1) / static_cast<T>(size);
+  const std::size_t back = (size - tail) * width;
+  for (T* part : {re, im}) {
+    for (std::size_t i = 0; i < front * width; ++i) part[i] *= factor;
+    for (std::size_t i = back; i < size * width; ++i) part[i] *= factor;
+  }
 }
 
 }  // namespace
@@ -108,66 +127,6 @@ void FftPlan::stages(T* re, T* im, std::size_t rows, std::size_t parts, bool inv
   }
 }
 
-void FftPlan::transform(std::vector<Complex>& x, bool inverse, std::size_t front,
-                        std::size_t tail) const {
-  if (x.size() != size_) {
-    throw std::invalid_argument("FftPlan: buffer size does not match plan size");
-  }
-  // One signal as one part per lane; sizes below that ride alone in lane 0
-  // of a size-row lane block (the other lanes stay zero). The bit reversal
-  // happens in the scatter.
-  constexpr std::size_t kLanes = simd::kFftLanes;
-  const bool parted = size_ >= kLanes;
-  const std::size_t rows = parted ? size_ / kLanes : size_;
-  thread_local std::vector<double> lanes;
-  lanes.resize(2 * kLanes * rows + (parted ? 2 * size_ : 0));
-  if (!parted) std::fill(lanes.begin(), lanes.end(), 0.0);
-  double* re = lanes.data();
-  double* im = re + kLanes * rows;
-  double* out_re = im + kLanes * rows;
-  double* out_im = out_re + size_;
-  const int shift = std::countr_zero(rows);
-  for (std::size_t n = 0; n < size_; ++n) {
-    const std::size_t p = bit_reverse_[n];
-    const std::size_t s = parted ? (p & (rows - 1)) * kLanes + (p >> shift) : p * kLanes;
-    re[s] = x[n].real();
-    im[s] = x[n].imag();
-  }
-  stages(re, im, rows, parted ? kLanes : 1, inverse, front, tail, out_re, out_im);
-  for (std::size_t p = 0; p < size_; ++p) {
-    x[p] = parted ? Complex(out_re[p], out_im[p]) : Complex(re[p * kLanes], im[p * kLanes]);
-  }
-  if (!inverse) return;
-  const auto& kernels = simd::kernels();
-  auto* data = reinterpret_cast<double*>(x.data());
-  const double factor = 1.0 / static_cast<double>(size_);
-  if (front + tail >= size_) {
-    kernels.scale(data, 2 * size_, factor);
-  } else {
-    kernels.scale(data, 2 * front, factor);
-    kernels.scale(data + 2 * (size_ - tail), 2 * tail, factor);
-  }
-}
-
-void FftPlan::inverse_pruned(std::vector<Complex>& x, std::size_t front,
-                             std::size_t tail) const {
-  if (x.size() != size_) {
-    throw std::invalid_argument("FftPlan: buffer size does not match plan size");
-  }
-  if (front == 0 || tail == 0 || front + tail > size_) {
-    throw std::invalid_argument("FftPlan: bad pruning window");
-  }
-  transform(x, /*inverse=*/true, front, tail);
-}
-
-void FftPlan::forward(std::vector<Complex>& x) const {
-  transform(x, /*inverse=*/false, size_, 0);
-}
-
-void FftPlan::inverse(std::vector<Complex>& x) const {
-  transform(x, /*inverse=*/true, size_, 0);
-}
-
 template <class T>
 void FftPlan::forward_lanes(T* re, T* im) const {
   stages<T>(re, im, size_, 1, /*inverse=*/false, size_, 0, nullptr, nullptr);
@@ -180,21 +139,25 @@ void FftPlan::inverse_pruned_lanes(T* re, T* im, std::size_t front, std::size_t 
     tail = 0;
   }
   stages<T>(re, im, size_, 1, /*inverse=*/true, front, tail, nullptr, nullptr);
-  constexpr std::size_t kLanes = simd::kLanes<T>;
-  const T factor = T(1) / static_cast<T>(size_);
-  const std::size_t back = (size_ - tail) * kLanes;
-  for (T* part : {re, im}) {
-    for (std::size_t i = 0; i < front * kLanes; ++i) part[i] *= factor;
-    for (std::size_t i = back; i < size_ * kLanes; ++i) part[i] *= factor;
-  }
+  scale_outputs(re, im, size_, simd::kLanes<T>, front, tail);
 }
 
 template <class T>
 void FftPlan::forward_parted(T* re, T* im, std::size_t parts, T* out_re, T* out_im) const {
-  if (parts < 2 || parts > simd::kLanes<T> || (parts & (parts - 1)) != 0 || parts > size_) {
-    throw std::invalid_argument("FftPlan: parts must be a power of two in [2, lanes], <= size");
-  }
+  check_parts<T>(parts, size_);
   stages<T>(re, im, size_ / parts, parts, /*inverse=*/false, size_, 0, out_re, out_im);
+}
+
+template <class T>
+void FftPlan::inverse_parted(T* re, T* im, std::size_t parts, std::size_t front,
+                             std::size_t tail, T* out_re, T* out_im) const {
+  check_parts<T>(parts, size_);
+  if (front + tail >= size_) {
+    front = size_;
+    tail = 0;
+  }
+  stages<T>(re, im, size_ / parts, parts, /*inverse=*/true, front, tail, out_re, out_im);
+  scale_outputs(out_re, out_im, size_, simd::kLanes<T> / parts, front, tail);
 }
 
 template void FftPlan::forward_lanes<double>(double*, double*) const;
@@ -207,6 +170,10 @@ template void FftPlan::forward_parted<double>(double*, double*, std::size_t, dou
                                               double*) const;
 template void FftPlan::forward_parted<float>(float*, float*, std::size_t, float*,
                                              float*) const;
+template void FftPlan::inverse_parted<double>(double*, double*, std::size_t, std::size_t,
+                                              std::size_t, double*, double*) const;
+template void FftPlan::inverse_parted<float>(float*, float*, std::size_t, std::size_t,
+                                             std::size_t, float*, float*) const;
 
 FftPlanCache& FftPlanCache::global() {
   static FftPlanCache cache;

@@ -12,15 +12,15 @@
 // either transforms a full row of independent signals at once (one per
 // lane), or holds each of fewer signals as several *parts* of size/parts
 // points — the first log2(size/parts) radix-2 stages never mix the parts —
-// and finishes with the stages across them (one signal in four float64
-// parts for forward()/inverse(); the operator's float32 transforms use two
-// or eight). Either way each output is computed by the same butterflies,
-// in the same order, as a textbook in-place radix-2 transform, so results
-// are identical at every SIMD level. A plan holds its tables in float64
-// and, rounded once, in float32.
+// and finishes with the stages across them (the one-signal transforms of
+// dsp/fft.h run one signal as up to four float64 parts; the operator's
+// float32 transforms use two or eight). Either way each output is computed
+// by the same butterflies, in the same order, as a textbook in-place
+// radix-2 transform, so results are identical at every SIMD level. A plan
+// holds its tables in float64 and, rounded once, in float32.
 //
-// Plans are pure lookup tables: forward()/inverse() keep all mutable state
-// in the caller's buffer, so one plan may be used from any number of
+// Plans are pure lookup tables: the transforms keep all mutable state in
+// the caller's buffers, so one plan may be used from any number of
 // threads at once. Cache traffic is observable via the
 // `dsp.fft_plan.hit` / `dsp.fft_plan.miss` counters (obs registry) and the
 // local stats() snapshot.
@@ -49,25 +49,6 @@ class FftPlan {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// In-place forward transform; `x.size()` must equal size().
-  void forward(std::vector<Complex>& x) const;
-  /// In-place inverse transform (includes the 1/N scaling).
-  void inverse(std::vector<Complex>& x) const;
-
-  /// Output-pruned inverse transform: only outputs x[0..front) and
-  /// x[size-tail..size) are produced (including their 1/N scaling); every
-  /// other slot is left with unspecified garbage. The pruning is *exact* —
-  /// it computes the same butterflies as a full inverse(), so the outputs
-  /// match it bit for bit — because the needed index set is self-similar
-  /// across combine stages, so whole butterfly ranges can be skipped
-  /// without approximation. Used by the GCC lag-window inverse, which
-  /// keeps only ±max_lag of the cross-correlation: for the operator's
-  /// 512-point packed block transform and the array's 13-sample lag span
-  /// this skips over half of the butterfly work.
-  /// front + tail must be <= size; front, tail >= 1.
-  void inverse_pruned(std::vector<Complex>& x, std::size_t front,
-                      std::size_t tail) const;
-
   // Lane transforms, in float64 or float32 (T), with the lane kernels of
   // that type (simd::LaneKernels<T>). Each output equals the textbook
   // radix-2 transform of its signal computed in T, bit for bit, at every
@@ -77,13 +58,19 @@ class FftPlan {
   // size() transforms held in the lane layout of simd/kernels.h
   // (re/im[row * kLanes<T> + lane], size() rows), input rows in
   // bit-reversed order (row bit_reverse()[n] holds input n), output rows
-  // in natural order. The float64 lanes equal forward() /
-  // inverse_pruned() of their signals.
+  // in natural order.
 
   template <class T>
   void forward_lanes(T* re, T* im) const;
   /// Output rows [0, front) and [size - tail, size) of the inverse, with
-  /// their 1/N scaling; front + tail >= size() computes the full inverse.
+  /// their 1/N scaling; every other row is left with unspecified values.
+  /// The pruning is exact: whole butterfly ranges that feed only unneeded
+  /// outputs are skipped (the needed index set is self-similar across the
+  /// stages), and every kept output is computed by the same butterflies as
+  /// in the full inverse, bit for bit. front + tail >= size() computes the
+  /// full inverse. The GCC lag window keeps only ±max_lag of the
+  /// correlation, which skips over half of the butterfly work for the
+  /// operator's 512-point packed block transform.
   template <class T>
   void inverse_pruned_lanes(T* re, T* im, std::size_t front, std::size_t tail) const;
 
@@ -96,6 +83,12 @@ class FftPlan {
   /// [p * G + g]. `re`/`im` are clobbered.
   template <class T>
   void forward_parted(T* re, T* im, std::size_t parts, T* out_re, T* out_im) const;
+  /// The inverse counterpart of forward_parted, pruned and scaled like
+  /// inverse_pruned_lanes: rows [0, front) and [size - tail, size) of the
+  /// natural-order out_re/out_im hold their outputs with the 1/N scaling.
+  template <class T>
+  void inverse_parted(T* re, T* im, std::size_t parts, std::size_t front, std::size_t tail,
+                      T* out_re, T* out_im) const;
 
   /// The bit-reversal permutation of this size (an involution).
   [[nodiscard]] std::span<const std::uint32_t> bit_reverse() const noexcept {
@@ -103,13 +96,10 @@ class FftPlan {
   }
 
   /// Twiddles for the real-FFT pack/unpack step of a *packed* transform of
-  /// this plan's size: entry k = exp(-i*pi*k/size), k = 0..size inclusive.
-  /// rfft_half on fft_size N uses the plan of size N/2 and reads entry k
-  /// as exp(-2*pi*i*k/N); irfft_half uses the conjugate.
-  [[nodiscard]] std::span<const Complex> real_pack_twiddles() const noexcept {
-    return pack_twiddles_;
-  }
-  /// real_pack_twiddles() in T (float32: each entry rounded to nearest).
+  /// this plan's size, in T: entry k = exp(-i*pi*k/size), k = 0..size
+  /// inclusive (float32: each entry rounded to nearest). rfft_half on
+  /// fft_size N uses the plan of size N/2 and reads entry k as
+  /// exp(-2*pi*i*k/N); irfft_half uses the conjugate.
   template <class T>
   [[nodiscard]] std::span<const std::complex<T>> pack_twiddles() const noexcept {
     if constexpr (std::is_same_v<T, float>) {
@@ -120,8 +110,6 @@ class FftPlan {
   }
 
  private:
-  void transform(std::vector<Complex>& x, bool inverse, std::size_t front,
-                 std::size_t tail) const;
   /// The radix-2 stages over data in the lane layout: stages len <= rows
   /// run within lanes; with parts > 1 the longer ones run across the
   /// parts, in natural order into out_re/out_im. Stage butterflies are

@@ -19,9 +19,10 @@
 // register) and float32 (8 lanes per AVX2 register, 4 per SSE2 register).
 // No level fuses a multiply and an add (the AVX2 TU is built without FMA
 // and with -ffp-contract=off), and vectors hold independent signals — the
-// channels of the biquad cascade, the channels / microphone pairs /
-// transform parts of the lane FFT, the outputs of the FIR decimator (each
-// summing its taps in tap order) — or independent bins or rows, never the
+// channels or sections of the biquad cascade, the channels / microphone
+// pairs / transform parts of the lane FFT (one-signal transforms included:
+// a signal rides as parts), the outputs of the FIR decimator (each summing
+// its taps in tap order) — or independent rows or elements, never the
 // partial sums of one reduction. So each lane evaluates the scalar
 // expression tree, and every transform, GCC window and feature equals the
 // scalar reference exactly. The equivalence suites (tests/dsp/test_simd.cpp,

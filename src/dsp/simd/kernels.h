@@ -1,24 +1,22 @@
 // Kernel table shared by every SIMD dispatch level.
 //
-// Two data layouts:
-//   * interleaved complex (`double*` viewing a `std::complex<double>`
-//     array: re0, im0, re1, im1, …) for the one-spectrum kernels; sizes
-//     are in *complex elements* unless a parameter says otherwise;
-//   * the lane layout of the transforms: independent signals (channels,
-//     microphone pairs, or the parts of one transform) held as separate
-//     re/im arrays indexed [row * lanes + lane]. A full row holds
-//     kLanes<T> lanes — one AVX2 register: 4 doubles or 8 floats. Every
-//     lane kernel applies one scalar formula to each lane, so each lane
-//     equals the one-signal reference bit for bit.
+// One data layout for the transforms: the lane layout, in which
+// independent signals (channels, microphone pairs, or the parts of one
+// transform) are held as separate re/im arrays indexed [row * lanes +
+// lane]. A full row holds kLanes<T> lanes — one AVX2 register: 4 doubles
+// or 8 floats. Every lane kernel applies one scalar formula to each lane,
+// so each lane equals the one-signal reference bit for bit.
 // The lane kernels come in two element types (LaneKernels<T>): float32, 8
 // lanes per row, for the operator's transforms, and float64, 4 lanes per
-// row, for FftPlan's one-signal transforms. Both are instantiated from the
-// same kernel bodies (lanes.inl).
+// row, for the one-signal transforms of dsp/fft.h (one signal as up to 4
+// parts) and the float64 lane API. Both are instantiated from the same
+// kernel bodies (lanes.inl).
 // The biquad cascade works on real per-channel sample buffers, one channel
-// per vector lane, or one channel's sections across the lanes. Each level (scalar / SSE2 / AVX2) provides one
-// immutable table; dispatch.h selects between them at runtime. No level
-// fuses a multiply and an add, so every kernel gives the same bits at
-// every level.
+// per vector lane, or one channel's sections across the lanes; the FIR
+// decimator and `accumulate` on real arrays. Each level (scalar / SSE2 /
+// AVX2) provides one immutable table; dispatch.h selects between them at
+// runtime. No level fuses a multiply and an add, so every kernel gives the
+// same bits at every level.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +28,6 @@ namespace headtalk::dsp::simd {
 /// Lanes per full row of the lane layout: one AVX2 register of T.
 template <class T>
 inline constexpr std::size_t kLanes = 32 / sizeof(T);
-
-/// Lanes per row of the float64 transforms.
-inline constexpr std::size_t kFftLanes = kLanes<double>;
 
 /// The lane kernels of one element type. Rows hold `N` lanes unless a
 /// parameter gives a narrower row; the partial sums of coherence_lanes are
@@ -80,20 +75,34 @@ struct LaneKernels {
                      const std::uint32_t* bit_reverse, std::size_t rows, std::size_t parts,
                      T* re, T* im);
 
-  /// The real-FFT unpack (Kernels::rfft_unpack's formula) on every lane:
-  /// z is the forward transform of the packed signals in natural order,
-  /// `half` rows of `lanes` lanes (a power of two <= N), w the interleaved
-  /// pack twiddles; writes rows k in [1, min(bins, half)) of the lane
-  /// spectrum (rows of `lanes` lanes).
+  /// The real-FFT unpack on every lane: z is the forward transform of the
+  /// packed signals in natural order, `half` rows of `lanes` lanes (a
+  /// power of two <= N), w the interleaved pack twiddles (half+1 entries
+  /// of exp(-i*pi*k/half)); writes rows k in [1, min(bins, half)) of the
+  /// lane spectrum (rows of `lanes` lanes) as out[k] = E_k + w_k * O_k:
+  ///   E_k = (z[k] + conj(z[half-k])) / 2,
+  ///   O_k = -i * (z[k] - conj(z[half-k])) / 2,
+  /// evaluated as er = 0.5*(ar+br), ei = 0.5*(ai-bi), odr = 0.5*(ai+bi),
+  /// odi = -0.5*(ar-br), out = (er + odr*wr - odi*wi, ei + odr*wi + odi*wr)
+  /// (a = z[k], b = z[half-k]). Rows 0 and half, which both read z[0], are
+  /// the caller's.
   void (*rfft_unpack_lanes)(const T* z_re, const T* z_im, std::size_t lanes, const T* w,
                             T* out_re, T* out_im, std::size_t half, std::size_t bins);
 
-  /// irfft_repack on every lane of full rows: from spectrum rows 0..half
-  /// builds packed row k in [0, half) and stores it at row bit_reverse[k],
-  /// ready for the inverse stages.
+  /// The inverse of the unpack, into the packed layout of a parted
+  /// inverse (parts in [1, N], a power of two; G = N / parts signals of
+  /// half = rows * parts points): from spectrum rows 0..half of G lanes
+  /// builds packed slot k in [0, half) of each signal,
+  ///   z[k] = E_k + i * O_k,  E_k = (b[k] + conj(b[half-k])) / 2,
+  ///   O_k = (b[k] - conj(b[half-k])) / 2 * conj(w[k]),
+  /// evaluated as er = 0.5*(ar+br), ei = 0.5*(ai-bi), dr = 0.5*(ar-br),
+  /// di = 0.5*(ai+bi), od = (dr*wr - di*wi', dr*wi' + di*wr) with wi' =
+  /// -wi, z = (er - odi, ei + odr); and stores it at bit-reversed position
+  /// p = bit_reverse[k]: row p % rows, lane (p / rows) * G + g, as
+  /// pack_lanes places its slots. Rows are written in order.
   void (*irfft_repack_lanes)(const T* bins_re, const T* bins_im, const T* w,
-                             const std::uint32_t* bit_reverse, T* z_re, T* z_im,
-                             std::size_t half);
+                             const std::uint32_t* bit_reverse, std::size_t rows,
+                             std::size_t parts, T* z_re, T* z_im);
 
   // The two pair kernels read their operands through a lane order: lane l
   // of x is x[k * x_width + x_order[l]] (likewise y; a width is the row
@@ -101,10 +110,10 @@ struct LaneKernels {
   // read straight from its spectrum, one permute per row. They write full
   // rows.
 
-  /// cross_spectrum with PHAT weighting on every lane of `rows` rows:
-  /// c = x * conj(y), mag = sqrt(cr^2 + ci^2), inv = 1 / mag, and
-  /// out = (cr * inv, ci * inv), or 0 when mag <= epsilon. One division
-  /// per bin, as in cross_spectrum.
+  /// The PHAT-weighted cross spectrum on every lane of `rows` rows:
+  /// c = x * conj(y) (cr = xr*yr + xi*yi, ci = xi*yr - xr*yi),
+  /// mag = sqrt(cr^2 + ci^2), inv = 1 / mag, and out = (cr * inv, ci *
+  /// inv), or 0 when mag <= epsilon. One division per bin.
   void (*phat_lanes)(const T* x_re, const T* x_im, const std::uint32_t* x_order,
                      std::size_t x_width, const T* y_re, const T* y_im,
                      const std::uint32_t* y_order, std::size_t y_width, T* out_re,
@@ -128,39 +137,8 @@ struct Kernels {
   /// Display name ("scalar", "sse2", "avx2").
   const char* name;
 
-  /// values[i] *= factor for i in [0, count) — count is in doubles.
-  void (*scale)(double* values, std::size_t count, double factor);
-
   /// acc[i] += src[i] for i in [0, count) — count is in doubles.
   void (*accumulate)(double* acc, const double* src, std::size_t count);
-
-  /// out[k] = x[k] * conj(y[k]) over `bins` complexes; when `phat`, the
-  /// product c is normalized to unit magnitude by one reciprocal,
-  /// c * (1 / sqrt(cr^2 + ci^2)) (zero when |c| <= epsilon).
-  /// `out` may alias neither input.
-  void (*cross_spectrum)(const double* x, const double* y, double* out,
-                         std::size_t bins, bool phat, double epsilon);
-
-  /// out[k] = sqrt(re^2 + im^2) over `bins` complexes.
-  void (*magnitudes)(const double* x, std::size_t bins, double* out);
-
-  /// Real-FFT unpack: given the forward transform `z` of the even/odd
-  /// packed sequence (half complexes) and the interleaved pack twiddles
-  /// `w` (half+1 entries of exp(-i*pi*k/half)), writes spectrum bins
-  /// k in [1, half) as out[k] = E_k + w_k * O_k where
-  ///   E_k = (z[k] + conj(z[half-k])) / 2
-  ///   O_k = -i * (z[k] - conj(z[half-k])) / 2.
-  /// Bins 0 and half (pure-real edge cases) are the caller's job.
-  void (*rfft_unpack)(const double* z, const double* w, double* out,
-                      std::size_t half);
-
-  /// Inverse of rfft_unpack: from spectrum bins[0..half] (interleaved,
-  /// half+1 complexes) rebuilds the packed sequence
-  ///   z[k] = E_k + i * O_k,  E_k = (b[k] + conj(b[half-k])) / 2,
-  ///   O_k = (b[k] - conj(b[half-k])) / 2 * conj(w[k])
-  /// for k in [0, half).
-  void (*irfft_repack)(const double* bins, const double* w, double* z,
-                       std::size_t half);
 
   /// Direct-form-II-transposed biquad cascade over `lanes` channels that
   /// share one coefficient set. `coeffs` holds `sections` rows of
@@ -205,9 +183,9 @@ struct Kernels {
                        std::size_t row_stride, std::size_t step, double* out,
                        std::size_t count);
 
-  /// The transforms' lane kernels: float64 (FftPlan's one-signal
-  /// transforms) and float32 (the operator's block STFT, pair PHAT and
-  /// inverse, and directivity spectrum).
+  /// The transforms' lane kernels: float64 (the one-signal transforms and
+  /// the float64 lane API) and float32 (the operator's block STFT, pair
+  /// PHAT and inverse, and directivity spectrum).
   LaneKernels<double> f64;
   LaneKernels<float> f32;
 
@@ -231,9 +209,8 @@ const Kernels& scalar_kernels() noexcept;
 /// register, the biquad cascade two channels or sections.
 const Kernels& sse2_kernels() noexcept;
 /// AVX2 without FMA: 4 doubles or 8 floats per register for the lane
-/// kernels, four channels or sections for the biquad cascade, hand-written
-/// intrinsics for the interleaved PHAT / magnitude / accumulate loops,
-/// autovectorized code for the rest.
+/// kernels, four channels or sections for the biquad cascade, four outputs
+/// per register for the FIR decimator, and an intrinsics accumulate loop.
 const Kernels& avx2_kernels() noexcept;
 #endif
 

@@ -1,9 +1,7 @@
-// AVX2 kernels. The lane kernels run 4 doubles or 8 floats per register
-// and the biquad cascade four channels or sections (lanes.inl with the
-// policies below); the interleaved PHAT / magnitude / accumulate loops are
-// hand-written intrinsics (the complex-multiply shuffle pattern defeats the
-// autovectorizer's cost model); the rest reuse the generic bodies, which
-// this TU's -mavx2 flag lets the compiler vectorize.
+// AVX2 kernels. The lane kernels run 4 doubles or 8 floats per register,
+// the biquad cascade four channels or sections and the FIR decimator four
+// outputs per register (lanes.inl with the policies below); `accumulate`
+// is a hand-written intrinsics loop.
 //
 // Numerics: this TU is built with -mavx2 alone and -ffp-contract=off (see
 // src/dsp/CMakeLists.txt): no multiply and add are ever fused into one
@@ -22,7 +20,6 @@
 namespace headtalk::dsp::simd {
 
 #define HEADTALK_SIMD_NS avx2_impl
-#include "dsp/simd/kernels_impl.inl"
 #include "dsp/simd/lanes.inl"
 #undef HEADTALK_SIMD_NS
 
@@ -229,62 +226,6 @@ struct Avx2LanesF {
   }
 };
 
-// Sign mask that negates the imaginary (odd) lanes of an interleaved
-// complex vector. _mm256_set_pd lists lanes high-to-low.
-inline __m256d odd_lane_sign_mask() {
-  return _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-}
-
-void cross_spectrum_avx2(const double* x, const double* y, double* out,
-                         std::size_t bins, bool phat, double epsilon) {
-  const std::size_t vec_bins = bins & ~std::size_t{1};
-  const __m256d eps = _mm256_set1_pd(epsilon);
-  std::size_t k = 0;
-  for (; k < vec_bins; k += 2) {
-    const __m256d xv = _mm256_loadu_pd(x + 2 * k);
-    const __m256d yv = _mm256_loadu_pd(y + 2 * k);
-    const __m256d yr = _mm256_movedup_pd(yv);
-    const __m256d yi = _mm256_permute_pd(yv, 0b1111);
-    const __m256d xswap = _mm256_permute_pd(xv, 0b0101);
-    // c = x * conj(y): even lanes xr*yr + xi*yi, odd lanes xi*yr - xr*yi
-    // (adding the negated product is the subtraction, rounding for
-    // rounding).
-    const __m256d c = _mm256_add_pd(
-        _mm256_mul_pd(xv, yr),
-        _mm256_xor_pd(_mm256_mul_pd(xswap, yi), odd_lane_sign_mask()));
-    if (phat) {
-      const __m256d sq = _mm256_mul_pd(c, c);
-      const __m256d mag2 = _mm256_add_pd(sq, _mm256_permute_pd(sq, 0b0101));
-      const __m256d mag = _mm256_sqrt_pd(mag2);
-      const __m256d keep = _mm256_cmp_pd(mag, eps, _CMP_GT_OQ);
-      // Lanes with |c| <= eps scale by 1/~0 (inf/NaN) and are masked to 0.
-      const __m256d inv = _mm256_div_pd(_mm256_set1_pd(1.0), mag);
-      _mm256_storeu_pd(out + 2 * k, _mm256_and_pd(keep, _mm256_mul_pd(c, inv)));
-    } else {
-      _mm256_storeu_pd(out + 2 * k, c);
-    }
-  }
-  if (k < bins) {
-    avx2_impl::cross_spectrum_generic(x + 2 * k, y + 2 * k, out + 2 * k,
-                                      bins - k, phat, epsilon);
-  }
-}
-
-void magnitudes_avx2(const double* x, std::size_t bins, double* out) {
-  const std::size_t vec_bins = bins & ~std::size_t{3};
-  std::size_t k = 0;
-  for (; k < vec_bins; k += 4) {
-    const __m256d a = _mm256_loadu_pd(x + 2 * k);      // c0, c1
-    const __m256d b = _mm256_loadu_pd(x + 2 * k + 4);  // c2, c3
-    const __m256d h =
-        _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
-    // hadd interleaves pairs as [m0, m2, m1, m3]; restore order.
-    const __m256d mag2 = _mm256_permute4x64_pd(h, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm256_storeu_pd(out + k, _mm256_sqrt_pd(mag2));
-  }
-  if (k < bins) avx2_impl::magnitudes_generic(x + 2 * k, bins - k, out + k);
-}
-
 void accumulate_avx2(double* acc, const double* src, std::size_t count) {
   const std::size_t vec_count = count & ~std::size_t{3};
   std::size_t i = 0;
@@ -302,12 +243,7 @@ const Kernels& avx2_kernels() noexcept {
   using avx2_impl::Sse2Lanes;
   static constexpr Kernels table{
       "avx2",
-      &avx2_impl::scale_generic,
       &accumulate_avx2,
-      &cross_spectrum_avx2,
-      &magnitudes_avx2,
-      &avx2_impl::rfft_unpack_generic,
-      &avx2_impl::irfft_repack_generic,
       &avx2_impl::biquad_cascade_lanes<Avx2Lanes, Sse2Lanes, ScalarLanes<double>>,
       &avx2_impl::fir_decimate_lanes<Avx2Lanes>,
       avx2_impl::lane_kernels<Avx2Lanes>(),

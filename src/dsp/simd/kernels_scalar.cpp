@@ -16,7 +16,6 @@
 namespace headtalk::dsp::simd {
 
 #define HEADTALK_SIMD_NS scalar_impl
-#include "dsp/simd/kernels_impl.inl"
 #include "dsp/simd/lanes.inl"
 #undef HEADTALK_SIMD_NS
 
@@ -24,12 +23,7 @@ const Kernels& scalar_kernels() noexcept {
   using scalar_impl::ScalarLanes;
   static constexpr Kernels table{
       "scalar",
-      &scalar_impl::scale_generic,
       &scalar_impl::accumulate_generic,
-      &scalar_impl::cross_spectrum_generic,
-      &scalar_impl::magnitudes_generic,
-      &scalar_impl::rfft_unpack_generic,
-      &scalar_impl::irfft_repack_generic,
       &scalar_impl::biquad_cascade_lanes<ScalarLanes<double>>,
       &scalar_impl::fir_decimate_lanes<ScalarLanes<double>>,
       scalar_impl::lane_kernels<ScalarLanes<double>>(),

@@ -1,8 +1,8 @@
-// SSE2-level kernels: the shared generic bodies compiled at the x86-64
-// SSE2 baseline with the autovectorizer enabled (default -O2 flags, no
-// extra ISA options), and the lane kernels 2 doubles or 4 floats per
-// register. No FMA at this level, so every rounding matches the scalar
-// reference bit-for-bit; only instruction selection differs.
+// SSE2-level kernels: lanes.inl compiled at the x86-64 SSE2 baseline with
+// the autovectorizer enabled (default -O2 flags, no extra ISA options),
+// the lane kernels 2 doubles or 4 floats per register. No FMA at this
+// level, so every rounding matches the scalar reference bit-for-bit; only
+// instruction selection differs.
 #include "dsp/simd/kernels.h"
 
 #if defined(HEADTALK_SIMD_X86)
@@ -17,7 +17,6 @@
 namespace headtalk::dsp::simd {
 
 #define HEADTALK_SIMD_NS sse2_impl
-#include "dsp/simd/kernels_impl.inl"
 #include "dsp/simd/lanes.inl"
 #undef HEADTALK_SIMD_NS
 
@@ -27,12 +26,7 @@ const Kernels& sse2_kernels() noexcept {
   using sse2_impl::Sse2LanesF;
   static constexpr Kernels table{
       "sse2",
-      &sse2_impl::scale_generic,
       &sse2_impl::accumulate_generic,
-      &sse2_impl::cross_spectrum_generic,
-      &sse2_impl::magnitudes_generic,
-      &sse2_impl::rfft_unpack_generic,
-      &sse2_impl::irfft_repack_generic,
       &sse2_impl::biquad_cascade_lanes<Sse2Lanes, ScalarLanes<double>>,
       &sse2_impl::fir_decimate_lanes<Sse2Lanes>,
       sse2_impl::lane_kernels<Sse2Lanes>(),

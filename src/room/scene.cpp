@@ -71,7 +71,9 @@ audio::MultiBuffer Scene::render(const audio::Buffer& dry, const SourcePose& sou
   // with convolution, so this equals dry * BP_b(rir_b). Applying the band
   // filters to the short RIRs and summing gives ONE full-band RIR per mic —
   // a single FFT convolution instead of one per band.
-  const auto dry_spectrum = dsp::rfft_half(dry.samples(), fft_size);
+  dsp::FftScratch fft_scratch;  // one workspace for every transform below
+  dsp::HalfSpectrum dry_spectrum, spec;
+  dsp::rfft_half_into(dry.samples(), fft_size, dry_spectrum, fft_scratch);
   std::vector<dsp::BiquadCascade> band_filters;
   band_filters.reserve(kBandCount);
   for (std::size_t b = 0; b < kBandCount; ++b) {
@@ -142,9 +144,10 @@ audio::MultiBuffer Scene::render(const audio::Buffer& dry, const SourcePose& sou
       band_filters[b].process(std::span<audio::Sample>(band_rir[b]));
       for (std::size_t i = 0; i < rir_len; ++i) rir[i] += band_rir[b][i];
     }
-    auto spec = dsp::rfft_half(rir, fft_size);
+    dsp::rfft_half_into(rir, fft_size, spec, fft_scratch);
     spec.multiply(dry_spectrum);
-    auto samples = dsp::irfft_half(spec, out_len);
+    std::vector<audio::Sample> samples;
+    dsp::irfft_half_into(spec, out_len, samples, fft_scratch);
     capture.channel(m) = audio::Buffer(std::move(samples), fs);
   }
 

@@ -94,32 +94,14 @@ void Session::handle_hello(const Frame& frame) {
              std::to_string(limits_.max_channels));
     return;
   }
-  // HeadTalk feeds every chunk to the operator, whose liveness stage takes
-  // only whole multiples of its rate: refuse any other rate up front.
-  const double live_rate = pipeline_.incremental_config().liveness.model_sample_rate;
-  if (limits_.mode == core::VaMode::kHeadTalk &&
-      core::liveness_decimation(hello.sample_rate_hz, live_rate) == 0) {
-    fail(ErrorCode::kBadRequest,
-         "sample rate " + std::to_string(hello.sample_rate_hz) +
-             " Hz: HeadTalk mode takes only whole multiples of the " +
-             std::to_string(static_cast<long long>(live_rate)) +
-             " Hz liveness rate");
-    return;
-  }
-  // The orientation model scores one feature length, fixed by the channel
-  // count and the rate's lag window: a geometry that yields another length
-  // could only fail at END_OF_UTTERANCE, after the whole utterance.
+  // HeadTalk feeds every chunk to the operator and scores the result with
+  // the loaded models: refuse a geometry they cannot score up front, not at
+  // END_OF_UTTERANCE after the whole utterance.
   if (limits_.mode == core::VaMode::kHeadTalk) {
-    const std::size_t model_dim = pipeline_.orientation().input_dimension();
-    const std::size_t dim =
-        core::OrientationFeatureExtractor(pipeline_.incremental_config().orientation)
-            .dimension(hello.channels, static_cast<double>(hello.sample_rate_hz));
-    if (model_dim != 0 && dim != model_dim) {
-      fail(ErrorCode::kBadRequest,
-           std::to_string(hello.channels) + " channels at " +
-               std::to_string(hello.sample_rate_hz) + " Hz give " + std::to_string(dim) +
-               " orientation features; the loaded orientation model scores " +
-               std::to_string(model_dim));
+    const std::string why =
+        pipeline_.geometry_error(hello.channels, static_cast<double>(hello.sample_rate_hz));
+    if (!why.empty()) {
+      fail(ErrorCode::kBadRequest, why);
       return;
     }
   }

@@ -7,6 +7,9 @@
 #include <cmath>
 #include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "audio/gain.h"
 #include "room/scene.h"
@@ -163,6 +166,53 @@ TEST_F(PipelineFixture, SetModeResetsSession) {
   ASSERT_EQ(p.process_wake_word(render(0.0, false, 910)).decision, Decision::kAccepted);
   p.set_mode(VaMode::kHeadTalk);
   EXPECT_FALSE(p.session_active());
+}
+
+TEST_F(PipelineFixture, ScoreCaptureRefusesGeometryTheModelsCannotScore) {
+  // The models score 4 channels at 48 kHz. A 3-channel capture throws
+  // before any accumulation, naming both feature lengths, whether its
+  // liveness verdict would be live or replay; a rate that is no whole
+  // multiple of the liveness rate throws too. Normal and Mute score nothing.
+  const auto& p = pipeline();
+  EXPECT_EQ(p.geometry_error(4, kFs), "");
+  const std::size_t model_dim = p.orientation().input_dimension();
+  const std::size_t dim =
+      OrientationFeatureExtractor(p.config().orientation_features).dimension(3, kFs);
+  ASSERT_NE(dim, model_dim);
+  const auto first_three = [](const audio::MultiBuffer& capture) {
+    return audio::MultiBuffer(
+        {capture.channel(0), capture.channel(1), capture.channel(2)});
+  };
+  const auto live = render(0.0, false, 902);
+  const auto replay = render(0.0, true, 904);
+  ASSERT_TRUE(p.score_capture(live, VaMode::kHeadTalk, false, false).live);
+  ASSERT_EQ(p.score_capture(replay, VaMode::kHeadTalk, false, false).decision,
+            Decision::kRejectedReplay);
+  for (const auto* capture : {&live, &replay}) {
+    const auto three = first_three(*capture);
+    try {
+      (void)p.score_capture(three, VaMode::kHeadTalk, false, false);
+      ADD_FAILURE() << "a 3-channel capture was scored";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(std::to_string(dim)), std::string::npos) << message;
+      EXPECT_NE(message.find(std::to_string(model_dim)), std::string::npos) << message;
+    }
+    EXPECT_EQ(p.score_capture(three, VaMode::kNormal, false, false).decision,
+              Decision::kAccepted);
+    EXPECT_EQ(p.score_capture(three, VaMode::kMute, false, false).decision,
+              Decision::kRejectedMuted);
+  }
+  std::vector<audio::Buffer> channels;
+  for (std::size_t c = 0; c < live.channel_count(); ++c) {
+    channels.emplace_back(std::vector<audio::Sample>(live.channel(c).samples().begin(),
+                                                     live.channel(c).samples().end()),
+                          44100.0);
+  }
+  EXPECT_NE(p.geometry_error(4, 44100.0), "");
+  EXPECT_THROW((void)p.score_capture(audio::MultiBuffer(std::move(channels)),
+                                     VaMode::kHeadTalk, false, false),
+               std::invalid_argument);
 }
 
 TEST(PipelineConstruction, RequiresTrainedDetectors) {

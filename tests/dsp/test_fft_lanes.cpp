@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
@@ -28,7 +29,7 @@
 namespace headtalk::dsp {
 namespace {
 
-constexpr std::size_t kLanes = simd::kFftLanes;
+constexpr std::size_t kLanes = simd::kLanes<double>;
 
 std::vector<simd::Level> supported_levels() {
   std::vector<simd::Level> levels{simd::Level::kScalar};
@@ -188,43 +189,56 @@ TEST(SimdFftLanes, PrunedInverseLanesEqualPerLaneReference) {
 }
 
 TEST(SimdFftLanes, QuarteredPlanTransformsEqualReference) {
-  // FftPlan's one-signal transforms run as four quarter lanes plus the two
-  // cross-lane stages; sizes below 4 ride in lane 0.
+  // The one-signal transforms' layout: one signal as min(4, n) float64
+  // parts in lane 0 of rows of 4 / parts lanes (n = 1 rides alone in a
+  // full row), the forward and the full and pruned parted inverse.
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
     for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 256u, 4096u}) {
       const auto plan = FftPlanCache::global().get(n);
       const auto input = random_lanes(n, 500 + static_cast<unsigned>(n))[0];
-      auto got = input;
-      plan->forward(got);
-      auto want = input;
-      reference_fft(want, false, n, 0);
-      for (std::size_t p = 0; p < n; ++p) {
-        ASSERT_TRUE(same_bits(got[p].real(), want[p].real()) &&
-                    same_bits(got[p].imag(), want[p].imag()))
-            << "forward n " << n << " bin " << p << " at " << simd::level_name(level);
-      }
-      got = input;
-      plan->inverse(got);
-      want = input;
-      reference_fft(want, true, n, 0);
-      for (std::size_t p = 0; p < n; ++p) {
-        ASSERT_TRUE(same_bits(got[p].real(), want[p].real()) &&
-                    same_bits(got[p].imag(), want[p].imag()))
-            << "inverse n " << n << " out " << p << " at " << simd::level_name(level);
-      }
-      if (n >= 16) {
-        got = input;
-        plan->inverse_pruned(got, 3, 5);
-        want = input;
-        reference_fft(want, true, 3, 5);
-        for (std::size_t p = 0; p < n; ++p) {
-          if (p >= 3 && p < n - 5) continue;
-          ASSERT_TRUE(same_bits(got[p].real(), want[p].real()) &&
-                      same_bits(got[p].imag(), want[p].imag()))
-              << "pruned n " << n << " out " << p << " at " << simd::level_name(level);
+      const std::size_t parts = std::min(kLanes, n);
+      const std::size_t width = kLanes / parts;
+      const std::size_t rows = n / parts;
+      // Runs one transform; returns output p at out[p * width].
+      auto run = [&](bool inverse, std::size_t front, std::size_t tail) {
+        std::vector<double> re(rows * kLanes, 0.0), im(rows * kLanes, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t p = plan->bit_reverse()[i];
+          re[(p % rows) * kLanes + (p / rows) * width] = input[i].real();
+          im[(p % rows) * kLanes + (p / rows) * width] = input[i].imag();
         }
-      }
+        if (parts == 1) {
+          if (inverse) {
+            plan->inverse_pruned_lanes(re.data(), im.data(), front, tail);
+          } else {
+            plan->forward_lanes(re.data(), im.data());
+          }
+          return std::pair(re, im);
+        }
+        std::vector<double> out_re(n * width), out_im(n * width);
+        if (inverse) {
+          plan->inverse_parted(re.data(), im.data(), parts, front, tail, out_re.data(),
+                               out_im.data());
+        } else {
+          plan->forward_parted(re.data(), im.data(), parts, out_re.data(), out_im.data());
+        }
+        return std::pair(out_re, out_im);
+      };
+      auto check = [&](const char* what, bool inverse, std::size_t front, std::size_t tail) {
+        const auto [got_re, got_im] = run(inverse, front, tail);
+        auto want = input;
+        reference_fft(want, inverse, front, tail);
+        for (std::size_t p = 0; p < n; ++p) {
+          if (p >= front && p < n - tail) continue;  // pruned output
+          ASSERT_TRUE(same_bits(got_re[p * width], want[p].real()) &&
+                      same_bits(got_im[p * width], want[p].imag()))
+              << what << " n " << n << " out " << p << " at " << simd::level_name(level);
+        }
+      };
+      check("forward", false, n, 0);
+      check("inverse", true, n, 0);
+      if (n >= 16) check("pruned", true, 3, 5);
     }
   }
 }
@@ -274,10 +288,73 @@ TEST(SimdFftLanes, RealLaneWrappersEqualOneSignalTransforms) {
   }
 }
 
+TEST(SimdFftLanes, OneSignalTransformsAtTwoAndFourPoints) {
+  // The smallest sizes ride as one part in a full row (2 points: a 1-point
+  // packed transform) and as two parts (4 points): the spectrum, the
+  // magnitudes, the inverse and the lag window equal the definitions, and
+  // every level gives the scalar level's bits.
+  for (const std::size_t n : {2u, 4u}) {
+    const auto x = random_values(n, 950 + static_cast<unsigned>(n));
+    const int max_lag = static_cast<int>(n / 2) - 1;  // the widest window n holds
+    auto run = [&] {
+      FftScratch scratch;
+      HalfSpectrum spectrum;
+      rfft_half_into(x, n, spectrum, scratch);
+      std::vector<double> out;
+      for (const Complex bin : spectrum.bins) {
+        out.push_back(bin.real());
+        out.push_back(bin.imag());
+      }
+      std::vector<double> part;
+      magnitude_spectrum_into(x, n, part, scratch);
+      out.insert(out.end(), part.begin(), part.end());
+      irfft_half_into(spectrum, n, part, scratch);
+      out.insert(out.end(), part.begin(), part.end());
+      irfft_half_window_into(spectrum, max_lag, part, scratch);
+      out.insert(out.end(), part.begin(), part.end());
+      return out;
+    };
+    std::vector<double> reference;
+    {
+      ScopedLevel scalar(simd::Level::kScalar);
+      reference = run();
+    }
+    for (const simd::Level level : supported_levels()) {
+      ScopedLevel scoped(level);
+      const auto got = run();
+      ASSERT_EQ(got.size(), reference.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(same_bits(got[i], reference[i]))
+            << "n " << n << " value " << i << " at " << simd::level_name(level);
+      }
+    }
+    const std::size_t bins = n / 2 + 1;
+    for (std::size_t k = 0; k < bins; ++k) {
+      Complex want{};
+      for (std::size_t i = 0; i < n; ++i) {
+        want += x[i] * std::polar(1.0, -2.0 * std::numbers::pi * static_cast<double>(k * i) /
+                                           static_cast<double>(n));
+      }
+      EXPECT_NEAR(reference[2 * k], want.real(), 1e-12) << "n " << n << " bin " << k;
+      EXPECT_NEAR(reference[2 * k + 1], want.imag(), 1e-12) << "n " << n << " bin " << k;
+      EXPECT_NEAR(reference[2 * bins + k], std::abs(want), 1e-12) << "n " << n << " bin " << k;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(reference[3 * bins + i], x[i], 1e-12) << "n " << n << " sample " << i;
+    }
+    // The lag window [-max_lag, max_lag] of the circular inverse.
+    for (int lag = -max_lag; lag <= max_lag; ++lag) {
+      const std::size_t m = static_cast<std::size_t>((lag + static_cast<int>(n)) % static_cast<int>(n));
+      EXPECT_NEAR(reference[3 * bins + n + static_cast<std::size_t>(lag + max_lag)], x[m], 1e-12)
+          << "n " << n << " lag " << lag;
+    }
+  }
+}
+
 TEST(SimdFftLanes, MagnitudesHeadEqualsHalfSpectrumMagnitudes) {
   // rfft_magnitudes_head over a ring's two runs is rfft_half_into of the
-  // linearized window followed by the magnitudes kernel, bit for bit, for
-  // any older/newer split, any partial fill and any bin count.
+  // linearized window followed by sqrt(re^2 + im^2) per bin, bit for bit,
+  // for any older/newer split, any partial fill and any bin count.
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
     LaneScratch scratch;
@@ -289,8 +366,10 @@ TEST(SimdFftLanes, MagnitudesHeadEqualsHalfSpectrumMagnitudes) {
         const auto x = random_values(held, 700 + static_cast<unsigned>(fft_size + held));
         rfft_half_into(x, fft_size, spectrum, fft_scratch);
         std::vector<double> want(half + 1);
-        simd::kernels().magnitudes(reinterpret_cast<const double*>(spectrum.bins.data()),
-                                   half + 1, want.data());
+        for (std::size_t k = 0; k <= half; ++k) {
+          const double re = spectrum.bins[k].real(), im = spectrum.bins[k].imag();
+          want[k] = std::sqrt(re * re + im * im);
+        }
         for (const std::size_t split : {std::size_t{0}, std::size_t{1}, held / 3, held}) {
           const std::span<const double> all(x);
           for (const std::size_t bins : {std::size_t{1}, half / 2, half, half + 1}) {
@@ -322,7 +401,7 @@ TEST(SimdFftLanes, MagnitudesHeadEqualsHalfSpectrumMagnitudes) {
 
 TEST(SimdFftLanes, SelectedPairsMatchPerPairPhat) {
   // Pairs read in place from one channel group (a permute per row) and
-  // pairs gathered across two groups give the per-pair cross_spectrum.
+  // pairs gathered across two groups give each pair's PHAT cross spectrum.
   const std::size_t fft_size = 256;
   const std::size_t rows = fft_size / 2 + 1;
   std::vector<std::vector<double>> channels;
@@ -360,11 +439,16 @@ TEST(SimdFftLanes, SelectedPairsMatchPerPairPhat) {
       simd::kernels().f64.phat_lanes(x.re, x.im, x.order, x.width, y.re, y.im, y.order,
                                      y.width, out_re.data(), out_im.data(), rows, 1e-12);
       for (std::size_t l = 0; l < pairs.size(); ++l) {
+        // The PHAT formula on one pair, one bin at a time.
         std::vector<Complex> want(rows);
-        simd::kernels().cross_spectrum(
-            reinterpret_cast<const double*>(one[pairs[l].first].bins.data()),
-            reinterpret_cast<const double*>(one[pairs[l].second].bins.data()),
-            reinterpret_cast<double*>(want.data()), rows, /*phat=*/true, 1e-12);
+        for (std::size_t k = 0; k < rows; ++k) {
+          const Complex x_k = one[pairs[l].first].bins[k];
+          const Complex y_k = one[pairs[l].second].bins[k];
+          const double cr = x_k.real() * y_k.real() + x_k.imag() * y_k.imag();
+          const double ci = x_k.imag() * y_k.real() - x_k.real() * y_k.imag();
+          const double mag = std::sqrt(cr * cr + ci * ci);
+          if (mag > 1e-12) want[k] = Complex(cr * (1.0 / mag), ci * (1.0 / mag));
+        }
         for (std::size_t k = 0; k < rows; ++k) {
           ASSERT_TRUE(same_bits(out_re[k * kLanes + l], want[k].real()) &&
                       same_bits(out_im[k * kLanes + l], want[k].imag()))
@@ -527,8 +611,8 @@ TEST(SimdFloatLanes, PartedTransformsEqualFloatReference) {
 
 TEST(SimdFloatLanes, UnpackAndRepackEqualOneLaneFormulas) {
   // rfft_unpack_lanes on rows of 1, 2, 4 and 8 lanes, with bin limits that
-  // end mid-vector, and irfft_repack_lanes, against Kernels::rfft_unpack /
-  // irfft_repack's formulas evaluated in float one lane at a time.
+  // end mid-vector, and irfft_repack_lanes into every part count, against
+  // the unpack / repack formulas evaluated in float one lane at a time.
   const std::size_t half = 64;
   const auto plan = FftPlanCache::global().get(half);
   const auto w = plan->pack_twiddles<float>();
@@ -566,24 +650,30 @@ TEST(SimdFloatLanes, UnpackAndRepackEqualOneLaneFormulas) {
         }
       }
     }
-    const auto b_re = random_floats((half + 1) * kLanesF, 100);
-    const auto b_im = random_floats((half + 1) * kLanesF, 101);
-    std::vector<float> z_re(half * kLanesF), z_im(half * kLanesF);
-    kernels.irfft_repack_lanes(b_re.data(), b_im.data(), wf, plan->bit_reverse().data(),
-                               z_re.data(), z_im.data(), half);
-    for (std::size_t k = 0; k < half; ++k) {
-      for (std::size_t l = 0; l < kLanesF; ++l) {
-        const std::size_t a = k * kLanesF + l, b = (half - k) * kLanesF + l;
-        const float er = 0.5f * (b_re[a] + b_re[b]);
-        const float ei = 0.5f * (b_im[a] - b_im[b]);
-        const float dr = 0.5f * (b_re[a] - b_re[b]);
-        const float di = 0.5f * (b_im[a] + b_im[b]);
-        const float wr = w[k].real(), wi = -w[k].imag();
-        const float odr = dr * wr - di * wi;
-        const float odi = dr * wi + di * wr;
-        const std::size_t at = plan->bit_reverse()[k] * kLanesF + l;
-        ASSERT_TRUE(same_bits(z_re[at], er - odi) && same_bits(z_im[at], ei + odr))
-            << "repack row " << k << " lane " << l << " at " << simd::level_name(level);
+    // The repack into 1, 2, 4 and 8 parts of kLanesF / parts signals.
+    for (const std::size_t parts : {1u, 2u, 4u, 8u}) {
+      const std::size_t width = kLanesF / parts, rows = half / parts;
+      const auto b_re = random_floats((half + 1) * width, 100 + static_cast<unsigned>(parts));
+      const auto b_im = random_floats((half + 1) * width, 110 + static_cast<unsigned>(parts));
+      std::vector<float> z_re(half * width), z_im(half * width);
+      kernels.irfft_repack_lanes(b_re.data(), b_im.data(), wf, plan->bit_reverse().data(), rows,
+                                 parts, z_re.data(), z_im.data());
+      for (std::size_t k = 0; k < half; ++k) {
+        for (std::size_t g = 0; g < width; ++g) {
+          const std::size_t a = k * width + g, b = (half - k) * width + g;
+          const float er = 0.5f * (b_re[a] + b_re[b]);
+          const float ei = 0.5f * (b_im[a] - b_im[b]);
+          const float dr = 0.5f * (b_re[a] - b_re[b]);
+          const float di = 0.5f * (b_im[a] + b_im[b]);
+          const float wr = w[k].real(), wi = -w[k].imag();
+          const float odr = dr * wr - di * wi;
+          const float odi = dr * wi + di * wr;
+          const std::size_t p = plan->bit_reverse()[k];
+          const std::size_t at = (p % rows) * kLanesF + (p / rows) * width + g;
+          ASSERT_TRUE(same_bits(z_re[at], er - odi) && same_bits(z_im[at], ei + odr))
+              << parts << " parts, repack slot " << k << " signal " << g << " at "
+              << simd::level_name(level);
+        }
       }
     }
   }
@@ -642,20 +732,20 @@ TEST(SimdFloatLanes, PairKernelsMatchScalarAndCoherenceSumsInDouble) {
               << "coherence widths " << xo.width << "/" << yo.width << " sum " << i << " at "
               << simd::level_name(level);
         }
-        if (xo.width > simd::kFftLanes || yo.width > simd::kFftLanes) continue;
+        if (xo.width > kLanes || yo.width > kLanes) continue;
         // The float64 kernel on the same values, four lanes at a time.
         const std::vector<double> dx_re(x_re.begin(), x_re.end()), dx_im(x_im.begin(), x_im.end());
         const std::vector<double> dy_re(y_re.begin(), y_re.end()), dy_im(y_im.begin(), y_im.end());
         for (std::size_t half = 0; half < 2; ++half) {
-          std::vector<double> sums(groups * 4 * simd::kFftLanes);
+          std::vector<double> sums(groups * 4 * kLanes);
           simd::kernels().f64.coherence_lanes(
-              dx_re.data(), dx_im.data(), xo.order + half * simd::kFftLanes, xo.width,
-              dy_re.data(), dy_im.data(), yo.order + half * simd::kFftLanes, yo.width, rows,
+              dx_re.data(), dx_im.data(), xo.order + half * kLanes, xo.width,
+              dy_re.data(), dy_im.data(), yo.order + half * kLanes, yo.width, rows,
               stride, block, groups, sums.data());
           for (std::size_t r = 0; r < groups * 4; ++r) {
-            for (std::size_t l = 0; l < simd::kFftLanes; ++l) {
-              ASSERT_TRUE(same_bits(got_sums[r * kLanesF + half * simd::kFftLanes + l],
-                                    sums[r * simd::kFftLanes + l]))
+            for (std::size_t l = 0; l < kLanes; ++l) {
+              ASSERT_TRUE(same_bits(got_sums[r * kLanesF + half * kLanes + l],
+                                    sums[r * kLanes + l]))
                   << "float64 coherence, sum row " << r << " lane " << l << " at "
                   << simd::level_name(level);
             }

@@ -17,18 +17,19 @@
 namespace headtalk::dsp {
 namespace {
 
-std::vector<Complex> random_complex(std::size_t n, unsigned seed) {
+std::vector<audio::Sample> random_real(std::size_t n, unsigned seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
-  std::vector<Complex> x(n);
-  for (auto& v : x) v = Complex(u(rng), u(rng));
+  std::vector<audio::Sample> x(n);
+  for (auto& v : x) v = u(rng);
   return x;
 }
 
-std::vector<Complex> naive_dft(const std::vector<Complex>& x) {
+/// Bins 0 .. n/2 of the DFT of a real n-point signal, by definition.
+std::vector<Complex> naive_half_dft(const std::vector<audio::Sample>& x) {
   const std::size_t n = x.size();
-  std::vector<Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
+  std::vector<Complex> out(n / 2 + 1);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
     Complex sum{};
     for (std::size_t i = 0; i < n; ++i) {
       const double phase = -2.0 * std::numbers::pi * static_cast<double>(k * i) /
@@ -41,26 +42,24 @@ std::vector<Complex> naive_dft(const std::vector<Complex>& x) {
 }
 
 TEST(FftPlan, ForwardMatchesNaiveDft) {
-  for (std::size_t n : {2u, 8u, 64u, 256u}) {
-    const FftPlan plan(n);
-    auto x = random_complex(n, static_cast<unsigned>(n));
-    const auto expected = naive_dft(x);
-    plan.forward(x);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(std::abs(x[k] - expected[k]), 0.0, 1e-9)
+  // rfft_half runs the plan of size n/2 on the packed signal.
+  for (std::size_t n : {2u, 4u, 8u, 64u, 256u}) {
+    const auto x = random_real(n, static_cast<unsigned>(n));
+    const auto expected = naive_half_dft(x);
+    const auto got = rfft_half(x, n);
+    for (std::size_t k = 0; k <= n / 2; ++k) {
+      EXPECT_NEAR(std::abs(got.bins[k] - expected[k]), 0.0, 1e-9)
           << "n=" << n << " bin " << k;
     }
   }
 }
 
 TEST(FftPlan, InverseRoundTrip) {
-  const FftPlan plan(128);
-  auto x = random_complex(128, 3);
-  const auto original = x;
-  plan.forward(x);
-  plan.inverse(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(std::abs(x[i] - original[i]), 0.0, 1e-10);
+  for (std::size_t n : {2u, 4u, 128u}) {
+    const auto x = random_real(n, 3);
+    const auto back = irfft_half(rfft_half(x, n));
+    ASSERT_EQ(back.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-10) << "n=" << n;
   }
 }
 
@@ -127,9 +126,10 @@ TEST(FftPlanCache, ColdAndWarmTransformsAreBitIdentical) {
 }
 
 TEST(FftPlanCache, ConcurrentGetAndClearStress) {
-  // Many threads hammer the cache across a handful of sizes while one
-  // thread periodically clears it; shared_ptr ownership must keep every
-  // in-flight plan alive and every transform correct. TSan runs this.
+  // Many threads transform across a handful of sizes (each call looks its
+  // plan up in the global cache) while one thread periodically clears it;
+  // shared_ptr ownership must keep every in-flight plan alive and every
+  // transform correct. TSan runs this.
   auto& cache = FftPlanCache::global();
   const bool was_enabled = cache.set_enabled(true);
   cache.clear();
@@ -140,29 +140,25 @@ TEST(FftPlanCache, ConcurrentGetAndClearStress) {
   std::atomic<bool> failed{false};
 
   // Reference spectra per size, computed single-threaded up front.
-  std::vector<std::vector<Complex>> inputs;
-  std::vector<std::vector<Complex>> expected;
+  std::vector<std::vector<audio::Sample>> inputs;
+  std::vector<HalfSpectrum> expected;
   for (std::size_t n : sizes) {
-    inputs.push_back(random_complex(n, static_cast<unsigned>(n) + 99));
-    auto spectrum = inputs.back();
-    FftPlan(n).forward(spectrum);
-    expected.push_back(std::move(spectrum));
+    inputs.push_back(random_real(n, static_cast<unsigned>(n) + 99));
+    expected.push_back(rfft_half(inputs.back(), n));
   }
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      FftScratch scratch;
+      HalfSpectrum spectrum;
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t which = (t + static_cast<std::size_t>(round)) % std::size(sizes);
-        const auto plan = cache.get(sizes[which]);
-        auto x = inputs[which];
-        plan->forward(x);
-        for (std::size_t k = 0; k < x.size(); ++k) {
-          if (x[k] != expected[which][k]) {
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
+        rfft_half_into(inputs[which], sizes[which], spectrum, scratch);
+        if (spectrum.bins != expected[which].bins) {
+          failed.store(true, std::memory_order_relaxed);
+          return;
         }
         if (t == 0 && round % 16 == 7) cache.clear();  // evict under load
       }

@@ -154,15 +154,20 @@ TEST(SimdEquivalence, PrunedInverseWindowMatchesFullSlice) {
   // The lag-windowed inverse must agree with slicing the full inverse bit
   // for bit — for every level and for windows from tiny to nearly the
   // whole transform (the pruning degenerates to a full inverse at the top
-  // end).
+  // end) — and every level's window with the scalar level's.
   const auto x = random_signal(900, 13);
+  const std::vector<int> max_lags = {1, 5, 13, 100, 511};
+  std::vector<std::vector<double>> scalar_windows;
   for (const simd::Level level : supported_levels()) {
     ScopedLevel scoped(level);
     const HalfSpectrum spectrum = rfft_half(x, 1024);
     const auto full = irfft_half(spectrum, 0);
     FftScratch scratch;
     std::vector<double> window;
-    for (const int max_lag : {1, 5, 13, 100, 511}) {
+    for (std::size_t i = 0; i < max_lags.size(); ++i) {
+      const int max_lag = max_lags[i];
+      const std::string what =
+          "max_lag " + std::to_string(max_lag) + " at level " + simd::level_name(level);
       irfft_half_window_into(spectrum, max_lag, window, scratch);
       ASSERT_EQ(window.size(), static_cast<std::size_t>(2 * max_lag + 1));
       std::vector<double> want;
@@ -170,9 +175,12 @@ TEST(SimdEquivalence, PrunedInverseWindowMatchesFullSlice) {
         want.push_back(full[lag >= 0 ? static_cast<std::size_t>(lag)
                                      : full.size() - static_cast<std::size_t>(-lag)]);
       }
-      expect_bits_equal(window, want,
-                        "max_lag " + std::to_string(max_lag) + " at level " +
-                            simd::level_name(level));
+      expect_bits_equal(window, want, what);
+      if (level == simd::Level::kScalar) {
+        scalar_windows.push_back(window);
+      } else {
+        expect_bits_equal(window, scalar_windows[i], what + " against scalar");
+      }
     }
   }
 }
