@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <random>
 #include <span>
+#include <stdexcept>
 
 #include <algorithm>
 #include <cmath>
@@ -41,6 +42,7 @@
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/simd/dispatch.h"
+#include "serve/protocol.h"
 #include "sim/collector.h"
 
 using namespace headtalk;
@@ -465,6 +467,112 @@ BENCHMARK(BM_DirectivityFft)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
+// The passes over raw samples in front of the operator's transforms.
+//
+// BM_DecodeChunk: one AUDIO_CHUNK of 4 channels × 4800 frames (100 ms at
+// 48 kHz) decoded into per-channel doubles, as Session feeds the operator.
+//   kernel:0 — the per-sample decoder the bulk kernel replaced: each sample
+//              assembled from its bytes, std::isfinite with a throw in the
+//              loop, and a store per sample;
+//   kernel:1 — serve::decode_audio_chunk (the decode_f32 kernel): the
+//              whole-payload check, then the deinterleave.
+// BM_BlockEnvelope: the trim envelope's Σx² of one 20 ms block (4 × 960
+// band-passed samples): kernel:0 one dependent add chain, kernel:1 the
+// sum_squares lane reduction per channel.
+constexpr std::size_t kChunkChannels = 4;
+constexpr std::size_t kChunkFrames = 4800;
+
+template <class Put>
+void per_sample_decode(const std::uint8_t* p, std::size_t frames, std::size_t channels,
+                       Put&& put) {
+  for (std::size_t f = 0; f < frames; ++f) {
+    for (std::size_t c = 0; c < channels; ++c, p += sizeof(float)) {
+      const std::uint32_t bits = std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                 std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+      const float sample = std::bit_cast<float>(bits);
+      if (!std::isfinite(sample)) throw std::runtime_error("non-finite sample");
+      put(f, c, sample);
+    }
+  }
+}
+
+void BM_DecodeChunk(benchmark::State& state) {
+  const audio::MultiBuffer& x = capture();
+  std::vector<float> interleaved(kChunkFrames * kChunkChannels);
+  for (std::size_t f = 0; f < kChunkFrames; ++f) {
+    for (std::size_t c = 0; c < kChunkChannels; ++c) {
+      interleaved[f * kChunkChannels + c] = static_cast<float>(x.channel(c).samples()[f]);
+    }
+  }
+  serve::Frame frame;
+  frame.type = serve::FrameType::kAudioChunk;
+  const auto bytes = serve::encode_audio_chunk(interleaved, kChunkChannels);
+  frame.payload.assign(bytes.begin() + serve::kFrameHeaderBytes, bytes.end());
+  std::vector<std::vector<double>> channels(kChunkChannels,
+                                            std::vector<double>(kChunkFrames));
+  double* out[kChunkChannels];
+  for (std::size_t c = 0; c < kChunkChannels; ++c) out[c] = channels[c].data();
+  if (state.range(0) == 0) {
+    const std::uint8_t* samples = frame.payload.data() + sizeof(std::uint32_t);
+    for (auto _ : state) {
+      per_sample_decode(samples, kChunkFrames, kChunkChannels,
+                        [&out](std::size_t f, std::size_t c, float sample) {
+                          out[c][f] = static_cast<double>(sample);
+                        });
+      benchmark::DoNotOptimize(out[0]);
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel("per-sample decode");
+  } else {
+    const serve::FrameView view = serve::view_of(frame);
+    for (auto _ : state) {
+      serve::decode_audio_chunk(view, kChunkChannels, out, nullptr);
+      benchmark::DoNotOptimize(out[0]);
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(std::string("decode_audio_chunk, ") + dsp::simd::kernels().name);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kChunkFrames * kChunkChannels));
+}
+BENCHMARK(BM_DecodeChunk)
+    ->ArgName("kernel")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_BlockEnvelope(benchmark::State& state) {
+  const auto channels = block_channels();
+  double envelope = 0.0;
+  if (state.range(0) == 0) {
+    for (auto _ : state) {
+      double acc = 0.0;
+      for (const audio::Sample* samples : channels) {
+        for (std::size_t i = 0; i < kBlockLen; ++i) acc += samples[i] * samples[i];
+      }
+      envelope = acc;
+      benchmark::DoNotOptimize(envelope);
+    }
+    state.SetLabel("one add chain");
+  } else {
+    const auto& sum_squares = dsp::simd::kernels().sum_squares;
+    for (auto _ : state) {
+      double acc = 0.0;
+      for (const audio::Sample* samples : channels) {
+        acc += sum_squares(samples, kBlockLen);
+      }
+      envelope = acc;
+      benchmark::DoNotOptimize(envelope);
+    }
+    state.SetLabel(std::string("sum_squares, ") + dsp::simd::kernels().name);
+  }
+}
+BENCHMARK(BM_BlockEnvelope)
+    ->ArgName("kernel")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 // The one-signal transforms of dsp/fft.h, run as one signal in up to

@@ -244,9 +244,14 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
     // FFT of the analysis window itself: finalize subtracts the segment
     // mean from every stored frame spectrum as mu * W(f) (linearity), so
     // normalization can happen after the fact without reprocessing.
-    live_window_spectrum_ = dsp::rfft_half(
-        dsp::shared_window(dsp::WindowType::kHann, config_.liveness.stft_frame),
-        live_stft_.fft_size());
+    // Computed once per (frame, fft size); a later segment reuses it.
+    if (live_window_spectrum_.fft_size != live_stft_.fft_size() ||
+        live_window_frame_ != config_.liveness.stft_frame) {
+      dsp::rfft_half_into(
+          dsp::shared_window(dsp::WindowType::kHann, config_.liveness.stft_frame),
+          live_stft_.fft_size(), live_window_spectrum_, live_scratch_);
+      live_window_frame_ = config_.liveness.stft_frame;
+    }
   }
 }
 
@@ -282,11 +287,12 @@ void IncrementalExtractor::push(const audio::MultiBuffer& chunk) {
 }
 
 void IncrementalExtractor::process_block(std::size_t valid) {
-  // Block RMS envelope across channels, for the trim.
+  // Block RMS envelope across channels, for the trim: each channel's Σx²
+  // as a lane reduction, the channels summed in order.
+  const auto& sum_squares = dsp::simd::kernels().sum_squares;
   double acc = 0.0;
   for (std::size_t c = 0; c < channels_; ++c) {
-    const audio::Sample* samples = block_.data() + c * block_len_;
-    for (std::size_t i = 0; i < valid; ++i) acc += samples[i] * samples[i];
+    acc += sum_squares(block_.data() + c * block_len_, valid);
   }
   envelope_.push_back(
       std::sqrt(acc / static_cast<double>(std::max<std::size_t>(1, valid) * channels_)));
@@ -643,16 +649,13 @@ ml::FeatureVector IncrementalExtractor::finalize_liveness() {
           // Mean removal by linearity: FFT(w·(x−mu)) = FFT(w·x) − mu·W,
           // where W is the window's own spectrum (truncated for padded
           // tail frames, whose valid region is shorter than the window).
-          dsp::HalfSpectrum truncated;
           const dsp::HalfSpectrum* w = &live_window_spectrum_;
           if (live_valid_[f] < frame) {
-            const auto& coeffs =
+            const std::span<const double> coeffs =
                 dsp::shared_window(dsp::WindowType::kHann, frame);
-            const std::vector<audio::Sample> head(
-                coeffs.begin(),
-                coeffs.begin() + static_cast<std::ptrdiff_t>(live_valid_[f]));
-            truncated = dsp::rfft_half(head, live_stft_.fft_size());
-            w = &truncated;
+            dsp::rfft_half_into(coeffs.first(live_valid_[f]), live_stft_.fft_size(),
+                                live_truncated_, live_scratch_);
+            w = &live_truncated_;
           }
           for (std::size_t k = 0; k < bins; ++k) {
             const double re = spec[k].real() - mu * w->bins[k].real();

@@ -113,7 +113,9 @@ struct IncrementalExtractorConfig {
 ///      sqrt magnitudes, PHAT by one reciprocal.
 ///  12: training liveness trims on the all-channel envelope, as serving does.
 ///  13: block STFT, pair PHAT and inverse, and directivity spectrum in float32.
-inline constexpr int kFeatureVersion = 13;
+///  14: block envelope summed in lanes (a fixed lane-blocked Σx² order; the
+///      trim can move only where a block sits exactly on its threshold).
+inline constexpr int kFeatureVersion = 14;
 
 /// The liveness stage's decimation step from `sample_rate` to `model_rate`:
 /// sample_rate / model_rate when that is a whole number >= 1 (1 at 16 kHz,
@@ -282,6 +284,9 @@ class IncrementalExtractor {
   std::vector<double> live_cum_sum_, live_cum_sum_sq_;  ///< cumulative per block
   std::vector<audio::Sample> live_emitted_;  ///< step > 1: one block's output
   dsp::HalfSpectrum live_window_spectrum_;  ///< FFT of the full analysis window
+  std::size_t live_window_frame_ = 0;       ///< the frame it was computed for
+  dsp::HalfSpectrum live_truncated_;  ///< FFT of a padded tail frame's window head
+  dsp::FftScratch live_scratch_;      ///< the two window transforms' workspace
 };
 
 }  // namespace headtalk::core

@@ -54,10 +54,9 @@ struct CorrelationSequence {
                                                         double epsilon = 1e-12);
 
 /// Reusable scratch for repeated spectrum-domain correlations (the cross
-/// spectrum, its inverse transform, and the FFT workspace). One per thread.
+/// spectrum and the FFT workspace). One per thread.
 struct CorrelationWorkspace {
   HalfSpectrum cross;
-  std::vector<audio::Sample> inverse;
   FftScratch fft;
 };
 

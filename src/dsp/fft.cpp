@@ -33,6 +33,16 @@ std::size_t lane_group_width(std::size_t signals) {
   return std::min(simd::kLanes<T>, std::max<std::size_t>(4, next_pow2(signals)));
 }
 
+/// The plan of a `size`-point packed transform: the scratch's last plan
+/// when the size matches, otherwise a plan cache lookup it then keeps.
+template <class T>
+const FftPlan& scratch_plan(BasicLaneScratch<T>& scratch, std::size_t size) {
+  if (scratch.plan == nullptr || scratch.plan->size() != size) {
+    scratch.plan = FftPlanCache::global().get(size);
+  }
+  return *scratch.plan;
+}
+
 /// Rows of the lane layout: `width` lanes per row.
 template <class T>
 struct LaneRows {
@@ -97,7 +107,7 @@ template <class T>
 LaneRows<T> rfft_one(std::span<const audio::Sample> older, std::span<const audio::Sample> newer,
                      std::size_t fft_size, std::size_t bins, BasicLaneScratch<T>& scratch) {
   const std::size_t half = fft_size / 2;
-  const auto plan = FftPlanCache::global().get(half);
+  const FftPlan& plan = scratch_plan(scratch, half);
   const std::size_t held = older.size() + newer.size();
   const audio::Sample* signal = older.empty() ? newer.data() : older.data();
   if (!older.empty() && !newer.empty()) {  // a ring's two runs, in order
@@ -108,13 +118,13 @@ LaneRows<T> rfft_one(std::span<const audio::Sample> older, std::span<const audio
     signal = scratch.signal.data();
   }
   const std::size_t parts = std::min(simd::kLanes<T>, half);
-  const LaneRows<T> z = forward_packed(*plan, &signal, 1, held, parts, scratch);
+  const LaneRows<T> z = forward_packed(plan, &signal, 1, held, parts, scratch);
   // Unpack into the buffers the result is not in.
   auto& out_re = parts > 1 ? scratch.re : scratch.natural_re;
   auto& out_im = parts > 1 ? scratch.im : scratch.natural_im;
   out_re.resize((half + 1) * z.width);
   out_im.resize((half + 1) * z.width);
-  unpack(*plan, z, bins, out_re.data(), out_im.data());
+  unpack(plan, z, bins, out_re.data(), out_im.data());
   return {out_re.data(), out_im.data(), z.width};
 }
 
@@ -151,7 +161,7 @@ LaneRows<T> inverse_packed(const FftPlan& plan, const T* bins_re, const T* bins_
 LaneRows<double> irfft_one(const HalfSpectrum& spectrum, std::size_t front, std::size_t tail,
                            FftScratch& scratch) {
   const std::size_t half = spectrum.fft_size / 2;
-  const auto plan = FftPlanCache::global().get(half);
+  const FftPlan& plan = scratch_plan(scratch, half);
   const std::size_t parts = std::min(simd::kLanes<double>, half);
   const std::size_t width = simd::kLanes<double> / parts;
   // The bins in lane 0 of rows of `width` lanes, the other lanes zero.
@@ -165,7 +175,7 @@ LaneRows<double> irfft_one(const HalfSpectrum& spectrum, std::size_t front, std:
       scratch.natural_im[k * width + l] = 0.0;
     }
   }
-  return inverse_packed(*plan, scratch.natural_re.data(), scratch.natural_im.data(), parts,
+  return inverse_packed(plan, scratch.natural_re.data(), scratch.natural_im.data(), parts,
                         front, tail, scratch);
 }
 
@@ -273,17 +283,17 @@ void rfft_lanes_into(std::span<const audio::Sample* const> signals, std::size_t 
         "signal per lane");
   }
   const std::size_t half = fft_size / 2;
-  const auto plan = FftPlanCache::global().get(half);
+  const FftPlan& plan = scratch_plan(scratch, half);
   // Each signal as kLanes / width parts when a row has room.
   std::size_t parts = kLanes / lane_group_width<T>(signals.size());
   if (parts > half) parts = 1;
   const LaneRows<T> z =
-      forward_packed(*plan, signals.data(), signals.size(), count, parts, scratch);
+      forward_packed(plan, signals.data(), signals.size(), count, parts, scratch);
   out.fft_size = fft_size;
   out.lanes = z.width;
   out.re.resize((half + 1) * z.width);
   out.im.resize((half + 1) * z.width);
-  unpack(*plan, z, half + 1, out.re.data(), out.im.data());
+  unpack(plan, z, half + 1, out.re.data(), out.im.data());
 }
 
 template void rfft_lanes_into<double>(std::span<const audio::Sample* const>, std::size_t,
@@ -335,8 +345,8 @@ void irfft_lanes_window_into(const BasicLaneSpectrum<T>& spectrum, int max_lag,
     throw std::invalid_argument("irfft_lanes_window: malformed spectrum");
   }
   const auto [front, tail] = window_slots(n, max_lag, "irfft_lanes_window");
-  const auto plan = FftPlanCache::global().get(half);
-  read_window(inverse_packed(*plan, spectrum.re.data(), spectrum.im.data(), 1, front, tail,
+  const FftPlan& plan = scratch_plan(scratch, half);
+  read_window(inverse_packed(plan, spectrum.re.data(), spectrum.im.data(), 1, front, tail,
                              scratch),
               n, max_lag, kLanes, out);
 }

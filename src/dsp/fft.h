@@ -16,6 +16,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,16 +52,21 @@ struct BasicLaneSpectrum {
 using LaneSpectrum = BasicLaneSpectrum<double>;
 using LaneSpectrumF = BasicLaneSpectrum<float>;
 
+class FftPlan;
+
 /// Workspace of the lane transforms: the packed lanes (fft_size/2 slots),
-/// the natural-order result of a parted transform and, for input in two
-/// runs (rfft_magnitudes_head), the linearized signal. Reusing one across
-/// calls keeps the hot path allocation-free once the buffers reach their
-/// steady-state sizes. Not thread-safe: one scratch per thread.
+/// the natural-order result of a parted transform, for input in two runs
+/// (rfft_magnitudes_head) the linearized signal, and the plan of the last
+/// transform, so the plan cache is consulted only when the size changes.
+/// Reusing one across calls keeps the hot path allocation-free once the
+/// buffers reach their steady-state sizes. Not thread-safe: one scratch
+/// per thread.
 template <class T>
 struct BasicLaneScratch {
   std::vector<T> re, im;
   std::vector<T> natural_re, natural_im;
   std::vector<audio::Sample> signal;
+  std::shared_ptr<const FftPlan> plan;
 };
 using LaneScratch = BasicLaneScratch<double>;
 using LaneScratchF = BasicLaneScratch<float>;

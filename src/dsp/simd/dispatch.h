@@ -22,12 +22,14 @@
 // channels or sections of the biquad cascade, the channels / microphone
 // pairs / transform parts of the lane FFT (one-signal transforms included:
 // a signal rides as parts), the outputs of the FIR decimator (each summing
-// its taps in tap order) — or independent rows or elements, never the
-// partial sums of one reduction. So each lane evaluates the scalar
-// expression tree, and every transform, GCC window and feature equals the
-// scalar reference exactly. The equivalence suites (tests/dsp/test_simd.cpp,
-// tests/dsp/test_fft_lanes.cpp, tests/dsp/test_fir.cpp, ctest label
-// `simd-equivalence`) enforce this on every level the host supports.
+// its taps in tap order) — or independent rows or elements. The one
+// reduction split across lanes, sum_squares, fixes its order for every
+// width: 16 partial sums, folded pairwise. So each lane evaluates the
+// scalar expression tree, and every transform, GCC window and feature
+// equals the scalar reference exactly. The equivalence suites
+// (tests/dsp/test_simd.cpp, tests/dsp/test_fft_lanes.cpp,
+// tests/dsp/test_fir.cpp, ctest label `simd-equivalence`) enforce this on
+// every level the host supports.
 #pragma once
 
 #include "dsp/simd/kernels.h"

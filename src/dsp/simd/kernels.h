@@ -13,7 +13,8 @@
 // kernel bodies (lanes.inl).
 // The biquad cascade works on real per-channel sample buffers, one channel
 // per vector lane, or one channel's sections across the lanes; the FIR
-// decimator and `accumulate` on real arrays. Each level (scalar / SSE2 /
+// decimator, `accumulate` and `sum_squares` on real arrays; `decode_f32`
+// on the wire's raw float32 bytes. Each level (scalar / SSE2 /
 // AVX2) provides one immutable table; dispatch.h selects between them at
 // runtime. No level fuses a multiply and an add, so every kernel gives the
 // same bits at every level.
@@ -70,7 +71,12 @@ struct LaneKernels {
   /// parts in [1, N], G = N / parts): row r, part q, lane g receives
   /// packed slot n = bit_reverse[q * rows + r] of signal g, re = x_g[2n]
   /// and im = x_g[2n + 1] converted to T, or zero past `count` samples
-  /// and for g >= `used`. Rows are written in order.
+  /// and for g >= `used`. Rows are written in order. Since bit_reverse[q *
+  /// rows + r] = bit_reverse[r] + bit_reverse[q * rows], a row's slots are
+  /// consecutive: each signal's row is the 2 * parts samples from
+  /// x_g[2 * bit_reverse[r]] on, loaded as vectors, converted and put in
+  /// part order by one fixed lane permutation. Only a row that runs past
+  /// `count` is packed slot by slot.
   void (*pack_lanes)(const double* const* signals, std::size_t used, std::size_t count,
                      const std::uint32_t* bit_reverse, std::size_t rows, std::size_t parts,
                      T* re, T* im);
@@ -139,6 +145,29 @@ struct Kernels {
 
   /// acc[i] += src[i] for i in [0, count) — count is in doubles.
   void (*accumulate)(double* acc, const double* src, std::size_t count);
+
+  /// Σ x[i]² over i in [0, count), in one fixed lane-blocked order: 16
+  /// partial sums from zero, sum j adding x[i] * x[i] for i ≡ j (mod 16)
+  /// in increasing i, then folded pairwise, s[j] += s[j + w] for w = 8, 4,
+  /// 2, 1; returns s[0]. One rounding per multiply and per add, so every
+  /// level returns the same bits.
+  double (*sum_squares)(const double* x, std::size_t count);
+
+  /// The AUDIO_CHUNK sample decoder: `frames` frames of `channels`
+  /// little-endian IEEE-754 float32 samples, frame-major, at `payload`
+  /// (any alignment). First checks every sample's bit pattern: one with an
+  /// all-ones exponent (NaN or ±Inf) makes it return false having written
+  /// nothing. Otherwise it writes sample c of frame f, converted to double,
+  /// to channel_out[c][f] when `channel_out` is non-null, and the samples
+  /// as floats in payload order to `interleaved_out` when that is non-null,
+  /// and returns true; with both null it only checks. Pure data movement:
+  /// every level writes the same bits. Channel counts 1, 2 and multiples
+  /// of 4 run vector paths on x86, any other count one branch-free loop;
+  /// the scalar level assembles each sample from its bytes, independent of
+  /// the host's byte order.
+  bool (*decode_f32)(const std::uint8_t* payload, std::size_t frames,
+                     std::size_t channels, double* const* channel_out,
+                     float* interleaved_out);
 
   /// Direct-form-II-transposed biquad cascade over `lanes` channels that
   /// share one coefficient set. `coeffs` holds `sections` rows of
@@ -210,7 +239,9 @@ const Kernels& scalar_kernels() noexcept;
 const Kernels& sse2_kernels() noexcept;
 /// AVX2 without FMA: 4 doubles or 8 floats per register for the lane
 /// kernels, four channels or sections for the biquad cascade, four outputs
-/// per register for the FIR decimator, and an intrinsics accumulate loop.
+/// per register for the FIR decimator and four partial sums per register
+/// for sum_squares, an intrinsics accumulate loop, and a decoder that
+/// checks eight samples per compare and widens four per cvtps2pd.
 const Kernels& avx2_kernels() noexcept;
 #endif
 

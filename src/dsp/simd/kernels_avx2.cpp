@@ -1,7 +1,9 @@
 // AVX2 kernels. The lane kernels run 4 doubles or 8 floats per register,
-// the biquad cascade four channels or sections and the FIR decimator four
-// outputs per register (lanes.inl with the policies below); `accumulate`
-// is a hand-written intrinsics loop.
+// the biquad cascade four channels or sections, the FIR decimator four
+// outputs and `sum_squares` four partial sums per register (lanes.inl
+// with the policies below); `accumulate` is a hand-written intrinsics
+// loop, and `decode_f32` checks eight samples per compare and widens four
+// per cvtps2pd.
 //
 // Numerics: this TU is built with -mavx2 alone and -ffp-contract=off (see
 // src/dsp/CMakeLists.txt): no multiply and add are ever fused into one
@@ -138,6 +140,64 @@ struct Avx2Lanes {
   static void widen(Vec v, W* parts) {
     parts[0] = v;
   }
+  /// pack_lanes' row permutation (see pack_parts) as 32-bit word
+  /// indices into each of the row's two registers of values, and the lanes
+  /// taken from the second.
+  struct Permutation {
+    __m256i re_index, im_index;
+    __m256d re_high, im_high;
+  };
+  static Permutation prepare_row(const std::uint32_t* from) {
+    std::int32_t index[2][8];
+    std::int64_t high[2][4];
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        const std::uint32_t f = from[4 * h + l];
+        index[h][2 * l] = static_cast<std::int32_t>(2 * (f % 4));
+        index[h][2 * l + 1] = static_cast<std::int32_t>(2 * (f % 4) + 1);
+        high[h][l] = f >= 4 ? -1 : 0;
+      }
+    }
+    const auto load_index = [](const std::int32_t* i) {
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(i));
+    };
+    const auto load_high = [](const std::int64_t* m) {
+      return _mm256_castsi256_pd(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(m)));
+    };
+    return {load_index(index[0]), load_index(index[1]), load_high(high[0]),
+            load_high(high[1])};
+  }
+  /// Row values [4i, 4i + 4) of P parts: signal 4i / 2P from first +
+  /// 4i % 2P on, or, for one part, signals 2i and 2i + 1 at first; zero for
+  /// the signals past `used`.
+  template <std::size_t P>
+  static Vec row_piece(const double* const* x, std::size_t used, std::size_t first,
+                       std::size_t i) {
+    if constexpr (P == 1) {
+      const auto pair = [&](std::size_t g) {
+        return g < used ? _mm_loadu_pd(x[g] + first) : _mm_setzero_pd();
+      };
+      return _mm256_insertf128_pd(_mm256_castpd128_pd256(pair(2 * i)), pair(2 * i + 1),
+                                  1);
+    } else {
+      const std::size_t g = 4 * i / (2 * P);
+      return g < used ? load(x[g] + first + 4 * i % (2 * P)) : _mm256_setzero_pd();
+    }
+  }
+  template <std::size_t P>
+  static void pack_row(const double* const* x, std::size_t used, std::size_t first,
+                       const Permutation& p, double* re, double* im) {
+    const Vec a = row_piece<P>(x, used, first, 0), b = row_piece<P>(x, used, first, 1);
+    const auto permute = [](Vec v, __m256i index) {
+      return _mm256_castsi256_pd(
+          _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), index));
+    };
+    const auto pick = [&](__m256i index, Vec high) {
+      return _mm256_blendv_pd(permute(a, index), permute(b, index), high);
+    };
+    store(re, pick(p.re_index, p.re_high));
+    store(im, pick(p.im_index, p.im_high));
+  }
 };
 
 /// Eight floats per register.
@@ -221,9 +281,75 @@ struct Avx2LanesF {
     parts[0] = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
     parts[1] = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
   }
-  static void pack4(const double* const* x, std::size_t i, float* re, float* im) {
-    avx2_impl::sse_pack4(x, i, re, im);
+  /// pack_lanes' row permutation (see pack_parts) as permute indices
+  /// into each of the row's two registers of values, and the lanes taken
+  /// from the second.
+  struct Permutation {
+    __m256i re_index, im_index;
+    __m256 re_high, im_high;
+  };
+  static Permutation prepare_row(const std::uint32_t* from) {
+    const __m256i re = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(from));
+    const __m256i im = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(from + 8));
+    const __m256i seven = _mm256_set1_epi32(7);
+    return {_mm256_and_si256(re, seven), _mm256_and_si256(im, seven),
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(re, seven)),
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(im, seven))};
   }
+  /// Row values [4i, 4i + 4) of P parts as floats: signal 4i / 2P from
+  /// first + 4i % 2P on, or, for one part, signals 2i and 2i + 1 at first;
+  /// zero for the signals past `used`.
+  template <std::size_t P>
+  static __m128 row_piece(const double* const* x, std::size_t used, std::size_t first,
+                          std::size_t i) {
+    if constexpr (P == 1) {
+      const auto pair = [&](std::size_t g) {
+        return g < used ? _mm_cvtpd_ps(_mm_loadu_pd(x[g] + first)) : _mm_setzero_ps();
+      };
+      return _mm_movelh_ps(pair(2 * i), pair(2 * i + 1));
+    } else {
+      const std::size_t g = 4 * i / (2 * P);
+      return g < used ? _mm256_cvtpd_ps(_mm256_loadu_pd(x[g] + first + 4 * i % (2 * P)))
+                      : _mm_setzero_ps();
+    }
+  }
+  template <std::size_t P>
+  static void pack_row(const double* const* x, std::size_t used, std::size_t first,
+                       const Permutation& p, float* re, float* im) {
+    const auto both = [&](std::size_t i) {
+      return _mm256_insertf128_ps(_mm256_castps128_ps256(row_piece<P>(x, used, first, i)),
+                                  row_piece<P>(x, used, first, i + 1), 1);
+    };
+    const __m256 a = both(0), b = both(2);
+    const auto pick = [&](__m256i index, __m256 high) {
+      return _mm256_blendv_ps(_mm256_permutevar8x32_ps(a, index),
+                              _mm256_permutevar8x32_ps(b, index), high);
+    };
+    _mm256_storeu_ps(re, pick(p.re_index, p.re_high));
+    _mm256_storeu_ps(im, pick(p.im_index, p.im_high));
+  }
+};
+
+/// decode_f32's AVX2 vector steps: the check eight samples per compare,
+/// four floats widened per cvtps2pd.
+struct Avx2Decode {
+  static bool all_finite(const std::uint8_t* p, std::size_t count) {
+    const __m256i exponent = _mm256_set1_epi32(static_cast<int>(avx2_impl::kF32Exponent));
+    __m256i bad0 = _mm256_setzero_si256(), bad1 = bad0;
+    const auto check = [&](std::size_t i) {
+      const auto* at = reinterpret_cast<const __m256i*>(p + i * sizeof(float));
+      const __m256i v = _mm256_loadu_si256(at);
+      return _mm256_cmpeq_epi32(_mm256_and_si256(v, exponent), exponent);
+    };
+    std::size_t i = 0;
+    for (; i + 16 <= count; i += 16) {
+      bad0 = _mm256_or_si256(bad0, check(i));
+      bad1 = _mm256_or_si256(bad1, check(i + 8));
+    }
+    return _mm256_testz_si256(_mm256_or_si256(bad0, bad1), _mm256_set1_epi32(-1)) &&
+           avx2_impl::Sse2Decode::all_finite(p + i * sizeof(float), count - i);
+  }
+  static void store4(double* out, __m128 v) { _mm256_storeu_pd(out, _mm256_cvtps_pd(v)); }
 };
 
 void accumulate_avx2(double* acc, const double* src, std::size_t count) {
@@ -244,6 +370,8 @@ const Kernels& avx2_kernels() noexcept {
   static constexpr Kernels table{
       "avx2",
       &accumulate_avx2,
+      &avx2_impl::sum_squares_lanes<Avx2Lanes>,
+      &avx2_impl::decode_f32_x86<Avx2Decode>,
       &avx2_impl::biquad_cascade_lanes<Avx2Lanes, Sse2Lanes, ScalarLanes<double>>,
       &avx2_impl::fir_decimate_lanes<Avx2Lanes>,
       avx2_impl::lane_kernels<Avx2Lanes>(),

@@ -24,6 +24,8 @@ const Kernels& scalar_kernels() noexcept {
   static constexpr Kernels table{
       "scalar",
       &scalar_impl::accumulate_generic,
+      &scalar_impl::sum_squares_lanes<ScalarLanes<double>>,
+      &scalar_impl::decode_f32_generic,
       &scalar_impl::biquad_cascade_lanes<ScalarLanes<double>>,
       &scalar_impl::fir_decimate_lanes<ScalarLanes<double>>,
       scalar_impl::lane_kernels<ScalarLanes<double>>(),

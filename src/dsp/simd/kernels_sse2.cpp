@@ -27,6 +27,8 @@ const Kernels& sse2_kernels() noexcept {
   static constexpr Kernels table{
       "sse2",
       &sse2_impl::accumulate_generic,
+      &sse2_impl::sum_squares_lanes<Sse2Lanes>,
+      &sse2_impl::decode_f32_x86<sse2_impl::Sse2Decode>,
       &sse2_impl::biquad_cascade_lanes<Sse2Lanes, ScalarLanes<double>>,
       &sse2_impl::fir_decimate_lanes<Sse2Lanes>,
       sse2_impl::lane_kernels<Sse2Lanes>(),

@@ -1,8 +1,9 @@
 #include "serve/protocol.h"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
+
+#include "dsp/simd/dispatch.h"
 
 namespace headtalk::serve {
 namespace {
@@ -63,7 +64,7 @@ T load_le(const std::uint8_t* p) {
 /// ProtocolError past the end, and finish() rejects trailing bytes.
 class ByteCursor {
  public:
-  ByteCursor(const std::vector<std::uint8_t>& bytes, const char* what)
+  ByteCursor(std::span<const std::uint8_t> bytes, const char* what)
       : bytes_(bytes), what_(what) {}
 
   std::uint8_t read_u8() { return read_le<std::uint8_t>(); }
@@ -104,7 +105,7 @@ class ByteCursor {
     }
   }
 
-  const std::vector<std::uint8_t>& bytes_;
+  std::span<const std::uint8_t> bytes_;
   const char* what_;
   std::size_t offset_ = 0;
 };
@@ -122,7 +123,7 @@ std::vector<std::uint8_t> finish_frame(FrameType type,
   return out;
 }
 
-void expect_type(const Frame& frame, FrameType type, const char* what) {
+void expect_type(const FrameView& frame, FrameType type, const char* what) {
   if (frame.type != type) {
     throw ProtocolError(std::string(what) + ": got " +
                         std::string(frame_type_name(frame.type)) + " frame");
@@ -389,7 +390,7 @@ std::vector<std::uint8_t> encode_auth_reject(AuthRejectCode code,
   return finish_frame(FrameType::kAuthReject, std::move(payload));
 }
 
-Hello parse_hello(const Frame& frame) {
+Hello parse_hello(const FrameView& frame) {
   expect_type(frame, FrameType::kHello, "HELLO");
   ByteCursor in(frame.payload, "HELLO");
   Hello hello;
@@ -407,7 +408,7 @@ Hello parse_hello(const Frame& frame) {
   return hello;
 }
 
-HelloOk parse_hello_ok(const Frame& frame) {
+HelloOk parse_hello_ok(const FrameView& frame) {
   expect_type(frame, FrameType::kHelloOk, "HELLO_OK");
   ByteCursor in(frame.payload, "HELLO_OK");
   HelloOk ok;
@@ -418,7 +419,7 @@ HelloOk parse_hello_ok(const Frame& frame) {
   return ok;
 }
 
-std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels) {
+std::uint32_t audio_chunk_frames(const FrameView& frame, std::uint16_t channels) {
   expect_type(frame, FrameType::kAudioChunk, "AUDIO_CHUNK");
   if (channels == 0) throw ProtocolError("AUDIO_CHUNK: zero channel count");
   ByteCursor in(frame.payload, "AUDIO_CHUNK");
@@ -432,25 +433,34 @@ std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels) {
   return frames;
 }
 
-AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels) {
+AudioChunk parse_audio_chunk(const FrameView& frame, std::uint16_t channels) {
   AudioChunk chunk;
   chunk.frames = parse_audio_chunk_into(frame, channels, chunk.interleaved);
   return chunk;
 }
 
-std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
+std::uint32_t parse_audio_chunk_into(const FrameView& frame, std::uint16_t channels,
                                      std::vector<float>& interleaved) {
   const std::uint32_t frames = audio_chunk_frames(frame, channels);
   interleaved.resize(static_cast<std::size_t>(frames) * channels);
-  float* out = interleaved.data();
-  decode_audio_samples(frame, channels,
-                       [out, channels](std::size_t f, std::size_t c, float sample) {
-                         out[f * channels + c] = sample;
-                       });
+  decode_audio_chunk(frame, channels, nullptr, interleaved.data());
   return frames;
 }
 
-EndOfUtterance parse_end_of_utterance(const Frame& frame) {
+void decode_audio_chunk(const FrameView& frame, std::uint16_t channels,
+                        double* const* channel_out, float* interleaved_out) {
+  const std::uint8_t* samples = frame.payload.data() + sizeof(std::uint32_t);
+  const std::size_t frames = (frame.payload.size() - sizeof(std::uint32_t)) /
+                             (sizeof(float) * std::size_t{channels});
+  // One NaN or Inf would poison every feature of the utterance it lands in
+  // (and the classifiers' verdicts only by accident of NaN comparisons).
+  if (!dsp::simd::kernels().decode_f32(samples, frames, channels, channel_out,
+                                       interleaved_out)) {
+    throw ProtocolError("AUDIO_CHUNK: non-finite sample");
+  }
+}
+
+EndOfUtterance parse_end_of_utterance(const FrameView& frame) {
   expect_type(frame, FrameType::kEndOfUtterance, "END_OF_UTTERANCE");
   ByteCursor in(frame.payload, "END_OF_UTTERANCE");
   const std::uint8_t followup = in.read_u8();
@@ -462,7 +472,7 @@ EndOfUtterance parse_end_of_utterance(const Frame& frame) {
   return EndOfUtterance{followup == 1};
 }
 
-DecisionFrame parse_decision(const Frame& frame) {
+DecisionFrame parse_decision(const FrameView& frame) {
   expect_type(frame, FrameType::kDecision, "DECISION");
   ByteCursor in(frame.payload, "DECISION");
   const DecisionFrame decision = read_decision_fields(in, "DECISION");
@@ -470,7 +480,7 @@ DecisionFrame parse_decision(const Frame& frame) {
   return decision;
 }
 
-ErrorFrame parse_error(const Frame& frame) {
+ErrorFrame parse_error(const FrameView& frame) {
   expect_type(frame, FrameType::kError, "ERROR");
   ByteCursor in(frame.payload, "ERROR");
   ErrorFrame error;
@@ -489,13 +499,13 @@ ErrorFrame parse_error(const Frame& frame) {
   return error;
 }
 
-void parse_stream_start(const Frame& frame) {
+void parse_stream_start(const FrameView& frame) {
   expect_type(frame, FrameType::kStreamStart, "STREAM_START");
   ByteCursor in(frame.payload, "STREAM_START");
   in.finish();  // version-1 payload is empty
 }
 
-StreamOk parse_stream_ok(const Frame& frame) {
+StreamOk parse_stream_ok(const FrameView& frame) {
   expect_type(frame, FrameType::kStreamOk, "STREAM_OK");
   ByteCursor in(frame.payload, "STREAM_OK");
   StreamOk ok;
@@ -508,7 +518,7 @@ StreamOk parse_stream_ok(const Frame& frame) {
   return ok;
 }
 
-StreamDecisionFrame parse_stream_decision(const Frame& frame) {
+StreamDecisionFrame parse_stream_decision(const FrameView& frame) {
   expect_type(frame, FrameType::kStreamDecision, "STREAM_DECISION");
   ByteCursor in(frame.payload, "STREAM_DECISION");
   StreamDecisionFrame decision;
@@ -528,13 +538,13 @@ StreamDecisionFrame parse_stream_decision(const Frame& frame) {
   return decision;
 }
 
-void parse_stream_end(const Frame& frame) {
+void parse_stream_end(const FrameView& frame) {
   expect_type(frame, FrameType::kStreamEnd, "STREAM_END");
   ByteCursor in(frame.payload, "STREAM_END");
   in.finish();  // version-1 payload is empty
 }
 
-StreamSummary parse_stream_summary(const Frame& frame) {
+StreamSummary parse_stream_summary(const FrameView& frame) {
   expect_type(frame, FrameType::kStreamSummary, "STREAM_SUMMARY");
   ByteCursor in(frame.payload, "STREAM_SUMMARY");
   StreamSummary summary;
@@ -547,7 +557,7 @@ StreamSummary parse_stream_summary(const Frame& frame) {
   return summary;
 }
 
-AuthFrame parse_auth(const Frame& frame) {
+AuthFrame parse_auth(const FrameView& frame) {
   expect_type(frame, FrameType::kAuth, "AUTH");
   ByteCursor in(frame.payload, "AUTH");
   const std::uint16_t length = in.read_u16();
@@ -561,7 +571,7 @@ AuthFrame parse_auth(const Frame& frame) {
   return auth;
 }
 
-AuthOk parse_auth_ok(const Frame& frame) {
+AuthOk parse_auth_ok(const FrameView& frame) {
   expect_type(frame, FrameType::kAuthOk, "AUTH_OK");
   ByteCursor in(frame.payload, "AUTH_OK");
   AuthOk ok;
@@ -575,7 +585,7 @@ AuthOk parse_auth_ok(const Frame& frame) {
   return ok;
 }
 
-AuthReject parse_auth_reject(const Frame& frame) {
+AuthReject parse_auth_reject(const FrameView& frame) {
   expect_type(frame, FrameType::kAuthReject, "AUTH_REJECT");
   ByteCursor in(frame.payload, "AUTH_REJECT");
   AuthReject reject;
@@ -594,10 +604,60 @@ AuthReject parse_auth_reject(const Frame& frame) {
   return reject;
 }
 
+// ---- Frame overloads ------------------------------------------------------
+
+Hello parse_hello(const Frame& frame) { return parse_hello(view_of(frame)); }
+HelloOk parse_hello_ok(const Frame& frame) { return parse_hello_ok(view_of(frame)); }
+std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels) {
+  return audio_chunk_frames(view_of(frame), channels);
+}
+AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels) {
+  return parse_audio_chunk(view_of(frame), channels);
+}
+std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
+                                     std::vector<float>& interleaved) {
+  return parse_audio_chunk_into(view_of(frame), channels, interleaved);
+}
+EndOfUtterance parse_end_of_utterance(const Frame& frame) {
+  return parse_end_of_utterance(view_of(frame));
+}
+DecisionFrame parse_decision(const Frame& frame) {
+  return parse_decision(view_of(frame));
+}
+ErrorFrame parse_error(const Frame& frame) { return parse_error(view_of(frame)); }
+void parse_stream_start(const Frame& frame) { parse_stream_start(view_of(frame)); }
+StreamOk parse_stream_ok(const Frame& frame) { return parse_stream_ok(view_of(frame)); }
+StreamDecisionFrame parse_stream_decision(const Frame& frame) {
+  return parse_stream_decision(view_of(frame));
+}
+void parse_stream_end(const Frame& frame) { parse_stream_end(view_of(frame)); }
+StreamSummary parse_stream_summary(const Frame& frame) {
+  return parse_stream_summary(view_of(frame));
+}
+AuthFrame parse_auth(const Frame& frame) { return parse_auth(view_of(frame)); }
+AuthOk parse_auth_ok(const Frame& frame) { return parse_auth_ok(view_of(frame)); }
+AuthReject parse_auth_reject(const Frame& frame) {
+  return parse_auth_reject(view_of(frame));
+}
+
+// ---- FrameReader -----------------------------------------------------------
+
 void FrameReader::feed(const void* data, std::size_t size) {
+  compact();
   const auto* p = static_cast<const std::uint8_t*>(data);
   buffer_.insert(buffer_.end(), p, p + size);
   check_header();
+}
+
+void FrameReader::compact() {
+  if (consumed_ == buffer_.size()) {
+    buffer_.clear();
+    consumed_ = 0;
+  } else if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+    consumed_ = 0;
+  }
 }
 
 void FrameReader::check_header() {
@@ -616,28 +676,27 @@ void FrameReader::check_header() {
   }
 }
 
-std::optional<Frame> FrameReader::next() {
+std::optional<FrameView> FrameReader::next_view() {
+  compact();
   if (buffer_.size() - consumed_ < kFrameHeaderBytes) return std::nullopt;
   const std::uint8_t* header = buffer_.data() + consumed_;
   const std::uint32_t payload_len = load_le<std::uint32_t>(header);
   if (buffer_.size() - consumed_ < kFrameHeaderBytes + payload_len) {
     return std::nullopt;
   }
-  Frame frame;
-  frame.type = static_cast<FrameType>(header[4]);
-  frame.payload.assign(header + kFrameHeaderBytes,
-                       header + kFrameHeaderBytes + payload_len);
+  const FrameView frame{static_cast<FrameType>(header[4]),
+                        {header + kFrameHeaderBytes, payload_len}};
   consumed_ += kFrameHeaderBytes + payload_len;
-  // Compact once the dead prefix dominates, keeping feed() amortized O(1).
-  if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
   // The next header (if complete) must validate before we hand back control,
   // so garbage after a valid frame fails fast.
   check_header();
   return frame;
+}
+
+std::optional<Frame> FrameReader::next() {
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  return Frame{view->type, {view->payload.begin(), view->payload.end()}};
 }
 
 }  // namespace headtalk::serve

@@ -30,8 +30,6 @@
 // daemon into an undefined state.
 #pragma once
 
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -89,6 +87,17 @@ struct Frame {
   FrameType type = FrameType::kError;
   std::vector<std::uint8_t> payload;
 };
+
+/// A frame whose payload bytes live elsewhere: FrameReader::next_view's
+/// view into the reader's buffer, or view_of an owning Frame.
+struct FrameView {
+  FrameType type = FrameType::kError;
+  std::span<const std::uint8_t> payload;
+};
+
+[[nodiscard]] inline FrameView view_of(const Frame& frame) noexcept {
+  return {frame.type, frame.payload};
+}
 
 // ---- typed payloads -------------------------------------------------------
 
@@ -238,70 +247,83 @@ struct ErrorFrame {
 
 // ---- strict decode --------------------------------------------------------
 // Each parser requires the exact frame type and consumes the payload fully;
-// anything else throws ProtocolError.
+// anything else throws ProtocolError. Every parser takes a FrameView; its
+// Frame overload parses view_of(frame).
 
+[[nodiscard]] Hello parse_hello(const FrameView& frame);
 [[nodiscard]] Hello parse_hello(const Frame& frame);
+[[nodiscard]] HelloOk parse_hello_ok(const FrameView& frame);
 [[nodiscard]] HelloOk parse_hello_ok(const Frame& frame);
 /// `channels` comes from the session's HELLO; the chunk length must match,
 /// and every sample must be finite (NaN / ±Inf throw). Decodes through
-/// audio_chunk_frames and decode_audio_samples.
+/// audio_chunk_frames and decode_audio_chunk.
+[[nodiscard]] AudioChunk parse_audio_chunk(const FrameView& frame,
+                                           std::uint16_t channels);
 [[nodiscard]] AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels);
 /// parse_audio_chunk into a caller-owned buffer: `interleaved` becomes
 /// frames × channels samples (its capacity reused); returns the frame
-/// count. A bad sample throws with the samples before it decoded.
+/// count. A non-finite sample throws before `interleaved` is written.
+std::uint32_t parse_audio_chunk_into(const FrameView& frame, std::uint16_t channels,
+                                     std::vector<float>& interleaved);
 std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
                                      std::vector<float>& interleaved);
 
 /// An AUDIO_CHUNK's frame count, after checking the frame type, the
 /// channel and frame counts and that the payload holds exactly
 /// frames * channels samples (each violation throws ProtocolError).
+[[nodiscard]] std::uint32_t audio_chunk_frames(const FrameView& frame,
+                                               std::uint16_t channels);
 [[nodiscard]] std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels);
 
-/// The AUDIO_CHUNK sample decoder, in one pass over a payload that
-/// audio_chunk_frames accepted: each little-endian f32 sample is decoded,
-/// checked to be finite (NaN / ±Inf throw ProtocolError) and handed to
-/// put(frame, channel, sample), frames in order and channels in order
-/// within a frame. A throw leaves the samples before it delivered.
-template <class Put>
-void decode_audio_samples(const Frame& frame, std::uint16_t channels, Put&& put) {
-  const std::uint8_t* p = frame.payload.data() + sizeof(std::uint32_t);
-  const std::size_t frames = (frame.payload.size() - sizeof(std::uint32_t)) /
-                             (sizeof(float) * std::size_t{channels});
-  for (std::size_t f = 0; f < frames; ++f) {
-    for (std::size_t c = 0; c < channels; ++c, p += sizeof(float)) {
-      const std::uint32_t bits = std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
-                                 std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
-      const float sample = std::bit_cast<float>(bits);
-      // One NaN or Inf would poison every feature of the utterance it lands
-      // in (and the classifiers' verdicts only by accident of NaN
-      // comparisons).
-      if (!std::isfinite(sample)) throw ProtocolError("AUDIO_CHUNK: non-finite sample");
-      put(f, c, sample);
-    }
-  }
-}
+/// The AUDIO_CHUNK sample decoder, one bulk pass (dsp::simd's decode_f32
+/// kernel) over a payload that audio_chunk_frames accepted. It first checks
+/// every little-endian f32 sample: a NaN or ±Inf throws ProtocolError and
+/// nothing is written — no caller ever sees part of a chunk. Otherwise
+/// sample c of frame f goes to channel_out[c][f] as a double when
+/// `channel_out` is non-null, and the samples go to `interleaved_out` as
+/// floats in wire order (frame-major) when that is non-null; with both
+/// null the call only checks. A caller that also enforces size limits
+/// checks the length first (audio_chunk_frames), then the samples, then
+/// its limits.
+void decode_audio_chunk(const FrameView& frame, std::uint16_t channels,
+                        double* const* channel_out, float* interleaved_out);
+[[nodiscard]] EndOfUtterance parse_end_of_utterance(const FrameView& frame);
 [[nodiscard]] EndOfUtterance parse_end_of_utterance(const Frame& frame);
+[[nodiscard]] DecisionFrame parse_decision(const FrameView& frame);
 [[nodiscard]] DecisionFrame parse_decision(const Frame& frame);
+[[nodiscard]] ErrorFrame parse_error(const FrameView& frame);
 [[nodiscard]] ErrorFrame parse_error(const Frame& frame);
-void parse_stream_start(const Frame& frame);  ///< validates the empty payload
+void parse_stream_start(const FrameView& frame);  ///< validates the empty payload
+void parse_stream_start(const Frame& frame);
+[[nodiscard]] StreamOk parse_stream_ok(const FrameView& frame);
 [[nodiscard]] StreamOk parse_stream_ok(const Frame& frame);
+[[nodiscard]] StreamDecisionFrame parse_stream_decision(const FrameView& frame);
 [[nodiscard]] StreamDecisionFrame parse_stream_decision(const Frame& frame);
-void parse_stream_end(const Frame& frame);  ///< validates the empty payload
+void parse_stream_end(const FrameView& frame);  ///< validates the empty payload
+void parse_stream_end(const Frame& frame);
+[[nodiscard]] StreamSummary parse_stream_summary(const FrameView& frame);
 [[nodiscard]] StreamSummary parse_stream_summary(const Frame& frame);
+[[nodiscard]] AuthFrame parse_auth(const FrameView& frame);
 [[nodiscard]] AuthFrame parse_auth(const Frame& frame);
+[[nodiscard]] AuthOk parse_auth_ok(const FrameView& frame);
 [[nodiscard]] AuthOk parse_auth_ok(const Frame& frame);
+[[nodiscard]] AuthReject parse_auth_reject(const FrameView& frame);
 [[nodiscard]] AuthReject parse_auth_reject(const Frame& frame);
 
 /// Incremental frame decoder for a byte stream. feed() accepts whatever
-/// the socket produced; next() yields completed frames in order. A
-/// malformed header or an oversized length throws ProtocolError from
-/// feed() — the stream is unrecoverable at that point.
+/// the socket produced; next_view() and next() yield completed frames in
+/// order. A malformed header or an oversized length throws ProtocolError
+/// from feed() — the stream is unrecoverable at that point.
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_payload_bytes = kMaxPayloadBytes)
       : max_payload_bytes_(max_payload_bytes) {}
 
   void feed(const void* data, std::size_t size);
+  /// The next complete frame, its payload viewed in place in the reader's
+  /// buffer: valid until the next feed(), next_view() or next().
+  [[nodiscard]] std::optional<FrameView> next_view();
+  /// next_view() copied into an owning Frame.
   [[nodiscard]] std::optional<Frame> next();
   [[nodiscard]] std::size_t buffered_bytes() const noexcept {
     return buffer_.size() - consumed_;
@@ -310,6 +332,10 @@ class FrameReader {
  private:
   /// Validates the header at the current read position (if complete).
   void check_header();
+  /// Drops the consumed prefix once it dominates the buffer (all of it
+  /// when nothing is left), keeping feed() amortized O(1). Invalidates the
+  /// last view.
+  void compact();
 
   std::size_t max_payload_bytes_;
   std::vector<std::uint8_t> buffer_;

@@ -21,9 +21,10 @@ bool Session::on_bytes(const void* data, std::size_t size) {
   if (state_ == State::kFailed) return false;
   try {
     reader_.feed(data, size);
-    // Every complete buffered frame, in order, until the session fails.
+    // Every complete buffered frame, in order, until the session fails; each
+    // is handled in place in the reader's buffer.
     while (state_ != State::kFailed) {
-      const auto frame = reader_.next();
+      const auto frame = reader_.next_view();
       if (!frame) break;
       handle_frame(*frame);
     }
@@ -39,7 +40,7 @@ std::vector<std::uint8_t> Session::take_output() {
   return out;
 }
 
-void Session::handle_frame(const Frame& frame) {
+void Session::handle_frame(const FrameView& frame) {
   switch (frame.type) {
     case FrameType::kHello:
       handle_hello(frame);
@@ -76,7 +77,7 @@ void Session::handle_frame(const Frame& frame) {
   fail(ErrorCode::kBadRequest, "unhandled frame type");
 }
 
-void Session::handle_hello(const Frame& frame) {
+void Session::handle_hello(const FrameView& frame) {
   if (state_ != State::kAwaitHello) {
     fail(ErrorCode::kBadRequest, "duplicate HELLO");
     return;
@@ -118,7 +119,7 @@ void Session::handle_hello(const Frame& frame) {
   output_.insert(output_.end(), bytes.begin(), bytes.end());
 }
 
-void Session::handle_auth(const Frame& frame) {
+void Session::handle_auth(const FrameView& frame) {
   if (state_ != State::kStreaming) {
     // Before HELLO the connection has no negotiated protocol state at all;
     // this stays a hard protocol error like every other pre-HELLO frame.
@@ -203,7 +204,7 @@ DecisionFrame Session::decide(const core::PipelineResult& result,
   return decision;
 }
 
-void Session::handle_chunk(const Frame& frame) {
+void Session::handle_chunk(const FrameView& frame) {
   if (state_ != State::kStreaming) {
     fail(ErrorCode::kBadRequest, "AUDIO_CHUNK before HELLO");
     return;
@@ -225,10 +226,10 @@ void Session::handle_chunk(const Frame& frame) {
     return;
   }
   // Normal/Mute verdicts read no features: only HeadTalk feeds the operator,
-  // which takes the samples decoded straight into its per-channel input.
-  // The other modes still decode, to reject non-finite samples alike. A
-  // bad sample throws ProtocolError (bad-request) before the operator sees
-  // any of the chunk.
+  // which takes the samples decoded straight from the reader's buffer into
+  // its per-channel input. The other modes only check the samples, to
+  // reject non-finite ones alike. A bad sample throws ProtocolError
+  // (bad-request) before any of the chunk is written.
   const std::uint32_t frames = audio_chunk_frames(frame, channels_);
   const bool feed = limits_.mode == core::VaMode::kHeadTalk;
   if (feed) {
@@ -236,13 +237,8 @@ void Session::handle_chunk(const Frame& frame) {
       chunk_.channel(c).resize(frames);
       chunk_samples_[c] = chunk_.channel(c).samples().data();
     }
-    audio::Sample* const* out = chunk_samples_.data();
-    decode_audio_samples(frame, channels_, [out](std::size_t f, std::size_t c, float sample) {
-      out[c][f] = static_cast<audio::Sample>(sample);
-    });
-  } else {
-    decode_audio_samples(frame, channels_, [](std::size_t, std::size_t, float) {});
   }
+  decode_audio_chunk(frame, channels_, feed ? chunk_samples_.data() : nullptr, nullptr);
   if (!chunk_fits(frames)) return;
   if (utterance_frames_ + frames > limits_.max_utterance_frames) {
     fail(ErrorCode::kTooLarge,
@@ -278,7 +274,7 @@ bool Session::chunk_fits(std::uint32_t frames) {
   return false;
 }
 
-void Session::handle_end_of_utterance(const Frame& frame) {
+void Session::handle_end_of_utterance(const FrameView& frame) {
   if (state_ != State::kStreaming) {
     fail(ErrorCode::kBadRequest, "END_OF_UTTERANCE before HELLO");
     return;
@@ -319,7 +315,7 @@ void Session::handle_end_of_utterance(const Frame& frame) {
   ++decisions_;
 }
 
-void Session::handle_stream_start(const Frame& frame) {
+void Session::handle_stream_start(const FrameView& frame) {
   if (state_ != State::kStreaming) {
     fail(ErrorCode::kBadRequest, "STREAM_START before HELLO");
     return;
@@ -351,7 +347,7 @@ void Session::handle_stream_start(const Frame& frame) {
   output_.insert(output_.end(), bytes.begin(), bytes.end());
 }
 
-void Session::handle_stream_end(const Frame& frame) {
+void Session::handle_stream_end(const FrameView& frame) {
   if (state_ != State::kStreaming || !stream_mode_) {
     fail(ErrorCode::kBadRequest, "STREAM_END outside streaming mode");
     return;

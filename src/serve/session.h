@@ -103,16 +103,16 @@ class Session {
  private:
   enum class State { kAwaitHello, kStreaming, kFailed };
 
-  void handle_frame(const Frame& frame);
-  void handle_hello(const Frame& frame);
-  void handle_auth(const Frame& frame);
-  void handle_chunk(const Frame& frame);
+  void handle_frame(const FrameView& frame);
+  void handle_hello(const FrameView& frame);
+  void handle_auth(const FrameView& frame);
+  void handle_chunk(const FrameView& frame);
   /// False (after failing the session with ERROR too-large) when a chunk
   /// of `frames` exceeds max_chunk_frames.
   bool chunk_fits(std::uint32_t frames);
-  void handle_end_of_utterance(const Frame& frame);
-  void handle_stream_start(const Frame& frame);
-  void handle_stream_end(const Frame& frame);
+  void handle_end_of_utterance(const FrameView& frame);
+  void handle_stream_start(const FrameView& frame);
+  void handle_stream_end(const FrameView& frame);
   void emit_stream_decision(const stream::DecisionEvent& event);
   /// The DECISION body for one scored utterance: the pipeline verdict,
   /// then the policy fields — the tenant's policy engine on an AUTH'd

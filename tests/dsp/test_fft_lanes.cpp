@@ -858,5 +858,71 @@ TEST(SimdFloatLanes, RealLaneWrappersAcrossLevelsAndNearFloat64) {
   }
 }
 
+// ---- pack_lanes ------------------------------------------------------------
+
+/// pack_lanes in T against its per-slot formula, at every level: row r,
+/// part q, lane g holds slot n = bit_reverse[q * rows + r] of signal g
+/// (re = x[2n], im = x[2n + 1] converted to T, zero past `count` and for
+/// g >= used), for every part count, every used count and sample counts
+/// that end at, before and inside the last whole row, odd ones included.
+/// Each signal holds exactly `count` samples, so a read past it is an
+/// out-of-bounds read under ASan.
+template <class T>
+void expect_pack_matches_formula() {
+  constexpr std::size_t kN = simd::kLanes<T>;
+  const std::size_t half = 64;
+  const auto plan = FftPlanCache::global().get(half);
+  const auto bit_reverse = plan->bit_reverse();
+  constexpr T kUntouched = T(7);
+  for (std::size_t parts = 1; parts <= kN; parts *= 2) {
+    const std::size_t width = kN / parts, rows = half / parts;
+    for (std::size_t used = 1; used <= width; ++used) {
+      const std::size_t counts[] = {0,  1,  2,  3,  17, 2 * parts - 1, 2 * parts,
+                                    2 * parts + 1, 63, 64, 101, 2 * half - 2 * parts + 1,
+                                    2 * half - 1, 2 * half};
+      for (const std::size_t count : counts) {
+        std::vector<std::vector<double>> signals;
+        std::vector<const double*> pointers;
+        for (std::size_t g = 0; g < used; ++g) {
+          const auto seed = static_cast<unsigned>(300 + 17 * g + count);
+          signals.push_back(random_values(count, seed));
+        }
+        for (const auto& x : signals) pointers.push_back(x.data());
+        for (const simd::Level level : supported_levels()) {
+          ScopedLevel scoped(level);
+          std::vector<T> re(rows * kN, kUntouched), im(rows * kN, kUntouched);
+          simd::kernels().lanes<T>().pack_lanes(pointers.data(), used, count,
+                                                bit_reverse.data(), rows, parts,
+                                                re.data(), im.data());
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t q = 0; q < parts; ++q) {
+              const std::size_t n = bit_reverse[q * rows + r];
+              for (std::size_t g = 0; g < width; ++g) {
+                const bool has_re = g < used && 2 * n < count;
+                const bool has_im = g < used && 2 * n + 1 < count;
+                const T want_re = has_re ? static_cast<T>(signals[g][2 * n]) : T(0);
+                const T want_im = has_im ? static_cast<T>(signals[g][2 * n + 1]) : T(0);
+                const std::size_t at = r * kN + q * width + g;
+                ASSERT_TRUE(same_bits(re[at], want_re) && same_bits(im[at], want_im))
+                    << parts << " parts, " << used << " used, count " << count
+                    << ": row " << r << " part " << q << " lane " << g << " at "
+                    << simd::level_name(level);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdFftLanes, PackLanesEqualsPerSlotFormula) {
+  expect_pack_matches_formula<double>();
+}
+
+TEST(SimdFloatLanes, PackLanesEqualsPerSlotFormula) {
+  expect_pack_matches_formula<float>();
+}
+
 }  // namespace
 }  // namespace headtalk::dsp

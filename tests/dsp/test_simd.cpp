@@ -14,7 +14,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -312,6 +314,202 @@ TEST(SimdEquivalence, BiquadLanesMatchCascadeAcrossLevels) {
           }
           expect_bits_equal(state, want_state, what + " state");
         }
+      }
+    }
+  }
+}
+
+// ---- decode_f32: the AUDIO_CHUNK sample decoder ----------------------------
+
+/// The per-sample decoder the bulk kernel replaced, kept as its reference:
+/// each sample assembled from its little-endian bytes, checked to be finite
+/// (a NaN or ±Inf throws, the samples before it delivered) and handed to
+/// put(frame, channel, sample) in wire order.
+template <class Put>
+void reference_decode(const std::uint8_t* p, std::size_t frames, std::size_t channels,
+                      Put&& put) {
+  for (std::size_t f = 0; f < frames; ++f) {
+    for (std::size_t c = 0; c < channels; ++c, p += sizeof(float)) {
+      const std::uint32_t bits = std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                 std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+      const float sample = std::bit_cast<float>(bits);
+      if (!std::isfinite(sample)) throw std::runtime_error("non-finite sample");
+      put(f, c, sample);
+    }
+  }
+}
+
+/// `lead` junk bytes, then the little-endian bytes of `bits` (so the
+/// samples can start at any alignment).
+std::vector<std::uint8_t> wire_bytes(const std::vector<std::uint32_t>& bits,
+                                     std::size_t lead) {
+  std::vector<std::uint8_t> bytes(lead, 0xA5);
+  for (const std::uint32_t b : bits) {
+    for (int k = 0; k < 4; ++k) bytes.push_back(static_cast<std::uint8_t>(b >> (8 * k)));
+  }
+  return bytes;
+}
+
+/// Finite samples: mostly uniform audio, with every few samples one of the
+/// edge values the decoder must accept (subnormals, ±0, ±FLT_MAX, the
+/// smallest normals).
+std::vector<std::uint32_t> finite_samples(std::size_t count, unsigned seed) {
+  constexpr std::uint32_t kEdges[] = {0x00000001u, 0x807fffffu, 0x00000000u, 0x80000000u,
+                                      0x7f7fffffu, 0xff7fffffu, 0x00800000u, 0x80800000u};
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+  std::vector<std::uint32_t> bits(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    bits[i] = i % 5 == 3 ? kEdges[(i / 5) % std::size(kEdges)]
+                         : std::bit_cast<std::uint32_t>(u(rng));
+  }
+  return bits;
+}
+
+constexpr double kUntouchedSample = -12345.0;
+constexpr float kUntouchedFloat = -54321.0f;
+
+/// The per-channel and interleaved destinations of one decode, filled with
+/// sentinels.
+struct DecodeTargets {
+  std::vector<std::vector<double>> channels;
+  std::vector<double*> pointers;
+  std::vector<float> interleaved;
+
+  DecodeTargets(std::size_t channel_count, std::size_t frames)
+      : channels(channel_count, std::vector<double>(frames, kUntouchedSample)),
+        interleaved(channel_count * frames, kUntouchedFloat) {
+    for (auto& channel : channels) pointers.push_back(channel.data());
+  }
+
+  [[nodiscard]] bool untouched() const {
+    for (const auto& channel : channels) {
+      for (const double v : channel) {
+        if (v != kUntouchedSample) return false;
+      }
+    }
+    for (const float v : interleaved) {
+      if (v != kUntouchedFloat) return false;
+    }
+    return true;
+  }
+};
+
+TEST(SimdDecode, BulkDecoderEqualsPerSampleReferenceAtEveryLevel) {
+  // Every channel count 1-8 and 16, chunk lengths around each vector width
+  // (tails included), payloads at every alignment mod 4: the per-channel
+  // doubles and the interleaved floats equal the reference bit for bit.
+  const std::size_t channel_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 16};
+  const std::size_t frame_counts[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100};
+  for (const std::size_t channels : channel_counts) {
+    for (const std::size_t frames : frame_counts) {
+      const std::size_t lead = (channels + frames) % 4;
+      const auto seed = static_cast<unsigned>(channels * 131 + frames);
+      const auto bytes = wire_bytes(finite_samples(frames * channels, seed), lead);
+      const std::uint8_t* payload = bytes.data() + lead;
+      std::vector<std::vector<double>> want(channels, std::vector<double>(frames));
+      std::vector<float> want_interleaved;
+      reference_decode(payload, frames, channels,
+                       [&](std::size_t f, std::size_t c, float sample) {
+                         want[c][f] = static_cast<double>(sample);
+                         want_interleaved.push_back(sample);
+                       });
+      for (const simd::Level level : supported_levels()) {
+        ScopedLevel scoped(level);
+        const std::string what = std::string(simd::level_name(level)) + ", " +
+                                 std::to_string(channels) + " channels, " +
+                                 std::to_string(frames) + " frames";
+        DecodeTargets got(channels, frames);
+        const auto& decode = simd::kernels().decode_f32;
+        ASSERT_TRUE(decode(payload, frames, channels, got.pointers.data(), nullptr))
+            << what;
+        ASSERT_TRUE(decode(payload, frames, channels, nullptr, got.interleaved.data()))
+            << what;
+        ASSERT_TRUE(decode(payload, frames, channels, nullptr, nullptr)) << what;
+        for (std::size_t c = 0; c < channels; ++c) {
+          expect_bits_equal(got.channels[c], want[c], what);
+        }
+        for (std::size_t i = 0; i < want_interleaved.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got.interleaved[i]),
+                    std::bit_cast<std::uint32_t>(want_interleaved[i]))
+              << what << " sample " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDecode, NonFiniteSampleAnywhereWritesNothing) {
+  // Quiet and signalling NaNs, NaNs with payload bits and either sign, and
+  // ±Inf, at every position mod 16 and at the last sample: the kernel
+  // returns false (so does the per-sample reference) and leaves every
+  // destination as it was.
+  constexpr std::uint32_t kBad[] = {0x7fc00000u, 0xffc00000u, 0x7f800001u, 0xff812345u,
+                                    0x7fffffffu, 0x7f800000u, 0xff800000u};
+  for (const std::size_t channels : {1u, 2u, 3u, 4u, 8u, 16u}) {
+    const std::size_t frames = 33;
+    const std::size_t count = frames * channels;
+    std::vector<std::size_t> positions;
+    for (std::size_t at = 0; at < 16; ++at) positions.push_back(at);
+    for (std::size_t at = count / 2; at < count / 2 + 16; ++at) positions.push_back(at);
+    positions.push_back(count - 1);
+    for (const std::uint32_t bad : kBad) {
+      for (const std::size_t at : positions) {
+        auto bits = finite_samples(count, static_cast<unsigned>(at));
+        bits[at] = bad;
+        const auto bytes = wire_bytes(bits, at % 4);
+        const std::uint8_t* payload = bytes.data() + at % 4;
+        EXPECT_THROW(reference_decode(payload, frames, channels,
+                                      [](std::size_t, std::size_t, float) {}),
+                     std::runtime_error);
+        for (const simd::Level level : supported_levels()) {
+          ScopedLevel scoped(level);
+          DecodeTargets got(channels, frames);
+          const auto& decode = simd::kernels().decode_f32;
+          ASSERT_FALSE(decode(payload, frames, channels, got.pointers.data(),
+                              got.interleaved.data()))
+              << simd::level_name(level) << ", " << channels << " channels, bad 0x"
+              << std::hex << bad << std::dec << " at " << at;
+          ASSERT_FALSE(decode(payload, frames, channels, nullptr, nullptr));
+          ASSERT_TRUE(got.untouched()) << simd::level_name(level) << ", at " << at;
+        }
+      }
+    }
+  }
+}
+
+// ---- sum_squares: the block envelope's reduction ----------------------------
+
+/// Kernels::sum_squares' documented order: 16 partial sums, sum j taking
+/// x[i]² for i ≡ j (mod 16) in increasing i, folded pairwise.
+double reference_sum_squares(const double* x, std::size_t count) {
+  double s[16] = {};
+  for (std::size_t i = 0; i < count; ++i) s[i % 16] += x[i] * x[i];
+  for (std::size_t w = 8; w > 0; w /= 2) {
+    for (std::size_t j = 0; j < w; ++j) s[j] += s[j + w];
+  }
+  return s[0];
+}
+
+TEST(SimdSumSquares, LaneReductionFollowsItsOrderAtEveryLevel) {
+  // Every length up to three blocks of 16 and the operator's block lengths,
+  // at every alignment of the first sample: the same bits as the scalar
+  // evaluation of the documented order (a fused multiply-add at any level
+  // breaks this).
+  const auto x = random_signal(1100, 77);
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 0; n <= 48; ++n) counts.push_back(n);
+  for (const std::size_t n : {320u, 959u, 960u, 961u, 1024u}) counts.push_back(n);
+  for (const simd::Level level : supported_levels()) {
+    ScopedLevel scoped(level);
+    const auto& sum_squares = simd::kernels().sum_squares;
+    for (const std::size_t count : counts) {
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        const double got = sum_squares(x.data() + offset, count);
+        const double want = reference_sum_squares(x.data() + offset, count);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+            << simd::level_name(level) << ", " << count << " samples at offset "
+            << offset;
       }
     }
   }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -224,6 +225,89 @@ TEST(ServeProtocol, ReaderHandlesArbitrarySplitPoints) {
   EXPECT_EQ(seen[1], FrameType::kAudioChunk);
   EXPECT_EQ(seen[2], FrameType::kEndOfUtterance);
   EXPECT_EQ(reader.buffered_bytes(), 0u);
+}
+
+TEST(ServeProtocol, ViewEqualsOwningCopyAcrossSplitFeeds) {
+  // Two readers fed the same pieces (single bytes, odd sizes, runs longer
+  // than a frame, and enough traffic to compact the buffer): next_view()
+  // on one yields exactly the frames next() copies out of the other.
+  std::vector<std::uint8_t> stream;
+  const auto add = [&](const std::vector<std::uint8_t>& bytes) {
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  };
+  add(encode_hello(Hello{}));
+  for (int u = 0; u < 6; ++u) {
+    std::vector<float> samples(4 * (300 + 37 * u));
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      samples[i] = 0.001f * static_cast<float>(i % 997) - 0.5f;
+    }
+    add(encode_audio_chunk(samples, 4));
+    add(encode_end_of_utterance(u % 2 == 1));
+  }
+  add(encode_stream_start());
+  for (const std::size_t piece : {std::size_t{1}, std::size_t{7}, std::size_t{4097}}) {
+    FrameReader viewed, owned;
+    std::size_t frames = 0;
+    for (std::size_t at = 0; at < stream.size(); at += piece) {
+      const std::size_t n = std::min(piece, stream.size() - at);
+      viewed.feed(stream.data() + at, n);
+      owned.feed(stream.data() + at, n);
+      while (true) {
+        const auto view = viewed.next_view();
+        const auto frame = owned.next();
+        ASSERT_EQ(view.has_value(), frame.has_value()) << "piece " << piece;
+        if (!view) break;
+        ASSERT_EQ(view->type, frame->type);
+        ASSERT_TRUE(std::equal(view->payload.begin(), view->payload.end(),
+                               frame->payload.begin(), frame->payload.end()))
+            << "piece " << piece << ", frame " << frames;
+        ++frames;
+      }
+      ASSERT_EQ(viewed.buffered_bytes(), owned.buffered_bytes());
+    }
+    EXPECT_EQ(frames, 14u) << "piece " << piece;
+    EXPECT_EQ(viewed.buffered_bytes(), 0u);
+  }
+}
+
+TEST(ServeProtocol, DecodeAudioChunkDeinterleavesAndRejectsWithoutWriting) {
+  // Per-channel doubles and interleaved floats equal the wire samples; a NaN
+  // anywhere leaves both destinations exactly as they were.
+  const std::size_t frames = 9, channels = 3;
+  std::vector<float> samples(frames * channels);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = 0.1f * static_cast<float>(i);
+  }
+  const Frame good = decode_one(encode_audio_chunk(samples, channels));
+  ASSERT_EQ(audio_chunk_frames(good, channels), frames);
+  std::vector<std::vector<double>> out(channels, std::vector<double>(frames, -1.0));
+  double* const pointers[] = {out[0].data(), out[1].data(), out[2].data()};
+  std::vector<float> interleaved(samples.size(), -1.0f);
+  decode_audio_chunk(view_of(good), channels, pointers, interleaved.data());
+  for (std::size_t f = 0; f < frames; ++f) {
+    for (std::size_t c = 0; c < channels; ++c) {
+      EXPECT_EQ(out[c][f], static_cast<double>(samples[f * channels + c]));
+    }
+  }
+  EXPECT_EQ(interleaved, samples);
+
+  for (std::size_t at = 0; at < samples.size(); ++at) {
+    std::vector<float> poisoned = samples;
+    poisoned[at] = std::numeric_limits<float>::quiet_NaN();
+    const Frame bad = decode_one(encode_audio_chunk(poisoned, channels));
+    std::vector<std::vector<double>> untouched(channels,
+                                               std::vector<double>(frames, -1.0));
+    double* const targets[] = {untouched[0].data(), untouched[1].data(),
+                               untouched[2].data()};
+    std::vector<float> flat(samples.size(), -1.0f);
+    EXPECT_THROW(decode_audio_chunk(view_of(bad), channels, targets, flat.data()),
+                 ProtocolError)
+        << at;
+    for (const auto& channel : untouched) {
+      EXPECT_EQ(channel, std::vector<double>(frames, -1.0)) << at;
+    }
+    EXPECT_EQ(flat, std::vector<float>(samples.size(), -1.0f)) << at;
+  }
 }
 
 TEST(ServeProtocol, RejectsUnknownFrameType) {
