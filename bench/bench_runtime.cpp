@@ -526,9 +526,8 @@ void BM_DecodeChunk(benchmark::State& state) {
     }
     state.SetLabel("per-sample decode");
   } else {
-    const serve::FrameView view = serve::view_of(frame);
     for (auto _ : state) {
-      serve::decode_audio_chunk(view, kChunkChannels, out, nullptr);
+      serve::decode_audio_chunk(frame, kChunkChannels, out, nullptr);
       benchmark::DoNotOptimize(out[0]);
       benchmark::ClobberMemory();
     }

@@ -7,9 +7,11 @@
 // profile re-resolution can cost.
 //
 // Phase 2 answers "what does tenancy cost the serving plane?": the same
-// closed-loop client fleet as bench_serve_throughput runs twice against
-// one daemon — tenant-less, then with every connection AUTH'd to a random
-// tenant — and the record gains rps_tenantless / rps_authed / rps_ratio.
+// closed-loop client fleet as bench_serve_throughput runs against one
+// daemon in five alternating pairs of phases — tenant-less, then with
+// every connection AUTH'd to a random tenant — and the record gains
+// rps_tenantless / rps_authed (over all pairs) and rps_ratio (the median
+// of the per-pair ratios).
 // While the AUTH'd fleet is in flight, a reloader thread republishes a
 // profile and hot-reloads the TenantService; the gate is that the
 // generation moves and not a single connection drops.
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/pipeline.h"
@@ -265,16 +268,33 @@ int main() {
   // opens, so every worker a phase can reach is warm.
   (void)run_clients(config.socket_path, capture, clients, 1, false, tenant_count);
 
-  const PhaseResult tenantless =
-      run_clients(config.socket_path, capture, clients, utterances, false, tenant_count);
-  const double rps_tenantless =
-      tenantless.wall > 0.0 ? static_cast<double>(tenantless.decisions) / tenantless.wall
-                            : 0.0;
-
-  // AUTH'd fleet, nothing else running: this is the apples-to-apples
-  // tenancy-overhead comparison.
-  const PhaseResult authed =
-      run_clients(config.socket_path, capture, clients, utterances, true, tenant_count);
+  // Tenant-less and AUTH'd phases alternate, kPairs of each, and the gate
+  // reads the median of the per-pair RPS ratios: one short phase that a
+  // scheduler hiccup lands on moves one pair's ratio, not the median.
+  constexpr std::size_t kPairs = 5;
+  const auto add_phase = [](PhaseResult& total, const PhaseResult& phase) {
+    total.decisions += phase.decisions;
+    total.failed_clients += phase.failed_clients;
+    total.wall += phase.wall;
+  };
+  PhaseResult tenantless, authed;
+  std::vector<double> pair_ratios;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    const PhaseResult plain =
+        run_clients(config.socket_path, capture, clients, utterances, false, tenant_count);
+    // AUTH'd fleet, nothing else running: this is the apples-to-apples
+    // tenancy-overhead comparison.
+    const PhaseResult auth =
+        run_clients(config.socket_path, capture, clients, utterances, true, tenant_count);
+    pair_ratios.push_back(plain.wall > 0.0 && auth.wall > 0.0 && plain.decisions > 0
+                              ? (static_cast<double>(auth.decisions) / auth.wall) /
+                                    (static_cast<double>(plain.decisions) / plain.wall)
+                              : 0.0);
+    add_phase(tenantless, plain);
+    add_phase(authed, auth);
+  }
+  std::sort(pair_ratios.begin(), pair_ratios.end());
+  const double rps_ratio = pair_ratios[kPairs / 2];
 
   // Reload-under-load gate, as its own phase so the reloader's own CPU use
   // doesn't pollute the ratio: a reloader hammers the service — each cycle
@@ -303,13 +323,17 @@ int main() {
   server.stop();
   const std::uint64_t generation_delta = service.generation() - generation_before;
 
+  const double rps_tenantless =
+      tenantless.wall > 0.0 ? static_cast<double>(tenantless.decisions) / tenantless.wall
+                            : 0.0;
   const double rps_authed =
       authed.wall > 0.0 ? static_cast<double>(authed.decisions) / authed.wall : 0.0;
-  const double rps_ratio = rps_tenantless > 0.0 ? rps_authed / rps_tenantless : 0.0;
   const std::size_t dropped =
       tenantless.failed_clients + authed.failed_clients + reloaded.failed_clients;
-  std::printf("RPS tenant-less %.2f  AUTH'd %.2f  ratio %.3f\n", rps_tenantless,
-              rps_authed, rps_ratio);
+  std::printf("RPS tenant-less %.2f  AUTH'd %.2f  ratio %.3f (median of %zu pairs, "
+              "%.3f .. %.3f)\n",
+              rps_tenantless, rps_authed, rps_ratio, kPairs, pair_ratios.front(),
+              pair_ratios.back());
   std::printf("reload phase: %zu hot reloads (generation +%llu), dropped "
               "connections overall: %zu\n",
               reloads, static_cast<unsigned long long>(generation_delta), dropped);
@@ -337,11 +361,11 @@ int main() {
 
   const std::size_t expected =
       static_cast<std::size_t>(clients) * static_cast<std::size_t>(utterances);
-  bool ok = dropped == 0 && tenantless.decisions == expected &&
-            authed.decisions == expected && reloaded.decisions == expected &&
+  bool ok = dropped == 0 && tenantless.decisions == kPairs * expected &&
+            authed.decisions == kPairs * expected && reloaded.decisions == expected &&
             reloads > 0 && generation_delta >= reloads;
-  // Tenancy must be near-free next to the DSP-dominated scoring path. The
-  // ISSUE gate is "within ~10%"; allow a little measurement slack on noisy
+  // Tenancy must be near-free next to the DSP-dominated scoring path: the
+  // target is "within ~10%"; allow a little measurement slack on noisy
   // 1-CPU CI hosts but still fail on a real regression.
   if (rps_ratio < 0.80) {
     std::fprintf(stderr, "AUTH'd RPS fell to %.1f%% of tenant-less — tenancy is "

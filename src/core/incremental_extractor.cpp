@@ -139,13 +139,37 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   finalized_ = false;
   pushed_ = 0;
 
+  orientation_on_ = config_.enable_orientation && channels >= 2;
+  const double high = std::min(config_.preprocess.high_hz, 0.45 * sample_rate);
+  const double top_hz =
+      std::max(config_.orientation.high_band_hi, config_.orientation.low_band_hi);
+  // The band-pass, the directivity decimator, the liveness anti-alias and
+  // window spectrum depend on this key alone: a segment with the last
+  // one's key only zeroes their delay lines. A redesign clears the key
+  // first, so a design that throws leaves no stale hit behind.
+  const Design design{sample_rate,
+                      channels,
+                      config_.preprocess.filter_order,
+                      config_.preprocess.low_hz,
+                      high,
+                      orientation_on_,
+                      top_hz,
+                      config_.enable_liveness,
+                      live_rate,
+                      config_.liveness.stft_frame};
+  const bool redesign = design != design_;
+  if (redesign) design_ = {};
+
   // Preprocessing: one band-pass design, a delay line per channel carried
   // across chunks so they filter continuously.
-  const double high = std::min(config_.preprocess.high_hz, 0.45 * sample_rate);
-  bandpass_.reset(dsp::butterworth_bandpass(config_.preprocess.filter_order,
-                                            config_.preprocess.low_hz, high,
-                                            sample_rate),
-                  channels);
+  if (redesign) {
+    bandpass_.reset(dsp::butterworth_bandpass(config_.preprocess.filter_order,
+                                              config_.preprocess.low_hz, high,
+                                              sample_rate),
+                    channels);
+  } else {
+    bandpass_.restart();
+  }
   block_len_ = static_cast<std::size_t>(
       std::max(1.0, config_.block_ms * sample_rate / 1000.0));
   block_.assign(channels * block_len_, 0.0);
@@ -153,7 +177,6 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   filter_out_.assign(channels, nullptr);
   block_fill_ = 0;
 
-  orientation_on_ = config_.enable_orientation && channels >= 2;
   max_lag_ = 0;
   pair_count_ = 0;
   std::size_t block_fft = std::max<std::size_t>(2, dsp::next_pow2(block_len_));
@@ -192,8 +215,6 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   // Directivity: the window is sized at the full rate and divided by the
   // power-of-two decimation, so its duration and bin spacing do not depend
   // on D.
-  const double top_hz =
-      std::max(config_.orientation.high_band_hi, config_.orientation.low_band_hi);
   dir_step_ = directivity_step(sample_rate, top_hz);
   dir_rate_ = sample_rate / static_cast<double>(dir_step_);
   dir_fft_ = directivity_window(sample_rate) / dir_step_;
@@ -202,12 +223,8 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
                            std::ceil(top_hz * static_cast<double>(dir_fft_) / dir_rate_)) +
                            2);
   if (orientation_on_) {
-    // One design per (rate, channels, band); a later segment only clears
-    // the history.
-    const DirectivityDesign design{sample_rate, channels, top_hz};
-    if (design != dir_design_) {
+    if (redesign) {
       decimator_ = directivity_decimator(sample_rate, channels, top_hz);
-      dir_design_ = design;
     } else {
       decimator_.restart();
     }
@@ -230,7 +247,11 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   if (config_.enable_liveness) {
     live_step_ = liveness_decimation(sample_rate, live_rate);
     if (live_step_ > 1) {
-      antialias_.reset(dsp::butterworth_lowpass(10, 0.45 * live_rate, sample_rate), 1);
+      if (redesign) {
+        antialias_.reset(dsp::butterworth_lowpass(10, 0.45 * live_rate, sample_rate), 1);
+      } else {
+        antialias_.restart();
+      }
       live_filtered_.resize(block_len_);
       live_emitted_.resize(block_len_ / live_step_ + 1);
     }
@@ -244,15 +265,13 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
     // FFT of the analysis window itself: finalize subtracts the segment
     // mean from every stored frame spectrum as mu * W(f) (linearity), so
     // normalization can happen after the fact without reprocessing.
-    // Computed once per (frame, fft size); a later segment reuses it.
-    if (live_window_spectrum_.fft_size != live_stft_.fft_size() ||
-        live_window_frame_ != config_.liveness.stft_frame) {
+    if (redesign) {
       dsp::rfft_half_into(
           dsp::shared_window(dsp::WindowType::kHann, config_.liveness.stft_frame),
           live_stft_.fft_size(), live_window_spectrum_, live_scratch_);
-      live_window_frame_ = config_.liveness.stft_frame;
     }
   }
+  design_ = design;
 }
 
 void IncrementalExtractor::push(const audio::MultiBuffer& chunk) {

@@ -212,7 +212,23 @@ class IncrementalExtractor {
   void liveness_features_from(std::span<const double> mean_magnitude,
                               std::size_t fft_size, ml::FeatureVector& out) const;
 
+  /// What the filters, the decimator and the liveness window spectrum were
+  /// designed for (see begin()).
+  struct Design {
+    double sample_rate = 0.0;
+    std::size_t channels = 0;
+    int filter_order = 0;
+    double low_hz = 0.0, high_hz = 0.0;  ///< the band-pass band, high_hz clamped
+    bool orientation = false;
+    double top_hz = 0.0;  ///< the directivity bands' top edge
+    bool liveness = false;
+    double live_rate = 0.0;
+    std::size_t live_frame = 0;
+    bool operator==(const Design&) const = default;
+  };
+
   IncrementalExtractorConfig config_{};
+  Design design_{};
   std::size_t channels_ = 0;
   double sample_rate_ = 0.0;
   bool open_ = false;
@@ -253,13 +269,6 @@ class IncrementalExtractor {
 
   // Directivity: mixdown → low-pass decimator → ring of the last dir_fft_
   // decimated samples → per-block truncated spectrum.
-  struct DirectivityDesign {
-    double sample_rate = 0.0;
-    std::size_t channels = 0;
-    double top_hz = 0.0;
-    bool operator==(const DirectivityDesign&) const = default;
-  };
-  DirectivityDesign dir_design_{};  ///< what decimator_'s taps were designed for
   dsp::FirDecimator decimator_;     ///< the mixdown's 1/channels folded into its taps
   std::size_t dir_step_ = 1;        ///< decimation factor D
   double dir_rate_ = 0.0;           ///< sample_rate_ / D
@@ -284,7 +293,6 @@ class IncrementalExtractor {
   std::vector<double> live_cum_sum_, live_cum_sum_sq_;  ///< cumulative per block
   std::vector<audio::Sample> live_emitted_;  ///< step > 1: one block's output
   dsp::HalfSpectrum live_window_spectrum_;  ///< FFT of the full analysis window
-  std::size_t live_window_frame_ = 0;       ///< the frame it was computed for
   dsp::HalfSpectrum live_truncated_;  ///< FFT of a padded tail frame's window head
   dsp::FftScratch live_scratch_;      ///< the two window transforms' workspace
 };

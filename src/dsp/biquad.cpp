@@ -1,5 +1,6 @@
 #include "dsp/biquad.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -56,6 +57,10 @@ void MultichannelBiquadCascade::reset(const BiquadCascade& design,
   state_.assign(2 * design.section_count() * channels, 0.0);
   in_.assign(channels, nullptr);
   out_.assign(channels, nullptr);
+}
+
+void MultichannelBiquadCascade::restart() noexcept {
+  std::fill(state_.begin(), state_.end(), 0.0);
 }
 
 void MultichannelBiquadCascade::process(const audio::MultiBuffer& chunk,

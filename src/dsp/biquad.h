@@ -73,6 +73,10 @@ class MultichannelBiquadCascade {
   /// Takes `design`'s coefficients and zeroes `channels` delay lines.
   void reset(const BiquadCascade& design, std::size_t channels);
 
+  /// Zeroes the delay lines for a new signal, keeping the coefficients and
+  /// the channel count.
+  void restart() noexcept;
+
   /// Filters frames [first, first + frames) of every channel of `chunk`,
   /// continuing the previous call's signal. `out` becomes channels ×
   /// frames samples, channel c at [c × frames, (c + 1) × frames); its

@@ -14,10 +14,10 @@
 // The biquad cascade works on real per-channel sample buffers, one channel
 // per vector lane, or one channel's sections across the lanes; the FIR
 // decimator, `accumulate` and `sum_squares` on real arrays; `decode_f32`
-// on the wire's raw float32 bytes. Each level (scalar / SSE2 /
-// AVX2) provides one immutable table; dispatch.h selects between them at
-// runtime. No level fuses a multiply and an add, so every kernel gives the
-// same bits at every level.
+// on the wire's raw float32 bytes. Each level (scalar, AVX2) provides one
+// immutable table; dispatch.h selects between them at runtime. No level
+// fuses a multiply and an add, so every kernel gives the same bits at
+// both levels.
 #pragma once
 
 #include <cstddef>
@@ -140,7 +140,7 @@ struct LaneKernels {
 };
 
 struct Kernels {
-  /// Display name ("scalar", "sse2", "avx2").
+  /// Display name ("scalar", "avx2").
   const char* name;
 
   /// acc[i] += src[i] for i in [0, count) — count is in doubles.
@@ -162,7 +162,7 @@ struct Kernels {
   /// as floats in payload order to `interleaved_out` when that is non-null,
   /// and returns true; with both null it only checks. Pure data movement:
   /// every level writes the same bits. Channel counts 1, 2 and multiples
-  /// of 4 run vector paths on x86, any other count one branch-free loop;
+  /// of 4 run vector paths at AVX2, any other count one branch-free loop;
   /// the scalar level assembles each sample from its bytes, independent of
   /// the host's byte order.
   bool (*decode_f32)(const std::uint8_t* payload, std::size_t frames,
@@ -184,9 +184,9 @@ struct Kernels {
   /// output, so a pass boundary changes no operation), and a pass keeps
   /// every section's delay line in registers for the whole call. Two
   /// layouts:
-  ///   * several channels: lanes are channels (SSE2 2 per vector, AVX2 4),
-  ///     loaded and stored a vector's width of frames at a time through a
-  ///     transpose; a ragged tail drops to narrower groups;
+  ///   * several channels: lanes are channels (AVX2 4 per vector), loaded
+  ///     and stored a vector's width of frames at a time through a
+  ///     transpose; a ragged tail runs one channel at a time;
   ///   * one channel: lanes are sections. Lane s filters sample t - s at
   ///     step t, fed by lane s-1's output of step t-1 (the registers shift
   ///     up one lane per step), so the sections advance together; the
@@ -232,11 +232,7 @@ struct Kernels {
 const Kernels& scalar_kernels() noexcept;
 
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || defined(_M_IX86)
-#define HEADTALK_SIMD_X86 1
-/// Same source as scalar, compiled for the SSE2 baseline with the
-/// autovectorizer on; the lane kernels run 2 doubles or 4 floats per
-/// register, the biquad cascade two channels or sections.
-const Kernels& sse2_kernels() noexcept;
+#define HEADTALK_X86 1
 /// AVX2 without FMA: 4 doubles or 8 floats per register for the lane
 /// kernels, four channels or sections for the biquad cascade, four outputs
 /// per register for the FIR decimator and four partial sums per register

@@ -1,5 +1,6 @@
-// AVX2 kernels. The lane kernels run 4 doubles or 8 floats per register,
-// the biquad cascade four channels or sections, the FIR decimator four
+// AVX2 kernels, and every intrinsic of the kernel layer. The lane kernels
+// run 4 doubles or 8 floats per register, the biquad cascade four channels
+// or sections (the ragged channels one at a time), the FIR decimator four
 // outputs and `sum_squares` four partial sums per register (lanes.inl
 // with the policies below); `accumulate` is a hand-written intrinsics
 // loop, and `decode_f32` checks eight samples per compare and widens four
@@ -10,7 +11,7 @@
 // rounding, so every kernel computes the scalar reference's bits.
 #include "dsp/simd/kernels.h"
 
-#if defined(HEADTALK_SIMD_X86)
+#if defined(HEADTALK_X86)
 
 #include <immintrin.h>
 
@@ -21,9 +22,9 @@
 
 namespace headtalk::dsp::simd {
 
-#define HEADTALK_SIMD_NS avx2_impl
+#define HEADTALK_KERNELS_NS avx2_impl
 #include "dsp/simd/lanes.inl"
-#undef HEADTALK_SIMD_NS
+#undef HEADTALK_KERNELS_NS
 
 namespace {
 
@@ -330,27 +331,70 @@ struct Avx2LanesF {
   }
 };
 
-/// decode_f32's AVX2 vector steps: the check eight samples per compare,
-/// four floats widened per cvtps2pd.
-struct Avx2Decode {
-  static bool all_finite(const std::uint8_t* p, std::size_t count) {
-    const __m256i exponent = _mm256_set1_epi32(static_cast<int>(avx2_impl::kF32Exponent));
-    __m256i bad0 = _mm256_setzero_si256(), bad1 = bad0;
-    const auto check = [&](std::size_t i) {
-      const auto* at = reinterpret_cast<const __m256i*>(p + i * sizeof(float));
-      const __m256i v = _mm256_loadu_si256(at);
-      return _mm256_cmpeq_epi32(_mm256_and_si256(v, exponent), exponent);
-    };
-    std::size_t i = 0;
-    for (; i + 16 <= count; i += 16) {
-      bad0 = _mm256_or_si256(bad0, check(i));
-      bad1 = _mm256_or_si256(bad1, check(i + 8));
-    }
-    return _mm256_testz_si256(_mm256_or_si256(bad0, bad1), _mm256_set1_epi32(-1)) &&
-           avx2_impl::Sse2Decode::all_finite(p + i * sizeof(float), count - i);
+/// Whether none of the `count` samples at p is NaN or ±Inf: eight samples
+/// per compare, the last < 16 through f32_all_finite.
+bool f32_all_finite_avx2(const std::uint8_t* p, std::size_t count) {
+  const __m256i exponent = _mm256_set1_epi32(static_cast<int>(avx2_impl::kF32Exponent));
+  __m256i bad0 = _mm256_setzero_si256(), bad1 = bad0;
+  const auto check = [&](std::size_t i) {
+    const auto* at = reinterpret_cast<const __m256i*>(p + i * sizeof(float));
+    const __m256i v = _mm256_loadu_si256(at);
+    return _mm256_cmpeq_epi32(_mm256_and_si256(v, exponent), exponent);
+  };
+  std::size_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    bad0 = _mm256_or_si256(bad0, check(i));
+    bad1 = _mm256_or_si256(bad1, check(i + 8));
   }
-  static void store4(double* out, __m128 v) { _mm256_storeu_pd(out, _mm256_cvtps_pd(v)); }
-};
+  return _mm256_testz_si256(_mm256_or_si256(bad0, bad1), _mm256_set1_epi32(-1)) &&
+         avx2_impl::f32_all_finite(p + i * sizeof(float), count - i);
+}
+
+/// Kernels::decode_f32 on x86, a little-endian host: every payload read is
+/// an unaligned vector load or a memcpy. The per-channel outputs take four
+/// frames per step, widened by one cvtps2pd: one channel directly, two
+/// through a deinterleaving shuffle, and 4k channels as k 4 × 4
+/// transposes; any other count, and the ragged frames, one sample at a time.
+bool decode_f32_avx2(const std::uint8_t* payload, std::size_t frames,
+                     std::size_t channels, double* const* channel_out,
+                     float* interleaved_out) {
+  const std::size_t count = frames * channels;
+  if (!f32_all_finite_avx2(payload, count)) return false;
+  if (interleaved_out != nullptr) {
+    std::memcpy(interleaved_out, payload, count * sizeof(float));
+  }
+  if (channel_out == nullptr) return true;
+  const auto load = [payload](std::size_t i) {
+    return _mm_loadu_ps(reinterpret_cast<const float*>(payload + i * sizeof(float)));
+  };
+  const auto store4 = [](double* out, __m128 v) {
+    _mm256_storeu_pd(out, _mm256_cvtps_pd(v));
+  };
+  std::size_t f = 0;
+  if (channels == 1) {
+    for (; f + 4 <= frames; f += 4) store4(channel_out[0] + f, load(f));
+  } else if (channels == 2) {
+    for (; f + 4 <= frames; f += 4) {
+      const __m128 a = load(2 * f), b = load(2 * f + 4);  // l0 r0 l1 r1, l2 r2 l3 r3
+      store4(channel_out[0] + f, _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
+      store4(channel_out[1] + f, _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+    }
+  } else if (channels % 4 == 0) {
+    for (; f + 4 <= frames; f += 4) {
+      for (std::size_t c = 0; c < channels; c += 4) {
+        __m128 r0 = load(f * channels + c), r1 = load((f + 1) * channels + c);
+        __m128 r2 = load((f + 2) * channels + c), r3 = load((f + 3) * channels + c);
+        _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+        store4(channel_out[c] + f, r0);
+        store4(channel_out[c + 1] + f, r1);
+        store4(channel_out[c + 2] + f, r2);
+        store4(channel_out[c + 3] + f, r3);
+      }
+    }
+  }
+  avx2_impl::decode_f32_frames(payload, f, frames, channels, channel_out);
+  return true;
+}
 
 void accumulate_avx2(double* acc, const double* src, std::size_t count) {
   const std::size_t vec_count = count & ~std::size_t{3};
@@ -365,14 +409,12 @@ void accumulate_avx2(double* acc, const double* src, std::size_t count) {
 }  // namespace
 
 const Kernels& avx2_kernels() noexcept {
-  using avx2_impl::ScalarLanes;
-  using avx2_impl::Sse2Lanes;
   static constexpr Kernels table{
       "avx2",
       &accumulate_avx2,
       &avx2_impl::sum_squares_lanes<Avx2Lanes>,
-      &avx2_impl::decode_f32_x86<Avx2Decode>,
-      &avx2_impl::biquad_cascade_lanes<Avx2Lanes, Sse2Lanes, ScalarLanes<double>>,
+      &decode_f32_avx2,
+      &avx2_impl::biquad_cascade_lanes<Avx2Lanes>,
       &avx2_impl::fir_decimate_lanes<Avx2Lanes>,
       avx2_impl::lane_kernels<Avx2Lanes>(),
       avx2_impl::lane_kernels<Avx2LanesF>(),
@@ -382,4 +424,4 @@ const Kernels& avx2_kernels() noexcept {
 
 }  // namespace headtalk::dsp::simd
 
-#endif  // HEADTALK_SIMD_X86
+#endif  // HEADTALK_X86

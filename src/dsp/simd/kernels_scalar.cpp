@@ -4,10 +4,6 @@
 // autovectorizer happened to emit.
 #include "dsp/simd/kernels.h"
 
-#if defined(HEADTALK_SIMD_X86)
-#include <emmintrin.h>  // lanes.inl declares its SSE2 policy on x86
-#endif
-
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -15,9 +11,9 @@
 
 namespace headtalk::dsp::simd {
 
-#define HEADTALK_SIMD_NS scalar_impl
+#define HEADTALK_KERNELS_NS scalar_impl
 #include "dsp/simd/lanes.inl"
-#undef HEADTALK_SIMD_NS
+#undef HEADTALK_KERNELS_NS
 
 const Kernels& scalar_kernels() noexcept {
   using scalar_impl::ScalarLanes;

@@ -604,42 +604,6 @@ AuthReject parse_auth_reject(const FrameView& frame) {
   return reject;
 }
 
-// ---- Frame overloads ------------------------------------------------------
-
-Hello parse_hello(const Frame& frame) { return parse_hello(view_of(frame)); }
-HelloOk parse_hello_ok(const Frame& frame) { return parse_hello_ok(view_of(frame)); }
-std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels) {
-  return audio_chunk_frames(view_of(frame), channels);
-}
-AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels) {
-  return parse_audio_chunk(view_of(frame), channels);
-}
-std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
-                                     std::vector<float>& interleaved) {
-  return parse_audio_chunk_into(view_of(frame), channels, interleaved);
-}
-EndOfUtterance parse_end_of_utterance(const Frame& frame) {
-  return parse_end_of_utterance(view_of(frame));
-}
-DecisionFrame parse_decision(const Frame& frame) {
-  return parse_decision(view_of(frame));
-}
-ErrorFrame parse_error(const Frame& frame) { return parse_error(view_of(frame)); }
-void parse_stream_start(const Frame& frame) { parse_stream_start(view_of(frame)); }
-StreamOk parse_stream_ok(const Frame& frame) { return parse_stream_ok(view_of(frame)); }
-StreamDecisionFrame parse_stream_decision(const Frame& frame) {
-  return parse_stream_decision(view_of(frame));
-}
-void parse_stream_end(const Frame& frame) { parse_stream_end(view_of(frame)); }
-StreamSummary parse_stream_summary(const Frame& frame) {
-  return parse_stream_summary(view_of(frame));
-}
-AuthFrame parse_auth(const Frame& frame) { return parse_auth(view_of(frame)); }
-AuthOk parse_auth_ok(const Frame& frame) { return parse_auth_ok(view_of(frame)); }
-AuthReject parse_auth_reject(const Frame& frame) {
-  return parse_auth_reject(view_of(frame));
-}
-
 // ---- FrameReader -----------------------------------------------------------
 
 void FrameReader::feed(const void* data, std::size_t size) {

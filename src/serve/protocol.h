@@ -82,22 +82,21 @@ enum class FrameType : std::uint8_t {
 [[nodiscard]] std::string_view frame_type_name(FrameType type);
 [[nodiscard]] bool frame_type_known(std::uint8_t raw) noexcept;
 
-/// A decoded frame: validated header + raw payload bytes.
-struct Frame {
-  FrameType type = FrameType::kError;
-  std::vector<std::uint8_t> payload;
-};
-
 /// A frame whose payload bytes live elsewhere: FrameReader::next_view's
-/// view into the reader's buffer, or view_of an owning Frame.
+/// view into the reader's buffer, or an owning Frame viewed in place.
 struct FrameView {
   FrameType type = FrameType::kError;
   std::span<const std::uint8_t> payload;
 };
 
-[[nodiscard]] inline FrameView view_of(const Frame& frame) noexcept {
-  return {frame.type, frame.payload};
-}
+/// A decoded frame: validated header + raw payload bytes. Converts to a
+/// FrameView of itself, so every parser takes either.
+struct Frame {
+  FrameType type = FrameType::kError;
+  std::vector<std::uint8_t> payload;
+
+  operator FrameView() const noexcept { return {type, payload}; }
+};
 
 // ---- typed payloads -------------------------------------------------------
 
@@ -247,25 +246,20 @@ struct ErrorFrame {
 
 // ---- strict decode --------------------------------------------------------
 // Each parser requires the exact frame type and consumes the payload fully;
-// anything else throws ProtocolError. Every parser takes a FrameView; its
-// Frame overload parses view_of(frame).
+// anything else throws ProtocolError. Every parser takes a FrameView (an
+// owning Frame converts to one).
 
 [[nodiscard]] Hello parse_hello(const FrameView& frame);
-[[nodiscard]] Hello parse_hello(const Frame& frame);
 [[nodiscard]] HelloOk parse_hello_ok(const FrameView& frame);
-[[nodiscard]] HelloOk parse_hello_ok(const Frame& frame);
 /// `channels` comes from the session's HELLO; the chunk length must match,
 /// and every sample must be finite (NaN / ±Inf throw). Decodes through
 /// audio_chunk_frames and decode_audio_chunk.
 [[nodiscard]] AudioChunk parse_audio_chunk(const FrameView& frame,
                                            std::uint16_t channels);
-[[nodiscard]] AudioChunk parse_audio_chunk(const Frame& frame, std::uint16_t channels);
 /// parse_audio_chunk into a caller-owned buffer: `interleaved` becomes
 /// frames × channels samples (its capacity reused); returns the frame
 /// count. A non-finite sample throws before `interleaved` is written.
 std::uint32_t parse_audio_chunk_into(const FrameView& frame, std::uint16_t channels,
-                                     std::vector<float>& interleaved);
-std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
                                      std::vector<float>& interleaved);
 
 /// An AUDIO_CHUNK's frame count, after checking the frame type, the
@@ -273,7 +267,6 @@ std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
 /// frames * channels samples (each violation throws ProtocolError).
 [[nodiscard]] std::uint32_t audio_chunk_frames(const FrameView& frame,
                                                std::uint16_t channels);
-[[nodiscard]] std::uint32_t audio_chunk_frames(const Frame& frame, std::uint16_t channels);
 
 /// The AUDIO_CHUNK sample decoder, one bulk pass (dsp::simd's decode_f32
 /// kernel) over a payload that audio_chunk_frames accepted. It first checks
@@ -288,27 +281,16 @@ std::uint32_t parse_audio_chunk_into(const Frame& frame, std::uint16_t channels,
 void decode_audio_chunk(const FrameView& frame, std::uint16_t channels,
                         double* const* channel_out, float* interleaved_out);
 [[nodiscard]] EndOfUtterance parse_end_of_utterance(const FrameView& frame);
-[[nodiscard]] EndOfUtterance parse_end_of_utterance(const Frame& frame);
 [[nodiscard]] DecisionFrame parse_decision(const FrameView& frame);
-[[nodiscard]] DecisionFrame parse_decision(const Frame& frame);
 [[nodiscard]] ErrorFrame parse_error(const FrameView& frame);
-[[nodiscard]] ErrorFrame parse_error(const Frame& frame);
 void parse_stream_start(const FrameView& frame);  ///< validates the empty payload
-void parse_stream_start(const Frame& frame);
 [[nodiscard]] StreamOk parse_stream_ok(const FrameView& frame);
-[[nodiscard]] StreamOk parse_stream_ok(const Frame& frame);
 [[nodiscard]] StreamDecisionFrame parse_stream_decision(const FrameView& frame);
-[[nodiscard]] StreamDecisionFrame parse_stream_decision(const Frame& frame);
 void parse_stream_end(const FrameView& frame);  ///< validates the empty payload
-void parse_stream_end(const Frame& frame);
 [[nodiscard]] StreamSummary parse_stream_summary(const FrameView& frame);
-[[nodiscard]] StreamSummary parse_stream_summary(const Frame& frame);
 [[nodiscard]] AuthFrame parse_auth(const FrameView& frame);
-[[nodiscard]] AuthFrame parse_auth(const Frame& frame);
 [[nodiscard]] AuthOk parse_auth_ok(const FrameView& frame);
-[[nodiscard]] AuthOk parse_auth_ok(const Frame& frame);
 [[nodiscard]] AuthReject parse_auth_reject(const FrameView& frame);
-[[nodiscard]] AuthReject parse_auth_reject(const Frame& frame);
 
 /// Incremental frame decoder for a byte stream. feed() accepts whatever
 /// the socket produced; next_view() and next() yield completed frames in

@@ -5,10 +5,9 @@
 // alone, so chunking must be unobservable: any split of the same samples
 // — down to single-sample pushes — yields bit-identical features and
 // identical pipeline verdicts. The suite asserts exact equality (stronger
-// than the issue's 1e-9 budget) and re-runs the sweep at every SIMD
-// dispatch level the host supports; ctest additionally launches the whole
-// filter once under HEADTALK_SIMD=off and once native (label
-// `simd-equivalence`).
+// than a 1e-9 budget) and runs every sweep at both SIMD dispatch levels
+// the host supports, the scalar reference and the best level, in-process
+// (ctest label `simd-equivalence`).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,6 +16,7 @@
 #include <numbers>
 #include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "audio/sample_buffer.h"
@@ -88,9 +88,8 @@ void expect_identical(const ml::FeatureVector& streamed,
 }
 
 void sweep_orientation_chunks() {
-  // The band-pass packs channels into SIMD lanes (2 per SSE2 register, 4
-  // per AVX2 one), so the channel counts cover full groups and every kind
-  // of ragged tail.
+  // The band-pass packs channels into SIMD lanes (4 per AVX2 register), so
+  // the channel counts cover a full group and every kind of ragged tail.
   for (const std::size_t channels : {2u, 3u, 4u, 5u, 6u}) {
     SCOPED_TRACE(testing::Message() << channels << " channels");
     const auto capture =
@@ -171,28 +170,66 @@ TEST(IncrementalEquivalence, LivenessMatchesBatchAtAnyChunkingAndSampleRate) {
   // 16 kHz streams the band-passed channel as it is; 48 and 96 kHz run the
   // stateful integer decimator (steps 3 and 6). Four channels, so the trim
   // is the all-channel one serving applies.
-  for (const double rate : {48000.0, 16000.0, 96000.0}) {
-    SCOPED_TRACE(testing::Message() << rate << " Hz");
-    const auto capture = make_segment_capture(4, static_cast<std::size_t>(rate / 4),
-                                              rate, /*seed=*/7);
-    const LivenessFeatureExtractor extractor;
-    const auto batch = extractor.extract(capture);
+  const dsp::simd::Level previous = dsp::simd::active_level();
+  for (const auto level : {dsp::simd::Level::kScalar, dsp::simd::max_supported_level()}) {
+    dsp::simd::set_level(level);
+    SCOPED_TRACE(dsp::simd::level_name(level));
+    for (const double rate : {48000.0, 16000.0, 96000.0}) {
+      SCOPED_TRACE(testing::Message() << rate << " Hz");
+      const auto capture = make_segment_capture(4, static_cast<std::size_t>(rate / 4),
+                                                rate, /*seed=*/7);
+      const LivenessFeatureExtractor extractor;
+      const auto batch = extractor.extract(capture);
 
-    IncrementalExtractorConfig config;
-    config.liveness = extractor.config();
-    config.enable_orientation = false;
-    for (const std::size_t chunk : kChunks) {
-      IncrementalExtractor op;
-      op.begin(config, capture.channel_count(), rate);
-      push_chunked(op, capture, chunk);
-      expect_identical(op.finalize_liveness(), batch, chunk);
+      IncrementalExtractorConfig config;
+      config.liveness = extractor.config();
+      config.enable_orientation = false;
+      for (const std::size_t chunk : kChunks) {
+        IncrementalExtractor op;
+        op.begin(config, capture.channel_count(), rate);
+        push_chunked(op, capture, chunk);
+        expect_identical(op.finalize_liveness(), batch, chunk);
+      }
     }
   }
+  dsp::simd::set_level(previous);
   // Rates that are not a whole multiple of 16 kHz have no liveness path.
   for (const double rate : {44100.0, 8000.0}) {
     IncrementalExtractor op;
     EXPECT_THROW(op.begin(IncrementalExtractorConfig{}, 4, rate), std::invalid_argument)
         << rate << " Hz";
+  }
+}
+
+TEST(IncrementalEquivalence, ReusedOperatorMatchesFreshAcrossRatesAndChannels) {
+  // One operator begun segment after segment gives a fresh operator's bits
+  // whether begin() redesigns its filters (a new rate or channel count) or
+  // only zeroes their delay lines (the last segment's design again, after
+  // a capture that left them nonzero).
+  const std::pair<double, std::size_t> segments[] = {
+      {48000.0, 4}, {48000.0, 4}, {16000.0, 4}, {48000.0, 4},
+      {48000.0, 6}, {48000.0, 4}, {48000.0, 6}, {48000.0, 6}};
+  const auto same_bits = [](const ml::FeatureVector& got, const ml::FeatureVector& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+          << "feature " << i << ": " << got[i] << " vs " << want[i];
+    }
+  };
+  const IncrementalExtractorConfig config;
+  IncrementalExtractor reused;
+  unsigned seed = 20;
+  for (const auto& [rate, channels] : segments) {
+    SCOPED_TRACE(testing::Message() << rate << " Hz, " << channels << " channels");
+    const auto capture =
+        make_segment_capture(channels, static_cast<std::size_t>(rate / 4), rate, ++seed);
+    IncrementalExtractor fresh;
+    fresh.begin(config, channels, rate);
+    push_chunked(fresh, capture, 960);
+    reused.begin(config, channels, rate);
+    push_chunked(reused, capture, 960);
+    same_bits(reused.finalize_orientation(), fresh.finalize_orientation());
+    same_bits(reused.finalize_liveness(), fresh.finalize_liveness());
   }
 }
 

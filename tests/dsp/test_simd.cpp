@@ -1,12 +1,11 @@
 // Scalar-vs-SIMD equivalence suite (ctest label `simd-equivalence`).
 //
-// Every kernel-backed DSP entry point is swept across all dispatch levels
-// the host supports and compared against the scalar reference bit for bit:
-// no level fuses a multiply and an add, and the transforms put signals in
-// vector lanes instead of reordering any sum, so transforms, GCC/SRP
-// windows and the multichannel biquad cascade all give the scalar bits.
-// The suite is run twice by ctest: once under HEADTALK_SIMD=off (scalar
-// startup resolution) and once at the native best level.
+// Every kernel-backed DSP entry point is swept in-process across both
+// dispatch levels the host supports (the scalar reference and AVX2) and
+// compared against the scalar reference bit for bit: no level fuses a
+// multiply and an add, and the transforms put signals in vector lanes
+// instead of reordering any sum, so transforms, GCC/SRP windows and the
+// multichannel biquad cascade all give the scalar bits.
 
 #include <gtest/gtest.h>
 
@@ -92,25 +91,11 @@ std::vector<double> complex_parts(const std::vector<Complex>& values) {
   return parts;
 }
 
-TEST(SimdDispatch, ParsesAllSpellings) {
-  simd::Level level{};
-  bool is_auto = false;
-  for (const char* spelling : {"off", "scalar", "none"}) {
-    ASSERT_TRUE(simd::parse_level(spelling, level, is_auto)) << spelling;
-    EXPECT_EQ(level, simd::Level::kScalar);
-    EXPECT_FALSE(is_auto);
-  }
-  ASSERT_TRUE(simd::parse_level("sse2", level, is_auto));
-  EXPECT_EQ(level, simd::Level::kSse2);
-  ASSERT_TRUE(simd::parse_level("avx2", level, is_auto));
-  EXPECT_EQ(level, simd::Level::kAvx2);
-  for (const char* spelling : {"auto", "best"}) {
-    ASSERT_TRUE(simd::parse_level(spelling, level, is_auto)) << spelling;
-    EXPECT_TRUE(is_auto);
-  }
-  EXPECT_FALSE(simd::parse_level("avx512", level, is_auto));
-  EXPECT_FALSE(simd::parse_level("", level, is_auto));
-  EXPECT_FALSE(simd::parse_level("AVX2", level, is_auto));  // lower-case only
+TEST(SimdDispatch, FirstUseResolvesToMaxSupported) {
+  // Meaningful only before anything calls set_level: ctest runs it alone
+  // (simd_dispatch_first_use).
+  EXPECT_EQ(simd::active_level(), simd::max_supported_level());
+  EXPECT_STREQ(simd::kernels().name, simd::level_name(simd::max_supported_level()));
 }
 
 TEST(SimdDispatch, SetLevelClampsAndRestores) {

@@ -283,7 +283,7 @@ TEST(ServeProtocol, DecodeAudioChunkDeinterleavesAndRejectsWithoutWriting) {
   std::vector<std::vector<double>> out(channels, std::vector<double>(frames, -1.0));
   double* const pointers[] = {out[0].data(), out[1].data(), out[2].data()};
   std::vector<float> interleaved(samples.size(), -1.0f);
-  decode_audio_chunk(view_of(good), channels, pointers, interleaved.data());
+  decode_audio_chunk(good, channels, pointers, interleaved.data());
   for (std::size_t f = 0; f < frames; ++f) {
     for (std::size_t c = 0; c < channels; ++c) {
       EXPECT_EQ(out[c][f], static_cast<double>(samples[f * channels + c]));
@@ -300,7 +300,7 @@ TEST(ServeProtocol, DecodeAudioChunkDeinterleavesAndRejectsWithoutWriting) {
     double* const targets[] = {untouched[0].data(), untouched[1].data(),
                                untouched[2].data()};
     std::vector<float> flat(samples.size(), -1.0f);
-    EXPECT_THROW(decode_audio_chunk(view_of(bad), channels, targets, flat.data()),
+    EXPECT_THROW(decode_audio_chunk(bad, channels, targets, flat.data()),
                  ProtocolError)
         << at;
     for (const auto& channel : untouched) {

@@ -23,10 +23,9 @@ export HEADTALK_SERVE_BENCH_CLIENTS=4
 export HEADTALK_SERVE_BENCH_UTTERANCES=2
 # bench_tenant_serve: a small tenant fleet still exercises publish/load/
 # lookup/AUTH/reload end to end; the nightly run uses the 1000-tenant
-# default. Six utterances per client keep each timed phase long enough
-# (~60 ms on 4 cores) that one scheduler hiccup cannot push the AUTH'd /
-# tenant-less ratio past its 0.80 gate; with two, the ratio read as low
-# as 0.73 in 20 runs.
+# default. Six utterances per client make each timed phase ~60 ms on 4
+# cores; the bench gates the median AUTH'd / tenant-less ratio of five
+# alternating phase pairs, so one scheduler hiccup moves one pair only.
 export HEADTALK_TENANT_BENCH_TENANTS=64
 export HEADTALK_TENANT_BENCH_CLIENTS=4
 export HEADTALK_TENANT_BENCH_UTTERANCES=6
