@@ -38,8 +38,8 @@
 
 // Configure-time stamps (bench/CMakeLists.txt); the fallbacks keep the
 // header usable from a target that does not define them.
-#ifndef HEADTALK_GIT_SHA
-#define HEADTALK_GIT_SHA "unknown"
+#ifndef HEADTALK_SOURCE_DIR
+#define HEADTALK_SOURCE_DIR ""
 #endif
 #ifndef HEADTALK_BUILD_TYPE
 #define HEADTALK_BUILD_TYPE ""
@@ -121,7 +121,7 @@ class PerfRecorder {
         {"cpu_model", cpu_model()},
         {"build_type", build_type.empty() ? "unknown" : build_type},
         {"simd_level_name", dsp::simd::level_name(dsp::simd::active_level())},
-        {"git_sha", HEADTALK_GIT_SHA}};
+        {"git_sha", git_sha()}};
     for (const auto& [key, value] : stamps) {
       record += ",\"" + std::string(key) + "\":\"" + util::json_escape(value) + "\"";
     }
@@ -174,6 +174,29 @@ class PerfRecorder {
       if (start != std::string::npos) return line.substr(start);
     }
     return "unknown";
+  }
+
+  /// The commit of the source tree the bench was built from, read when
+  /// the record is written: `git rev-parse HEAD`, plus "-dirty" when
+  /// tracked files differ from it; "unknown" outside a git checkout.
+  static std::string git_sha() {
+    const std::string dir = HEADTALK_SOURCE_DIR;
+    if (dir.empty() || dir.find('\'') != std::string::npos) return "unknown";
+    const auto run = [&dir](const char* args) {
+      const std::string command = "git -C '" + dir + "' " + args + " 2>/dev/null";
+      std::string out;
+      FILE* pipe = ::popen(command.c_str(), "r");
+      if (pipe == nullptr) return std::make_pair(false, out);
+      char chunk[256];
+      while (std::fgets(chunk, sizeof chunk, pipe) != nullptr) out += chunk;
+      return std::make_pair(::pclose(pipe) == 0, out);
+    };
+    auto [ok, sha] = run("rev-parse HEAD");
+    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+    if (!ok || sha.empty()) return "unknown";
+    const auto [status_ok, changes] = run("status --porcelain --untracked-files=no");
+    if (!status_ok) return "unknown";
+    return changes.empty() ? sha : sha + "-dirty";
   }
 
   /// "Fig. 5" -> "fig5", "serve_throughput" -> "serve_throughput".

@@ -43,7 +43,10 @@
 #include "dsp/fft_plan.h"
 #include "dsp/simd/dispatch.h"
 #include "serve/protocol.h"
+#include "serve/session.h"
 #include "sim/collector.h"
+#include "sim/stream_scene.h"
+#include "stream/vad.h"
 
 using namespace headtalk;
 
@@ -631,6 +634,83 @@ void BM_IrfftHalf(benchmark::State& state) {
   state.SetLabel(std::string("irfft_half_into, ") + dsp::simd::kernels().name);
 }
 BENCHMARK(BM_IrfftHalf)->ArgName("points")->Arg(65536)->Unit(benchmark::kMicrosecond);
+
+// The stream path per 20 ms of 4-channel audio at 48 kHz.
+// BM_StreamChunk: serve::Session::on_bytes on one AUDIO_CHUNK of a
+// streaming connection (STREAM_START sent), looping over a rendered
+// two-utterance scene: wire parse, decode, VAD, endpointing, the
+// operator's per-frame feed and, on the chunks that close a segment, the
+// finalize and the STREAM_DECISION. BM_VadFrame: stream::Vad on one
+// 960-sample speech frame (energy, then the flatness spectrum).
+const sim::StreamScene& stream_scene() {
+  static const sim::StreamScene instance = [] {
+    sim::CollectorConfig cfg;
+    cfg.cache_enabled = false;
+    sim::Collector collector(cfg);
+    sim::SampleSpec facing;
+    facing.location = {sim::GridRadial::kMiddle, 3.0};
+    sim::SampleSpec away = facing;
+    away.angle_deg = 120.0;
+    return sim::render_stream_scene(collector, {facing, away});
+  }();
+  return instance;
+}
+
+void BM_StreamChunk(benchmark::State& state) {
+  const audio::MultiBuffer& audio = stream_scene().audio;
+  const std::size_t channels = audio.channel_count();
+  const double fs = audio.sample_rate();
+  const auto frame = static_cast<std::size_t>(fs / 50.0);
+  std::vector<std::vector<std::uint8_t>> chunks(audio.frames() / frame);
+  std::vector<float> interleaved(frame * channels);
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    for (std::size_t f = 0; f < frame; ++f) {
+      for (std::size_t c = 0; c < channels; ++c) {
+        interleaved[f * channels + c] =
+            static_cast<float>(audio.channel(c).samples()[k * frame + f]);
+      }
+    }
+    chunks[k] = serve::encode_audio_chunk(interleaved, static_cast<std::uint16_t>(channels));
+  }
+  serve::Session session(pipeline(), serve::SessionLimits{});
+  core::ScoringWorkspace workspace;
+  session.set_workspace(&workspace);
+  serve::Hello hello;
+  hello.sample_rate_hz = static_cast<std::uint32_t>(fs);
+  hello.channels = static_cast<std::uint16_t>(channels);
+  for (const auto& bytes : {serve::encode_hello(hello), serve::encode_stream_start()}) {
+    session.on_bytes(bytes.data(), bytes.size());
+  }
+  (void)session.take_output();
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const auto& bytes = chunks[k];
+    if (!session.on_bytes(bytes.data(), bytes.size())) {
+      state.SkipWithError("the session failed");
+      break;
+    }
+    benchmark::DoNotOptimize(session.take_output());
+    k = k + 1 == chunks.size() ? 0 : k + 1;
+  }
+  state.SetLabel(std::to_string(session.decisions_sent()) + " decisions, " +
+                 dsp::simd::kernels().name);
+}
+BENCHMARK(BM_StreamChunk)->Unit(benchmark::kMicrosecond);
+
+void BM_VadFrame(benchmark::State& state) {
+  const auto x = one_signal(960);
+  stream::Vad vad(stream::VadConfig{}, capture().sample_rate());
+  std::vector<stream::VadFrame> frames;
+  frames.reserve(1);
+  for (auto _ : state) {
+    frames.clear();
+    vad.push(x, frames);
+    benchmark::DoNotOptimize(frames.data());
+  }
+  state.SetLabel(frames.empty() || !frames[0].has_flatness() ? "no flatness measured"
+                                                             : "flatness measured");
+}
+BENCHMARK(BM_VadFrame)->Unit(benchmark::kMicrosecond);
 
 int env_int(const char* name, int fallback) {
   const char* value = std::getenv(name);

@@ -173,6 +173,7 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   block_len_ = static_cast<std::size_t>(
       std::max(1.0, config_.block_ms * sample_rate / 1000.0));
   block_.assign(channels * block_len_, 0.0);
+  chunk_in_.assign(channels, nullptr);
   filter_in_.assign(channels, nullptr);
   filter_out_.assign(channels, nullptr);
   block_fill_ = 0;
@@ -285,13 +286,21 @@ void IncrementalExtractor::push(const audio::MultiBuffer& chunk) {
   if (chunk.sample_rate() != sample_rate_) {
     throw std::invalid_argument("IncrementalExtractor: sample rate mismatch");
   }
+  for (std::size_t c = 0; c < channels_; ++c) {
+    chunk_in_[c] = chunk.channel(c).samples().data();
+  }
+  push(chunk_in_.data(), chunk.frames());
+}
+
+void IncrementalExtractor::push(const audio::Sample* const* channels, std::size_t frames) {
+  if (!open_) throw std::logic_error("IncrementalExtractor: push before begin");
+  if (finalized_) throw std::logic_error("IncrementalExtractor: push after finalize");
   // The band-pass writes straight into the open block; each block is
   // processed the moment its last sample is filtered.
-  const std::size_t frames = chunk.frames();
   for (std::size_t first = 0; first < frames;) {
     const std::size_t take = std::min(block_len_ - block_fill_, frames - first);
     for (std::size_t c = 0; c < channels_; ++c) {
-      filter_in_[c] = chunk.channel(c).samples().data() + first;
+      filter_in_[c] = channels[c] + first;
       filter_out_[c] = block_.data() + c * block_len_ + block_fill_;
     }
     bandpass_.process(filter_in_.data(), filter_out_.data(), take);

@@ -145,6 +145,10 @@ class IncrementalExtractor {
   /// Feeds the next chunk of the segment (any length, including empty).
   /// Channel count and sample rate must match begin().
   void push(const audio::MultiBuffer& chunk);
+  /// Same, from `frames` samples at each of channels()'s per-channel
+  /// pointers (`channels[c]`), which the caller sizes: a ring's run or a
+  /// decoded wire chunk, fed in place. The chunk overload forwards here.
+  void push(const audio::Sample* const* channels, std::size_t frames);
 
   /// Finalizes and returns the liveness feature vector (layout identical
   /// to LivenessFeatureExtractor::dimension()). Constant-time in the
@@ -238,6 +242,7 @@ class IncrementalExtractor {
   // and the block framer, which the band-pass writes into directly.
   dsp::MultichannelBiquadCascade bandpass_;
   std::vector<audio::Sample> block_;  ///< [channel][block_len_] open block
+  std::vector<const audio::Sample*> chunk_in_;  ///< push(MultiBuffer)'s channels
   std::vector<const audio::Sample*> filter_in_;
   std::vector<audio::Sample*> filter_out_;
   std::size_t block_len_ = 0;

@@ -7,23 +7,7 @@
 #include "dsp/fft.h"
 
 namespace headtalk::dsp {
-namespace {
 
-// Converts a frequency range to the one-sided spectrum bin range
-// [first, last) — half-open, so adjacent bands tile the spectrum: a bin
-// whose center frequency equals high_hz belongs to the *next* band.
-//
-// Both bounds subtract a small tolerance (in bins) before the ceil. Band
-// edges are routinely computed with floating-point arithmetic
-// (low_hz + width * c), so an edge that should coincide with a bin
-// frequency can land a few ulps above it; a bare ceil then shifts that
-// edge by a whole bin — the boundary bin gets double-counted by one
-// neighbouring band and dropped from the other, breaking band additivity.
-//
-// high_hz above the Nyquist frequency is an explicit clamp to the whole
-// remaining spectrum (every representable bin lies below it, including
-// the Nyquist bin). low_hz at or above Nyquist selects nothing that
-// exists and throws.
 std::pair<std::size_t, std::size_t> bin_range(std::size_t bins, std::size_t fft_size,
                                               double sample_rate, double low_hz,
                                               double high_hz) {
@@ -49,8 +33,6 @@ std::pair<std::size_t, std::size_t> bin_range(std::size_t bins, std::size_t fft_
   last = std::min(last, bins);
   return {first, last};
 }
-
-}  // namespace
 
 double band_mean_magnitude(std::span<const double> magnitude, std::size_t fft_size,
                            double sample_rate, double low_hz, double high_hz) {

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -607,26 +608,51 @@ AuthReject parse_auth_reject(const FrameView& frame) {
 // ---- FrameReader -----------------------------------------------------------
 
 void FrameReader::feed(const void* data, std::size_t size) {
-  compact();
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  buffer_.insert(buffer_.end(), p, p + size);
+  const std::span<std::uint8_t> space = prepare(size);
+  if (size != 0) std::memcpy(space.data(), data, size);
+  commit(size);
+}
+
+std::span<std::uint8_t> FrameReader::prepare(std::size_t min_free) {
+  if (consumed_ == end_) consumed_ = end_ = 0;  // all parsed: start at the front
+  const std::size_t held = end_ - consumed_;
+  std::size_t need = min_free;
+  if (held >= kFrameHeaderBytes) {
+    // Bounded, unless this header already failed its check.
+    const std::size_t payload = load_le<std::uint32_t>(buffer_.get() + consumed_);
+    const std::size_t frame = kFrameHeaderBytes + std::min(payload, max_payload_bytes_);
+    if (frame > held) need = std::max(need, frame - held);
+  }
+  if (capacity_ - end_ < need) {
+    // Unparsed bytes move to the front, of a larger buffer when this one
+    // cannot hold them plus `need`.
+    const std::size_t wanted = held + need;
+    if (wanted > capacity_) {
+      const std::size_t capacity = std::max(wanted, 2 * capacity_);
+      auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+      if (held != 0) std::memcpy(grown.get(), buffer_.get() + consumed_, held);
+      buffer_ = std::move(grown);
+      capacity_ = capacity;
+    } else if (held != 0) {
+      std::memmove(buffer_.get(), buffer_.get() + consumed_, held);
+    }
+    consumed_ = 0;
+    end_ = held;
+  }
+  return {buffer_.get() + end_, capacity_ - end_};
+}
+
+void FrameReader::commit(std::size_t size) {
+  if (size > capacity_ - end_) {
+    throw std::logic_error("FrameReader: commit past the prepared space");
+  }
+  end_ += size;
   check_header();
 }
 
-void FrameReader::compact() {
-  if (consumed_ == buffer_.size()) {
-    buffer_.clear();
-    consumed_ = 0;
-  } else if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-}
-
 void FrameReader::check_header() {
-  if (buffer_.size() - consumed_ < kFrameHeaderBytes) return;
-  const std::uint8_t* header = buffer_.data() + consumed_;
+  if (end_ - consumed_ < kFrameHeaderBytes) return;
+  const std::uint8_t* header = buffer_.get() + consumed_;
   const std::uint32_t payload_len = load_le<std::uint32_t>(header);
   if (payload_len > max_payload_bytes_) {
     throw ProtocolError("frame: payload length " + std::to_string(payload_len) +
@@ -641,11 +667,10 @@ void FrameReader::check_header() {
 }
 
 std::optional<FrameView> FrameReader::next_view() {
-  compact();
-  if (buffer_.size() - consumed_ < kFrameHeaderBytes) return std::nullopt;
-  const std::uint8_t* header = buffer_.data() + consumed_;
+  if (end_ - consumed_ < kFrameHeaderBytes) return std::nullopt;
+  const std::uint8_t* header = buffer_.get() + consumed_;
   const std::uint32_t payload_len = load_le<std::uint32_t>(header);
-  if (buffer_.size() - consumed_ < kFrameHeaderBytes + payload_len) {
+  if (end_ - consumed_ < kFrameHeaderBytes + payload_len) {
     return std::nullopt;
   }
   const FrameView frame{static_cast<FrameType>(header[4]),

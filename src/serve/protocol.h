@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -292,36 +293,51 @@ void parse_stream_end(const FrameView& frame);  ///< validates the empty payload
 [[nodiscard]] AuthOk parse_auth_ok(const FrameView& frame);
 [[nodiscard]] AuthReject parse_auth_reject(const FrameView& frame);
 
-/// Incremental frame decoder for a byte stream. feed() accepts whatever
-/// the socket produced; next_view() and next() yield completed frames in
-/// order. A malformed header or an oversized length throws ProtocolError
-/// from feed() — the stream is unrecoverable at that point.
+/// Incremental frame decoder for a byte stream. Bytes arrive either
+/// copied in by feed(), or received in place: prepare() hands out the
+/// reader's free space (a socket recv()s straight into it) and commit()
+/// publishes what was written there; feed() is exactly prepare(size), a
+/// copy, and commit(size). next_view() and next() yield completed frames
+/// in order, parsed where the bytes landed. A malformed header or an
+/// oversized length throws ProtocolError from feed() or commit() — the
+/// stream is unrecoverable at that point.
+///
+/// The buffer's whole capacity is usable space (nothing is zero-filled
+/// ahead of a write); unparsed bytes move to its front only when the free
+/// space behind them is too small for a prepare().
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_payload_bytes = kMaxPayloadBytes)
       : max_payload_bytes_(max_payload_bytes) {}
 
   void feed(const void* data, std::size_t size);
+  /// Free space for the next bytes of the stream: at least `min_free`
+  /// bytes, and at least the rest of a frame whose header is already
+  /// buffered (so a large frame lands in one buffer whatever pieces the
+  /// socket delivers it in). Write into its front, then commit() the
+  /// count written. Invalidates earlier views and spans.
+  [[nodiscard]] std::span<std::uint8_t> prepare(std::size_t min_free);
+  /// Publishes the first `size` bytes of the last prepare()'s span and
+  /// validates the header at the read position as feed() does. Throws
+  /// std::logic_error when `size` exceeds that span.
+  void commit(std::size_t size);
   /// The next complete frame, its payload viewed in place in the reader's
-  /// buffer: valid until the next feed(), next_view() or next().
+  /// buffer: valid until the next feed(), prepare(), next_view() or
+  /// next().
   [[nodiscard]] std::optional<FrameView> next_view();
   /// next_view() copied into an owning Frame.
   [[nodiscard]] std::optional<Frame> next();
-  [[nodiscard]] std::size_t buffered_bytes() const noexcept {
-    return buffer_.size() - consumed_;
-  }
+  [[nodiscard]] std::size_t buffered_bytes() const noexcept { return end_ - consumed_; }
 
  private:
   /// Validates the header at the current read position (if complete).
   void check_header();
-  /// Drops the consumed prefix once it dominates the buffer (all of it
-  /// when nothing is left), keeping feed() amortized O(1). Invalidates the
-  /// last view.
-  void compact();
 
   std::size_t max_payload_bytes_;
-  std::vector<std::uint8_t> buffer_;
-  std::size_t consumed_ = 0;
+  std::unique_ptr<std::uint8_t[]> buffer_;
+  std::size_t capacity_ = 0;  ///< bytes at buffer_
+  std::size_t consumed_ = 0;  ///< read position: bytes before it are parsed
+  std::size_t end_ = 0;       ///< one past the last committed byte
 };
 
 }  // namespace headtalk::serve

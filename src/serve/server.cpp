@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "core/scoring_workspace.h"
@@ -20,6 +21,10 @@ namespace headtalk::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Free space each recv() is offered at least (a larger frame in progress
+/// gets room for all of it: FrameReader::prepare).
+constexpr std::size_t kReceiveBytes = 1 << 16;
 
 // Registry references are resolved once; the instruments live for the
 // process lifetime (see obs/metrics.h).
@@ -245,7 +250,6 @@ void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
     ~SlotEraser() { table->erase(id); }
   } eraser{&conn_table_, slot->id};
 
-  std::uint8_t buffer[1 << 16];
   // Watch the stop pipe alongside the client so a drain is not held hostage
   // by an idle connection waiting out its deadline. Once a drain is seen
   // with an utterance in flight we stop watching (the pipe stays readable)
@@ -284,7 +288,10 @@ void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
     }
     if ((pfds[0].revents & POLLIN) == 0) continue;
 
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+    // Received straight into the session's frame reader, where the frames
+    // are parsed: no received byte is copied first.
+    const std::span<std::uint8_t> space = session.receive_buffer(kReceiveBytes);
+    const ssize_t n = ::recv(fd, space.data(), space.size(), 0);
     if (n == 0) break;  // client closed
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -296,7 +303,7 @@ void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
 
     const bool was_streaming = session.stream_mode();
     const std::size_t decisions_before = session.decisions_sent();
-    const bool alive = session.on_bytes(buffer, static_cast<std::size_t>(n));
+    const bool alive = session.on_received(static_cast<std::size_t>(n));
     const auto output = session.take_output();
     if (!output.empty() && !send_all(fd, output.data(), output.size())) break;
     slot->stream_mode.store(session.stream_mode(), std::memory_order_relaxed);

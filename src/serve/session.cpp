@@ -1,5 +1,6 @@
 #include "serve/session.h"
 
+#include <cstring>
 #include <exception>
 
 #include "core/scoring_workspace.h"
@@ -19,8 +20,15 @@ core::IncrementalExtractor& Session::op() noexcept {
 
 bool Session::on_bytes(const void* data, std::size_t size) {
   if (state_ == State::kFailed) return false;
+  const std::span<std::uint8_t> space = reader_.prepare(size);
+  if (size != 0) std::memcpy(space.data(), data, size);
+  return on_received(size);
+}
+
+bool Session::on_received(std::size_t size) {
+  if (state_ == State::kFailed) return false;
   try {
-    reader_.feed(data, size);
+    reader_.commit(size);
     // Every complete buffered frame, in order, until the session fails; each
     // is handled in place in the reader's buffer.
     while (state_ != State::kFailed) {
@@ -210,19 +218,32 @@ void Session::handle_chunk(const FrameView& frame) {
     return;
   }
   if (stream_mode_) {
-    // Decoded into the session's buffer, reused chunk after chunk; a bad
-    // sample throws ProtocolError (bad-request) before the size check and
-    // before the detector sees any of the chunk.
-    const std::uint32_t frames = parse_audio_chunk_into(frame, channels_, stream_samples_);
-    if (!chunk_fits(frames)) return;
-    // Auto-endpoint path: the detector owns segmentation; a chunk may close
-    // zero or more segments, each answered with a STREAM_DECISION.
+    // Auto-endpoint path: the detector owns segmentation and decodes the
+    // chunk straight into its ring; a chunk may close zero or more
+    // segments, each answered with a STREAM_DECISION. The checks keep the
+    // per-utterance order (length, non-finite sample, size), and a bad
+    // sample is a bad request that reaches none of the detector.
+    const std::uint32_t frames = audio_chunk_frames(frame, channels_);
+    if (frames > limits_.max_chunk_frames) {
+      decode_audio_chunk(frame, channels_, nullptr, nullptr);
+      (void)chunk_fits(frames);
+      return;
+    }
+    static obs::Histogram& chunk_seconds =
+        core::pipeline_stage_histogram("serve.stream_chunk_seconds");
+    bool finite = false;
+    stream_events_.clear();
     try {
-      const auto events = detector_->push_interleaved(stream_samples_);
-      for (const auto& event : events) emit_stream_decision(event);
+      obs::Timer timer(&chunk_seconds);
+      finite = detector_->push_f32le(frame.payload.data() + sizeof(std::uint32_t), frames,
+                                     stream_events_);
+      timer.stop();
+      for (const auto& event : stream_events_) emit_stream_decision(event);
     } catch (const std::exception& error) {
       fail(ErrorCode::kInternal, std::string("stream scoring failed: ") + error.what());
+      return;
     }
+    if (!finite) throw ProtocolError("AUDIO_CHUNK: non-finite sample");
     return;
   }
   // Normal/Mute verdicts read no features: only HeadTalk feeds the operator,
@@ -258,7 +279,7 @@ void Session::handle_chunk(const FrameView& frame) {
         if (workspace_ != nullptr) workspace_->note_use();
         extractor.begin(pipeline_.incremental_config(), channels_, sample_rate_);
       }
-      extractor.push(chunk_);
+      extractor.push(chunk_samples_.data(), frames);
     } catch (const std::exception& error) {
       fail(ErrorCode::kInternal, std::string("accumulation failed: ") + error.what());
       return;

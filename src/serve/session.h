@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,17 @@ class Session {
   /// finished — a fatal ERROR frame was emitted and the connection should
   /// be closed after flushing the output.
   bool on_bytes(const void* data, std::size_t size);
+
+  /// Receiving without a copy: space for at least `min_free` bytes from
+  /// the client, in the session's frame reader (FrameReader::prepare).
+  /// Write the bytes into its front and pass their count to
+  /// on_received(). Valid until the next call into the session.
+  [[nodiscard]] std::span<std::uint8_t> receive_buffer(std::size_t min_free) {
+    return reader_.prepare(min_free);
+  }
+  /// on_bytes() for `size` bytes already written into receive_buffer()'s
+  /// span: they are parsed where they landed.
+  bool on_received(std::size_t size);
 
   /// Moves out the response bytes produced so far.
   [[nodiscard]] std::vector<std::uint8_t> take_output();
@@ -134,7 +146,7 @@ class Session {
   core::IncrementalExtractor own_op_;  ///< used only without a workspace
   audio::MultiBuffer chunk_;           ///< the operator's input, decoded chunk by chunk
   std::vector<audio::Sample*> chunk_samples_;  ///< chunk_'s channel data, per chunk
-  std::vector<float> stream_samples_;  ///< a streaming chunk, interleaved, reused
+  std::vector<stream::DecisionEvent> stream_events_;  ///< one chunk's decisions, reused
   /// Frames per channel received for the utterance in flight (per-utterance
   /// mode); 0 between END_OF_UTTERANCE and the next AUDIO_CHUNK.
   std::uint64_t utterance_frames_ = 0;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/scoring_workspace.h"
+#include "dsp/simd/dispatch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -32,6 +33,11 @@ obs::Histogram& metric_decision_latency() {
       obs::Registry::global().histogram("stream.decision_latency_seconds");
   return h;
 }
+obs::Histogram& metric_vad_seconds() {
+  // One observation per classified VAD frame.
+  static obs::Histogram& h = core::pipeline_stage_histogram("stream.vad_seconds");
+  return h;
+}
 obs::Histogram& metric_accumulate() {
   // Shared with the batch pipeline's accumulation stage: one instrument
   // for "time spent pushing samples through the incremental extractor",
@@ -43,58 +49,72 @@ obs::Histogram& metric_accumulate() {
 
 }  // namespace
 
-void StreamRing::reset(std::size_t channels, std::size_t capacity_frames,
-                       double sample_rate) {
+void StreamRing::reset(std::size_t channels, std::size_t capacity_frames) {
   channels_ = channels;
   capacity_ = capacity_frames;
-  sample_rate_ = sample_rate;
   data_.assign(capacity_ * channels_, 0.0);
+  slots_.assign(channels_, nullptr);
   total_ = 0;
 }
 
 void StreamRing::push(std::span<const float> interleaved) {
   if (channels_ == 0 || capacity_ == 0) return;
-  const std::size_t frames = interleaved.size() / channels_;
-  for (std::size_t f = 0; f < frames; ++f) {
-    const std::size_t slot = static_cast<std::size_t>(total_ % capacity_);
+  const float* in = interleaved.data();
+  for (std::size_t left = interleaved.size() / channels_; left > 0;) {
+    const std::size_t slot = write_slot();
+    const std::size_t count = std::min(capacity_ - slot, left);
     for (std::size_t c = 0; c < channels_; ++c) {
-      data_[slot * channels_ + c] =
-          static_cast<audio::Sample>(interleaved[f * channels_ + c]);
+      audio::Sample* row = data_.data() + c * capacity_ + slot;
+      for (std::size_t f = 0; f < count; ++f) {
+        row[f] = static_cast<audio::Sample>(in[f * channels_ + c]);
+      }
     }
-    ++total_;
+    in += count * channels_;
+    left -= count;
+    total_ += count;
   }
 }
 
 void StreamRing::push(const audio::MultiBuffer& chunk, std::size_t first,
                       std::size_t count) {
   if (channels_ == 0 || capacity_ == 0) return;
-  for (std::size_t f = first; f < first + count; ++f) {
-    const std::size_t slot = static_cast<std::size_t>(total_ % capacity_);
+  while (count > 0) {
+    const std::size_t slot = write_slot();
+    const std::size_t run = std::min(capacity_ - slot, count);
     for (std::size_t c = 0; c < channels_; ++c) {
-      data_[slot * channels_ + c] = chunk.channel(c)[f];
+      std::copy_n(chunk.channel(c).samples().data() + first, run,
+                  data_.data() + c * capacity_ + slot);
     }
-    ++total_;
+    first += run;
+    count -= run;
+    total_ += run;
   }
 }
 
-void StreamRing::extract_into(std::uint64_t begin, std::uint64_t end,
-                              audio::MultiBuffer& out) const {
-  if (begin < oldest_frame() || begin > end || end > total_) {
+audio::Sample* const* StreamRing::write_slots(std::size_t count) {
+  const std::size_t slot = capacity_ == 0 ? 0 : write_slot();
+  if (count > capacity_ - slot) {
+    throw std::logic_error("StreamRing: a write would wrap the ring");
+  }
+  for (std::size_t c = 0; c < channels_; ++c) {
+    slots_[c] = data_.data() + c * capacity_ + slot;
+  }
+  return slots_.data();
+}
+
+std::array<std::span<const audio::Sample>, 2> StreamRing::runs(std::size_t channel,
+                                                               std::uint64_t begin,
+                                                               std::uint64_t end) const {
+  if (channel >= channels_ || begin < oldest_frame() || begin > end || end > total_) {
     throw std::logic_error("StreamRing: read outside the retained frames");
   }
   const auto frames = static_cast<std::size_t>(end - begin);
-  if (out.channel_count() != channels_ || out.sample_rate() != sample_rate_) {
-    out = audio::MultiBuffer(channels_, frames, sample_rate_);
-  } else {
-    for (std::size_t c = 0; c < channels_; ++c) out.channel(c).resize(frames);
-  }
-  for (std::uint64_t f = begin; f < end; ++f) {
-    const std::size_t slot = static_cast<std::size_t>(f % capacity_);
-    for (std::size_t c = 0; c < channels_; ++c) {
-      out.channel(c)[static_cast<std::size_t>(f - begin)] =
-          data_[slot * channels_ + c];
-    }
-  }
+  if (frames == 0) return {};
+  const audio::Sample* row = data_.data() + channel * capacity_;
+  const auto slot = static_cast<std::size_t>(begin % capacity_);
+  const std::size_t first = std::min(capacity_ - slot, frames);
+  return {std::span<const audio::Sample>(row + slot, first),
+          std::span<const audio::Sample>(row, frames - first)};
 }
 
 StreamingDetector::StreamingDetector(const core::HeadTalkPipeline& pipeline,
@@ -115,8 +135,8 @@ StreamingDetector::StreamingDetector(const core::HeadTalkPipeline& pipeline,
   const std::size_t lag_frames =
       std::max(endpoint.pre_roll_frames + endpoint.onset_frames,
                endpoint.hangover_frames - endpoint.post_roll_frames);
-  ring_.reset(channels, (lag_frames + 1) * vad_.frame_length(), sample_rate);
-  reference_.reserve(vad_.frame_length());
+  ring_.reset(channels, (lag_frames + 1) * vad_.frame_length());
+  feed_channels_.assign(channels, nullptr);
   vad_frames_.reserve(1);
 }
 
@@ -137,11 +157,7 @@ std::vector<DecisionEvent> StreamingDetector::push_interleaved(
   for (std::size_t first = 0; first < frames;) {
     const std::size_t count = std::min(slice_frames(), frames - first);
     ring_.push(interleaved.subspan(first * channels, count * channels));
-    reference_.resize(count);
-    for (std::size_t f = 0; f < count; ++f) {
-      reference_[f] = static_cast<audio::Sample>(interleaved[(first + f) * channels]);
-    }
-    advance(reference_, out);
+    advance(count, out);
     first += count;
   }
   return out;
@@ -154,15 +170,41 @@ std::vector<DecisionEvent> StreamingDetector::push(const audio::MultiBuffer& chu
   if (chunk.sample_rate() != vad_.sample_rate()) {
     throw std::invalid_argument("StreamingDetector: chunk sample rate mismatch");
   }
-  const auto reference = chunk.channel(0).samples();
   std::vector<DecisionEvent> out;
   for (std::size_t first = 0; first < chunk.frames();) {
     const std::size_t count = std::min(slice_frames(), chunk.frames() - first);
     ring_.push(chunk, first, count);
-    advance(reference.subspan(first, count), out);
+    advance(count, out);
     first += count;
   }
   return out;
+}
+
+bool StreamingDetector::push_f32le(const std::uint8_t* payload, std::size_t frames,
+                                   std::vector<DecisionEvent>& out) {
+  const auto& decode = dsp::simd::kernels().decode_f32;
+  const std::size_t channels = ring_.channels();
+  // The kernel checks what it decodes and writes nothing when a sample is
+  // not finite. A chunk of one slice is checked by its one decode; a
+  // longer one is checked whole first, so a bad sample in a later slice
+  // still leaves the earlier ones unwritten and unclassified.
+  if (frames > slice_frames() && !decode(payload, frames, channels, nullptr, nullptr)) {
+    return false;
+  }
+  const std::size_t stride = channels * sizeof(float);
+  for (std::size_t first = 0; first < frames;) {
+    const std::size_t count = std::min(slice_frames(), frames - first);
+    // A slice ends on a VAD frame boundary and the capacity is a whole
+    // number of VAD frames, so its slots never wrap.
+    if (!decode(payload + first * stride, count, channels, ring_.write_slots(count),
+                nullptr)) {
+      return false;  // only the first slice of a one-slice chunk gets here
+    }
+    ring_.commit(count);
+    advance(count, out);
+    first += count;
+  }
+  return true;
 }
 
 std::vector<DecisionEvent> StreamingDetector::flush() {
@@ -175,10 +217,14 @@ std::vector<DecisionEvent> StreamingDetector::flush() {
   return out;
 }
 
-void StreamingDetector::advance(std::span<const audio::Sample> reference,
-                                std::vector<DecisionEvent>& out) {
+void StreamingDetector::advance(std::size_t count, std::vector<DecisionEvent>& out) {
+  const std::uint64_t end = ring_.total_frames();
+  // A slice lies inside one VAD frame, which the ring never splits: one run.
+  const std::span<const audio::Sample> reference = ring_.runs(0, end - count, end)[0];
   vad_frames_.clear();
+  obs::Timer vad_timer;
   vad_.push(reference, vad_frames_);
+  if (!vad_frames_.empty()) metric_vad_seconds().observe(vad_timer.stop());
   for (const VadFrame& frame : vad_frames_) {
     metric_vad_active().set(frame.active ? 1.0 : 0.0);
     const auto segment = endpointer_.on_frame(frame.active);
@@ -237,8 +283,17 @@ void StreamingDetector::open_op(std::uint64_t begin) {
 
 void StreamingDetector::feed_op_to(std::uint64_t target) {
   if (target <= op_fed_end_) return;
-  ring_.extract_into(op_fed_end_, target, feed_buffer_);
-  op().push(feed_buffer_);
+  // Two pushes when the range wraps the ring: the operator's chunking
+  // invariance makes them one.
+  for (std::size_t run = 0; run < 2; ++run) {
+    std::size_t frames = 0;
+    for (std::size_t c = 0; c < ring_.channels(); ++c) {
+      const std::span<const audio::Sample> samples = ring_.runs(c, op_fed_end_, target)[run];
+      feed_channels_[c] = samples.data();
+      frames = samples.size();
+    }
+    if (frames != 0) op().push(feed_channels_.data(), frames);
+  }
   op_fed_end_ = target;
 }
 

@@ -2,14 +2,16 @@
 //
 // The StreamingDetector is the layer the always-listening deployment was
 // missing between raw audio and the resident HeadTalkPipeline: chunks of
-// any size are cut into slices of at most one VAD frame, each slice goes
-// into a multichannel ring, its reference channel runs through the
-// frame-level Vad, the Endpointer turns frame labels into utterance
-// segments, the open segment's audio is fed to an incremental operator as
-// it is confirmed, and each close runs the pipeline's finalize_segment —
-// emitting one DecisionEvent per utterance with sample-accurate segment
-// timestamps. The HeadTalk open-session flag carries across segments
-// exactly as it does across utterances of one serve connection.
+// any size are cut into slices of at most one VAD frame, each slice is
+// written once, into a per-channel ring (the wire payload decoded straight
+// into the ring's slots), the frame-level Vad reads the slice's reference
+// channel in place there, the Endpointer turns frame labels into
+// utterance segments, the open segment's audio is fed to an incremental
+// operator from the ring's rows as it is confirmed, and each close runs
+// the pipeline's finalize_segment — emitting one DecisionEvent per
+// utterance with sample-accurate segment timestamps. The HeadTalk
+// open-session flag carries across segments exactly as it does across
+// utterances of one serve connection.
 //
 // The ring holds only audio the operator has not consumed yet: its
 // capacity follows from the endpointer config and the VAD frame length
@@ -20,6 +22,7 @@
 // pipeline is shared and only its const scoring entry point is used.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -59,22 +62,32 @@ struct DecisionEvent {
 /// Absolute-indexed multichannel sample ring: frame `n` of the stream
 /// lives at slot `n % capacity` until overwritten, so the operator's feed
 /// reads by absolute [begin, end) without any index bookkeeping at the
-/// call site. Samples are stored interleaved.
+/// call site. Samples are stored one row per channel (`capacity` samples
+/// each), so a run of frames is a contiguous span of every channel.
 class StreamRing {
  public:
-  void reset(std::size_t channels, std::size_t capacity_frames, double sample_rate);
+  void reset(std::size_t channels, std::size_t capacity_frames);
 
-  /// `interleaved.size()` must be a multiple of the channel count.
+  /// `interleaved.size()` must be a multiple of the channel count; a push
+  /// longer than the capacity keeps its newest frames.
   void push(std::span<const float> interleaved);
   /// Pushes frames [first, first + count) of a deinterleaved chunk.
   void push(const audio::MultiBuffer& chunk, std::size_t first, std::size_t count);
 
-  /// Deinterleaves [begin, end) into a caller-owned capture, reusing its
-  /// channel storage, so the per-frame feed is allocation-free. Throws
-  /// std::logic_error unless oldest_frame() <= begin <= end <=
-  /// total_frames(): a read of overwritten audio is a sizing bug.
-  void extract_into(std::uint64_t begin, std::uint64_t end,
-                    audio::MultiBuffer& out) const;
+  /// Per-channel pointers to the slots of the next `count` frames, to be
+  /// written in place and then published with commit(count). The frames
+  /// must not wrap: count <= capacity - (total_frames() % capacity).
+  /// Throws std::logic_error otherwise.
+  [[nodiscard]] audio::Sample* const* write_slots(std::size_t count);
+  void commit(std::size_t count) noexcept { total_ += count; }
+
+  /// Channel `channel`'s samples of frames [begin, end): one run, or two
+  /// when the range wraps the ring (oldest first; the second is empty
+  /// otherwise). Valid until the next write. Throws std::logic_error
+  /// for a channel out of range, or unless oldest_frame() <= begin <=
+  /// end <= total_frames(): a read of overwritten audio is a sizing bug.
+  [[nodiscard]] std::array<std::span<const audio::Sample>, 2> runs(
+      std::size_t channel, std::uint64_t begin, std::uint64_t end) const;
 
   [[nodiscard]] std::uint64_t total_frames() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t oldest_frame() const noexcept {
@@ -84,11 +97,16 @@ class StreamRing {
   [[nodiscard]] std::size_t channels() const noexcept { return channels_; }
 
  private:
-  std::vector<audio::Sample> data_;  ///< capacity_ * channels_, interleaved
+  /// Slot of the next frame written.
+  [[nodiscard]] std::size_t write_slot() const noexcept {
+    return static_cast<std::size_t>(total_ % capacity_);
+  }
+
+  std::vector<audio::Sample> data_;  ///< [channel][capacity_]
+  std::vector<audio::Sample*> slots_;  ///< write_slots()'s per-channel pointers
   std::size_t channels_ = 0;
   std::size_t capacity_ = 0;
   std::uint64_t total_ = 0;  ///< absolute index one past the newest frame
-  double sample_rate_ = audio::kDefaultSampleRate;
 };
 
 class StreamingDetector {
@@ -106,10 +124,19 @@ class StreamingDetector {
     workspace_ = workspace;
   }
 
-  /// Feeds one chunk of interleaved float32 frames (the serve wire format)
-  /// of any size; returns the decisions whose segments closed inside this
-  /// chunk. Events do not depend on how the stream was chunked.
+  /// Feeds one chunk of interleaved float32 frames of any size; returns
+  /// the decisions whose segments closed inside this chunk. Events do not
+  /// depend on how the stream was chunked.
   std::vector<DecisionEvent> push_interleaved(std::span<const float> interleaved);
+
+  /// Same, from the serve wire's AUDIO_CHUNK samples: `frames` frames of
+  /// channels() little-endian float32 samples, frame-major, at `payload`,
+  /// decoded by the dsp decode kernel straight into the ring; the
+  /// decisions are appended to `out`. Returns false, having changed
+  /// nothing (ring, VAD, endpointer, operator), when any sample of the
+  /// chunk is NaN or infinite. Events equal push_interleaved's.
+  [[nodiscard]] bool push_f32le(const std::uint8_t* payload, std::size_t frames,
+                                std::vector<DecisionEvent>& out);
 
   /// Same, from a deinterleaved capture (local tools). Channel count and
   /// sample rate must match the detector's.
@@ -146,13 +173,12 @@ class StreamingDetector {
   /// Frames the next slice may hold: up to the end of the VAD's partial
   /// frame, so each slice completes at most one VAD frame.
   [[nodiscard]] std::size_t slice_frames() const noexcept;
-  /// Runs VAD + endpointing over one slice's reference-channel samples,
-  /// already pushed to the ring, scoring every segment that closes. In
-  /// HeadTalk mode the open segment's samples are fed to the incremental
-  /// extractor once per VAD frame, so a close only pays the residual feed
-  /// + finalize.
-  void advance(std::span<const audio::Sample> reference,
-               std::vector<DecisionEvent>& out);
+  /// Runs VAD + endpointing over the slice of `count` frames just
+  /// committed to the ring (the VAD reads its reference channel in place),
+  /// scoring every segment that closes. In HeadTalk mode the open
+  /// segment's samples are fed to the incremental extractor once per VAD
+  /// frame, so a close only pays the residual feed + finalize.
+  void advance(std::size_t count, std::vector<DecisionEvent>& out);
   [[nodiscard]] DecisionEvent score_segment(const Segment& segment);
 
   /// The workspace's operator when one is attached, the detector's own
@@ -161,7 +187,8 @@ class StreamingDetector {
   /// Opens the incremental extractor for a segment starting at absolute
   /// sample frame `begin`.
   void open_op(std::uint64_t begin);
-  /// Feeds ring samples [fed_end_, target) to the open extractor.
+  /// Feeds ring samples [fed_end_, target) to the open extractor, in place:
+  /// one push per ring run (two when the range wraps).
   void feed_op_to(std::uint64_t target);
   /// Absolute sample frame up to which the open segment may be fed now:
   /// the close end can never exceed last_active + 1 + post_roll frames, so
@@ -174,7 +201,6 @@ class StreamingDetector {
   Vad vad_;
   Endpointer endpointer_;
   StreamRing ring_;
-  std::vector<audio::Sample> reference_;  ///< channel-0 scratch for one slice
   std::vector<VadFrame> vad_frames_;      ///< frames one slice completed (0 or 1)
   std::uint64_t discards_reported_ = 0;   ///< endpointer discards mirrored to obs
   bool session_open_ = false;
@@ -184,8 +210,8 @@ class StreamingDetector {
   /// when it ends.
   core::IncrementalExtractor own_op_;  ///< used only without a workspace
   bool op_open_ = false;
-  std::uint64_t op_fed_end_ = 0;     ///< absolute sample frame fed so far
-  audio::MultiBuffer feed_buffer_;   ///< reused per-frame extraction scratch
+  std::uint64_t op_fed_end_ = 0;  ///< absolute sample frame fed so far
+  std::vector<const audio::Sample*> feed_channels_;  ///< one ring run, per channel
 };
 
 }  // namespace headtalk::stream

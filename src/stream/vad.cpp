@@ -27,10 +27,19 @@ Vad::Vad(VadConfig config, double sample_rate)
       sample_rate_(sample_rate),
       frame_length_(static_cast<std::size_t>(
           std::max(1.0, config.frame_ms * sample_rate / 1000.0))),
-      fft_size_(dsp::next_pow2(frame_length_)),
+      // The magnitudes head transforms at least 8 points; only frames of
+      // 4 samples or fewer are padded further for it.
+      fft_size_(std::max<std::size_t>(8, dsp::next_pow2(frame_length_))),
       noise_floor_db_(config.noise_floor_init_db) {
   if (sample_rate <= 0.0) throw std::invalid_argument("Vad: bad sample rate");
   if (config.frame_ms <= 0.0) throw std::invalid_argument("Vad: bad frame_ms");
+  // At least one bin: an empty band measures 0 from it, as it would from
+  // the whole spectrum.
+  flatness_bins_ = std::max<std::size_t>(
+      1, dsp::bin_range(fft_size_ / 2 + 1, fft_size_, sample_rate, config.flatness_low_hz,
+                        config.flatness_high_hz)
+             .second);
+  magnitude_.resize(flatness_bins_);
   pending_.reserve(frame_length_);
 }
 
@@ -78,7 +87,8 @@ VadFrame Vad::classify(std::span<const audio::Sample> frame) {
   // below the absolute gate skip it (the common case on an idle stream)
   // and keep the NaN "not measured" marker (see VadFrame::has_flatness).
   if (result.energy_db > config_.min_energy_db - 6.0) {
-    dsp::magnitude_spectrum_into(frame, fft_size_, magnitude_, fft_scratch_);
+    dsp::rfft_magnitudes_head<double>(frame, {}, fft_size_, flatness_bins_, magnitude_.data(),
+                                      fft_scratch_);
     result.flatness =
         dsp::spectral_flatness(magnitude_, fft_size_, sample_rate_,
                                config_.flatness_low_hz, config_.flatness_high_hz);

@@ -37,7 +37,10 @@ struct VadConfig {
   /// floor estimate says.
   double min_energy_db = -70.0;
   /// Frames flatter than this (geometric/arithmetic spectral mean over the
-  /// speech band) are noise-like even when loud. On a raw single-frame
+  /// speech band [flatness_low_hz, flatness_high_hz)) are noise-like even
+  /// when loud. Only the spectrum's bins up to the band's end are computed
+  /// (a magnitudes head: the same values as the full spectrum's bins), so
+  /// the flatness costs what the band reads, not the whole spectrum. On a raw single-frame
   /// periodogram, white noise concentrates near exp(-gamma) ~ 0.56 (the
   /// bin powers are exponentially distributed), while voiced speech sits
   /// well under 0.2 — so the gate goes between them, not near 1.
@@ -79,6 +82,8 @@ struct VadFrame {
 
 class Vad {
  public:
+  /// Throws std::invalid_argument for a non-positive sample rate or frame
+  /// length, or a flatness band dsp::bin_range rejects.
   explicit Vad(VadConfig config = {}, double sample_rate = audio::kDefaultSampleRate);
 
   /// Feeds continuous reference-channel audio; returns the frames completed
@@ -104,8 +109,11 @@ class Vad {
   double sample_rate_;
   std::size_t frame_length_;
   std::size_t fft_size_;
+  /// Bins [0, flatness_bins_) of the frame spectrum: up to the flatness
+  /// band's end, the only ones spectral_flatness reads.
+  std::size_t flatness_bins_;
   std::vector<audio::Sample> pending_;  ///< partial frame carried across push()es
-  std::vector<double> magnitude_;
+  std::vector<double> magnitude_;  ///< the frame's flatness_bins_ magnitudes
   dsp::FftScratch fft_scratch_;
   double noise_floor_db_;
   bool prev_active_ = false;   ///< hysteresis state (raw decision)

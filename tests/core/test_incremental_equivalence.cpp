@@ -269,3 +269,53 @@ TEST(IncrementalEquivalence, HoldsAtEverySimdLevelInProcess) {
   }
   dsp::simd::set_level(previous);
 }
+
+TEST(IncrementalEquivalence, PointerPushEqualsChunkPushAtEverySimdLevel) {
+  // push(per-channel pointers, frames) is push(MultiBuffer)'s body: the
+  // same splits — inside a 960-sample block, on its boundary, across
+  // several blocks — give the same bits through either, at the scalar
+  // reference and the host's best level.
+  const std::vector<std::size_t> splits[] = {
+      {1, 500, 959, 960, 961, 2500, 7000},  // split points, then the rest
+      {960, 1920, 4800},
+      {7, 14, 21, 11999},
+  };
+  const auto capture = make_segment_capture(4, 12000, audio::kDefaultSampleRate, /*seed=*/9);
+  const IncrementalExtractorConfig config;
+  const auto same_bits = [](const ml::FeatureVector& got, const ml::FeatureVector& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+          << "feature " << i;
+    }
+  };
+  const dsp::simd::Level previous = dsp::simd::active_level();
+  for (const auto level : {dsp::simd::Level::kScalar, dsp::simd::max_supported_level()}) {
+    dsp::simd::set_level(level);
+    SCOPED_TRACE(dsp::simd::level_name(level));
+    for (const auto& points : splits) {
+      IncrementalExtractor by_chunk;
+      IncrementalExtractor by_pointer;
+      by_chunk.begin(config, 4, capture.sample_rate());
+      by_pointer.begin(config, 4, capture.sample_rate());
+      std::size_t first = 0;
+      for (std::size_t i = 0; i <= points.size(); ++i) {
+        const std::size_t last = i < points.size() ? points[i] : capture.frames();
+        std::vector<audio::Buffer> pieces;
+        const audio::Sample* channels[4];
+        for (std::size_t c = 0; c < 4; ++c) {
+          pieces.push_back(capture.channel(c).slice(first, last - first));
+          channels[c] = capture.channel(c).samples().data() + first;
+        }
+        by_chunk.push(audio::MultiBuffer(std::move(pieces)));
+        by_pointer.push(channels, last - first);
+        first = last;
+      }
+      EXPECT_EQ(by_pointer.samples_pushed(), capture.frames());
+      EXPECT_EQ(by_pointer.blocks_accumulated(), by_chunk.blocks_accumulated());
+      same_bits(by_pointer.finalize_orientation(), by_chunk.finalize_orientation());
+      same_bits(by_pointer.finalize_liveness(), by_chunk.finalize_liveness());
+    }
+  }
+  dsp::simd::set_level(previous);
+}

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 
 using namespace headtalk;
 using namespace headtalk::serve;
@@ -268,6 +269,103 @@ TEST(ServeProtocol, ViewEqualsOwningCopyAcrossSplitFeeds) {
     EXPECT_EQ(frames, 14u) << "piece " << piece;
     EXPECT_EQ(viewed.buffered_bytes(), 0u);
   }
+}
+
+TEST(ServeProtocol, ReceivingInPlaceYieldsTheFramesFeedDoes) {
+  // prepare()/commit() — the bytes written straight into the reader's free
+  // space — give exactly the frames feed() does, for the same pieces, and
+  // when each write fills whatever space prepare() offered (as a recv()
+  // does). The 80 KB chunk is larger than the first space offered; once
+  // its header is in, the reader offers room for the rest of it at once.
+  std::vector<std::uint8_t> stream;
+  const auto add = [&](const std::vector<std::uint8_t>& bytes) {
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  };
+  add(encode_hello(Hello{}));
+  for (const std::size_t frames : {std::size_t{300}, std::size_t{5000}, std::size_t{37}}) {
+    std::vector<float> samples(4 * frames);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      samples[i] = 0.001f * static_cast<float>(i % 991) - 0.5f;
+    }
+    add(encode_audio_chunk(samples, 4));
+    add(encode_end_of_utterance(false));
+  }
+  add(encode_stream_start());
+
+  std::vector<Frame> expected;
+  {
+    FrameReader reader;
+    reader.feed(stream.data(), stream.size());
+    while (auto frame = reader.next()) expected.push_back(*std::move(frame));
+  }
+  ASSERT_EQ(expected.size(), 8u);
+
+  for (const std::size_t piece : {std::size_t{1}, std::size_t{7}, std::size_t{4097}}) {
+    for (const bool fill_span : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "piece " << piece << ", fill " << fill_span);
+      FrameReader fed, received;
+      std::vector<Frame> from_feed, from_receive;
+      std::size_t fed_at = 0, received_at = 0;
+      bool offered_whole_frame = false;
+      while (fed_at < stream.size() || received_at < stream.size()) {
+        if (fed_at < stream.size()) {
+          const std::size_t n = std::min(piece, stream.size() - fed_at);
+          fed.feed(stream.data() + fed_at, n);
+          fed_at += n;
+          while (auto frame = fed.next()) from_feed.push_back(*std::move(frame));
+        }
+        if (received_at < stream.size()) {
+          const std::span<std::uint8_t> space = received.prepare(piece);
+          ASSERT_GE(space.size(), piece);
+          offered_whole_frame = offered_whole_frame || space.size() >= 80000;
+          const std::size_t n =
+              std::min(fill_span ? space.size() : piece, stream.size() - received_at);
+          std::memcpy(space.data(), stream.data() + received_at, n);
+          received.commit(n);
+          received_at += n;
+          while (auto frame = received.next()) from_receive.push_back(*std::move(frame));
+        }
+      }
+      EXPECT_TRUE(offered_whole_frame);
+      EXPECT_EQ(received.buffered_bytes(), 0u);
+      for (const auto* frames : {&from_feed, &from_receive}) {
+        ASSERT_EQ(frames->size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ((*frames)[i].type, expected[i].type) << "frame " << i;
+          EXPECT_EQ((*frames)[i].payload, expected[i].payload) << "frame " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServeProtocol, CommitValidatesTheHeaderAsFeedDoes) {
+  const auto written = [](FrameReader& reader, std::vector<std::uint8_t> bytes) {
+    const std::span<std::uint8_t> space = reader.prepare(bytes.size());
+    std::memcpy(space.data(), bytes.data(), bytes.size());
+    reader.commit(bytes.size());
+  };
+  auto oversized = encode_busy();
+  const std::uint32_t huge = 64u << 20;
+  std::memcpy(oversized.data(), &huge, sizeof huge);
+  auto garbage = encode_busy();
+  garbage[4] = 0x7f;  // unknown type
+  auto reserved = encode_busy();
+  reserved[6] = 1;
+  for (const auto& bytes : {oversized, garbage, reserved}) {
+    FrameReader reader;
+    EXPECT_THROW(written(reader, bytes), ProtocolError);
+  }
+  // A bad header behind a good frame fails once the good frame is taken.
+  std::vector<std::uint8_t> two = encode_busy();
+  two.insert(two.end(), garbage.begin(), garbage.end());
+  FrameReader reader;
+  written(reader, two);
+  EXPECT_THROW((void)reader.next(), ProtocolError);
+  // Committing more than was offered is a caller bug.
+  FrameReader fresh;
+  const std::size_t offered = fresh.prepare(16).size();
+  EXPECT_THROW(fresh.commit(offered + 1), std::logic_error);
 }
 
 TEST(ServeProtocol, DecodeAudioChunkDeinterleavesAndRejectsWithoutWriting) {

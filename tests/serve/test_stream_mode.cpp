@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "serve_test_util.h"
@@ -233,6 +235,32 @@ TEST(ServeStreamMode, NonFiniteSampleMidChunkFeedsNothingToTheDetector) {
   ASSERT_EQ(refused.size(), 1u);
   EXPECT_EQ(parse_error(refused[0]).code, ErrorCode::kBadRequest);
   EXPECT_EQ(strict.stream_frames(), 0u);
+}
+
+TEST(ServeStreamMode, StreamTimersCountChunksAndVadFrames) {
+  // serve.stream_chunk_seconds takes one observation per streaming
+  // AUDIO_CHUNK, stream.vad_seconds one per classified VAD frame, whatever
+  // the chunk sizes; both use the pipeline stage buckets.
+  obs::Histogram& chunk_seconds = core::pipeline_stage_histogram("serve.stream_chunk_seconds");
+  obs::Histogram& vad_seconds = core::pipeline_stage_histogram("stream.vad_seconds");
+  Session session = hello_session(stream_limits());
+  feed(session, encode_stream_start(), true);
+  const std::size_t frame_len = parse_stream_ok(drain(session).at(0)).vad_frame_length;
+
+  const std::uint64_t chunks_before = chunk_seconds.count();
+  const std::uint64_t frames_before = vad_seconds.count();
+  std::size_t chunks = 0;
+  std::size_t frames = 0;
+  for (const std::size_t size : {frame_len, frame_len / 3, 5 * frame_len + 17, frame_len,
+                                 20 * frame_len, 7 * frame_len - 17}) {
+    const auto samples = chunks % 2 == 0 ? speech_chunk(size, 4) : silence_chunk(size, 4);
+    feed(session, encode_audio_chunk(samples, 4), true);
+    ++chunks;
+    frames += size;
+  }
+  EXPECT_EQ(chunk_seconds.count() - chunks_before, chunks);
+  EXPECT_EQ(vad_seconds.count() - frames_before, frames / frame_len);
+  EXPECT_EQ(session.stream_frames(), frames);
 }
 
 TEST(ServeStreamMode, StreamEndOutsideStreamModeFails) {

@@ -1,12 +1,19 @@
 // Frame-level VAD: framing/partial-frame carry, the energy and flatness
-// gates, hysteresis, the adaptive noise floor, and hangover.
+// gates, hysteresis, the adaptive noise floor, hangover, and the flatness
+// against a full-spectrum reference.
 #include "stream/vad.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <random>
+#include <span>
 
 #include <gtest/gtest.h>
+
+#include "dsp/fft.h"
+#include "dsp/spectral.h"
 
 using namespace headtalk;
 using namespace headtalk::stream;
@@ -243,4 +250,46 @@ TEST(Vad, ResetForgetsEverything) {
   const auto frames = vad.push(tone(vad.frame_length(), -20.0));
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].index, 0u);
+}
+
+TEST(Vad, FlatnessEqualsTheFullSpectrumReference) {
+  // The VAD transforms only the spectrum bins up to the flatness band's
+  // end; every measured frame's flatness must equal, bit for bit, the
+  // flatness of the whole magnitude spectrum — at 16, 44.1 and 48 kHz,
+  // and with the band's top above Nyquist (the whole spectrum).
+  VadConfig above_nyquist;
+  above_nyquist.flatness_high_hz = 30000.0;
+  for (const double rate : {16000.0, 44100.0, 48000.0}) {
+    for (const VadConfig& config : {VadConfig{}, above_nyquist}) {
+      SCOPED_TRACE(testing::Message() << rate << " Hz, top " << config.flatness_high_hz);
+      Vad vad(config, rate);
+      const std::size_t n = vad.frame_length();
+      // Quiet noise, a tone, louder noise, a tone over noise.
+      std::vector<audio::Sample> signal = white_noise(4 * n, 0.001, 11);
+      const auto speech = tone(4 * n, -20.0, rate);
+      signal.insert(signal.end(), speech.begin(), speech.end());
+      const auto loud = white_noise(4 * n, 0.1, 12);
+      signal.insert(signal.end(), loud.begin(), loud.end());
+      for (std::size_t i = 0; i < 4 * n; ++i) signal.push_back(speech[i] + loud[i] / 10.0);
+
+      const auto frames = vad.push(signal);
+      ASSERT_EQ(frames.size(), 16u);
+      std::size_t measured = 0;
+      std::vector<double> magnitude;
+      dsp::FftScratch scratch;
+      for (const VadFrame& frame : frames) {
+        if (!frame.has_flatness()) continue;
+        ++measured;
+        const auto samples = std::span<const audio::Sample>(signal).subspan(frame.index * n, n);
+        dsp::magnitude_spectrum_into(samples, dsp::next_pow2(n), magnitude, scratch);
+        const double reference =
+            dsp::spectral_flatness(magnitude, dsp::next_pow2(n), rate, config.flatness_low_hz,
+                                   config.flatness_high_hz);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(frame.flatness),
+                  std::bit_cast<std::uint64_t>(reference))
+            << "frame " << frame.index << ": " << frame.flatness << " vs " << reference;
+      }
+      EXPECT_GE(measured, 12u);
+    }
+  }
 }

@@ -6,7 +6,8 @@
 # then SIGTERM the daemon and require a clean drain (exit 0, socket file
 # removed). The streamed section also scrapes the admin plane and asserts
 # the per-segment decision latency p95 stayed under the incremental-path
-# budget (close pays only the residual feed + O(1) finalize).
+# budget (close pays only the residual feed + O(1) finalize), and the
+# per-chunk ingest p95 under a fixed budget.
 #
 #   tools/run_serve_smoke.sh [build-dir]
 #
@@ -97,6 +98,14 @@ fi
 echo "== assert streamed decision latency p95 =="
 "$build_dir/tools/headtalk_client" --admin-socket "$admin_socket" \
   --assert-p95 "stream.decision_latency_seconds:$stream_p95_budget"
+
+# Per streaming AUDIO_CHUNK (decode, ring, VAD, endpointer, operator
+# feed): a fixed 5 ms, about 50x what a 20 ms chunk costs on idle
+# hardware, so only a path that stopped being incremental (or a missing
+# or empty histogram) fails it.
+echo "== assert streamed chunk cost p95 =="
+"$build_dir/tools/headtalk_client" --admin-socket "$admin_socket" \
+  --assert-p95 "serve.stream_chunk_seconds:0.005"
 
 echo "== graceful shutdown =="
 kill -TERM "$serve_pid"
